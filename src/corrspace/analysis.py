@@ -20,7 +20,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from . import qmath as qm
-from .noise_tomo import CountsTable, setting_kets
+from .noise_tomo import CountsTable, exact_probabilities
 from .wires import build_psi6
 
 State = Union[qm.StateVector, qm.DensityMatrix]
@@ -38,8 +38,6 @@ TABULATED_SETTINGS = (
     "YXYZZZ", "YXYZXX", "YXYZYY", "YZZYZZ", "YZZXXY", "YZZXYX",
 )
 
-_LETTER_MATS = {"I": qm.I2, "X": qm.X, "Y": qm.Y, "Z": qm.Z}
-
 
 # ---------------------------------------------------------------------------
 # Two-point correlations
@@ -48,7 +46,7 @@ _LETTER_MATS = {"I": qm.I2, "X": qm.X, "Y": qm.Y, "Z": qm.Z}
 def _pauli_expectation(state: State, assignments: Mapping[str, str]) -> float:
     op = np.eye(2 ** len(state.labels), dtype=complex)
     for label, letter in assignments.items():
-        op = op @ qm.embed(_LETTER_MATS[letter], state.labels, (label,))
+        op = op @ qm.embed(qm.PAULI[letter], state.labels, (label,))
     return state.expectation(op)
 
 
@@ -98,16 +96,13 @@ class PauliWord:
         object.__setattr__(self, "coefficient", complex(self.coefficient))
         if len(self.labels) != len(self.letters):
             raise ValueError("one letter per label required")
-        if any(l not in _LETTER_MATS for l in self.letters):
+        if any(l not in qm.PAULI for l in self.letters):
             raise ValueError("letters must be I, X, Y, or Z")
         if not np.isfinite(self.coefficient):
             raise ValueError("coefficient must be finite")
 
     def matrix(self) -> np.ndarray:
-        out = np.array([[self.coefficient]], dtype=complex)
-        for letter in self.letters:
-            out = np.kron(out, _LETTER_MATS[letter])
-        return out
+        return _scatter_words((self,))
 
     @property
     def support(self) -> tuple[str, ...]:
@@ -125,7 +120,34 @@ class WitnessTerm:
     setting: str  # derived: the product basis this term is diagonal in
 
     def matrix(self) -> np.ndarray:
-        return sum(w.matrix() for w in self.words)
+        return _scatter_words(self.words)
+
+
+def _bit_masks(words: Sequence[PauliWord], letters: str) -> np.ndarray:
+    """Per word, the integer whose bits (first label = MSB) mark ``letters``."""
+    return np.array([int("".join("01"[l in letters] for l in w.letters), 2) for w in words])
+
+
+def _parity_signs(x: np.ndarray) -> np.ndarray:
+    """(-1)^popcount(x), elementwise, for nonnegative integer arrays."""
+    bits = (x[..., None] >> np.arange(int(x.max()).bit_length())) & 1
+    return 1.0 - 2.0 * (bits.sum(axis=-1) & 1)
+
+
+def _scatter_words(words: Sequence[PauliWord]) -> np.ndarray:
+    """Sum of the words' matrices, scatter-added in word order.
+
+    A Pauli word is monomial: column c holds coefficient * i^(#Y) *
+    (-1)^popcount(c & YZ bits) in row c ^ (XY bits).  Products with +-1 and
+    +-i are exact, so this equals the sum of np.kron products bit for bit.
+    """
+    cols = np.arange(2 ** len(words[0].letters))
+    coeffs = np.array([w.coefficient * 1j ** w.letters.count("Y") for w in words])
+    values = coeffs[:, None] * _parity_signs(cols & _bit_masks(words, "YZ")[:, None])
+    rows = cols ^ _bit_masks(words, "XY")[:, None]
+    out = np.zeros((cols.size, cols.size), dtype=complex)
+    np.add.at(out, (rows, np.broadcast_to(cols, rows.shape)), values)
+    return out
 
 
 @dataclass(frozen=True)
@@ -305,11 +327,6 @@ class WitnessReport:
         }
 
 
-def _projector(theta: float) -> np.ndarray:
-    psi = build_psi6(theta).reorder(WITNESS_ORDER)
-    return np.outer(psi.amps, np.conj(psi.amps))
-
-
 def assemble_witness(theta: float = pi / 6, corrected: bool = False) -> WitnessReport:
     """Sum the 36 terms and report the residual against the target projector.
 
@@ -320,17 +337,21 @@ def assemble_witness(theta: float = pi / 6, corrected: bool = False) -> WitnessR
     which the residual is at rounding level.
     """
     terms = witness_terms(theta, corrected)
-    total = sum(t.matrix() for t in terms)
+    psi = build_psi6(theta).reorder(WITNESS_ORDER)
+    total = np.zeros((psi.amps.size,) * 2, dtype=complex)
+    expectations = []
+    for t in terms:  # one term matrix alive at a time
+        m = t.matrix()
+        total += m
+        expectations.append(psi.expectation(m))
     if corrected:
         total = total / 2.0
-    proj = _projector(theta)
+    proj = np.outer(psi.amps, np.conj(psi.amps))
     delta = total - proj
     residual_maxabs = float(np.max(np.abs(delta)))
     residual_opnorm = float(np.linalg.norm(delta, 2))
     denom = float(np.real(np.vdot(total, total)))
     best_scale = float(np.real(np.vdot(total, proj)) / denom) if denom > 0 else 0.0
-    psi = build_psi6(theta).reorder(WITNESS_ORDER)
-    expectations = tuple(psi.expectation(t.matrix()) for t in terms)
 
     tabulated = list(TABULATED_SETTINGS)
     unmatched_terms = []
@@ -345,7 +366,7 @@ def assemble_witness(theta: float = pi / 6, corrected: bool = False) -> WitnessR
         residual_opnorm=residual_opnorm,
         best_scale=best_scale,
         corrected=corrected,
-        term_expectations=expectations,
+        term_expectations=tuple(expectations),
         derived_settings=tuple(t.setting for t in terms),
         unmatched_tabulated=tuple(tabulated),
         unmatched_terms=tuple(unmatched_terms),
@@ -366,39 +387,17 @@ def exact_setting_cells(
     """
     if settings is None:
         settings = sorted({t.setting for t in witness_terms()})
-    reordered = state.reorder(WITNESS_ORDER)
-    rho = reordered.to_density() if isinstance(reordered, qm.StateVector) else reordered
-    out = {}
-    for s in settings:
-        kets = setting_kets(s)
-        p = np.real(np.einsum("od,de,oe->o", np.conj(kets), rho.mat, kets))
-        out[s] = np.clip(p, 0.0, None)
-    return out
+    return dict(zip(settings, exact_probabilities(state.reorder(WITNESS_ORDER), settings)))
 
 
 def counts_to_cells(counts: CountsTable) -> dict[str, np.ndarray]:
     """Normalize a counts table into per-setting relative frequencies."""
     if tuple(counts.labels) != WITNESS_ORDER:
         raise ValueError(f"counts table must be over qubits {WITNESS_ORDER}")
-    out = {}
-    for s, row in zip(counts.settings, counts.counts):
-        total = row.sum()
-        if total <= 0:
-            raise ValueError(f"setting {s} has no counts")
-        out[s] = row.astype(float) / total
-    return out
-
-
-def _word_expectation_from_cells(word: PauliWord, cells: np.ndarray) -> float:
-    n = len(word.labels)
-    value = 0.0
-    for cell, p in enumerate(cells):
-        parity = 1.0
-        for pos in range(n):
-            if word.letters[pos] != "I" and (cell >> (n - 1 - pos)) & 1:
-                parity = -parity
-        value += parity * p
-    return value
+    totals = counts.counts.sum(axis=1)
+    if np.any(totals <= 0):
+        raise ValueError(f"setting {counts.settings[np.argmax(totals <= 0)]} has no counts")
+    return dict(zip(counts.settings, counts.counts / totals[:, None]))
 
 
 def fidelity_from_settings(
@@ -417,17 +416,19 @@ def fidelity_from_settings(
     the decomposition residual's contribution).
     """
     terms = witness_terms(theta, corrected)
-    total = 0.0
     for term in terms:
         if term.setting not in cell_data:
             raise KeyError(f"missing setting {term.setting} for term {term.index}")
-        cells = np.asarray(cell_data[term.setting], dtype=float)
-        if cells.shape != (64,):
+        if np.shape(cell_data[term.setting]) != (64,):
             raise ValueError(f"setting {term.setting}: expected 64 cells")
-        total += sum(
-            float(np.real(w.coefficient)) * _word_expectation_from_cells(w, cells)
-            for w in term.words
-        )
+    words = [w for t in terms for w in t.words]
+    cells = np.array([cell_data[t.setting] for t in terms for _ in t.words], dtype=float)
+    signs = _parity_signs(np.arange(64) & _bit_masks(words, "XYZ")[:, None])
+    # cumsum adds in sequence, as scalar loops do (np.sum adds pairwise)
+    values = np.cumsum(signs * cells, axis=1)[:, -1] * [w.coefficient.real for w in words]
+    total = 0.0
+    for chunk in np.split(values, np.cumsum([len(t.words) for t in terms])[:-1]):
+        total += np.cumsum(chunk)[-1]
     if corrected:
         total /= 2.0
     return float(total)

@@ -9,6 +9,7 @@ set is the full 3^n product grid, whose cells enumerate exactly the
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -63,24 +64,26 @@ def product_settings(
     return tuple("".join(p) for p in itertools.product(letters, repeat=n_qubits))
 
 
+@functools.lru_cache(maxsize=None)
+def _ket_pair(letter: str) -> np.ndarray:
+    """Read-only (2, 2) array: row 0 the +1 and row 1 the -1 eigenket."""
+    b = pauli_basis(letter)
+    pair = np.stack([b.ket0, b.ket1])
+    pair.setflags(write=False)
+    return pair
+
+
 def setting_kets(setting: str) -> np.ndarray:
     """(2^n, 2^n) array whose row o is the product ket of outcome cell o.
 
     Bit k of the cell index (MSB first, matching the setting string) selects
     eigenstate 0 (+1) or 1 (-1) of that qubit's letter.
     """
-    bases = [pauli_basis(letter) for letter in setting]
-    rows = np.ones((1, 1), dtype=complex)
-    out = None
-    for b in bases:
-        pair = np.stack([b.ket0, b.ket1])  # (2, 2)
-        if out is None:
-            out = pair
-        else:
-            # kron over both the outcome index and the amplitude index
-            out = np.einsum("oi,pj->opij", out, pair).reshape(
-                out.shape[0] * 2, out.shape[1] * 2
-            )
+    pairs = [_ket_pair(letter) for letter in setting]
+    out = pairs[0].copy()
+    for pair in pairs[1:]:
+        # kron over both the outcome index and the amplitude index
+        out = np.einsum("oi,pj->opij", out, pair).reshape(2 * len(out), -1)
     return out
 
 
@@ -149,7 +152,12 @@ class CountsTable:
 
 
 def exact_probabilities(rho: State, settings: Sequence[str]) -> np.ndarray:
-    """Born probabilities of every outcome cell: shape (n_settings, 2^n)."""
+    """Born probabilities of every outcome cell: shape (n_settings, 2^n).
+
+    The einsum is pinned: a ~10x faster matmul form moves probabilities by
+    5.6e-17 and so flips a draw: ``witness fidelity --fidelity 0.9 --shots
+    2000 --seed 5`` would print 1.51525482539455, not 1.51521423045375.
+    """
     if isinstance(rho, qm.StateVector):
         rho = rho.to_density()
     out = np.empty((len(settings), 2**rho.n_qubits))
@@ -230,12 +238,6 @@ class ReconstructionResult:
         }
 
 
-def _measurement_matrix(counts: CountsTable) -> np.ndarray:
-    """Stack all outcome-cell kets: shape (n_settings * 2^n, 2^n)."""
-    blocks = [setting_kets(s) for s in counts.settings]
-    return np.concatenate(blocks, axis=0)
-
-
 def _informationally_complete(kets: np.ndarray, dim: int) -> bool:
     vecs = np.einsum("od,oe->ode", kets, np.conj(kets)).reshape(kets.shape[0], dim * dim)
     return np.linalg.matrix_rank(vecs, tol=1e-9) == dim * dim
@@ -243,13 +245,12 @@ def _informationally_complete(kets: np.ndarray, dim: int) -> bool:
 
 def _log_likelihood(freq: np.ndarray, probs: np.ndarray, shots: int, mode: str) -> float:
     good = freq > 0
-    ll = float(np.sum(freq[good] * np.log(probs[good])))
     if mode == "poisson":
         # cells enter independently: sum f log(mu) - mu with mu = shots * p
-        ll = float(
+        return float(
             np.sum(freq[good] * np.log(shots * probs[good])) - shots * probs.sum()
         )
-    return ll
+    return float(np.sum(freq[good] * np.log(probs[good])))
 
 
 def ml_reconstruct(
@@ -274,7 +275,7 @@ def ml_reconstruct(
     iteration can reach the global optimum.
     """
     dim = 2**counts.n_qubits
-    kets = _measurement_matrix(counts)
+    kets = np.concatenate([setting_kets(s) for s in counts.settings])  # (cells, 2^n)
     kets_c = np.conj(kets)
     freq = counts.counts.reshape(-1).astype(float)
     total = freq.sum()

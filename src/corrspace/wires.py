@@ -279,8 +279,6 @@ def psi6_spec(theta: float = pi / 6) -> ResourceSpec:
 
 
 PSI6_LABELS = ("1", "2", "1p", "3", "3p", "4")
-# Register order used for measurement-settings I/O.
-SETTINGS_ORDER = ("4", "3", "3p", "2", "1", "1p")
 
 
 def build_psi6(theta: float = pi / 6) -> StateVector:

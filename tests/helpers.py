@@ -79,3 +79,33 @@ def overlap2(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=complex).reshape(-1)
     b = np.asarray(b, dtype=complex).reshape(-1)
     return abs(np.vdot(a / np.linalg.norm(a), b / np.linalg.norm(b))) ** 2
+
+
+def kron_word_matrix(word) -> np.ndarray:
+    """Dense Pauli word as the coefficient times a chain of np.kron products."""
+    out = np.array([[word.coefficient]], dtype=complex)
+    for letter in word.letters:
+        out = np.kron(out, qm.PAULI[letter])
+    return out
+
+
+def parity_loop_fidelity(cell_data, terms, corrected: bool) -> float:
+    """Witness value from cells by explicit per-cell, per-bit parity loops."""
+    total = 0.0
+    for term in terms:
+        cells = np.asarray(cell_data[term.setting], dtype=float)
+        term_value = 0
+        for word in term.words:
+            n = len(word.labels)
+            value = 0.0
+            for cell, p in enumerate(cells):
+                parity = 1.0
+                for pos in range(n):
+                    if word.letters[pos] != "I" and (cell >> (n - 1 - pos)) & 1:
+                        parity = -parity
+                value += parity * p
+            term_value += float(np.real(word.coefficient)) * value
+        total += term_value
+    if corrected:
+        total /= 2.0
+    return float(total)

@@ -24,6 +24,8 @@ from corrspace.analysis import (
 from corrspace.noise_tomo import setting_kets, simulate_counts, white_noise
 from corrspace.wires import build_psi4, build_psi6
 
+from helpers import kron_word_matrix, parity_loop_fidelity
+
 TOL = 1e-12
 
 PSI4 = build_psi4()
@@ -150,6 +152,36 @@ def test_first_term_against_independent_kron_build():
     rep = assemble_witness()
     want = PSI6.reorder(WITNESS_ORDER).expectation(m1)
     assert abs(want - rep.term_expectations[0]) < TOL
+
+
+@pytest.mark.parametrize("theta", [pi / 6, pi / 5, 0.3])
+@pytest.mark.parametrize("corrected", [False, True])
+def test_term_matrices_equal_kron_products_exactly(theta, corrected):
+    for t in witness_terms(theta, corrected):
+        for w in t.words:
+            assert np.array_equal(w.matrix(), kron_word_matrix(w))
+        assert np.array_equal(t.matrix(), sum(kron_word_matrix(w) for w in t.words))
+
+
+def test_two_qubit_word_matrices_equal_kron_products_exactly():
+    for a in "IXYZ":
+        for b in "IXYZ":
+            w = PauliWord(("a", "b"), (a, b), 0.3 - 0.7j)
+            assert np.array_equal(w.matrix(), kron_word_matrix(w))
+
+
+@pytest.mark.parametrize("corrected", [False, True])
+def test_assembled_witness_equals_kron_sum_exactly(corrected):
+    theta = 0.3
+    terms = witness_terms(theta, corrected)
+    mats = [sum(kron_word_matrix(w) for w in t.words) for t in terms]
+    total = sum(mats)
+    if corrected:
+        total = total / 2.0
+    rep = assemble_witness(theta, corrected)
+    assert np.array_equal(rep.total, total)
+    psi = build_psi6(theta).reorder(WITNESS_ORDER)
+    assert rep.term_expectations == tuple(psi.expectation(m) for m in mats)
 
 
 def test_pauli_word_validation_and_support():
@@ -281,6 +313,19 @@ def test_sampled_counts_reproduce_the_mixture_fidelity():
     )
     got = fidelity_from_settings(counts_to_cells(table), corrected=True)
     assert abs(got - (0.712 + (1 - 0.712) / 64)) < 0.01
+
+
+@pytest.mark.parametrize("theta", [pi / 6, 0.3])
+@pytest.mark.parametrize("corrected", [False, True])
+def test_fidelity_equals_parity_loop_reference_exactly(rng, theta, corrected):
+    terms = witness_terms(theta, corrected)
+    for _ in range(2):
+        cells = {}
+        for s in sorted({t.setting for t in terms}):
+            row = rng.random(64)
+            cells[s] = row / row.sum()
+        got = fidelity_from_settings(cells, theta=theta, corrected=corrected)
+        assert got == parity_loop_fidelity(cells, terms, corrected)
 
 
 def test_cell_input_validation():

@@ -1,6 +1,7 @@
 """Command-line interface: parsing, serialization, commands, exit codes."""
 
 import argparse
+import hashlib
 import json
 from math import cos, pi, sqrt
 
@@ -344,6 +345,54 @@ def test_witness_bad_fidelity_maps_to_exit_1(capsys):
         capsys, "witness", "fidelity", "--fidelity", "0.005"
     )
     assert code == 1
+
+
+# Stdout SHA-256 of `witness fidelity` over a fixed grid (theta, fidelity,
+# exact or seeded 2000-shot counts, literal or corrected), recorded on the
+# dense-Kronecker implementation.  Any change in rounding anywhere on the
+# witness path (term matrices, expectations, cells, parity sums, counts)
+# changes these bytes.
+WITNESS_DIGESTS = (
+    ("--theta pi/6 --fidelity 1",
+     "6692f2d038a4e897d5c86b374fcd1f024ebfd19369afe57d6f58a879ce4d6dcd"),
+    ("--theta pi/6 --fidelity 1 --corrected",
+     "8506ee5f4a1112bced90c2b12adcabefffaa11d3ef1eebff3fc98a64dc1c8000"),
+    ("--theta pi/6 --fidelity 1 --shots 2000 --seed 5",
+     "629ec63aa60ab7be68d32fe06bb5d77b659e2ce063bdcbfcccad9a469b0866a9"),
+    ("--theta pi/6 --fidelity 1 --shots 2000 --seed 5 --corrected",
+     "772c9bf21bcad0ebf3066bb128d10dc6dc65fed90d60c671a026f0066dd99b2c"),
+    ("--theta pi/6 --fidelity 0.73",
+     "c322b6b7919d9ba01fd1a14b029c1e9014809df36ff5f757a51d5eab70f3be4a"),
+    ("--theta pi/6 --fidelity 0.73 --corrected",
+     "fbba5b65e2c3ac22088bd3c388c3f942d2a073d056e69cd20f62702840e897c8"),
+    ("--theta pi/6 --fidelity 0.73 --shots 2000 --seed 5",
+     "341a93f47dd315e6162c5cff591d84c4bcf051c94acb7c5d7fe362d559efdb21"),
+    ("--theta pi/6 --fidelity 0.73 --shots 2000 --seed 5 --corrected",
+     "e29b735cf2f21283d576fe28ce3dcac39b337d974d964f5f84cb76c10db3f102"),
+    ("--theta 0.3 --fidelity 1",
+     "83c6fcf5c2b1e6a25a492839ee2501d6596dee5f5e58daec85bff0750a6312b4"),
+    ("--theta 0.3 --fidelity 1 --corrected",
+     "4df5af74c236a23e74261012b21ce4108d1b24e6906b8a5023d74351baa89d44"),
+    ("--theta 0.3 --fidelity 1 --shots 2000 --seed 5",
+     "c6df7787248e6b231ff33c8702f051f550451ddae6c9cff18905366f998eeffb"),
+    ("--theta 0.3 --fidelity 1 --shots 2000 --seed 5 --corrected",
+     "60f331572b3abfc090dc559987cf076589de3a9f78b14dc704fc89f0d433f9f8"),
+    ("--theta 0.3 --fidelity 0.73",
+     "5e595db4743702fcf048d0f7aaabd5b612cea14d76a057f9f2b14ba3a7ff6399"),
+    ("--theta 0.3 --fidelity 0.73 --corrected",
+     "9cc6d307fce98117425b785d1934d5cd852c7af23b1125174600afa89a5e5009"),
+    ("--theta 0.3 --fidelity 0.73 --shots 2000 --seed 5",
+     "7254e2ba980296fb50db61ec6cb050e21385d4059b3e9be65dfbda72e0a050d2"),
+    ("--theta 0.3 --fidelity 0.73 --shots 2000 --seed 5 --corrected",
+     "9b290f82e5ae44b1ba071474d922dfda1e94c56a0ee70888eb4aaf2beab7d31c"),
+)
+
+
+@pytest.mark.parametrize("args,digest", WITNESS_DIGESTS)
+def test_witness_fidelity_stdout_bytes_are_pinned(capsys, args, digest):
+    code, out, err = run_cli(capsys, "witness", "fidelity", *args.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_curve_fig2_json_endpoints(capsys):
