@@ -177,25 +177,25 @@ def _state_payload(state: qm.StateVector) -> dict:
     }
 
 
-def _resolve_mode(args) -> tuple[tuple[int, ...] | None, int | None, str]:
-    """Map (--outcomes | --postselect-zeros | --seed) onto protocol inputs."""
+def _resolve_mode(args, n_steps: int):
+    """Map (--outcomes | --postselect-zeros | --seed) to (outcomes, rng, seed, mode)."""
     given = [
         name
         for name, val in (
-            ("--outcomes", getattr(args, "outcomes", None)),
-            ("--postselect-zeros", getattr(args, "postselect_zeros", False) or None),
-            ("--seed", getattr(args, "seed", None)),
+            ("--outcomes", args.outcomes),
+            ("--postselect-zeros", args.postselect_zeros or None),
+            ("--seed", args.seed),
         )
         if val is not None
     ]
     if len(given) > 1:
         raise CliError(f"options {given} are mutually exclusive")
     if args.outcomes is not None:
-        return tuple(args.outcomes), None, "postselect"
-    if getattr(args, "postselect_zeros", False):
-        return None, None, "postselect"  # caller substitutes all-zero outcomes
+        return tuple(args.outcomes), None, None, "postselect"
+    if args.postselect_zeros:
+        return (0,) * n_steps, None, None, "postselect"
     seed = args.seed if args.seed is not None else _fresh_seed()
-    return None, seed, "sampled"
+    return None, np.random.default_rng(seed), seed, "sampled"
 
 
 def _noisy_state(pure: qm.StateVector, fidelity: float):
@@ -247,10 +247,7 @@ def _cmd_state_analyze(args) -> tuple[str, str | None]:
 
 
 def _cmd_protocol_rotate(args) -> tuple[str, str | None]:
-    outcomes, seed, mode = _resolve_mode(args)
-    if mode == "postselect" and outcomes is None:
-        outcomes = (0, 0, 0)
-    rng = np.random.default_rng(seed) if seed is not None else None
+    outcomes, rng, seed, mode = _resolve_mode(args, 3)
     tr = protocols.rotate_sequence(
         args.alpha, args.beta, args.gamma, theta=args.theta,
         outcomes=outcomes, rng=rng,
@@ -290,8 +287,8 @@ def _cmd_protocol_compensate(args) -> tuple[str, str | None]:
         "analytic": analytic,
     }
     if args.enumerate:
-        if args.outcomes is not None or args.seed is not None:
-            raise CliError("--enumerate excludes --outcomes/--seed")
+        if args.outcomes is not None or args.postselect_zeros or args.seed is not None:
+            raise CliError("--enumerate excludes --outcomes/--postselect-zeros/--seed")
         p_total, branches = protocols.enumerate_compensation(
             args.alpha, resource, theta=args.theta
         )
@@ -307,10 +304,7 @@ def _cmd_protocol_compensate(args) -> tuple[str, str | None]:
             for tr in branches
         ]
         return dumps15(payload), args.out
-    outcomes, seed, mode = _resolve_mode(args)
-    if mode == "postselect" and outcomes is None:
-        outcomes = (0,) if args.resource == 2 else (0, 0, 0)
-    rng = np.random.default_rng(seed) if seed is not None else None
+    outcomes, rng, seed, mode = _resolve_mode(args, 1 if args.resource == 2 else 3)
     tr = protocols.compensate(
         args.alpha, resource, theta=args.theta, outcomes=outcomes, rng=rng
     )
@@ -321,10 +315,7 @@ def _cmd_protocol_compensate(args) -> tuple[str, str | None]:
 
 
 def _cmd_protocol_cz(args) -> tuple[str, str | None]:
-    outcomes, seed, mode = _resolve_mode(args)
-    if mode == "postselect" and outcomes is None:
-        outcomes = (0, 0, 0, 0)
-    rng = np.random.default_rng(seed) if seed is not None else None
+    outcomes, rng, seed, mode = _resolve_mode(args, 4)
     tr = protocols.cz_gate_protocol(
         args.alpha, outcomes=outcomes, rng=rng, theta=args.theta
     )
@@ -341,10 +332,7 @@ def _cmd_protocol_cz(args) -> tuple[str, str | None]:
 
 
 def _cmd_protocol_deutsch(args) -> tuple[str, str | None]:
-    outcomes, seed, mode = _resolve_mode(args)
-    if mode == "postselect" and outcomes is None:
-        outcomes = (0, 0, 0, 0)
-    rng = np.random.default_rng(seed) if seed is not None else None
+    outcomes, rng, seed, mode = _resolve_mode(args, 4)
     query, ancilla, tr = protocols.deutsch(
         args.function, outcomes=outcomes, rng=rng, theta=args.theta
     )
@@ -509,7 +497,7 @@ def _add_common(p: argparse.ArgumentParser, *, theta: bool = True) -> None:
                    help="write output to FILE instead of stdout")
 
 
-def _add_branch_options(p: argparse.ArgumentParser, n: int) -> None:
+def _add_branch_options(p: argparse.ArgumentParser, n: int | str) -> None:
     p.add_argument("--outcomes", type=parse_bits, default=None,
                    help=f"post-select {n} comma-separated outcome bits")
     p.add_argument("--postselect-zeros", action="store_true",
@@ -556,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resource", type=int, choices=(2, 4), default=4)
     p.add_argument("--enumerate", action="store_true",
                    help="enumerate all branches instead of running one")
-    _add_branch_options(p, 3)
+    _add_branch_options(p, "1 (--resource 2) or 3 (--resource 4)")
     _add_common(p)
     p.set_defaults(func=_cmd_protocol_compensate)
 

@@ -19,6 +19,10 @@ from .wires import SiteTensor, _check_theta
 State = Union[qm.StateVector, qm.DensityMatrix]
 
 
+class ZeroProbabilityBranch(ValueError):
+    """The requested (or sampled) outcome has numerically zero probability."""
+
+
 @dataclass(frozen=True)
 class MeasurementBasis:
     """An orthonormal single-qubit basis; outcome 0 selects ``ket0``."""
@@ -178,7 +182,8 @@ def measure(
 
     Exactly one of ``outcome`` (post-selection) or ``rng`` (Born-rule
     sampling) must be provided.  The measured qubit is removed from the
-    register and the remaining state is renormalized.
+    register and the remaining state is renormalized.  An outcome of
+    probability below 1e-15 raises ``ZeroProbabilityBranch``.
     """
     if (outcome is None) == (rng is None):
         raise ValueError("provide exactly one of outcome= or rng=")
@@ -194,7 +199,7 @@ def measure(
     else:
         prob, rest = state.project(qubit, basis.ket1)
     if prob < 1e-15:
-        raise ValueError(
+        raise ZeroProbabilityBranch(
             f"outcome {chosen} on qubit {qubit!r} has zero probability"
         )
     collapsed, _ = rest.normalized()

@@ -1,28 +1,33 @@
 """Measurement programs executed on the wire resources.
 
-Implements the single-qubit rotation sequence, the trial-until-success
-rotation with one compensation round, the probabilistic entangling gate,
-and the two-program function-distinguishing algorithm, together with
-their analytic success probabilities and byproduct (Pauli-frame)
-bookkeeping.  Everything is driven by literal Born-rule contraction of
-the resource states; closed-form results are used only as oracles in the
-test suite.
+The single-qubit rotation sequence, the trial-until-success rotation with
+one compensation round, the probabilistic entangling gate and the
+two-program function-distinguishing algorithm are each a ``Program``:
+single-qubit measurements on a resource state whose bases depend on earlier
+outcomes.  One interpreter runs them all, post-selected or Born-sampled
+(``Program.run``) or over the whole outcome tree (``Program.branches``).
+Analytic success probabilities and byproduct (Pauli-frame) bookkeeping sit
+beside them.  Everything is driven by literal Born-rule contraction of the
+resource states; closed-form results are used only as oracles in the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import atan2, cos, pi, sin
-from typing import Iterable, Sequence, Union
+from typing import Any, Callable, Sequence, Union
 
 import numpy as np
 
 from . import qmath as qm
-from .measurement import MeasurementBasis, OutcomeRecord, basis_B, measure, pauli_basis
+from .measurement import (
+    MeasurementBasis, OutcomeRecord, ZeroProbabilityBranch, basis_B, measure, pauli_basis,
+)
 from .noise_tomo import white_noise
 from .wires import build_psi4, build_psi6, lambda34
 
 State = Union[qm.StateVector, qm.DensityMatrix]
+Step = tuple[str, MeasurementBasis]
 
 # Basis-family angle for the coupling qubit: it carries an unweighted |+>
 # site, so its basis family is the balanced one.  B(0) is then the
@@ -169,35 +174,73 @@ def compensation_bound(alpha: float, theta: float = pi / 6, n_blocks: int = 1) -
 
 
 # ---------------------------------------------------------------------------
-# Shared helpers
+# The interpreter
 # ---------------------------------------------------------------------------
 
-def _resolve_outcomes(
-    n: int,
-    outcomes: Sequence[int] | None,
-    rng: np.random.Generator | None,
-) -> list[int | None]:
-    """Turn user intent into a per-step outcome list (None = sample)."""
-    if (outcomes is None) == (rng is None):
-        raise ValueError("provide exactly one of outcomes= or rng=")
-    if outcomes is None:
-        return [None] * n
-    outcomes = list(outcomes)
-    if len(outcomes) != n:
-        raise ValueError(f"expected {n} outcomes, got {len(outcomes)}")
-    return outcomes
+@dataclass(frozen=True)
+class Program:
+    """An adaptive single-qubit measurement program on a resource state.
+
+    ``next_step(bits)`` names the (qubit, basis) measured after the outcome
+    bits seen so far, or None once the program is done; it may raise
+    ``ProtocolAbort``.  ``finish(records, state)`` builds the result from
+    the outcome records and the collapsed state.  Every branch makes
+    ``n_steps`` measurements.
+    """
+
+    state: State
+    n_steps: int
+    next_step: Callable[[tuple[int, ...]], Step | None]
+    finish: Callable[[tuple[OutcomeRecord, ...], State], Any]
+
+    def run(self, *, outcomes: Sequence[int] | None = None,
+            rng: np.random.Generator | None = None) -> Any:
+        """One branch: post-select ``outcomes`` or sample every step with ``rng``."""
+        if (outcomes is None) == (rng is None):
+            raise ValueError("provide exactly one of outcomes= or rng=")
+        if outcomes is not None:
+            outcomes = tuple(outcomes)
+            if len(outcomes) != self.n_steps:
+                raise ValueError(f"expected {self.n_steps} outcomes, got {len(outcomes)}")
+        state, records, bits = self.state, [], ()
+        while (step := self.next_step(bits)) is not None:
+            want = None if outcomes is None else outcomes[len(bits)]
+            rec, state = measure(state, *step, outcome=want, rng=rng)
+            records.append(rec)
+            bits += (rec.outcome,)
+        return self.finish(tuple(records), state)
+
+    def branches(self) -> tuple[Any, ...]:
+        """``finish`` of every branch, depth first with outcome 0 before 1.
+
+        Each collapsed state is passed down the tree, so a shared prefix is
+        measured once.  Only zero-probability children are skipped.
+        """
+        out = []
+
+        def walk(state: State, records: tuple[OutcomeRecord, ...]) -> None:
+            step = self.next_step(tuple(rec.outcome for rec in records))
+            if step is None:
+                out.append(self.finish(records, state))
+                return
+            for outcome in (0, 1):
+                try:
+                    rec, rest = measure(state, *step, outcome=outcome)
+                except ZeroProbabilityBranch:
+                    continue
+                walk(rest, records + (rec,))
+
+        walk(self.state, ())
+        return tuple(out)
 
 
-def _measure_step(
-    state: State,
-    qubit: str,
-    basis: MeasurementBasis,
-    want: int | None,
-    rng: np.random.Generator | None,
-) -> tuple[OutcomeRecord, State]:
-    if want is None:
-        return measure(state, qubit, basis, rng=rng)
-    return measure(state, qubit, basis, outcome=want)
+def _transcript(
+    records: tuple[OutcomeRecord, ...], frame: PauliFrame, logical: np.ndarray | None,
+    state: State, success: bool, notes: Sequence[tuple[str, str]] = (),
+) -> ProtocolTranscript:
+    """A branch's transcript; its probability is the product of its steps'."""
+    total = float(np.prod([r.probability for r in records]))
+    return ProtocolTranscript(records, frame, logical, state, success, total, notes)
 
 
 def _rotation_target(alpha: float) -> np.ndarray:
@@ -231,23 +274,18 @@ def rotate_sequence(
     """
     if rng is not None:
         outcomes = None  # an explicit generator overrides the default zeros
-    want = _resolve_outcomes(3, outcomes, rng)
-    state: State = build_psi4(theta)
-    records: list[OutcomeRecord] = []
-    for qubit, angle, w in zip(("1", "2", "3"), (alpha, beta, gamma), want):
-        rec, state = _measure_step(state, qubit, basis_B(angle, theta), w, rng)
-        records.append(rec)
-    total = float(np.prod([r.probability for r in records]))
-    all_zero = all(r.outcome == 0 for r in records)
-    logical = qm.HAD @ state.amps if _is_pure(state) else None
-    return ProtocolTranscript(
-        outcomes=tuple(records),
-        frame=_single_frame(),
-        logical_out=logical,
-        physical_out=state,
-        success=all_zero,
-        total_probability=total,
-    )
+    angles = (alpha, beta, gamma)
+
+    def next_step(bits):
+        k = len(bits)
+        return None if k == 3 else (str(k + 1), basis_B(angles[k], theta))
+
+    def finish(records, state):
+        logical = qm.HAD @ state.amps if _is_pure(state) else None
+        success = all(r.outcome == 0 for r in records)
+        return _transcript(records, _single_frame(), logical, state, success)
+
+    return Program(build_psi4(theta), 3, next_step, finish).run(outcomes=outcomes, rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -265,65 +303,52 @@ def _resource_state(resource: str, theta: float) -> qm.StateVector:
     raise ValueError(f"unknown resource {resource!r}; expected one of {_RESOURCES}")
 
 
-def _compensate_plan(
-    alpha: float,
-    resource: str,
-    theta: float,
-    state: State,
-    want: list[int | None],
-    rng: np.random.Generator | None,
-) -> ProtocolTranscript:
-    """Run one branch of the compensated rotation (shared by both modes)."""
-    records: list[OutcomeRecord] = []
-    notes: list[tuple[str, str]] = []
+def _compensation_program(
+    alpha: float, resource: str, theta: float, state: State | None
+) -> Program:
+    """The compensated rotation (see ``compensate``) as a program."""
+    if state is None:
+        state = _resource_state(resource, theta)
+    elif resource not in _RESOURCES:
+        raise ValueError(f"unknown resource {resource!r}; expected one of {_RESOURCES}")
+    two_qubit = resource == "2-qubit"
     z_basis = pauli_basis("Z")
 
-    if resource == "2-qubit":
-        rec, state = _measure_step(state, "3", basis_B(alpha, theta), want[0], rng)
-        records.append(rec)
-        success = rec.outcome == 0
-        frame = _single_frame()
-    else:
-        rec1, state = _measure_step(state, "1", basis_B(alpha, theta), want[0], rng)
-        records.append(rec1)
-        if rec1.outcome == 0:
-            rec2, state = _measure_step(state, "2", z_basis, want[1], rng)
-            rec3, state = _measure_step(state, "3", z_basis, want[2], rng)
-            records += [rec2, rec3]
-            frame = _single_frame(x=rec3.outcome, z=rec2.outcome)
-            success = True
-        else:
-            rec2, state = _measure_step(state, "2", z_basis, want[1], rng)
-            records.append(rec2)
-            sign = -1.0 if rec2.outcome else 1.0
-            comp_angle = sign * (alpha - wrong_angle(alpha, theta))
-            rec3, state = _measure_step(
-                state, "3", basis_B(comp_angle, theta), want[2], rng
-            )
-            records.append(rec3)
-            notes.append(("compensation_angle", f"{comp_angle:.15g}"))
-            frame = _single_frame(z=rec2.outcome)
-            success = rec3.outcome == 0
+    def comp_angle(r2):
+        return (-1.0 if r2 else 1.0) * (alpha - wrong_angle(alpha, theta))
 
-    total = float(np.prod([r.probability for r in records]))
-    logical = None
-    if _is_pure(state):
-        logical = qm.HAD @ state.amps
-        if success:
+    def next_step(bits):
+        k = len(bits)
+        if two_qubit:
+            return None if k else ("3", basis_B(alpha, theta))
+        if k == 0:
+            return "1", basis_B(alpha, theta)
+        if k == 1:
+            return "2", z_basis
+        if k == 2:
+            return "3", z_basis if bits[0] == 0 else basis_B(comp_angle(bits[1]), theta)
+        return None
+
+    def finish(records, state):
+        bits = tuple(r.outcome for r in records)
+        notes = ()
+        if two_qubit:
+            frame, success = _single_frame(), bits[0] == 0
+        elif bits[0] == 0:
+            frame, success = _single_frame(x=bits[2], z=bits[1]), True
+        else:
+            frame, success = _single_frame(z=bits[1]), bits[2] == 0
+            notes = (("compensation_angle", f"{comp_angle(bits[1]):.15g}"),)
+        logical = qm.HAD @ state.amps if _is_pure(state) else None
+        if logical is not None and success:
             expected_phys = qm.HAD @ frame.operator("out") @ _rotation_target(alpha)
             if not qm.vec_equal_up_to_phase(state.amps, expected_phys, 1e-10):
                 raise AssertionError(
                     "compensation branch output does not match its Pauli frame"
                 )
-    return ProtocolTranscript(
-        outcomes=tuple(records),
-        frame=frame,
-        logical_out=logical,
-        physical_out=state,
-        success=success,
-        total_probability=total,
-        notes=tuple(notes),
-    )
+        return _transcript(records, frame, logical, state, success, notes)
+
+    return Program(state, 1 if two_qubit else 3, next_step, finish)
 
 
 def compensate(
@@ -344,13 +369,8 @@ def compensate(
     with byproduct Z^{r2}, outcome 1 fails.  The 2-qubit resource admits a
     single trial with success probability p_s(alpha).
     """
-    if state is None:
-        state = _resource_state(resource, theta)
-    elif resource not in _RESOURCES:
-        raise ValueError(f"unknown resource {resource!r}; expected one of {_RESOURCES}")
-    n_steps = 1 if resource == "2-qubit" else 3
-    want = _resolve_outcomes(n_steps, outcomes, rng)
-    return _compensate_plan(alpha, resource, theta, state, want, rng)
+    program = _compensation_program(alpha, resource, theta, state)
+    return program.run(outcomes=outcomes, rng=rng)
 
 
 def enumerate_compensation(
@@ -365,29 +385,12 @@ def enumerate_compensation(
     Branch probabilities sum to 1; the returned success probability is the
     sum over branches flagged successful.
     """
-    if state is None:
-        state = _resource_state(resource, theta)
-    branches: list[ProtocolTranscript] = []
-    if resource == "2-qubit":
-        patterns: Iterable[tuple[int, ...]] = ((0,), (1,))
-    elif resource == "4-qubit":
-        patterns = [
-            (r1, r2, r3) for r1 in (0, 1) for r2 in (0, 1) for r3 in (0, 1)
-        ]
-    else:
-        raise ValueError(f"unknown resource {resource!r}; expected one of {_RESOURCES}")
-    for pattern in patterns:
-        try:
-            branches.append(
-                _compensate_plan(alpha, resource, theta, state, list(pattern), None)
-            )
-        except ValueError:
-            continue  # zero-probability branch
+    branches = _compensation_program(alpha, resource, theta, state).branches()
     total = sum(b.total_probability for b in branches)
     if abs(total - 1.0) > 1e-11:
         raise AssertionError("branch probabilities do not sum to 1")
     p_success = sum(b.total_probability for b in branches if b.success)
-    return float(p_success), tuple(branches)
+    return float(p_success), branches
 
 
 def noisy_success_curve(
@@ -439,44 +442,32 @@ def cz_gate_protocol(
     measured computationally and the wires decouple into a product state.
     The surviving register is (1p, 3p).
     """
-    want = _resolve_outcomes(4, outcomes, rng)
-    state: State = build_psi6(theta)
-    records: list[OutcomeRecord] = []
-    for qubit, angle, w in zip(
-        ("1", "2", "3"), (alpha, pi / 2, pi / 2), want[:3]
-    ):
-        rec, state = _measure_step(state, qubit, basis_B(angle, theta), w, rng)
-        records.append(rec)
-    r2, r3 = records[1].outcome, records[2].outcome
-    entangling = r2 == 0 and r3 == 0
-    basis4 = pauli_basis("Y") if entangling else pauli_basis("Z")
-    rec4, state = _measure_step(state, "4", basis4, want[3], rng)
-    records.append(rec4)
-    state = state.reorder(("1p", "3p"))
+    angles = (alpha, pi / 2, pi / 2)
 
-    notes: list[tuple[str, str]] = []
-    alpha_eff = alpha
-    if records[0].outcome == 1:
-        alpha_eff = wrong_angle(alpha, theta)
-        notes.append(("effective_alpha", f"{alpha_eff:.15g}"))
-    if entangling:
-        frame = PauliFrame(("1p", "3p"), (0, 0), (rec4.outcome, rec4.outcome))
-    else:
-        frame = PauliFrame(("1p", "3p"), (0, 0), (0, 0))
-        notes.append(("decoupled", "qubit 4 measured computationally"))
-    logical = None
-    if _is_pure(state):
+    def next_step(bits):
+        k = len(bits)
+        if k < 3:
+            return str(k + 1), basis_B(angles[k], theta)
+        if k == 3:
+            return "4", pauli_basis("Y" if bits[1:] == (0, 0) else "Z")
+        return None
+
+    def finish(records, state):
+        r1, r2, r3, r4 = (r.outcome for r in records)
+        entangling = r2 == r3 == 0
+        state = state.reorder(("1p", "3p"))
+        notes = []
+        if r1 == 1:
+            notes.append(("effective_alpha", f"{wrong_angle(alpha, theta):.15g}"))
+        if not entangling:
+            notes.append(("decoupled", "qubit 4 measured computationally"))
+        z = r4 if entangling else 0
+        frame = PauliFrame(("1p", "3p"), (0, 0), (z, z))
         # Invert the readout maps: site 1p reads H*v, site 3p reads v.
-        logical = qm.kron(qm.HAD, qm.I2) @ state.amps
-    return ProtocolTranscript(
-        outcomes=tuple(records),
-        frame=frame,
-        logical_out=logical,
-        physical_out=state,
-        success=entangling,
-        total_probability=float(np.prod([r.probability for r in records])),
-        notes=tuple(notes),
-    )
+        logical = qm.kron(qm.HAD, qm.I2) @ state.amps if _is_pure(state) else None
+        return _transcript(records, frame, logical, state, entangling, notes)
+
+    return Program(build_psi6(theta), 4, next_step, finish).run(outcomes=outcomes, rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -532,49 +523,39 @@ def deutsch(
     if function not in _FUNCTIONS:
         raise ValueError(f"unknown function {function!r}; expected one of {_FUNCTIONS}")
     zeta = 0.0 if function == "constant" else pi / 2
-    want = _resolve_outcomes(4, outcomes, rng)
-    state: State = build_psi6(theta)
-    records: list[OutcomeRecord] = []
-    for qubit, basis, w in (
-        ("1", basis_B(pi, theta), want[0]),
-        ("2", basis_B(zeta, theta), want[1]),
-        ("3", basis_B(zeta, theta), want[2]),
-    ):
-        rec, state = _measure_step(state, qubit, basis, w, rng)
-        records.append(rec)
-    r1, r2, r3 = (r.outcome for r in records)
-    if function == "balanced" and (r2 or r3):
-        raise ProtocolAbort(
-            "balanced program aborted: r2 or r3 nonzero, entangling step unavailable"
-        )
-    rec4, state = _measure_step(state, "4", basis_B(zeta, COUPLER_THETA), want[3], rng)
-    records.append(rec4)
-    r4 = rec4.outcome
-    state = state.reorder(("1p", "3p"))
-    if not _is_pure(state):
-        raise ValueError("function distinguishing requires a pure resource")
 
-    probs = np.abs(state.amps) ** 2
-    idx = int(np.argmax(probs))
-    if abs(probs[idx] - 1.0) > 1e-9:
-        raise ProtocolAbort("readout is not a deterministic computational product")
-    ancilla_raw, query_raw = (idx >> 1) & 1, idx & 1
-    query, ancilla = deutsch_relabel((query_raw, ancilla_raw), r1, r4, function)
-    notes = [
-        ("function", function),
-        ("raw_bits", f"query={query_raw},ancilla={ancilla_raw}"),
-    ]
-    in_scope = (r2, r3) == (0, 0)
-    if not in_scope:
-        notes.append(("relabel_scope", "r2/r3 nonzero: outside the relabeling map"))
-    success = in_scope and (query, ancilla) == _TARGET_BITS[function]
-    transcript = ProtocolTranscript(
-        outcomes=tuple(records),
-        frame=PauliFrame(("1p", "3p"), (0, 0), (0, 0)),
-        logical_out=None,
-        physical_out=state,
-        success=success,
-        total_probability=float(np.prod([r.probability for r in records])),
-        notes=tuple(notes),
-    )
-    return query, ancilla, transcript
+    def next_step(bits):
+        k = len(bits)
+        if k < 3:
+            return str(k + 1), basis_B(pi if k == 0 else zeta, theta)
+        if k == 4:
+            return None
+        if function == "balanced" and (bits[1] or bits[2]):
+            raise ProtocolAbort(
+                "balanced program aborted: r2 or r3 nonzero, entangling step unavailable"
+            )
+        return "4", basis_B(zeta, COUPLER_THETA)
+
+    def finish(records, state):
+        r1, r2, r3, r4 = (r.outcome for r in records)
+        state = state.reorder(("1p", "3p"))
+        if not _is_pure(state):
+            raise ValueError("function distinguishing requires a pure resource")
+        probs = np.abs(state.amps) ** 2
+        idx = int(np.argmax(probs))
+        if abs(probs[idx] - 1.0) > 1e-9:
+            raise ProtocolAbort("readout is not a deterministic computational product")
+        ancilla_raw, query_raw = (idx >> 1) & 1, idx & 1
+        query, ancilla = deutsch_relabel((query_raw, ancilla_raw), r1, r4, function)
+        notes = [
+            ("function", function),
+            ("raw_bits", f"query={query_raw},ancilla={ancilla_raw}"),
+        ]
+        in_scope = (r2, r3) == (0, 0)
+        if not in_scope:
+            notes.append(("relabel_scope", "r2/r3 nonzero: outside the relabeling map"))
+        success = in_scope and (query, ancilla) == _TARGET_BITS[function]
+        frame = PauliFrame(("1p", "3p"), (0, 0), (0, 0))
+        return query, ancilla, _transcript(records, frame, None, state, success, notes)
+
+    return Program(build_psi6(theta), 4, next_step, finish).run(outcomes=outcomes, rng=rng)

@@ -59,30 +59,12 @@ def rx(angle: float) -> np.ndarray:
     return np.array([[c, -1j * s], [-1j * s, c]])
 
 
-def phase_gate(angle: float) -> np.ndarray:
-    """diag(e^{-i angle/2}, e^{i angle/2}); alias of rz used for wire tensors."""
-    return rz(angle)
-
-
 def kron(*mats: np.ndarray) -> np.ndarray:
     """Kronecker product; the first argument is the most significant qubit."""
     out = np.asarray(mats[0], dtype=complex)
     for m in mats[1:]:
         out = np.kron(out, np.asarray(m, dtype=complex))
     return out
-
-
-@dataclass(frozen=True)
-class LocalOperator:
-    """A named 2x2 operator."""
-
-    mat: np.ndarray
-    name: str = ""
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mat", np.asarray(self.mat, dtype=complex))
-        if self.mat.shape != (2, 2):
-            raise ValueError("LocalOperator requires a 2x2 matrix")
 
 
 def embed(op: np.ndarray, labels: Sequence[str], targets: Sequence[str]) -> np.ndarray:
@@ -175,9 +157,9 @@ class StateVector:
         return StateVector(tuple(new_labels), amps)
 
     # -- operators ---------------------------------------------------------
-    def apply(self, op: np.ndarray | LocalOperator, qubit: str) -> "StateVector":
+    def apply(self, op: np.ndarray, qubit: str) -> "StateVector":
         """Apply a single-qubit operator to one tensor factor."""
-        mat = op.mat if isinstance(op, LocalOperator) else np.asarray(op, dtype=complex)
+        mat = np.asarray(op, dtype=complex)
         ax = _index_of(self.labels, qubit)
         n = self.n_qubits
         amps = self.amps.reshape([2] * n)
@@ -258,8 +240,8 @@ class DensityMatrix:
         mat = self.mat.reshape([2] * (2 * n)).transpose(full_perm).reshape(2**n, 2**n)
         return DensityMatrix(tuple(new_labels), mat)
 
-    def apply(self, op: np.ndarray | LocalOperator, qubit: str) -> "DensityMatrix":
-        mat = op.mat if isinstance(op, LocalOperator) else np.asarray(op, dtype=complex)
+    def apply(self, op: np.ndarray, qubit: str) -> "DensityMatrix":
+        mat = np.asarray(op, dtype=complex)
         full = embed(mat, self.labels, [qubit])
         return DensityMatrix(self.labels, full @ self.mat @ full.conj().T)
 

@@ -16,7 +16,7 @@ from math import cos, pi, sin
 import numpy as np
 
 from . import qmath
-from .qmath import HAD, SQRT2, StateVector, Z, ket, phase_gate
+from .qmath import HAD, SQRT2, StateVector, Z, ket, rz
 
 CZ4 = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 CX4 = np.array(
@@ -89,7 +89,7 @@ class CanonicalWire:
     def site(self) -> SiteTensor:
         return SiteTensor(
             "canonical",
-            (self.W.copy(), self.W @ phase_gate(self.theta_c)),
+            (self.W.copy(), self.W @ rz(self.theta_c)),
             ("0", "1"),
             self.theta_c,
         )

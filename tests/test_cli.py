@@ -195,6 +195,15 @@ def test_protocol_compensate_enumerate_excludes_seed(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("mode", (["--postselect-zeros"], ["--outcomes", "0,0,0"]))
+def test_protocol_compensate_enumerate_excludes_postselection(capsys, mode):
+    code, out, err = run_cli(
+        capsys, "protocol", "compensate", "--alpha", "pi/2", "--enumerate", *mode
+    )
+    assert code == 2 and out == ""
+    assert "--enumerate excludes" in err
+
+
 def test_protocol_compensate_two_qubit(capsys):
     data = run_json(
         capsys,
@@ -235,6 +244,83 @@ def test_protocol_deutsch_abort_maps_to_exit_1(capsys):
     )
     assert code == 1
     assert "abort" in err.lower()
+
+
+# Stdout SHA-256 of the protocol and fig2 commands over both wire angles
+# (seeded, post-selected, explicit outcomes and enumerated branches),
+# recorded on the per-protocol measurement loops that the program
+# interpreter replaced.  Any change in which qubit is measured in which
+# basis, in the order of the rng draws or in the branch order changes
+# these bytes.
+PROTOCOL_DIGESTS = (
+    ("protocol rotate --alpha 0.3 --beta 0.7 --gamma=-0.2 --seed 11 --theta pi/6",
+     "0db72b4b406514541e6de54b6e2bc82f183ccad2df50d6c422c7fdb35eddf19c"),
+    ("protocol rotate --alpha 0.3 --beta 0.7 --gamma=-0.2 --postselect-zeros --theta pi/6",
+     "5d64ce53f63e33cc90bf24d70be56773f0045af27029154cde2965d39c3776b8"),
+    ("protocol compensate --alpha pi/2 --resource 4 --enumerate --theta pi/6",
+     "97b3560737b24a4b9a34b8321740054d9583cfe5492f27d734021e39a77a6010"),
+    ("protocol compensate --alpha pi/2 --resource 4 --seed 7 --theta pi/6",
+     "5603bbbf08c8f11a80154e42d285f7b19201eb2207307c5043f3a0f48ecdd9a9"),
+    ("protocol compensate --alpha pi/2 --resource 4 --postselect-zeros --theta pi/6",
+     "a4b612a6c72661f1fb1042b1488902376531f481eb76ce534d38e701db6e287f"),
+    ("protocol compensate --alpha pi/2 --resource 4 --outcomes 1,1,0 --theta pi/6",
+     "fdb0ef13b0fd2c31602d83d864b7213180aaf4619c84a5acb5c6cda9b96e7361"),
+    ("protocol compensate --alpha pi/2 --resource 2 --enumerate --theta pi/6",
+     "396be5fae8cbf2d92c1c6d7f38908c7414feea1490423d4e755594ffa2094e2f"),
+    ("protocol compensate --alpha pi/2 --resource 2 --seed 7 --theta pi/6",
+     "76cae3456b34ed6c4644b6eb62df9e250bed0e0499752aea9b3c85cb04929f22"),
+    ("protocol compensate --alpha pi/2 --resource 2 --postselect-zeros --theta pi/6",
+     "c0f047df10f2d3ca7b6db06c92d91a2e51640d543a895f452b7c48ceaa6f2f74"),
+    ("protocol cz --alpha pi/3 --seed 11 --theta pi/6",
+     "f7c59ae2c7ddfafcd19f4f37f529968efbe28342391868bca19a3b8954e2743e"),
+    ("protocol cz --alpha pi/3 --outcomes 1,0,0,1 --theta pi/6",
+     "c167f9909e4f375f303012b570627a1c3f96650cdcfa849fb327d1c9e9b508c4"),
+    ("protocol deutsch --function constant --seed 6 --theta pi/6",
+     "8405434a47dfcdd908aa4bbe78b8530223c9a5dc946375d3486704fb69dd629b"),
+    ("protocol deutsch --function balanced --seed 6 --theta pi/6",
+     "a2483c9c3359783831b0f22d846a907fccec8a3d81243abea5eb41ad010f5680"),
+    ("curve fig2 --resource 2 --fidelity 0.73 --theta pi/6",
+     "20584298fd0a2d4a090392cfd8ef45f33602284d684a73d7c7be49dff5ab8347"),
+    ("curve fig2 --resource 4 --fidelity 0.73 --theta pi/6",
+     "79ae86ad47f8ce29169a0a60c745bd427876a0456646746dbdab8680a7cc428b"),
+    ("protocol rotate --alpha 0.3 --beta 0.7 --gamma=-0.2 --seed 11 --theta 0.3",
+     "0f9947cbcc65b31ec6fbbedcd84c8c8bc745396018f3a4f010ccce6d75e27d85"),
+    ("protocol rotate --alpha 0.3 --beta 0.7 --gamma=-0.2 --postselect-zeros --theta 0.3",
+     "83069162095ad0050a8007a5012abd3b2cc5d72464225930b21c5a61371a4330"),
+    ("protocol compensate --alpha pi/2 --resource 4 --enumerate --theta 0.3",
+     "e875b07f0e52a4b233da791d8e7478eac9342e386ae59cdab0faba1ee068acba"),
+    ("protocol compensate --alpha pi/2 --resource 4 --seed 7 --theta 0.3",
+     "36afd799d83a4cc7d7a8bdfa12fdf8b9eab0117d4c7e7b22689279f07965d321"),
+    ("protocol compensate --alpha pi/2 --resource 4 --postselect-zeros --theta 0.3",
+     "6893599e9a777e4553024be647eb7b24282378caa36ff3a8a48f0336037d7416"),
+    ("protocol compensate --alpha pi/2 --resource 4 --outcomes 1,1,0 --theta 0.3",
+     "03fcaf32600369729924ea62a6b94f670fcba2104311ff36ace6c6c87011a05b"),
+    ("protocol compensate --alpha pi/2 --resource 2 --enumerate --theta 0.3",
+     "34c0aeb781914bafe176cc9f97031a9761d80a10e79323f9e70752c560630575"),
+    ("protocol compensate --alpha pi/2 --resource 2 --seed 7 --theta 0.3",
+     "d84039d915c8366a5bb4e83e0df34b2a6f552340310c9d0cff901fae0c85624b"),
+    ("protocol compensate --alpha pi/2 --resource 2 --postselect-zeros --theta 0.3",
+     "af3ee557bc9dde2534f6a44ee1b4426ef8ed20f0c3d49a6a29ffd7bbcde364b3"),
+    ("protocol cz --alpha pi/3 --seed 11 --theta 0.3",
+     "be8b8581ec028dae3427fd52125d6fb0804527e30fa96e7c3f30f5e5631db06d"),
+    ("protocol cz --alpha pi/3 --outcomes 1,0,0,1 --theta 0.3",
+     "b5ed7dd22935186e6f9670735e8d15df06b8e94a4570d0cbe3e9d58ef28caa90"),
+    ("protocol deutsch --function constant --seed 6 --theta 0.3",
+     "5655ed33e8b10a1fe325d5ada69afdb08019eed47d5c74fb26061cc016fb6602"),
+    ("protocol deutsch --function balanced --seed 43 --theta 0.3",
+     "84911815dc8da50b5f242e8e91cf52974bda34bd1470c13ba62e955f4504d652"),
+    ("curve fig2 --resource 2 --fidelity 0.73 --theta 0.3",
+     "65a91a612324cf5497927538bc2ec9f9d94a3a0589c3da28d8ba7d6d49543f3b"),
+    ("curve fig2 --resource 4 --fidelity 0.73 --theta 0.3",
+     "336d52c16469e0304d3051d90f2a08300b502a64fccd85783a8a567b49a30d1b"),
+)
+
+
+@pytest.mark.parametrize("args,digest", PROTOCOL_DIGESTS)
+def test_protocol_stdout_bytes_are_pinned(capsys, args, digest):
+    code, out, err = run_cli(capsys, *args.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,18 @@ def test_measure_zero_probability_outcome_rejected():
         meas.measure(st, "a", meas.pauli_basis("Z"), outcome=1)
 
 
+def test_measure_zero_probability_outcome_has_its_own_type():
+    st = qm.StateVector(("a",), qm.ket("0"))
+    with pytest.raises(meas.ZeroProbabilityBranch, match="zero probability"):
+        meas.measure(st, "a", meas.pauli_basis("Z"), outcome=1)
+    with pytest.raises(meas.ZeroProbabilityBranch):
+        meas.measure(st.to_density(), "a", meas.pauli_basis("Z"), outcome=1)
+    # other invalid arguments keep the plain ValueError
+    with pytest.raises(ValueError) as info:
+        meas.measure(st, "a", meas.pauli_basis("Z"), outcome=2)
+    assert not isinstance(info.value, meas.ZeroProbabilityBranch)
+
+
 def test_measure_sampling_statistics():
     st = qm.StateVector(("a",), np.array([sqrt(0.3), sqrt(0.7)], dtype=complex))
     rng = np.random.default_rng(77)

@@ -5,11 +5,14 @@ from math import atan, cos, pi, sin, sqrt
 import numpy as np
 import pytest
 
+from corrspace import protocols
 from corrspace import qmath as qm
+from corrspace.measurement import pauli_basis
 from corrspace.noise_tomo import white_noise
 from corrspace.protocols import (
     COUPLER_THETA,
     PauliFrame,
+    Program,
     ProtocolAbort,
     ProtocolTranscript,
     compensate,
@@ -43,6 +46,78 @@ TOL = 1e-12
 def _closed_form_rotation(alpha, beta, gamma):
     """Rz(gamma) Rx(beta) Rz(alpha) |+> — the advertised physical output."""
     return qm.rz(gamma) @ qm.rx(beta) @ qm.rz(alpha) @ qm.ket("+")
+
+
+# ---------------------------------------------------------------------------
+# The program interpreter
+# ---------------------------------------------------------------------------
+
+def _two_step_program():
+    """Z on 'a' of |0>|+>, then X on 'b' if a read 0 else Z (never reached)."""
+    state = qm.StateVector(("a", "b"), np.kron(qm.ket("0"), qm.ket("+")))
+
+    def next_step(bits):
+        if len(bits) == 2:
+            return None
+        if not bits:
+            return "a", pauli_basis("Z")
+        return "b", pauli_basis("X" if bits[0] == 0 else "Z")
+
+    return Program(state, 2, next_step, lambda records, state: records)
+
+
+def test_program_run_modes_and_validation():
+    prog = _two_step_program()
+    records = prog.run(outcomes=(0, 0))
+    assert [(r.qubit, r.basis.name, r.outcome) for r in records] == [
+        ("a", "Z", 0), ("b", "X", 0)
+    ]
+    assert abs(records[1].probability - 1) < TOL
+    sampled = prog.run(rng=np.random.default_rng(1))
+    assert tuple(r.outcome for r in sampled) == (0, 0)
+    with pytest.raises(ValueError, match="exactly one"):
+        prog.run()
+    with pytest.raises(ValueError, match="exactly one"):
+        prog.run(outcomes=(0, 0), rng=np.random.default_rng(1))
+    with pytest.raises(ValueError, match="expected 2 outcomes"):
+        prog.run(outcomes=(0,))
+
+
+def test_program_branches_skip_only_zero_probability_children():
+    # a = 1 has probability 0 and b is an X eigenstate: one branch survives
+    (only,) = _two_step_program().branches()
+    assert tuple(r.outcome for r in only) == (0, 0)
+
+
+def test_program_branches_propagate_aborts():
+    def next_step(bits):
+        raise ProtocolAbort("no step")
+
+    prog = Program(build_psi4(), 1, next_step, lambda records, state: records)
+    with pytest.raises(ProtocolAbort):
+        prog.branches()
+
+
+def test_enumeration_shares_prefixes(monkeypatch):
+    calls = []
+    real = protocols.measure
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(protocols, "measure", counting)
+    _, branches = enumerate_compensation(0.8, "4-qubit")
+    assert len(branches) == 8
+    assert len(calls) == 2 + 4 + 8  # one call per tree node, not 3 per branch
+
+
+def test_enumerated_branches_equal_postselected_runs():
+    for resource in ("2-qubit", "4-qubit"):
+        _, branches = enumerate_compensation(1.3, resource)
+        for b in branches:
+            tr = compensate(1.3, resource, outcomes=b.outcome_bits)
+            assert tr.to_json_dict() == b.to_json_dict()  # exact floats
 
 
 # ---------------------------------------------------------------------------

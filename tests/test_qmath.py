@@ -59,7 +59,6 @@ def test_rotations_closed_form_and_composition(rng):
         assert np.allclose(qm.rx(a) @ qm.rx(b), qm.rx(a + b), atol=1e-10)
     assert np.allclose(qm.rz(2 * np.pi), -np.eye(2), atol=TOL)
     assert np.allclose(qm.rx(np.pi), -1j * qm.X, atol=TOL)
-    assert np.allclose(qm.phase_gate(0.7), qm.rz(0.7))
 
 
 def test_kron_msb_first():
@@ -96,14 +95,6 @@ def test_embed_errors():
         qm.embed(np.eye(4), ("a", "b"), ("a", "a"))
     with pytest.raises(KeyError):
         qm.embed(np.eye(2), ("a", "b"), ("z",))
-
-
-def test_local_operator_validation():
-    with pytest.raises(ValueError):
-        qm.LocalOperator(np.eye(3))
-    lo = qm.LocalOperator(qm.X, name="flip")
-    st = qm.StateVector(("q",), qm.ket("0")).apply(lo, "q")
-    assert np.allclose(st.amps, qm.ket("1"))
 
 
 # ---------------------------------------------------------------------------

@@ -55,7 +55,7 @@ def test_canonical_wire_site():
     cw = w.CanonicalWire(u, 0.9)
     site = cw.site()
     assert np.allclose(site.matrix(0), u, atol=TOL)
-    assert np.allclose(site.matrix(1), u @ qm.phase_gate(0.9), atol=TOL)
+    assert np.allclose(site.matrix(1), u @ qm.rz(0.9), atol=TOL)
     assert len(cw.sites(4)) == 4
     with pytest.raises(ValueError):
         w.CanonicalWire(np.array([[1, 1], [0, 1]]), 0.5)  # not unitary
