@@ -12,6 +12,7 @@ always computed and reported.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import cos, pi, sin
@@ -293,7 +294,16 @@ def _expand_term(index: int, coeff: float, blocks: list) -> WitnessTerm:
 
 
 def witness_terms(theta: float = pi / 6, corrected: bool = False) -> tuple[WitnessTerm, ...]:
-    """The 36 decomposition terms (literal transcription by default)."""
+    """The 36 decomposition terms (literal transcription by default).
+
+    The terms are immutable, so each (theta, variant) is expanded once and
+    the same tuple is returned on every later call.
+    """
+    return _witness_terms(float(theta), bool(corrected))
+
+
+@functools.lru_cache(maxsize=8)
+def _witness_terms(theta: float, corrected: bool) -> tuple[WitnessTerm, ...]:
     return tuple(
         _expand_term(i + 1, coeff, blocks)
         for i, (coeff, blocks) in enumerate(_term_specs(theta, corrected))

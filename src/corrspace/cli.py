@@ -191,6 +191,10 @@ def _resolve_mode(args, n_steps: int):
     if len(given) > 1:
         raise CliError(f"options {given} are mutually exclusive")
     if args.outcomes is not None:
+        if len(args.outcomes) != n_steps:
+            raise CliError(
+                f"--outcomes needs {n_steps} bits for this program, got {len(args.outcomes)}"
+            )
         return tuple(args.outcomes), None, None, "postselect"
     if args.postselect_zeros:
         return (0,) * n_steps, None, None, "postselect"

@@ -8,6 +8,7 @@ states, and the correlation-space operator induced by consuming one site.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Union
 
@@ -115,7 +116,15 @@ def basis_u(theta_c: float) -> MeasurementBasis:
 
 
 def pauli_basis(letter: str) -> MeasurementBasis:
-    """Eigenbasis of a Pauli operator; outcome 0 is the +1 eigenstate."""
+    """Eigenbasis of a Pauli operator; outcome 0 is the +1 eigenstate.
+
+    The three bases are built once and shared, with read-only kets.
+    """
+    return _pauli_basis(letter)
+
+
+@functools.lru_cache(maxsize=3)
+def _pauli_basis(letter: str) -> MeasurementBasis:
     kets = {
         "Z": ("0", "1"),
         "X": ("+", "-"),
@@ -125,7 +134,10 @@ def pauli_basis(letter: str) -> MeasurementBasis:
         k0, k1 = kets[letter]
     except KeyError:
         raise ValueError(f"unknown Pauli letter {letter!r}") from None
-    return MeasurementBasis(qm.ket(k0), qm.ket(k1), name=letter)
+    basis = MeasurementBasis(qm.ket(k0), qm.ket(k1), name=letter)
+    basis.ket0.setflags(write=False)
+    basis.ket1.setflags(write=False)
+    return basis
 
 
 def induced_operator(basis_ket: np.ndarray, site: SiteTensor) -> np.ndarray:

@@ -24,7 +24,7 @@ from .measurement import (
     MeasurementBasis, OutcomeRecord, ZeroProbabilityBranch, basis_B, measure, pauli_basis,
 )
 from .noise_tomo import white_noise
-from .wires import build_psi4, build_psi6, lambda34
+from .wires import _check_theta, build_psi4, build_psi6, lambda34
 
 State = Union[qm.StateVector, qm.DensityMatrix]
 Step = tuple[str, MeasurementBasis]
@@ -144,6 +144,7 @@ def success_probability(alpha: float, theta: float = pi / 6) -> tuple[float, flo
     p_s(alpha) = sin^2(2 theta) / (2 (1 - cos(2 theta) cos(alpha)))
     p_theta    = sin^2(2 theta) / (2 (1 + |cos(2 theta)|))
     """
+    _check_theta(theta)
     s2 = sin(2 * theta) ** 2
     p_s = s2 / (2.0 * (1.0 - cos(2 * theta) * cos(alpha)))
     p_theta = s2 / (2.0 * (1.0 + abs(cos(2 * theta))))
@@ -155,6 +156,7 @@ def wrong_angle(alpha: float, theta: float = pi / 6) -> float:
 
     The branch is folded into (-pi, pi]; alpha = 0 maps to pi (the cot limit).
     """
+    _check_theta(theta)
     a = 2.0 * atan2(
         -(sin(theta) ** 2) * cos(alpha / 2.0), (cos(theta) ** 2) * sin(alpha / 2.0)
     )

@@ -10,6 +10,7 @@ state vector.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from math import cos, pi, sin
 
@@ -22,6 +23,14 @@ CZ4 = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 CX4 = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
+
+#: Largest register the dense engine contracts: states are 2^n amplitude
+#: vectors and coupling edges act on them directly, so a wire or resource
+#: holds at most this many qubits.
+MAX_DENSE_QUBITS = 10
+
+#: Wire angles each named-state builder remembers (least recently used go).
+_CACHED_THETAS = 32
 
 
 def _check_theta(theta: float) -> None:
@@ -177,8 +186,8 @@ class ResourceSpec:
 
 def contract_wire(wire: Wire) -> tuple[StateVector, float]:
     """Contract a wire to a normalized state vector; also return the raw norm."""
-    if not 1 <= wire.n_sites <= 10:
-        raise ValueError("wire must have between 1 and 10 sites")
+    if not 1 <= wire.n_sites <= MAX_DENSE_QUBITS:
+        raise ValueError(f"wire must have between 1 and {MAX_DENSE_QUBITS} sites")
     # part[s1,...,sk;:] = T[sk]...T[s1] |l>, built site by site.
     part = wire.left.reshape(1, 2)
     for site in wire.sites:
@@ -195,8 +204,8 @@ def contract_wire(wire: Wire) -> tuple[StateVector, float]:
 def contract_resource(spec: ResourceSpec) -> tuple[StateVector, float]:
     """Contract wires, tensor in injected sites, apply coupling edges."""
     labels = spec.all_labels()
-    if len(labels) > 10:
-        raise ValueError("resource too large (more than 10 qubits)")
+    if len(labels) > MAX_DENSE_QUBITS:
+        raise ValueError(f"resource too large (more than {MAX_DENSE_QUBITS} qubits)")
     state: StateVector | None = None
     raw_total = 1.0
     for w in spec.wires:
@@ -218,7 +227,19 @@ def contract_resource(spec: ResourceSpec) -> tuple[StateVector, float]:
 
 # ---------------------------------------------------------------------------
 # Named resource states
+#
+# They depend on the wire angle alone, so each is built once per angle and
+# shared: the builders return the same read-only StateVector on every call
+# (copy ``.amps`` before editing it).  A build that fails its checks raises
+# and is not remembered.  Each builder stays a plain function over a private
+# cached one, so it remains an ordinary function to wrap and time (the
+# benchmark's tracer wraps plain functions only).
 # ---------------------------------------------------------------------------
+
+def _frozen(state: StateVector) -> StateVector:
+    state.amps.setflags(write=False)
+    return state
+
 
 def psi4_wire(theta: float = pi / 6) -> Wire:
     """The A,A,A,B wire on labels 1..4."""
@@ -230,8 +251,13 @@ def psi4_wire(theta: float = pi / 6) -> Wire:
 
 def build_psi4(theta: float = pi / 6) -> StateVector:
     """Four-qubit resource state on labels (1,2,3,4), normalized."""
+    return _psi4(float(theta))
+
+
+@functools.lru_cache(maxsize=_CACHED_THETAS)
+def _psi4(theta: float) -> StateVector:
     state, _ = contract_wire(psi4_wire(theta))
-    return state
+    return _frozen(state)
 
 
 def psi4_explicit(theta: float = pi / 6) -> tuple[StateVector, float]:
@@ -259,8 +285,13 @@ def psi4_explicit(theta: float = pi / 6) -> tuple[StateVector, float]:
 
 def lambda34(theta: float = pi / 6) -> StateVector:
     """Two-qubit readout resource c|H>|P> + s|V>|M> on labels (3,4)."""
+    return _lambda34(float(theta))
+
+
+@functools.lru_cache(maxsize=_CACHED_THETAS)
+def _lambda34(theta: float) -> StateVector:
     state, _ = contract_wire(Wire((a_site(theta), b_site()), ("3", "4")))
-    return state
+    return _frozen(state)
 
 
 def psi6_spec(theta: float = pi / 6) -> ResourceSpec:
@@ -287,12 +318,17 @@ def build_psi6(theta: float = pi / 6) -> StateVector:
     Built operationally (coupled wires) and cross-checked against the
     literal expansion; the two must agree up to global phase.
     """
+    return _psi6(float(theta))
+
+
+@functools.lru_cache(maxsize=_CACHED_THETAS)
+def _psi6(theta: float) -> StateVector:
     state, _ = contract_resource(psi6_spec(theta))
     state = state.reorder(PSI6_LABELS)
     literal, _ = psi6_explicit(theta)
     if qmath.overlap_modulus(state, literal) < 1.0 - 1e-12:
         raise AssertionError("operational and literal six-qubit builds disagree")
-    return state
+    return _frozen(state)
 
 
 def psi6_explicit(theta: float = pi / 6) -> tuple[StateVector, float]:

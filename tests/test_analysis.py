@@ -5,7 +5,7 @@ from math import cos, pi, sin, sqrt
 import numpy as np
 import pytest
 
-from corrspace import qmath as qm
+from corrspace import analysis, qmath as qm
 from corrspace.analysis import (
     TABULATED_SETTINGS,
     WITNESS_ORDER,
@@ -343,3 +343,15 @@ def test_counts_to_cells_requires_witness_register():
     table = simulate_counts(PSI4, ("ZZZZ",), shots=10, seed=1)
     with pytest.raises(ValueError):
         counts_to_cells(table)
+
+
+@pytest.mark.parametrize("corrected", (False, True))
+def test_cached_witness_terms_equal_fresh_expansion(corrected):
+    for theta in (pi / 6, 0.3):
+        fresh = tuple(
+            analysis._expand_term(i + 1, coeff, blocks)
+            for i, (coeff, blocks) in enumerate(analysis._term_specs(theta, corrected))
+        )
+        cached = witness_terms(theta, corrected)
+        assert cached == fresh
+        assert witness_terms(np.float64(theta), corrected) is cached

@@ -537,3 +537,30 @@ def test_bad_angle_maps_to_exit_2(capsys):
 def test_unknown_command_maps_to_exit_2(capsys):
     code, _, _ = run_cli(capsys, "weather", "forecast")
     assert code == 2
+
+
+@pytest.mark.parametrize("mode", (
+    ["--enumerate"], ["--seed", "3"], ["--postselect-zeros"], ["--outcomes", "0,0,0"],
+))
+@pytest.mark.parametrize("alpha", ("0", "pi/2"))
+def test_compensate_degenerate_theta_maps_to_exit_1(capsys, alpha, mode):
+    code, out, err = run_cli(
+        capsys, "protocol", "compensate", "--alpha", alpha, "--theta", "0", *mode
+    )
+    assert code == 1 and out == ""
+    assert err == "error: degenerate wire angle: sin(theta) and cos(theta) must be nonzero\n"
+
+
+@pytest.mark.parametrize("argv, n_steps", (
+    (["rotate", "--alpha", "0", "--beta", "0", "--gamma", "0", "--outcomes", "0,0"], 3),
+    (["compensate", "--alpha", "0.3", "--resource", "2", "--outcomes", "0,0"], 1),
+    (["compensate", "--alpha", "0.3", "--resource", "4", "--outcomes", "0"], 3),
+    (["compensate", "--alpha", "0.3", "--outcomes", "0,0,0,0"], 3),
+    (["cz", "--alpha", "0", "--outcomes", "0,0,0"], 4),
+    (["deutsch", "--function", "constant", "--outcomes", "0,0,0,0,0"], 4),
+))
+def test_wrong_outcome_count_is_a_usage_error(capsys, argv, n_steps):
+    code, out, err = run_cli(capsys, "protocol", *argv)
+    assert code == 2 and out == ""
+    got = len(argv[-1].split(","))
+    assert err == f"usage error: --outcomes needs {n_steps} bits for this program, got {got}\n"

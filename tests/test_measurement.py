@@ -244,3 +244,16 @@ def test_outcome_record_validation():
     assert rec.to_json_dict() == {
         "qubit": "a", "basis": "Z", "outcome": 1, "probability": 0.25,
     }
+
+
+def test_pauli_bases_are_shared_and_read_only():
+    for letter in "XYZ":
+        basis = meas.pauli_basis(letter)
+        assert meas.pauli_basis(letter) is basis
+        with pytest.raises(ValueError):
+            basis.ket0[0] = 0
+        with pytest.raises(ValueError):
+            basis.ket1[0] = 0
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unknown Pauli letter"):
+            meas.pauli_basis("Q")

@@ -516,3 +516,13 @@ def test_transcript_json_shape():
     assert d["success"] is False
     assert d["physical_out"]["labels"] == ["4"]
     assert len(d["logical_out"]) == 2
+
+
+def test_analytic_formulas_reject_degenerate_angles():
+    for theta in (0.0, pi / 2):
+        with pytest.raises(ValueError, match="degenerate wire angle"):
+            success_probability(0.0, theta)
+        with pytest.raises(ValueError, match="degenerate wire angle"):
+            wrong_angle(0.0, theta)
+        with pytest.raises(ValueError, match="degenerate wire angle"):
+            compensation_bound(0.0, theta)

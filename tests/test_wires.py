@@ -217,3 +217,65 @@ def test_canonical_coupling_collapses_to_product_or_flipped():
     flipped = product.apply(qm.X, "L1").apply(qm.X, "R1")
     assert abs(p1 - 0.5) < TOL
     assert qm.overlap_modulus(rest1.reorder(product.labels), flipped) > 1 - TOL
+
+
+# ---------------------------------------------------------------------------
+# Shared, read-only named states
+# ---------------------------------------------------------------------------
+
+NAMED_BUILDERS = (w.build_psi4, w.build_psi6, w.lambda34)
+
+
+@pytest.mark.parametrize("builder", NAMED_BUILDERS)
+def test_named_states_are_read_only(builder):
+    state = builder()
+    with pytest.raises(ValueError):
+        state.amps[0] = 0
+    assert builder() is state
+
+
+def test_named_states_are_shared_per_float_angle():
+    assert w.build_psi4(0.3) is w.build_psi4(np.float64(0.3))
+
+
+def test_cached_states_equal_a_fresh_build():
+    theta = 0.4123  # an angle no other test builds
+    psi4, _ = w.contract_wire(w.psi4_wire(theta))
+    assert np.array_equal(w.build_psi4(theta).amps, psi4.amps)
+    lam, _ = w.contract_wire(w.Wire((w.a_site(theta), w.b_site()), ("3", "4")))
+    assert np.array_equal(w.lambda34(theta).amps, lam.amps)
+    psi6, _ = w.contract_resource(w.psi6_spec(theta))
+    psi6 = psi6.reorder(w.PSI6_LABELS)
+    assert np.array_equal(w.build_psi6(theta).amps, psi6.amps)
+    assert w.build_psi6(theta).labels == w.PSI6_LABELS
+
+
+def test_failed_psi6_cross_check_is_not_cached(monkeypatch):
+    theta = 0.5171  # an angle no other test builds
+    wrong = qm.StateVector(w.PSI6_LABELS, np.eye(64)[0])
+    monkeypatch.setattr(w, "psi6_explicit", lambda th: (wrong, 1.0))
+    with pytest.raises(AssertionError):
+        w.build_psi6(theta)
+    monkeypatch.undo()
+    state = w.build_psi6(theta)
+    literal, _ = w.psi6_explicit(theta)
+    assert qm.overlap_modulus(state, literal) > 1 - 1e-12
+
+
+@pytest.mark.parametrize("builder", NAMED_BUILDERS)
+def test_degenerate_angle_raises_on_every_call(builder):
+    for _ in range(2):
+        with pytest.raises(ValueError, match="degenerate wire angle"):
+            builder(0.0)
+
+
+def test_dense_engine_limit_is_named():
+    assert w.MAX_DENSE_QUBITS == 10
+    site = w.b_site()
+    too_long = w.Wire((site,) * 11, tuple(str(i) for i in range(11)))
+    with pytest.raises(ValueError, match="^wire must have between 1 and 10 sites$"):
+        w.contract_wire(too_long)
+    wires6 = (w.Wire((site,) * 6, tuple(f"a{i}" for i in range(6))),
+              w.Wire((site,) * 5, tuple(f"b{i}" for i in range(5))))
+    with pytest.raises(ValueError, match=r"^resource too large \(more than 10 qubits\)$"):
+        w.contract_resource(w.ResourceSpec(wires6))
