@@ -204,7 +204,13 @@ def simulate_counts(
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """Output of the maximum-likelihood reconstruction."""
+    """Output of the maximum-likelihood reconstruction.
+
+    ``likelihood_gap_bound`` is the certificate of Glancy, Knill & Girard
+    (NJP 14, 095017, 2012): N_total (lambda_max(R(rho)) - 1) bounds how far
+    the log-likelihood sum_cells f log p of ``rho`` lies below its maximum
+    over all density matrices.
+    """
 
     rho: qm.DensityMatrix
     log_likelihood: float
@@ -212,6 +218,7 @@ class ReconstructionResult:
     fidelity_to_target: float | None = None
     fidelity_sigma: float | None = None
     informationally_complete: bool = True
+    likelihood_gap_bound: float | None = None
 
     def __post_init__(self) -> None:
         eigs = np.linalg.eigvalsh(self.rho.mat)
@@ -228,6 +235,9 @@ class ReconstructionResult:
             ],
             "log_likelihood": float(self.log_likelihood),
             "iterations": int(self.iterations),
+            "likelihood_gap_bound": None
+            if self.likelihood_gap_bound is None
+            else float(self.likelihood_gap_bound),
             "fidelity_to_target": None
             if self.fidelity_to_target is None
             else float(self.fidelity_to_target),
@@ -238,19 +248,99 @@ class ReconstructionResult:
         }
 
 
-def _informationally_complete(kets: np.ndarray, dim: int) -> bool:
-    vecs = np.einsum("od,oe->ode", kets, np.conj(kets)).reshape(kets.shape[0], dim * dim)
-    return np.linalg.matrix_rank(vecs, tol=1e-9) == dim * dim
+# Product projectors: per qubit, index a = 2 * letter + outcome over the six
+# eigenkets of Z, X and Y; an n-qubit projector index reads its n base-6
+# digits MSB first, like the qubits of a setting string.
+
+@functools.lru_cache(maxsize=None)
+def _projector_block(k: int) -> np.ndarray:
+    """Read-only M (6^k, 4^k) with M[a, (I, J)] = conj(K[a, I]) K[a, J].
+
+    Row a of K, the k-fold Kronecker power of the six stacked eigenkets, is
+    the k-qubit product ket of projector a.  So <k_a|rho|k_a> = sum_IJ
+    M[a, (I, J)] rho[I, J], and sum_a w_a |k_a><k_a| is M^H w.
+    """
+    kets = np.ones((1, 1), dtype=complex)
+    single = np.concatenate([_ket_pair(letter) for letter in _LETTERS])
+    for _ in range(k):
+        kets = np.einsum("ai,bj->abij", kets, single).reshape(6 * len(kets), -1)
+    m = np.einsum("ai,aj->aij", np.conj(kets), kets).reshape(6**k, 4**k)
+    m.setflags(write=False)
+    return m
 
 
-def _log_likelihood(freq: np.ndarray, probs: np.ndarray, shots: int, mode: str) -> float:
+def _halves(n: int) -> tuple[int, int]:
+    """Qubits in the head and tail blocks of an n-qubit register."""
+    return (n + 1) // 2, n // 2
+
+
+def _projector_probs(rho: np.ndarray, n: int) -> np.ndarray:
+    """Born probabilities of all 6^n product projectors, clipped at 1e-300.
+
+    rho regrouped as T[(I_h, J_h), (I_t, J_t)] over its head and tail
+    qubits gives P = M_h T M_t^T, whose row-major entries are the projector
+    probabilities in base-6 digit order.
+    """
+    h, t = _halves(n)
+    blocks = rho.reshape(2**h, 2**t, 2**h, 2**t).transpose(0, 2, 1, 3)
+    probs = _projector_block(h) @ blocks.reshape(4**h, 4**t) @ _projector_block(t).T
+    return np.maximum(probs.real.reshape(-1), 1e-300)
+
+
+def _projector_operator(w: np.ndarray, n: int) -> np.ndarray:
+    """R = sum_a w_a P_a over the 6^n product projectors: M_h^H W conj(M_t)."""
+    h, t = _halves(n)
+    m_h, m_t = _projector_block(h), _projector_block(t)
+    blocks = m_h.conj().T @ w.reshape(6**h, 6**t) @ m_t.conj()
+    r = blocks.reshape(2**h, 2**h, 2**t, 2**t).transpose(0, 2, 1, 3)
+    return r.reshape(2**n, 2**n)
+
+
+@functools.lru_cache(maxsize=64)
+def _cell_projectors(settings: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Projector of every (setting, outcome) cell, projector multiplicities,
+    and whether the cells are informationally complete.
+
+    The cell array (read-only, setting-major like ``CountsTable.counts``)
+    holds projector indices; the multiplicities count the cells on each of
+    the 6^n projectors.  Completeness is the rank of the distinct projectors.
+    """
+    if not settings:
+        raise ValueError("counts table has no settings")
+    n = len(settings[0])
+    try:
+        letters = np.array([[_LETTERS.index(c) for c in s] for s in settings])
+    except ValueError:
+        raise ValueError(
+            f"unknown Pauli letter in settings {settings!r}; expected Z, X or Y"
+        ) from None
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # (2^n, n)
+    digits = 2 * letters[:, None, :] + bits[None, :, :]
+    cells = (digits @ 6 ** np.arange(n - 1, -1, -1)).reshape(-1)
+    mult = np.bincount(cells, minlength=6**n).astype(float)
+
+    h, t = _halves(n)
+    used = np.flatnonzero(mult)
+    head, tail = np.divmod(used, 6**t)
+    vecs = np.einsum("ui,uj->uij", _projector_block(h)[head], _projector_block(t)[tail])
+    complete = bool(np.linalg.matrix_rank(vecs.reshape(len(used), -1), tol=1e-9) == 4**n)
+
+    cells.setflags(write=False)
+    mult.setflags(write=False)
+    return cells, mult, complete
+
+
+def _log_likelihood(
+    freq: np.ndarray, mult: np.ndarray, probs: np.ndarray, shots: int, mode: str
+) -> float:
+    """Log-likelihood from per-projector counts ``freq`` and multiplicities."""
     good = freq > 0
     if mode == "poisson":
         # cells enter independently: sum f log(mu) - mu with mu = shots * p
         return float(
-            np.sum(freq[good] * np.log(shots * probs[good])) - shots * probs.sum()
+            freq[good] @ np.log(shots * probs[good]) - shots * (mult @ probs)
         )
-    return float(np.sum(freq[good] * np.log(probs[good])))
+    return float(freq[good] @ np.log(probs[good]))
 
 
 def ml_reconstruct(
@@ -264,24 +354,32 @@ def ml_reconstruct(
 ) -> ReconstructionResult:
     """Maximum-likelihood density matrix from outcome counts.
 
-    Iterates the fixed-point update rho -> R rho R (R built from observed
-    over predicted frequencies), falling back to a diluted step
-    (I + lam R) rho (I + lam R) with shrinking lam whenever the full step
-    would decrease the likelihood; accepted iterations are therefore
-    monotone.  Stops when the likelihood gain drops below ``tol`` or after
-    ``max_iters`` iterations.  The iterates are PSD by construction; the
-    final matrix is eigenvalue-clipped at 0 and renormalized.  ``init``
-    (default maximally mixed) must be a full-rank density matrix so the
-    iteration can reach the global optimum.
+    Every outcome cell of a product setting is one of the 6^n product
+    projectors over the Z, X and Y eigenkets, so the counts are summed per
+    projector once and the iteration runs in projector space.  The Born
+    probabilities of all projectors are two small matrix products of rho,
+    regrouped by its head and tail qubits, with the per-block projector
+    maps M (6^k x 4^k, the k-fold product of the single-qubit 6 x 4 map);
+    R = sum_a f_a / (N p_a) P_a is the adjoint pair of products with M^H.
+    No cells x 2^n ket matrix is formed.
+
+    Iterates the fixed-point update rho -> R rho R, falling back to a
+    diluted step (I + lam R) rho (I + lam R) with shrinking lam whenever the
+    full step would decrease the likelihood; accepted iterations are
+    therefore monotone.  Stops when the likelihood gain drops below ``tol``
+    or after ``max_iters`` iterations.  The iterates are PSD by
+    construction; the final matrix is eigenvalue-clipped at 0 and
+    renormalized, and its ``likelihood_gap_bound`` N (lambda_max(R) - 1) is
+    reported.  ``init`` (default maximally mixed) must be a full-rank
+    density matrix so the iteration can reach the global optimum.
     """
-    dim = 2**counts.n_qubits
-    kets = np.concatenate([setting_kets(s) for s in counts.settings])  # (cells, 2^n)
-    kets_c = np.conj(kets)
-    freq = counts.counts.reshape(-1).astype(float)
+    n = counts.n_qubits
+    dim = 2**n
+    cells, mult, complete = _cell_projectors(counts.settings)
+    freq = np.bincount(cells, weights=counts.counts.reshape(-1), minlength=len(mult))
     total = freq.sum()
     if total <= 0:
         raise ValueError("counts table is empty")
-    complete = _informationally_complete(kets, dim)
 
     if init is None:
         rho = np.eye(dim, dtype=complex) / dim
@@ -289,32 +387,30 @@ def ml_reconstruct(
         rho = np.asarray(init, dtype=complex)
         rho = rho / np.real(np.trace(rho))
 
-    def probs_of(r: np.ndarray) -> np.ndarray:
-        p = np.real(np.sum((kets_c @ r) * kets, axis=1))
-        return np.clip(p, 1e-300, None)
+    def log_likelihood(p: np.ndarray) -> float:
+        return _log_likelihood(freq, mult, p, counts.shots, counts.mode)
 
     def r_operator(p: np.ndarray) -> np.ndarray:
-        w = freq / (total * p)
-        return (kets * w[:, None]).T @ kets_c
+        return _projector_operator(freq / (total * p), n)
 
-    p = probs_of(rho)
-    ll = _log_likelihood(freq, p, counts.shots, counts.mode)
+    p = _projector_probs(rho, n)
+    ll = log_likelihood(p)
     iters = 0
     for iters in range(1, max_iters + 1):
         R = r_operator(p)
         cand = R @ rho @ R
-        cand /= np.real(np.trace(cand))
-        p_cand = probs_of(cand)
-        ll_cand = _log_likelihood(freq, p_cand, counts.shots, counts.mode)
+        cand /= cand.trace().real
+        p_cand = _projector_probs(cand, n)
+        ll_cand = log_likelihood(p_cand)
         if ll_cand < ll:
             lam = dilution
             improved = False
             while lam > 1e-6:
                 G = (np.eye(dim) + lam * R) / (1.0 + lam)
                 cand = G @ rho @ G.conj().T
-                cand /= np.real(np.trace(cand))
-                p_cand = probs_of(cand)
-                ll_cand = _log_likelihood(freq, p_cand, counts.shots, counts.mode)
+                cand /= cand.trace().real
+                p_cand = _projector_probs(cand, n)
+                ll_cand = log_likelihood(p_cand)
                 if ll_cand >= ll:
                     improved = True
                     break
@@ -331,6 +427,7 @@ def ml_reconstruct(
     vals = np.clip(vals, 0.0, None)
     rho = (vecs * vals) @ vecs.conj().T
     rho /= np.real(np.trace(rho))
+    gap = total * (np.linalg.eigvalsh(r_operator(_projector_probs(rho, n)))[-1] - 1.0)
     dm = qm.DensityMatrix(counts.labels, rho)
     fid = None if target is None else qm.fidelity(dm, target)
     return ReconstructionResult(
@@ -339,6 +436,7 @@ def ml_reconstruct(
         iterations=iters,
         fidelity_to_target=fid,
         informationally_complete=complete,
+        likelihood_gap_bound=float(gap),
     )
 
 

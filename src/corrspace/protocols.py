@@ -143,10 +143,18 @@ def success_probability(alpha: float, theta: float = pi / 6) -> tuple[float, flo
 
     p_s(alpha) = sin^2(2 theta) / (2 (1 - cos(2 theta) cos(alpha)))
     p_theta    = sin^2(2 theta) / (2 (1 + |cos(2 theta)|))
+
+    Near theta = 0 the denominator of p_s rounds to 0 (or p_s past 1), so
+    such angles raise the degenerate-angle ``ValueError``.
     """
     _check_theta(theta)
     s2 = sin(2 * theta) ** 2
-    p_s = s2 / (2.0 * (1.0 - cos(2 * theta) * cos(alpha)))
+    denominator = 2.0 * (1.0 - cos(2 * theta) * cos(alpha))
+    p_s = s2 / denominator if denominator > 0.0 else float("inf")
+    if not 0.0 <= p_s <= 1.0:
+        raise ValueError(
+            "degenerate wire angle: p_s(alpha) is not a probability in floating point"
+        )
     p_theta = s2 / (2.0 * (1.0 + abs(cos(2 * theta))))
     return p_s, p_theta
 

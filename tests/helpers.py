@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from corrspace import qmath as qm
+from corrspace.measurement import pauli_basis
 
 
 def rand_state(labels, rng) -> qm.StateVector:
@@ -109,3 +110,85 @@ def parity_loop_fidelity(cell_data, terms, corrected: bool) -> float:
     if corrected:
         total /= 2.0
     return float(total)
+
+
+def dense_cell_kets(settings) -> np.ndarray:
+    """(cells, 2^n) product ket of every (setting, outcome) cell, by np.kron."""
+    rows = []
+    for setting in settings:
+        n = len(setting)
+        for cell in range(2**n):
+            ket = np.ones(1, dtype=complex)
+            for pos, letter in enumerate(setting):
+                basis = pauli_basis(letter)
+                ket = np.kron(ket, basis.ket1 if (cell >> (n - 1 - pos)) & 1 else basis.ket0)
+            rows.append(ket)
+    return np.array(rows)
+
+
+def dense_probs(kets, rho) -> np.ndarray:
+    """Cell probabilities <k|rho|k> from the dense (cells, 2^n) ket matrix."""
+    p = np.real(np.sum((np.conj(kets) @ rho) * kets, axis=1))
+    return np.clip(p, 1e-300, None)
+
+
+def dense_r_operator(kets, w) -> np.ndarray:
+    """R = sum over cells of w_cell |k><k|."""
+    return (kets * w[:, None]).T @ np.conj(kets)
+
+
+def dense_log_likelihood(freq, probs, shots, mode) -> float:
+    """Per-cell log-likelihood: sum f log p, or sum f log(shots p) - shots p."""
+    good = freq > 0
+    if mode == "poisson":
+        return float(
+            np.sum(freq[good] * np.log(shots * probs[good])) - shots * probs.sum()
+        )
+    return float(np.sum(freq[good] * np.log(probs[good])))
+
+
+def dense_ml_fit(counts, *, max_iters, tol=1e-9, dilution=0.5):
+    """Fixed-point ML fit over the dense cells x 2^n ket matrix.
+
+    The same iteration as ``ml_reconstruct`` (R rho R step, diluted
+    fallback, gain < tol stop, final eigenvalue clip), computed cell by
+    cell; returns (rho, iterations).
+    """
+    dim = 2**counts.n_qubits
+    kets = dense_cell_kets(counts.settings)
+    freq = counts.counts.reshape(-1).astype(float)
+    total = freq.sum()
+
+    def loglik(p):
+        return dense_log_likelihood(freq, p, counts.shots, counts.mode)
+
+    rho = np.eye(dim, dtype=complex) / dim
+    p = dense_probs(kets, rho)
+    ll = loglik(p)
+    iters = 0
+    for iters in range(1, max_iters + 1):
+        R = dense_r_operator(kets, freq / (total * p))
+        cand = R @ rho @ R
+        cand /= np.real(np.trace(cand))
+        p_cand = dense_probs(kets, cand)
+        ll_cand = loglik(p_cand)
+        if ll_cand < ll:
+            lam = dilution
+            while lam > 1e-6:
+                G = (np.eye(dim) + lam * R) / (1.0 + lam)
+                cand = G @ rho @ G.conj().T
+                cand /= np.real(np.trace(cand))
+                p_cand = dense_probs(kets, cand)
+                ll_cand = loglik(p_cand)
+                if ll_cand >= ll:
+                    break
+                lam *= 0.5
+            else:
+                break
+        gain = ll_cand - ll
+        rho, p, ll = cand, p_cand, ll_cand
+        if gain < tol:
+            break
+    vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
+    rho = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
+    return rho / np.real(np.trace(rho)), iters

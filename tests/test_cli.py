@@ -355,6 +355,7 @@ def test_tomo_round_trip(capsys, tmp_path):
     )
     assert data["result"]["fidelity_to_target"] >= 0.97
     assert data["result"]["informationally_complete"] is True
+    assert data["result"]["likelihood_gap_bound"] >= -1e-9 * 9 * 2000
     assert "rho" not in data["result"]
     full = run_json(
         capsys,
@@ -549,6 +550,17 @@ def test_compensate_degenerate_theta_maps_to_exit_1(capsys, alpha, mode):
     )
     assert code == 1 and out == ""
     assert err == "error: degenerate wire angle: sin(theta) and cos(theta) must be nonzero\n"
+
+
+@pytest.mark.parametrize("theta", ("5e-9", "3e-8"))
+@pytest.mark.parametrize("mode", ([], ["--enumerate"]))
+def test_compensate_near_zero_theta_maps_to_exit_1(capsys, theta, mode):
+    code, out, err = run_cli(
+        capsys, "protocol", "compensate", "--alpha", "0", "--theta", theta, *mode
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: degenerate wire angle: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv, n_steps", (

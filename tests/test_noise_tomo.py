@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from corrspace import noise_tomo
 from corrspace import qmath as qm
 from corrspace.noise_tomo import (
     CountsTable,
@@ -16,6 +17,14 @@ from corrspace.noise_tomo import (
     white_noise,
 )
 from corrspace.wires import build_psi4, lambda34
+from helpers import (
+    dense_cell_kets,
+    dense_log_likelihood,
+    dense_ml_fit,
+    dense_probs,
+    dense_r_operator,
+    rand_density,
+)
 
 TOL = 1e-12
 
@@ -212,6 +221,104 @@ def test_reconstruct_white_noise_weight():
     assert abs(res.fidelity_to_target - want) < 0.01
 
 
+def _settings_cases(n):
+    """The full grid and a seeded random subset holding a repeated setting."""
+    grid = product_settings(n)
+    rng = np.random.default_rng(40 + n)
+    subset = tuple(rng.choice(grid, size=min(len(grid), 5), replace=False))
+    return grid, subset + subset[:1]
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+@pytest.mark.parametrize("mode", ("multinomial", "poisson"))
+def test_projector_kernel_matches_dense_reference(n, mode):
+    rng = np.random.default_rng(70 + n)
+    labels = tuple("abcd"[:n])
+    for settings in _settings_cases(n):
+        rho = rand_density(labels, rng)
+        table = simulate_counts(rho, settings, shots=500, seed=n, mode=mode)
+        cells, mult, _ = noise_tomo._cell_projectors(table.settings)
+        kets = dense_cell_kets(table.settings)
+        probs = noise_tomo._projector_probs(rho.mat, n)
+        assert np.max(np.abs(probs[cells] - dense_probs(kets, rho.mat))) <= 1e-12
+
+        w = rng.uniform(0.0, 2.0, size=len(cells))
+        proj_w = np.bincount(cells, weights=w, minlength=6**n)
+        r = noise_tomo._projector_operator(proj_w, n)
+        assert np.max(np.abs(r - dense_r_operator(kets, w))) <= 1e-12
+
+        freq = table.counts.reshape(-1).astype(float)
+        proj_freq = np.bincount(cells, weights=freq, minlength=6**n)
+        ll = noise_tomo._log_likelihood(proj_freq, mult, probs, table.shots, mode)
+        want = dense_log_likelihood(freq, dense_probs(kets, rho.mat), table.shots, mode)
+        assert abs(ll - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("name, max_iters", (("lambda34", 100), ("psi4", 60)))
+@pytest.mark.parametrize("mode", ("multinomial", "poisson"))
+def test_fit_matches_dense_reference_fit_at_the_cap(name, max_iters, mode):
+    target = build_psi4() if name == "psi4" else lambda34()
+    table = simulate_counts(
+        white_noise(target, 0.9), shots=100_000, seed=21, mode=mode
+    )
+    res = ml_reconstruct(table, target, max_iters=max_iters)
+    rho, iters = dense_ml_fit(table, max_iters=max_iters)
+    assert res.iterations == iters == max_iters
+    want = qm.fidelity(qm.DensityMatrix(table.labels, rho), target)
+    assert abs(res.fidelity_to_target - want) <= 1e-9
+
+
+def test_reconstruct_rejects_unknown_setting_letter():
+    table = CountsTable(("a", "b"), ("IZ",), np.array([[3, 1, 0, 0]]), 4)
+    with pytest.raises(ValueError, match="unknown Pauli letter"):
+        ml_reconstruct(table)
+
+
+def test_completeness_rank_runs_once_per_settings_tuple(monkeypatch):
+    calls = []
+    rank = np.linalg.matrix_rank
+
+    def counting_rank(*args, **kwargs):
+        calls.append(1)
+        return rank(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", counting_rank)
+    noise_tomo._cell_projectors.cache_clear()
+    incomplete = simulate_counts(lambda34(), ("ZZ", "ZX"), shots=100, seed=3)
+    complete = simulate_counts(lambda34(), shots=100, seed=3)
+    for table in (incomplete, complete, incomplete, complete):
+        ml_reconstruct(table, max_iters=5)
+    assert len(calls) == 2
+    assert not ml_reconstruct(incomplete, max_iters=5).informationally_complete
+    assert ml_reconstruct(complete, max_iters=5).informationally_complete
+
+
+def test_likelihood_gap_bound_is_a_certificate():
+    target = lambda34()
+    table = simulate_counts(white_noise(target, 0.9), shots=20_000, seed=23)
+    total = table.counts.sum()
+    early = ml_reconstruct(table, max_iters=20)
+    best = ml_reconstruct(table, tol=1e-12)
+    for res in (early, best):
+        assert res.likelihood_gap_bound >= -1e-9 * total
+    # the bound covers the likelihood still to be gained
+    assert early.log_likelihood + early.likelihood_gap_bound >= best.log_likelihood
+    assert best.likelihood_gap_bound < early.likelihood_gap_bound
+    assert best.to_json_dict()["likelihood_gap_bound"] == best.likelihood_gap_bound
+
+
+@pytest.mark.parametrize("mode", ("multinomial", "poisson"))
+def test_likelihood_gap_bound_shrinks_with_iterations_on_psi4(mode):
+    target = build_psi4()
+    table = simulate_counts(target, shots=2000, seed=24, mode=mode)
+    total = table.counts.sum()
+    short = ml_reconstruct(table, target, max_iters=50)
+    long = ml_reconstruct(table, target, max_iters=1000)
+    assert short.likelihood_gap_bound >= -1e-9 * total
+    assert long.likelihood_gap_bound >= -1e-9 * total
+    assert long.likelihood_gap_bound < short.likelihood_gap_bound
+
+
 def test_reconstruct_empty_counts_rejected():
     table = CountsTable(("a",), ("Z",), np.zeros((1, 2), dtype=int), 0)
     with pytest.raises(ValueError):
@@ -231,6 +338,7 @@ def test_reconstruction_result_validation():
     assert d["iterations"] == 3
     assert d["fidelity_to_target"] is None
     assert d["informationally_complete"] is True
+    assert d["likelihood_gap_bound"] is None
     assert len(d["rho"]) == 4
 
 

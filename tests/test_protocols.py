@@ -526,3 +526,14 @@ def test_analytic_formulas_reject_degenerate_angles():
             wrong_angle(0.0, theta)
         with pytest.raises(ValueError, match="degenerate wire angle"):
             compensation_bound(0.0, theta)
+
+
+@pytest.mark.parametrize("theta", (5e-9, 3e-8, -3e-8))
+def test_success_probability_rejects_near_zero_angles(theta):
+    # 1 - cos(2 theta) cos(alpha) rounds to 0 (ZeroDivisionError) or to a
+    # value that puts p_s above 1; both are the degenerate-angle error
+    with pytest.raises(ValueError, match="degenerate wire angle"):
+        success_probability(0.0, theta)
+    with pytest.raises(ValueError, match="degenerate wire angle"):
+        compensation_bound(0.0, theta)
+
