@@ -392,6 +392,12 @@ def _load_counts(path: str) -> noise_tomo.CountsTable:
 
 
 def _cmd_tomo_reconstruct(args) -> tuple[str, str | None]:
+    if args.max_iters < 1:
+        raise CliError("--max-iters must be at least 1")
+    if not (isfinite(args.tol) and args.tol >= 0):
+        raise CliError("--tol must be finite and >= 0")
+    if not (args.mc_runs == 0 or args.mc_runs >= 2):
+        raise CliError("--mc-runs must be 0 (no error bar) or at least 2")
     counts = _load_counts(args.counts)
     target = None
     if args.target is not None:
@@ -409,7 +415,7 @@ def _cmd_tomo_reconstruct(args) -> tuple[str, str | None]:
         seed = args.seed if args.seed is not None else _fresh_seed()
         mean, sigma = noise_tomo.monte_carlo_error(
             counts, target, runs=args.mc_runs, seed=seed,
-            max_iters=args.max_iters, tol=args.tol,
+            max_iters=args.max_iters, tol=args.tol, base=result,
         )
         monte_carlo = {
             "runs": args.mc_runs,

@@ -274,8 +274,11 @@ def _halves(n: int) -> tuple[int, int]:
     return (n + 1) // 2, n // 2
 
 
+_P_FLOOR = 1e-300
+
+
 def _projector_probs(rho: np.ndarray, n: int) -> np.ndarray:
-    """Born probabilities of all 6^n product projectors, clipped at 1e-300.
+    """Born probabilities of all 6^n product projectors, clipped at _P_FLOOR.
 
     rho regrouped as T[(I_h, J_h), (I_t, J_t)] over its head and tail
     qubits gives P = M_h T M_t^T, whose row-major entries are the projector
@@ -284,7 +287,7 @@ def _projector_probs(rho: np.ndarray, n: int) -> np.ndarray:
     h, t = _halves(n)
     blocks = rho.reshape(2**h, 2**t, 2**h, 2**t).transpose(0, 2, 1, 3)
     probs = _projector_block(h) @ blocks.reshape(4**h, 4**t) @ _projector_block(t).T
-    return np.maximum(probs.real.reshape(-1), 1e-300)
+    return np.maximum(probs.real.reshape(-1), _P_FLOOR)
 
 
 def _projector_operator(w: np.ndarray, n: int) -> np.ndarray:
@@ -294,6 +297,24 @@ def _projector_operator(w: np.ndarray, n: int) -> np.ndarray:
     blocks = m_h.conj().T @ w.reshape(6**h, 6**t) @ m_t.conj()
     r = blocks.reshape(2**h, 2**h, 2**t, 2**t).transpose(0, 2, 1, 3)
     return r.reshape(2**n, 2**n)
+
+
+def _density_projection(h: np.ndarray) -> np.ndarray:
+    """The density matrix nearest to the Hermitian matrix h (Frobenius norm).
+
+    It keeps the eigenvectors of h and projects the eigenvalues onto the
+    probability simplex: v -> max(v - tau, 0), with the one shift tau that
+    makes them sum to 1.  With u the eigenvalues in descending order, the
+    test j u_j > u_1 + ... + u_j - 1 holds exactly for the first k of them
+    (always for j = 1, which rounding can hide when u_1 is huge), and
+    tau = (u_1 + ... + u_k - 1) / k.  Only the lower triangle of h is read.
+    """
+    vals, vecs = np.linalg.eigh(h)
+    top = vals[::-1]
+    excess = np.cumsum(top) - 1.0
+    k = max(np.count_nonzero(top * np.arange(1, len(top) + 1) > excess), 1)
+    vals = np.maximum(vals - excess[k - 1] / k, 0.0)
+    return (vecs * vals) @ vecs.conj().T
 
 
 @functools.lru_cache(maxsize=64)
@@ -343,13 +364,31 @@ def _log_likelihood(
     return float(freq[good] @ np.log(probs[good]))
 
 
+def _initial_state(init: np.ndarray | None, dim: int) -> np.ndarray:
+    """The starting density matrix: maximally mixed, or ``init`` checked and
+    normalized to unit trace."""
+    if init is None:
+        return np.eye(dim, dtype=complex) / dim
+    rho = np.asarray(init, dtype=complex)
+    if rho.shape != (dim, dim):
+        raise ValueError(f"init must have shape ({dim}, {dim}), got {rho.shape}")
+    trace = np.trace(rho).real
+    if not (np.isfinite(rho).all() and trace > 0):
+        raise ValueError("init must be finite with positive trace")
+    rho = rho / trace
+    if np.abs(rho - rho.conj().T).max() > 1e-10:
+        raise ValueError("init must be Hermitian")
+    if np.linalg.eigvalsh(rho)[0] < -1e-10:
+        raise ValueError("init must be positive semidefinite")
+    return _density_projection(rho)
+
+
 def ml_reconstruct(
     counts: CountsTable,
     target: qm.StateVector | None = None,
     *,
     max_iters: int = 10_000,
     tol: float = 1e-9,
-    dilution: float = 0.5,
     init: np.ndarray | None = None,
 ) -> ReconstructionResult:
     """Maximum-likelihood density matrix from outcome counts.
@@ -363,70 +402,91 @@ def ml_reconstruct(
     R = sum_a f_a / (N p_a) P_a is the adjoint pair of products with M^H.
     No cells x 2^n ket matrix is formed.
 
-    Iterates the fixed-point update rho -> R rho R, falling back to a
-    diluted step (I + lam R) rho (I + lam R) with shrinking lam whenever the
-    full step would decrease the likelihood; accepted iterations are
-    therefore monotone.  Stops when the likelihood gain drops below ``tol``
-    or after ``max_iters`` iterations.  The iterates are PSD by
-    construction; the final matrix is eigenvalue-clipped at 0 and
-    renormalized, and its ``likelihood_gap_bound`` N (lambda_max(R) - 1) is
-    reported.  ``init`` (default maximally mixed) must be a full-rank
-    density matrix so the iteration can reach the global optimum.
+    The fit is accelerated projected gradient ascent (FISTA; Shang, Zhang &
+    Ng, PRA 95, 062336, 2017).  R is the gradient of the log-likelihood per
+    count (in Poisson mode up to a multiple of the identity, which does not
+    move a trace-1 step).  Each iteration steps from the momentum point
+    y = rho + k/(k + 3) (rho - rho_prev), k being the steps accepted since
+    the last restart, to the density matrix nearest y + t R: one eigh, then
+    the eigenvalues projected onto the probability simplex.  Each iteration
+    tries 1.25 times the last step size t (1 before the first) and halves
+    it until the sufficient-ascent condition
+    L(new) >= L(y) + N (<R, d> - |d|^2 / 2t), with d = new - y, holds.
+    When the new point would lower the likelihood, or y gives an observed
+    cell no probability, the momentum restarts with a plain step from rho,
+    so accepted iterates never lower the likelihood.
+
+    The fit stops when an accepted step gains less than ``tol``, when a
+    plain step from the current iterate gains nothing (the likelihood's
+    rounding floor), or after ``max_iters`` iterations.  The final matrix
+    is projected once more (an eigenvalue clip at 0 with renormalization),
+    and its ``likelihood_gap_bound`` N (lambda_max(R) - 1) is reported.
+    ``init`` (default maximally mixed) is any PSD matrix with positive
+    trace, normalized here; it need not be full rank, but must give every
+    observed cell a nonzero probability.
     """
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError("tol must be finite and >= 0")
     n = counts.n_qubits
-    dim = 2**n
     cells, mult, complete = _cell_projectors(counts.settings)
     freq = np.bincount(cells, weights=counts.counts.reshape(-1), minlength=len(mult))
     total = freq.sum()
     if total <= 0:
         raise ValueError("counts table is empty")
+    observed = freq > 0
 
-    if init is None:
-        rho = np.eye(dim, dtype=complex) / dim
-    else:
-        rho = np.asarray(init, dtype=complex)
-        rho = rho / np.real(np.trace(rho))
-
-    def log_likelihood(p: np.ndarray) -> float:
-        return _log_likelihood(freq, mult, p, counts.shots, counts.mode)
+    def evaluate(rho: np.ndarray) -> tuple[np.ndarray, float]:
+        p = _projector_probs(rho, n)
+        return p, _log_likelihood(freq, mult, p, counts.shots, counts.mode)
 
     def r_operator(p: np.ndarray) -> np.ndarray:
         return _projector_operator(freq / (total * p), n)
 
-    p = _projector_probs(rho, n)
-    ll = log_likelihood(p)
-    iters = 0
+    def ascent_step(y, p_y, ll_y, step):
+        """Backtracked projected step from y: (rho, p, ll, step).  ll is -inf
+        once halving the step no longer changes the new point."""
+        R = r_operator(p_y)
+        last = None
+        while True:
+            new = _density_projection(y + step * R)
+            p_new, ll_new = evaluate(new)
+            d = new - y
+            model = np.vdot(R, d).real - np.vdot(d, d).real / (2.0 * step)
+            if ll_new >= ll_y + total * model:
+                return new, p_new, ll_new, step
+            if last is not None and np.array_equal(new, last):
+                return new, p_new, -np.inf, step
+            last, step = new, step / 2.0
+
+    rho = _initial_state(init, 2**n)
+    p, ll = evaluate(rho)
+    if p[observed].min() <= _P_FLOOR:
+        raise ValueError("init gives an observed cell zero probability")
+    prev, k, step = rho, 0, 1.0
     for iters in range(1, max_iters + 1):
-        R = r_operator(p)
-        cand = R @ rho @ R
-        cand /= cand.trace().real
-        p_cand = _projector_probs(cand, n)
-        ll_cand = log_likelihood(p_cand)
-        if ll_cand < ll:
-            lam = dilution
-            improved = False
-            while lam > 1e-6:
-                G = (np.eye(dim) + lam * R) / (1.0 + lam)
-                cand = G @ rho @ G.conj().T
-                cand /= cand.trace().real
-                p_cand = _projector_probs(cand, n)
-                ll_cand = log_likelihood(p_cand)
-                if ll_cand >= ll:
-                    improved = True
-                    break
-                lam *= 0.5
-            if not improved:
+        step *= 1.25
+        ll_new = -np.inf
+        if k:
+            y = rho + k / (k + 3) * (rho - prev)
+            p_y, ll_y = evaluate(y)
+            if p_y[observed].min() > _P_FLOOR:
+                new, p_new, ll_new, step = ascent_step(y, p_y, ll_y, step)
+        if ll_new < ll:
+            k = 0
+            new, p_new, ll_new, step = ascent_step(rho, p, ll, step)
+            if ll_new <= ll:
                 break
-        gain = ll_cand - ll
-        rho, p, ll = cand, p_cand, ll_cand
+        k += 1
+        gain = ll_new - ll
+        prev, rho, p, ll = rho, new, p_new, ll_new
         if gain < tol:
             break
 
-    # Defensive PSD clip (fixed-point iterates are already PSD up to rounding).
-    vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
-    vals = np.clip(vals, 0.0, None)
-    rho = (vecs * vals) @ vecs.conj().T
-    rho /= np.real(np.trace(rho))
+    # Defensive eigenvalue clip: iterates are projections already, so this
+    # moves rho only by rounding.
+    rho = _density_projection((rho + rho.conj().T) / 2)
     gap = total * (np.linalg.eigvalsh(r_operator(_projector_probs(rho, n)))[-1] - 1.0)
     dm = qm.DensityMatrix(counts.labels, rho)
     fid = None if target is None else qm.fidelity(dm, target)
@@ -448,6 +508,7 @@ def monte_carlo_error(
     *,
     max_iters: int = 10_000,
     tol: float = 1e-9,
+    base: ReconstructionResult | None = None,
 ) -> tuple[float, float]:
     """Poisson-resampled repetition of the whole reconstruction.
 
@@ -455,15 +516,15 @@ def monte_carlo_error(
     observed mean and reruns the reconstruction; returns the sample mean
     and standard deviation of the fidelity to ``target``.  Run seeds are
     derived deterministically from ``seed``.  Runs are warm-started from
-    the point estimate (blended with a little of the identity to stay
-    full rank), which leaves each run's optimum unchanged but saves most
-    of the burn-in iterations.
+    the point estimate, which leaves each run's optimum unchanged and
+    shortens its fit.  ``base`` is the caller's fit of ``counts``
+    with the same ``max_iters`` and ``tol``; when it is given, the point
+    estimate is not fitted again and the result is the same.
     """
     if runs < 2:
         raise ValueError("runs must be >= 2")
-    dim = 2**counts.n_qubits
-    base = ml_reconstruct(counts, max_iters=max_iters, tol=tol)
-    warm = 0.99 * base.rho.mat + 0.01 * np.eye(dim) / dim
+    if base is None:
+        base = ml_reconstruct(counts, max_iters=max_iters, tol=tol)
     children = np.random.SeedSequence(seed).spawn(runs)
     fids = np.empty(runs)
     for i, child in enumerate(children):
@@ -476,7 +537,7 @@ def monte_carlo_error(
             mode="poisson",
         )
         res = ml_reconstruct(
-            resampled, target, max_iters=max_iters, tol=tol, init=warm
+            resampled, target, max_iters=max_iters, tol=tol, init=base.rho.mat
         )
         fids[i] = res.fidelity_to_target
     return float(fids.mean()), float(fids.std(ddof=1))

@@ -192,3 +192,18 @@ def dense_ml_fit(counts, *, max_iters, tol=1e-9, dilution=0.5):
     vals, vecs = np.linalg.eigh((rho + rho.conj().T) / 2)
     rho = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
     return rho / np.real(np.trace(rho)), iters
+
+
+def bisection_density_projection(h, steps=200) -> np.ndarray:
+    """Nearest density matrix to Hermitian h: eigenvalues v -> max(v - tau, 0),
+    with tau found by bisection on sum max(v - tau, 0) = 1."""
+    vals, vecs = np.linalg.eigh(h)
+    lo, hi = vals.min() - 1.0, vals.max()
+    for _ in range(steps):
+        tau = (lo + hi) / 2
+        if np.maximum(vals - tau, 0.0).sum() > 1.0:
+            lo = tau
+        else:
+            hi = tau
+    lam = np.maximum(vals - (lo + hi) / 2, 0.0)
+    return (vecs * lam) @ vecs.conj().T

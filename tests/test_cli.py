@@ -380,6 +380,34 @@ def test_tomo_reconstruct_mc_requires_target(capsys, tmp_path):
     assert "--target" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    (
+        ("--max-iters", "0", "--max-iters"),
+        ("--max-iters", "-5", "--max-iters"),
+        ("--tol", "-1", "--tol"),
+        ("--tol", "nan", "--tol"),
+        ("--mc-runs", "1", "--mc-runs"),
+        ("--mc-runs", "-2", "--mc-runs"),
+    ),
+)
+def test_tomo_reconstruct_rejects_bad_fit_options(capsys, tmp_path, flag, value, message):
+    counts_file = tmp_path / "counts.json"
+    run_cli(
+        capsys,
+        "tomo", "simulate", "--state", "lambda34", "--shots", "100",
+        "--seed", "1", "--out", str(counts_file),
+    )
+    code, out, err = run_cli(
+        capsys,
+        "tomo", "reconstruct", "--counts", str(counts_file), "--target", "lambda34",
+        flag, value,
+    )
+    assert code == 2
+    assert out == ""
+    assert message in err and "Traceback" not in err
+
+
 def test_tomo_reconstruct_missing_file_maps_to_exit_1(capsys, tmp_path):
     code, _, err = run_cli(
         capsys,

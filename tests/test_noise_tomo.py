@@ -18,6 +18,7 @@ from corrspace.noise_tomo import (
 )
 from corrspace.wires import build_psi4, lambda34
 from helpers import (
+    bisection_density_projection,
     dense_cell_kets,
     dense_log_likelihood,
     dense_ml_fit,
@@ -254,18 +255,119 @@ def test_projector_kernel_matches_dense_reference(n, mode):
         assert abs(ll - want) <= 1e-12 * abs(want)
 
 
-@pytest.mark.parametrize("name, max_iters", (("lambda34", 100), ("psi4", 60)))
+def _dense_fit_summary(table, rho):
+    """Log-likelihood and gap bound of rho, computed cell by cell."""
+    kets = dense_cell_kets(table.settings)
+    freq = table.counts.reshape(-1).astype(float)
+    total = freq.sum()
+    p = dense_probs(kets, rho)
+    ll = dense_log_likelihood(freq, p, table.shots, table.mode)
+    r = dense_r_operator(kets, freq / (total * p))
+    return ll, total * (np.linalg.eigvalsh(r)[-1] - 1.0)
+
+
+@pytest.mark.parametrize("name, shots", (("lambda34", 100_000), ("psi4", 2000)))
 @pytest.mark.parametrize("mode", ("multinomial", "poisson"))
-def test_fit_matches_dense_reference_fit_at_the_cap(name, max_iters, mode):
+def test_fit_matches_converged_dense_reference_fit(name, shots, mode):
+    target = build_psi4() if name == "psi4" else lambda34()
+    table = simulate_counts(white_noise(target, 0.9), shots=shots, seed=21, mode=mode)
+    res = ml_reconstruct(table, target)
+    rho, iters = dense_ml_fit(table, max_iters=100_000)
+    assert res.iterations < 1000 and iters < 100_000
+    ll, gap = _dense_fit_summary(table, rho)
+    # each fit's log-likelihood lies within the other fit's certificate
+    assert res.log_likelihood <= ll + gap
+    assert ll <= res.log_likelihood + res.likelihood_gap_bound
+    assert 0.0 <= res.likelihood_gap_bound <= 1.0
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_density_projection_matches_bisection_reference(seed):
+    rng = np.random.default_rng(90 + seed)
+    dim = (1, 2, 4, 8, 16, 16)[seed]
+    scale = (0.1, 1.0, 10.0, 1.0, 0.01, 100.0)[seed]
+    a = scale * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    h = (a + a.conj().T) / 2
+    rho = noise_tomo._density_projection(h)
+    assert abs(np.trace(rho) - 1.0) <= 1e-12
+    assert np.abs(rho - rho.conj().T).max() <= 1e-12
+    assert np.linalg.eigvalsh(rho)[0] >= -1e-12
+    assert np.abs(rho - bisection_density_projection(h)).max() <= 1e-12
+    # density matrices are fixed points, including rank-deficient ones
+    assert np.abs(noise_tomo._density_projection(rho) - rho).max() <= 1e-12
+    full = rand_density(tuple("abcd"[: dim.bit_length() - 1]), rng).mat
+    assert np.abs(noise_tomo._density_projection(full) - full).max() <= 1e-12
+
+
+@pytest.mark.parametrize("seed, weight", ((21, 1.0), (22, 0.712)))
+def test_psi4_100k_fits_converge_before_the_cap(seed, weight):
+    psi4 = build_psi4()
+    counts = simulate_counts(
+        white_noise(psi4, weight=weight), shots=100_000, seed=seed
+    )
+    res = ml_reconstruct(counts, psi4, max_iters=1000)
+    assert res.iterations < 1000
+    assert 0.0 <= res.likelihood_gap_bound <= 1.0
+
+
+@pytest.mark.parametrize(
+    "name, fidelity, shots, mode",
+    (("psi4", 1.0, 2000, "multinomial"), ("psi4", 1.0, 100_000, "poisson"),
+     ("lambda34", 0.9, 20_000, "poisson")),
+)
+def test_accepted_iterates_never_lower_the_likelihood(name, fidelity, shots, mode):
     target = build_psi4() if name == "psi4" else lambda34()
     table = simulate_counts(
-        white_noise(target, 0.9), shots=100_000, seed=21, mode=mode
+        white_noise(target, fidelity), shots=shots, seed=25, mode=mode
     )
-    res = ml_reconstruct(table, target, max_iters=max_iters)
-    rho, iters = dense_ml_fit(table, max_iters=max_iters)
-    assert res.iterations == iters == max_iters
-    want = qm.fidelity(qm.DensityMatrix(table.labels, rho), target)
-    assert abs(res.fidelity_to_target - want) <= 1e-9
+    # the fit is deterministic, so the fit cut at m iterations is iterate m
+    final = ml_reconstruct(table).iterations
+    lls = [ml_reconstruct(table, max_iters=m).log_likelihood for m in range(1, final + 1)]
+    assert all(b >= a for a, b in zip(lls, lls[1:]))
+
+
+def test_rank_deficient_init_reaches_the_optimum():
+    # every cell observed in counts drawn from psi4 has a nonzero probability
+    # under the rank-1 init, which the R rho R iteration could never leave
+    psi4 = build_psi4()
+    table = simulate_counts(psi4, shots=2000, seed=26)
+    mixed = ml_reconstruct(table)
+    pure = ml_reconstruct(table, init=3.0 * psi4.to_density().mat)
+    assert pure.iterations < 1000
+    assert pure.log_likelihood <= mixed.log_likelihood + mixed.likelihood_gap_bound
+    assert mixed.log_likelihood <= pure.log_likelihood + pure.likelihood_gap_bound
+
+
+@pytest.mark.parametrize("max_iters", (0, -5))
+def test_reconstruct_rejects_max_iters_below_one(max_iters):
+    table = simulate_counts(lambda34(), shots=100, seed=3)
+    with pytest.raises(ValueError, match="max_iters"):
+        ml_reconstruct(table, max_iters=max_iters)
+
+
+@pytest.mark.parametrize("tol", (-1.0, float("nan"), float("inf")))
+def test_reconstruct_rejects_bad_tol(tol):
+    table = simulate_counts(lambda34(), shots=100, seed=3)
+    with pytest.raises(ValueError, match="tol"):
+        ml_reconstruct(table, tol=tol)
+
+
+@pytest.mark.parametrize(
+    "init, match",
+    (
+        (np.eye(2), "shape"),
+        (np.zeros((4, 4)), "positive trace"),
+        (np.diag([1.0, 1.0, 1.0, np.nan]), "positive trace"),
+        (np.diag([2.0, 1.0, 1.0, -1.0]), "positive semidefinite"),
+        (np.eye(4) + np.triu(np.ones((4, 4)), 1), "Hermitian"),
+        (np.diag([1.0, 0.0, 0.0, 0.0]), "zero probability"),
+    ),
+)
+def test_reconstruct_rejects_bad_init(init, match):
+    # the Z-basis counts include outcome 01, which |00><00| cannot produce
+    table = CountsTable(("a", "b"), ("ZZ", "XX"), np.array([[3, 1, 0, 0], [2, 2, 0, 0]]), 4)
+    with pytest.raises(ValueError, match=match):
+        ml_reconstruct(table, init=init)
 
 
 def test_reconstruct_rejects_unknown_setting_letter():
@@ -360,3 +462,21 @@ def test_monte_carlo_requires_two_runs():
     table = simulate_counts(lambda34(), ("ZZ",), shots=10, seed=1)
     with pytest.raises(ValueError):
         monte_carlo_error(table, lambda34(), runs=1, seed=0)
+
+
+def test_monte_carlo_error_reuses_the_callers_fit(monkeypatch):
+    target = lambda34()
+    table = simulate_counts(white_noise(target, 0.9), shots=5000, seed=16)
+    without = monte_carlo_error(table, target, runs=4, seed=31)
+    base = ml_reconstruct(table, target)
+    fits = []
+
+    def counting_fit(*args, **kwargs):
+        fits.append(1)
+        return ml_reconstruct(*args, **kwargs)
+
+    monkeypatch.setattr(noise_tomo, "ml_reconstruct", counting_fit)
+    assert monte_carlo_error(table, target, runs=4, seed=31, base=base) == without
+    assert len(fits) == 4
+    monte_carlo_error(table, target, runs=4, seed=31)
+    assert len(fits) == 4 + 5
