@@ -154,16 +154,16 @@ class CountsTable:
 def exact_probabilities(rho: State, settings: Sequence[str]) -> np.ndarray:
     """Born probabilities of every outcome cell: shape (n_settings, 2^n).
 
-    The einsum is pinned: a ~10x faster matmul form moves probabilities by
-    5.6e-17 and so flips a draw: ``witness fidelity --fidelity 0.9 --shots
-    2000 --seed 5`` would print 1.51525482539455, not 1.51521423045375.
+    Every outcome cell of a product setting is one of the 6^n product
+    projectors, so the cells are read from ``_projector_probs`` (two small
+    matrix products of rho, the kernel ML tomography uses) and clipped at 0.
+    Each setting must have one Z, X or Y letter per register qubit.
     """
     if isinstance(rho, qm.StateVector):
         rho = rho.to_density()
-    out = np.empty((len(settings), 2**rho.n_qubits))
-    for i, s in enumerate(settings):
-        kets = setting_kets(s)
-        out[i] = np.real(np.einsum("od,de,oe->o", np.conj(kets), rho.mat, kets))
+    n = rho.n_qubits
+    cells = _setting_cells(tuple(settings), n)
+    out = _projector_probs(rho.mat, n)[cells].reshape(len(settings), 2**n)
     np.clip(out, 0.0, None, out=out)
     return out
 
@@ -278,16 +278,18 @@ _P_FLOOR = 1e-300
 
 
 def _projector_probs(rho: np.ndarray, n: int) -> np.ndarray:
-    """Born probabilities of all 6^n product projectors, clipped at _P_FLOOR.
+    """Born probabilities of all 6^n product projectors, unclipped.
 
     rho regrouped as T[(I_h, J_h), (I_t, J_t)] over its head and tail
     qubits gives P = M_h T M_t^T, whose row-major entries are the projector
-    probabilities in base-6 digit order.
+    probabilities in base-6 digit order.  This is the one Born routine:
+    ``exact_probabilities`` clips its cells at 0, and ML tomography clips
+    at _P_FLOOR so that logarithms and ratios stay finite.
     """
     h, t = _halves(n)
     blocks = rho.reshape(2**h, 2**t, 2**h, 2**t).transpose(0, 2, 1, 3)
     probs = _projector_block(h) @ blocks.reshape(4**h, 4**t) @ _projector_block(t).T
-    return np.maximum(probs.real.reshape(-1), _P_FLOOR)
+    return probs.real.reshape(-1)
 
 
 def _projector_operator(w: np.ndarray, n: int) -> np.ndarray:
@@ -307,14 +309,38 @@ def _density_projection(h: np.ndarray) -> np.ndarray:
     makes them sum to 1.  With u the eigenvalues in descending order, the
     test j u_j > u_1 + ... + u_j - 1 holds exactly for the first k of them
     (always for j = 1, which rounding can hide when u_1 is huge), and
-    tau = (u_1 + ... + u_k - 1) / k.  Only the lower triangle of h is read.
+    tau = (u_1 + ... + u_k - 1) / k.  The shift is measured from u_k,
+    v - tau = (v - u_k) + (1 - sum_{j<=k} (u_j - u_k)) / k, so that no huge
+    u_1 cancels against the 1.  Only the lower triangle of h is read.
     """
     vals, vecs = np.linalg.eigh(h)
     top = vals[::-1]
     excess = np.cumsum(top) - 1.0
     k = max(np.count_nonzero(top * np.arange(1, len(top) + 1) > excess), 1)
-    vals = np.maximum(vals - excess[k - 1] / k, 0.0)
+    vals = np.maximum((vals - top[k - 1]) + (1.0 - (top[:k] - top[k - 1]).sum()) / k, 0.0)
     return (vecs * vals) @ vecs.conj().T
+
+
+@functools.lru_cache(maxsize=64)
+def _setting_cells(settings: tuple[str, ...], n: int) -> np.ndarray:
+    """Read-only projector index of every (setting, outcome) cell of an
+    n-qubit register, setting-major like ``CountsTable.counts``."""
+    for s in settings:
+        if len(s) != n:
+            raise ValueError(
+                f"setting {s!r} has {len(s)} letters; the register has {n} qubits"
+            )
+    try:
+        letters = np.array([[_LETTERS.index(c) for c in s] for s in settings], dtype=int)
+    except ValueError:
+        raise ValueError(
+            f"unknown Pauli letter in settings {settings!r}; expected Z, X or Y"
+        ) from None
+    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # (2^n, n)
+    digits = 2 * letters.reshape(len(settings), 1, n) + bits[None, :, :]
+    cells = (digits @ 6 ** np.arange(n - 1, -1, -1)).reshape(-1)
+    cells.setflags(write=False)
+    return cells
 
 
 @functools.lru_cache(maxsize=64)
@@ -322,22 +348,13 @@ def _cell_projectors(settings: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray,
     """Projector of every (setting, outcome) cell, projector multiplicities,
     and whether the cells are informationally complete.
 
-    The cell array (read-only, setting-major like ``CountsTable.counts``)
-    holds projector indices; the multiplicities count the cells on each of
-    the 6^n projectors.  Completeness is the rank of the distinct projectors.
+    The multiplicities count the ``_setting_cells`` on each of the 6^n
+    projectors.  Completeness is the rank of the distinct projectors.
     """
     if not settings:
         raise ValueError("counts table has no settings")
     n = len(settings[0])
-    try:
-        letters = np.array([[_LETTERS.index(c) for c in s] for s in settings])
-    except ValueError:
-        raise ValueError(
-            f"unknown Pauli letter in settings {settings!r}; expected Z, X or Y"
-        ) from None
-    bits = (np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # (2^n, n)
-    digits = 2 * letters[:, None, :] + bits[None, :, :]
-    cells = (digits @ 6 ** np.arange(n - 1, -1, -1)).reshape(-1)
+    cells = _setting_cells(settings, n)
     mult = np.bincount(cells, minlength=6**n).astype(float)
 
     h, t = _halves(n)
@@ -346,7 +363,6 @@ def _cell_projectors(settings: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray,
     vecs = np.einsum("ui,uj->uij", _projector_block(h)[head], _projector_block(t)[tail])
     complete = bool(np.linalg.matrix_rank(vecs.reshape(len(used), -1), tol=1e-9) == 4**n)
 
-    cells.setflags(write=False)
     mult.setflags(write=False)
     return cells, mult, complete
 
@@ -438,7 +454,7 @@ def ml_reconstruct(
     observed = freq > 0
 
     def evaluate(rho: np.ndarray) -> tuple[np.ndarray, float]:
-        p = _projector_probs(rho, n)
+        p = np.maximum(_projector_probs(rho, n), _P_FLOOR)
         return p, _log_likelihood(freq, mult, p, counts.shots, counts.mode)
 
     def r_operator(p: np.ndarray) -> np.ndarray:
@@ -487,7 +503,7 @@ def ml_reconstruct(
     # Defensive eigenvalue clip: iterates are projections already, so this
     # moves rho only by rounding.
     rho = _density_projection((rho + rho.conj().T) / 2)
-    gap = total * (np.linalg.eigvalsh(r_operator(_projector_probs(rho, n)))[-1] - 1.0)
+    gap = total * (np.linalg.eigvalsh(r_operator(evaluate(rho)[0]))[-1] - 1.0)
     dm = qm.DensityMatrix(counts.labels, rho)
     fid = None if target is None else qm.fidelity(dm, target)
     return ReconstructionResult(

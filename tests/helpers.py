@@ -7,10 +7,13 @@ compare two genuinely different computations.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from corrspace import qmath as qm
 from corrspace.measurement import pauli_basis
+from corrspace.noise_tomo import setting_kets
 
 
 def rand_state(labels, rng) -> qm.StateVector:
@@ -126,6 +129,16 @@ def dense_cell_kets(settings) -> np.ndarray:
     return np.array(rows)
 
 
+def einsum_probabilities(rho, settings) -> np.ndarray:
+    """Cell probabilities (n_settings, 2^n) of a DensityMatrix, one setting at
+    a time: <k|rho|k> for each row k of ``setting_kets``, clipped at 0."""
+    out = np.empty((len(settings), 2**rho.n_qubits))
+    for i, s in enumerate(settings):
+        kets = setting_kets(s)
+        out[i] = np.real(np.einsum("od,de,oe->o", np.conj(kets), rho.mat, kets))
+    return np.clip(out, 0.0, None)
+
+
 def dense_probs(kets, rho) -> np.ndarray:
     """Cell probabilities <k|rho|k> from the dense (cells, 2^n) ket matrix."""
     p = np.real(np.sum((np.conj(kets) @ rho) * kets, axis=1))
@@ -194,16 +207,19 @@ def dense_ml_fit(counts, *, max_iters, tol=1e-9, dilution=0.5):
     return rho / np.real(np.trace(rho)), iters
 
 
-def bisection_density_projection(h, steps=200) -> np.ndarray:
+def bisection_density_projection(h) -> np.ndarray:
     """Nearest density matrix to Hermitian h: eigenvalues v -> max(v - tau, 0),
-    with tau found by bisection on sum max(v - tau, 0) = 1."""
+    with tau found by bisection on sum max(v - tau, 0) = 1.  The bisection
+    runs in exact rational arithmetic on the eigenvalues, so that a huge
+    eigenvalue does not swallow the others."""
     vals, vecs = np.linalg.eigh(h)
-    lo, hi = vals.min() - 1.0, vals.max()
-    for _ in range(steps):
+    exact = [Fraction(float(v)) for v in vals]
+    lo, hi = min(exact) - 1, max(exact)
+    while hi - lo > Fraction(1, 2**80):
         tau = (lo + hi) / 2
-        if np.maximum(vals - tau, 0.0).sum() > 1.0:
+        if sum(max(v - tau, 0) for v in exact) > 1:
             lo = tau
         else:
             hi = tau
-    lam = np.maximum(vals - (lo + hi) / 2, 0.0)
+    lam = np.array([float(max(v - (lo + hi) / 2, 0)) for v in exact])
     return (vecs * lam) @ vecs.conj().T

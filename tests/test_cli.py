@@ -466,16 +466,19 @@ def test_witness_bad_fidelity_maps_to_exit_1(capsys):
 # exact or seeded 2000-shot counts, literal or corrected), recorded on the
 # dense-Kronecker implementation.  Any change in rounding anywhere on the
 # witness path (term matrices, expectations, cells, parity sums, counts)
-# changes these bytes.
+# changes these bytes.  The four seeded fidelity-1 entries were re-recorded
+# when the cells moved to the product-projector kernel: it and the former
+# per-setting einsum round different zero-probability cells to +-1e-17, and
+# a multinomial draw consumes a uniform for p > 0 but none for p = 0.
 WITNESS_DIGESTS = (
     ("--theta pi/6 --fidelity 1",
      "6692f2d038a4e897d5c86b374fcd1f024ebfd19369afe57d6f58a879ce4d6dcd"),
     ("--theta pi/6 --fidelity 1 --corrected",
      "8506ee5f4a1112bced90c2b12adcabefffaa11d3ef1eebff3fc98a64dc1c8000"),
     ("--theta pi/6 --fidelity 1 --shots 2000 --seed 5",
-     "629ec63aa60ab7be68d32fe06bb5d77b659e2ce063bdcbfcccad9a469b0866a9"),
+     "17deb822de5514a13e54a58e1cd940b9994ed1fb999a7bc219e370cff38ef8de"),
     ("--theta pi/6 --fidelity 1 --shots 2000 --seed 5 --corrected",
-     "772c9bf21bcad0ebf3066bb128d10dc6dc65fed90d60c671a026f0066dd99b2c"),
+     "939da310106e5f11ccacd4f8176dc0f0f115b2e00104f1f9dc48ad3ad5b683e8"),
     ("--theta pi/6 --fidelity 0.73",
      "c322b6b7919d9ba01fd1a14b029c1e9014809df36ff5f757a51d5eab70f3be4a"),
     ("--theta pi/6 --fidelity 0.73 --corrected",
@@ -489,9 +492,9 @@ WITNESS_DIGESTS = (
     ("--theta 0.3 --fidelity 1 --corrected",
      "4df5af74c236a23e74261012b21ce4108d1b24e6906b8a5023d74351baa89d44"),
     ("--theta 0.3 --fidelity 1 --shots 2000 --seed 5",
-     "c6df7787248e6b231ff33c8702f051f550451ddae6c9cff18905366f998eeffb"),
+     "356372f4c04cd327762a9ac7e8a6c2eddee447c51178a7f1b1a58ded50e40459"),
     ("--theta 0.3 --fidelity 1 --shots 2000 --seed 5 --corrected",
-     "60f331572b3abfc090dc559987cf076589de3a9f78b14dc704fc89f0d433f9f8"),
+     "54960db0e832cb9adce3f81119675785a6085acebce693197753315168be16fb"),
     ("--theta 0.3 --fidelity 0.73",
      "5e595db4743702fcf048d0f7aaabd5b612cea14d76a057f9f2b14ba3a7ff6399"),
     ("--theta 0.3 --fidelity 0.73 --corrected",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from corrspace import noise_tomo
+from corrspace import analysis, noise_tomo
 from corrspace import qmath as qm
 from corrspace.noise_tomo import (
     CountsTable,
@@ -16,7 +16,7 @@ from corrspace.noise_tomo import (
     simulate_counts,
     white_noise,
 )
-from corrspace.wires import build_psi4, lambda34
+from corrspace.wires import build_psi4, build_psi6, lambda34
 from helpers import (
     bisection_density_projection,
     dense_cell_kets,
@@ -24,6 +24,7 @@ from helpers import (
     dense_ml_fit,
     dense_probs,
     dense_r_operator,
+    einsum_probabilities,
     rand_density,
 )
 
@@ -99,9 +100,74 @@ def test_exact_probabilities_rows_normalized():
     assert p.shape == (81, 16)
     assert np.allclose(p.sum(axis=1), 1.0, atol=TOL)
     assert np.all(p >= 0)
-    # pure-state and density-matrix paths agree
+    # pure-state and density-matrix inputs give the same bits
     p2 = exact_probabilities(build_psi4().to_density(), product_settings(4))
-    assert np.allclose(p, p2, atol=TOL)
+    assert np.array_equal(p, p2)
+
+
+def _born_cases():
+    """(state, settings): psi4 and lambda34 on their full grids, pure and
+    noisy, and psi6 on the witness settings of both decompositions."""
+    for state in (build_psi4(), lambda34()):
+        settings = product_settings(state.n_qubits)
+        yield state, settings
+        yield white_noise(state, 0.73), settings
+    for theta in (np.pi / 6, 0.3):
+        psi6 = build_psi6(theta).reorder(analysis.WITNESS_ORDER)
+        for corrected in (False, True):
+            settings = sorted({t.setting for t in analysis.witness_terms(theta, corrected)})
+            yield psi6, settings
+            yield white_noise(psi6, 0.73), settings
+
+
+def test_exact_probabilities_match_einsum_reference():
+    for state, settings in _born_cases():
+        p = exact_probabilities(state, settings)
+        if isinstance(state, qm.StateVector):
+            state = state.to_density()
+            assert np.array_equal(p, exact_probabilities(state, settings))
+        assert np.abs(p - einsum_probabilities(state, settings)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_exact_probabilities_match_einsum_reference_on_random_states(n):
+    rng = np.random.default_rng(120 + n)
+    rho = rand_density(tuple("abcdef"[:n]), rng)
+    grid = product_settings(n)
+    subset = tuple(rng.choice(grid, size=min(len(grid), 7), replace=False))
+    settings = subset + subset[:2] + subset[:1]  # repeated settings
+    p = exact_probabilities(rho, settings)
+    assert p.shape == (len(settings), 2**n)
+    assert np.abs(p - einsum_probabilities(rho, settings)).max() <= 1e-15
+    assert np.array_equal(p[-1], p[0])
+
+
+def test_exact_probabilities_run_no_rank_check(monkeypatch):
+    def no_rank(*args, **kwargs):
+        raise AssertionError("matrix_rank called on the Born path")
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", no_rank)
+    noise_tomo._setting_cells.cache_clear()
+    noise_tomo._cell_projectors.cache_clear()
+    exact_probabilities(build_psi4(), product_settings(4))
+    simulate_counts(lambda34(), ("ZX", "YY"), shots=10, seed=1)
+
+
+def test_exact_probabilities_reject_wrong_setting_length():
+    with pytest.raises(ValueError, match="setting 'ZZZ' has 3 letters; the register has 4"):
+        exact_probabilities(build_psi4(), ("ZZZZ", "ZZZ"))
+    with pytest.raises(ValueError, match="setting 'XZ' has 2 letters; the register has 1"):
+        exact_probabilities(qm.StateVector(("a",), np.array([1, 0])), ("XZ",))
+
+
+def test_exact_probabilities_reject_unknown_letter():
+    with pytest.raises(ValueError, match="unknown Pauli letter"):
+        exact_probabilities(lambda34(), ("ZZ", "IZ"))
+
+
+def test_exact_probabilities_of_no_settings():
+    assert exact_probabilities(build_psi4(), ()).shape == (0, 16)
+    assert exact_probabilities(lambda34().to_density(), []).shape == (0, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +363,17 @@ def test_density_projection_matches_bisection_reference(seed):
     assert np.abs(noise_tomo._density_projection(rho) - rho).max() <= 1e-12
     full = rand_density(tuple("abcd"[: dim.bit_length() - 1]), rng).mat
     assert np.abs(noise_tomo._density_projection(full) - full).max() <= 1e-12
+
+
+@pytest.mark.parametrize("diag", ((1e300, 1.0, 0.0, 0.0), (3e16, 2.0, 1.0, 0.0)))
+def test_density_projection_of_huge_eigenvalue_matches_bisection_reference(diag):
+    # u_1 - 1 rounds to u_1 here; the projection is still |0><0|
+    h = np.diag(diag).astype(complex)
+    rho = noise_tomo._density_projection(h)
+    assert abs(np.trace(rho) - 1.0) <= 1e-12
+    assert np.linalg.eigvalsh(rho)[0] >= -1e-12
+    assert np.abs(rho - bisection_density_projection(h)).max() <= 1e-12
+    assert np.array_equal(rho, np.diag([1.0, 0.0, 0.0, 0.0]))
 
 
 @pytest.mark.parametrize("seed, weight", ((21, 1.0), (22, 0.712)))
