@@ -345,7 +345,17 @@ def assemble_witness(theta: float = pi / 6, corrected: bool = False) -> WitnessR
     listed in ``_term_specs``, and all of that shows up in the residual.
     ``corrected=True`` applies the factor 1/2 and the term repairs, after
     which the residual is at rounding level.
+
+    The report depends only on (theta, variant), so each is assembled once
+    (36 term matrices, their expectations, a 2-norm and the residuals) and
+    the same report is returned on every later call.  Its ``total`` is
+    read-only: copy it before editing, e.g. ``report.total.copy()``.
     """
+    return _assemble_witness(float(theta), bool(corrected))
+
+
+@functools.lru_cache(maxsize=8)
+def _assemble_witness(theta: float, corrected: bool) -> WitnessReport:
     terms = witness_terms(theta, corrected)
     psi = build_psi6(theta).reorder(WITNESS_ORDER)
     total = np.zeros((psi.amps.size,) * 2, dtype=complex)
@@ -356,6 +366,7 @@ def assemble_witness(theta: float = pi / 6, corrected: bool = False) -> WitnessR
         expectations.append(psi.expectation(m))
     if corrected:
         total = total / 2.0
+    total.setflags(write=False)
     proj = np.outer(psi.amps, np.conj(psi.amps))
     delta = total - proj
     residual_maxabs = float(np.max(np.abs(delta)))
@@ -424,21 +435,47 @@ def fidelity_from_settings(
     extracted from coincidence counts.  With exact cell probabilities this
     equals Tr(rho * sum M_i) up to rounding (i.e. the target fidelity plus
     the decomposition residual's contribution).
+
+    The parity table (each word's term, parity signs over the cells and
+    real coefficient) depends only on (theta, variant), so it is built once
+    and shared read-only; the cells are checked on every call.  The
+    additions keep the order of a scalar loop over terms, words and cells,
+    so the estimate equals that loop's to the last bit and printed
+    estimates keep their bytes.
     """
     terms = witness_terms(theta, corrected)
+    rows = []
     for term in terms:
         if term.setting not in cell_data:
             raise KeyError(f"missing setting {term.setting} for term {term.index}")
         if np.shape(cell_data[term.setting]) != (64,):
             raise ValueError(f"setting {term.setting}: expected 64 cells")
-    words = [w for t in terms for w in t.words]
-    cells = np.array([cell_data[t.setting] for t in terms for _ in t.words], dtype=float)
-    signs = _parity_signs(np.arange(64) & _bit_masks(words, "XYZ")[:, None])
+        rows.append(cell_data[term.setting])
+    word_term, signs, coeffs, bounds = _parity_table(float(theta), bool(corrected))
+    cells = np.array(rows, dtype=float)[word_term]
     # cumsum adds in sequence, as scalar loops do (np.sum adds pairwise)
-    values = np.cumsum(signs * cells, axis=1)[:, -1] * [w.coefficient.real for w in words]
+    values = np.cumsum(signs * cells, axis=1)[:, -1] * coeffs
     total = 0.0
-    for chunk in np.split(values, np.cumsum([len(t.words) for t in terms])[:-1]):
+    for chunk in np.split(values, bounds):
         total += np.cumsum(chunk)[-1]
     if corrected:
         total /= 2.0
     return float(total)
+
+
+@functools.lru_cache(maxsize=8)
+def _parity_table(
+    theta: float, corrected: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per word of the terms, in order: its term index, its parity signs over
+    the 64 cells and its real coefficient; then the word index at which each
+    term after the first starts (the split points).  All are read-only."""
+    terms = witness_terms(theta, corrected)
+    words = [w for t in terms for w in t.words]
+    word_term = np.repeat(np.arange(len(terms)), [len(t.words) for t in terms])
+    signs = _parity_signs(np.arange(64) & _bit_masks(words, "XYZ")[:, None])
+    coeffs = np.array([w.coefficient.real for w in words])
+    bounds = np.cumsum([len(t.words) for t in terms])[:-1]
+    for a in (word_term, signs, coeffs, bounds):
+        a.setflags(write=False)
+    return word_term, signs, coeffs, bounds

@@ -50,7 +50,10 @@ _PI_RE = re.compile(
 
 
 def parse_angle(text: str) -> float:
-    """Angle as decimal radians or a rational multiple of pi ('pi/3', '-2pi/3')."""
+    """Angle as decimal radians or a rational multiple of pi ('pi/3', '-2pi/3').
+
+    Non-finite angles ('nan', 'inf', or a literal that overflows) are rejected.
+    """
     t = text.strip()
     m = _PI_RE.match(t)
     if m:
@@ -59,13 +62,17 @@ def parse_angle(text: str) -> float:
         den = float(m.group(3)) if m.group(3) else 1.0
         if den == 0:
             raise argparse.ArgumentTypeError(f"zero denominator in angle {text!r}")
-        return sign * num * pi / den
-    try:
-        return float(t)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"cannot parse angle {text!r} (use decimal radians or 'pi/3' forms)"
-        ) from None
+        angle = sign * num * pi / den
+    else:
+        try:
+            angle = float(t)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"cannot parse angle {text!r} (use decimal radians or 'pi/3' forms)"
+            ) from None
+    if not isfinite(angle):
+        raise argparse.ArgumentTypeError(f"angle {text!r} is not finite")
+    return angle
 
 
 def parse_bits(text: str) -> tuple[int, ...]:
@@ -77,6 +84,21 @@ def parse_bits(text: str) -> tuple[int, ...]:
     if any(b not in (0, 1) for b in bits):
         raise argparse.ArgumentTypeError("outcomes must be 0 or 1")
     return bits
+
+
+def _int_at_least(low: int):
+    """Argument type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"cannot parse integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _fresh_seed() -> int:
@@ -578,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", choices=sorted(_STATE_BUILDERS), required=True)
     p.add_argument("--fidelity", type=float, default=1.0,
                    help="white-noise fidelity of the prepared state")
-    p.add_argument("--shots", type=int, default=1000)
+    p.add_argument("--shots", type=_int_at_least(1), default=1000)
     p.add_argument("--sampling", choices=("multinomial", "poisson"),
                    default="multinomial")
     p.add_argument("--seed", type=int, default=None)
@@ -610,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="white-noise fidelity of the measured state")
     p.add_argument("--corrected", action="store_true",
                    help="use the repaired decomposition (exact projector)")
-    p.add_argument("--shots", type=int, default=0,
+    p.add_argument("--shots", type=_int_at_least(0), default=0,
                    help="shots per setting (0 = exact expectations)")
     p.add_argument("--seed", type=int, default=None)
     _add_common(p)

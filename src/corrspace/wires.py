@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from math import cos, pi, sin
+from math import cos, isfinite, pi, sin
 
 import numpy as np
 
@@ -34,6 +34,8 @@ _CACHED_THETAS = 32
 
 
 def _check_theta(theta: float) -> None:
+    if not isfinite(theta):
+        raise ValueError(f"degenerate wire angle: theta must be finite, got {theta}")
     if abs(sin(theta)) < 1e-9 or abs(cos(theta)) < 1e-9:
         raise ValueError("degenerate wire angle: sin(theta) and cos(theta) must be nonzero")
 

@@ -315,11 +315,11 @@ def test_sampled_counts_reproduce_the_mixture_fidelity():
     assert abs(got - (0.712 + (1 - 0.712) / 64)) < 0.01
 
 
-@pytest.mark.parametrize("theta", [pi / 6, 0.3])
+@pytest.mark.parametrize("theta", [pi / 6, 0.3, pi / 8])
 @pytest.mark.parametrize("corrected", [False, True])
 def test_fidelity_equals_parity_loop_reference_exactly(rng, theta, corrected):
     terms = witness_terms(theta, corrected)
-    for _ in range(2):
+    for _ in range(2):  # the second estimate reads a warm parity table
         cells = {}
         for s in sorted({t.setting for t in terms}):
             row = rng.random(64)
@@ -330,13 +330,15 @@ def test_fidelity_equals_parity_loop_reference_exactly(rng, theta, corrected):
 
 def test_cell_input_validation():
     cells = exact_setting_cells(PSI6)
+    fidelity_from_settings(cells)  # the checks must run on a warm parity table
     partial = {k: v for k, v in cells.items() if k != "ZZZZZZ"}
     with pytest.raises(KeyError):
         fidelity_from_settings(partial)
-    bad = dict(cells)
-    bad["ZZZZZZ"] = np.ones(16) / 16
-    with pytest.raises(ValueError):
-        fidelity_from_settings(bad)
+    for n in (16, 63):
+        bad = dict(cells)
+        bad["ZZZZZZ"] = np.ones(n) / n
+        with pytest.raises(ValueError):
+            fidelity_from_settings(bad)
 
 
 def test_counts_to_cells_requires_witness_register():
@@ -355,3 +357,28 @@ def test_cached_witness_terms_equal_fresh_expansion(corrected):
         cached = witness_terms(theta, corrected)
         assert cached == fresh
         assert witness_terms(np.float64(theta), corrected) is cached
+
+
+@pytest.mark.parametrize("corrected", (False, True))
+def test_assembled_witness_is_shared_and_read_only(corrected):
+    rep = assemble_witness(0.3, corrected)
+    assert assemble_witness(np.float64(0.3), corrected) is rep
+    assert assemble_witness(0.3, not corrected) is not rep
+    with pytest.raises(ValueError):
+        rep.total[0, 0] = 0.0
+
+
+def test_cached_witness_builds_no_term_matrix(monkeypatch):
+    calls = []
+    scatter = analysis._scatter_words
+
+    def counting_scatter(words):
+        calls.append(len(words))
+        return scatter(words)
+
+    monkeypatch.setattr(analysis, "_scatter_words", counting_scatter)
+    analysis._assemble_witness.cache_clear()
+    first = assemble_witness(pi / 6, True)
+    assert len(calls) == 36
+    assert assemble_witness(pi / 6, True) is first
+    assert len(calls) == 36

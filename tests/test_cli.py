@@ -48,6 +48,9 @@ def test_parse_angle_forms():
         parse_angle("pi/0")
     with pytest.raises(argparse.ArgumentTypeError):
         parse_angle("threeish")
+    for text in ("nan", "inf", "-inf", "1e999", "1" + "0" * 400 + "pi"):
+        with pytest.raises(argparse.ArgumentTypeError, match="is not finite"):
+            parse_angle(text)
 
 
 def test_parse_bits():
@@ -564,6 +567,29 @@ def test_bad_angle_maps_to_exit_2(capsys):
         "protocol", "rotate", "--alpha", "sideways", "--beta", "0", "--gamma", "0",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", (
+    ["witness", "fidelity", "--theta", "nan"],
+    ["witness", "fidelity", "--theta", "inf"],
+    ["state", "analyze", "--state", "psi4", "--theta", "nan"],
+))
+def test_non_finite_angle_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"argument --theta: angle '{argv[-1]}' is not finite" in err
+    assert "Warning" not in err
+
+
+@pytest.mark.parametrize("argv, low", (
+    (["witness", "fidelity", "--shots", "-5"], 0),
+    (["tomo", "simulate", "--state", "psi4", "--shots", "0"], 1),
+    (["tomo", "simulate", "--state", "psi4", "--shots", "-3"], 1),
+))
+def test_out_of_range_shots_is_a_usage_error(capsys, argv, low):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"argument --shots: must be an integer >= {low}, got {argv[-1]}" in err
 
 
 def test_unknown_command_maps_to_exit_2(capsys):

@@ -269,6 +269,14 @@ def test_degenerate_angle_raises_on_every_call(builder):
             builder(0.0)
 
 
+@pytest.mark.parametrize("theta", (float("nan"), float("inf"), -float("inf")))
+@pytest.mark.parametrize("builder", NAMED_BUILDERS)
+def test_non_finite_angle_is_degenerate(builder, theta):
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^degenerate wire angle: theta must be finite"):
+            builder(theta)
+
+
 def test_dense_engine_limit_is_named():
     assert w.MAX_DENSE_QUBITS == 10
     site = w.b_site()
