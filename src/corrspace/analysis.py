@@ -22,7 +22,7 @@ import numpy as np
 
 from . import qmath as qm
 from .noise_tomo import CountsTable, exact_probabilities
-from .wires import build_psi6
+from .wires import _check_theta, build_psi6
 
 State = Union[qm.StateVector, qm.DensityMatrix]
 
@@ -297,13 +297,15 @@ def witness_terms(theta: float = pi / 6, corrected: bool = False) -> tuple[Witne
     """The 36 decomposition terms (literal transcription by default).
 
     The terms are immutable, so each (theta, variant) is expanded once and
-    the same tuple is returned on every later call.
+    the same tuple is returned on every later call.  A degenerate theta
+    (sin or cos zero, or not finite) raises ``ValueError``.
     """
     return _witness_terms(float(theta), bool(corrected))
 
 
 @functools.lru_cache(maxsize=8)
 def _witness_terms(theta: float, corrected: bool) -> tuple[WitnessTerm, ...]:
+    _check_theta(theta)
     return tuple(
         _expand_term(i + 1, coeff, blocks)
         for i, (coeff, blocks) in enumerate(_term_specs(theta, corrected))

@@ -14,6 +14,7 @@ annihilated filters, ...), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import secrets
@@ -653,10 +654,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process.
+
+    Parsing reads it and writes only the namespace it returns, so one
+    parser serves every call.
+    """
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -196,20 +196,23 @@ def measure(
     sampling) must be provided.  The measured qubit is removed from the
     register and the remaining state is renormalized.  An outcome of
     probability below 1e-15 raises ``ZeroProbabilityBranch``.
+
+    Post-selection projects only onto the requested outcome's ket.
+    Sampling projects onto ``ket0`` to draw, and onto ``ket1`` as well only
+    when outcome 1 is drawn.
     """
     if (outcome is None) == (rng is None):
         raise ValueError("provide exactly one of outcome= or rng=")
-    p0, rest0 = state.project(qubit, basis.ket0)
     if outcome is None:
-        chosen = 0 if rng.random() < p0 else 1
+        prob, rest = state.project(qubit, basis.ket0)
+        chosen = 0 if rng.random() < prob else 1
+        if chosen == 1:
+            prob, rest = state.project(qubit, basis.ket1)
     else:
         chosen = int(outcome)
         if chosen not in (0, 1):
             raise ValueError("outcome must be 0 or 1")
-    if chosen == 0:
-        prob, rest = p0, rest0
-    else:
-        prob, rest = state.project(qubit, basis.ket1)
+        prob, rest = state.project(qubit, basis.ket1 if chosen else basis.ket0)
     if prob < 1e-15:
         raise ZeroProbabilityBranch(
             f"outcome {chosen} on qubit {qubit!r} has zero probability"

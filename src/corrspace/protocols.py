@@ -224,7 +224,9 @@ class Program:
         """``finish`` of every branch, depth first with outcome 0 before 1.
 
         Each collapsed state is passed down the tree, so a shared prefix is
-        measured once.  Only zero-probability children are skipped.
+        measured once, and each child costs one projection (``measure``
+        post-selects its outcome).  Only zero-probability children are
+        skipped.
         """
         out = []
 

@@ -98,6 +98,16 @@ def _index_of(labels: Sequence[str], qubit: str) -> int:
         raise KeyError(f"unknown qubit label {qubit!r}") from None
 
 
+def _contract_front(row: np.ndarray, t: np.ndarray, axis: int) -> np.ndarray:
+    """``np.tensordot(row, t, axes=(0, axis))`` for a 2-vector ``row``.
+
+    Moves ``axis`` to the front, reshapes to (2, rest) and makes tensordot's
+    one ``np.dot`` with the (1, 2) row, so the result has tensordot's bits.
+    """
+    t = t.transpose([axis, *range(axis), *range(axis + 1, t.ndim)])
+    return np.dot(row.reshape(1, 2), t.reshape(2, -1)).reshape(t.shape[1:])
+
+
 @dataclass(frozen=True)
 class StateVector:
     """Pure state of named qubits; amplitudes indexed with labels[0] as MSB."""
@@ -251,8 +261,8 @@ class DensityMatrix:
         ax = _index_of(self.labels, qubit)
         n = self.n_qubits
         t = self.mat.reshape([2] * (2 * n))
-        t = np.tensordot(np.conj(vec), t, axes=(0, ax))
-        t = np.tensordot(vec, t, axes=(0, n - 1 + ax))
+        t = _contract_front(np.conj(vec), t, ax)
+        t = _contract_front(vec, t, n - 1 + ax)
         new_labels = tuple(l for l in self.labels if l != qubit)
         d = 2 ** len(new_labels)
         rest = t.reshape(d, d)

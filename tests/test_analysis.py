@@ -341,6 +341,16 @@ def test_cell_input_validation():
             fidelity_from_settings(bad)
 
 
+@pytest.mark.parametrize("theta", (0.0, pi / 2, float("nan")))
+def test_degenerate_theta_is_a_typed_error(theta):
+    cells = exact_setting_cells(PSI6)
+    for _ in range(2):  # nothing about a degenerate angle is cached
+        with pytest.raises(ValueError, match="degenerate wire angle"):
+            witness_terms(theta)
+        with pytest.raises(ValueError, match="degenerate wire angle"):
+            fidelity_from_settings(cells, theta=theta, corrected=True)
+
+
 def test_counts_to_cells_requires_witness_register():
     table = simulate_counts(PSI4, ("ZZZZ",), shots=10, seed=1)
     with pytest.raises(ValueError):

@@ -3,11 +3,16 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from math import cos, pi, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import corrspace
 from corrspace.cli import (
     dumps15,
     format_float,
@@ -595,6 +600,29 @@ def test_out_of_range_shots_is_a_usage_error(capsys, argv, low):
 def test_unknown_command_maps_to_exit_2(capsys):
     code, _, _ = run_cli(capsys, "weather", "forecast")
     assert code == 2
+
+
+def test_parser_carries_nothing_between_calls(capsys, monkeypatch):
+    # main() parses with one parser per process; each call must print what a
+    # fresh process prints, whatever the calls before it parsed
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps at the terminal width
+    env = {**os.environ, "PYTHONPATH": str(Path(corrspace.__file__).parents[1])}
+    pinned = "protocol compensate --alpha pi/2 --resource 4 --enumerate --theta pi/6"
+    calls = (
+        (pinned, 0),
+        ("curve fig2 --resource 3", 2),
+        ("--help", 0),
+        ("curve fig2 --resource 4 --fidelity 0.9", 0),
+        ("curve fig2 --resource 4", 0),  # default fidelity, not the 0.9 above
+        (pinned, 0),
+    )
+    for args, code in calls:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "corrspace.cli", *args.split()],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert run_cli(capsys, *args.split()) == (code, fresh.stdout, fresh.stderr)
+        assert fresh.returncode == code
 
 
 @pytest.mark.parametrize("mode", (

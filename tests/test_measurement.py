@@ -7,8 +7,9 @@ import pytest
 
 from corrspace import qmath as qm
 from corrspace import measurement as meas
-from corrspace.protocols import wrong_angle
-from corrspace.wires import a_site, b_site, b_site_rotated
+from corrspace.noise_tomo import white_noise
+from corrspace.protocols import enumerate_compensation, wrong_angle
+from corrspace.wires import a_site, b_site, b_site_rotated, build_psi4
 from helpers import rand_state, rand_unitary
 
 TOL = 1e-12
@@ -205,6 +206,48 @@ def test_measure_zero_probability_outcome_has_its_own_type():
     with pytest.raises(ValueError) as info:
         meas.measure(st, "a", meas.pauli_basis("Z"), outcome=2)
     assert not isinstance(info.value, meas.ZeroProbabilityBranch)
+
+
+@pytest.fixture
+def project_calls(monkeypatch):
+    """Qubits passed to StateVector.project and DensityMatrix.project."""
+    calls = []
+    for cls in (qm.StateVector, qm.DensityMatrix):
+        def counted(self, qubit, onto, _real=cls.project):
+            calls.append(qubit)
+            return _real(self, qubit, onto)
+
+        monkeypatch.setattr(cls, "project", counted)
+    return calls
+
+
+def test_postselected_measure_projects_once(rng, project_calls):
+    st = rand_state(("a", "b"), rng)
+    for state in (st, st.to_density()):
+        for outcome in (0, 1):
+            project_calls.clear()
+            meas.measure(state, "b", meas.basis_B(0.9, 0.5), outcome=outcome)
+            assert project_calls == ["b"]
+
+
+def test_sampled_measure_projects_again_only_for_outcome_1(rng, project_calls):
+    st = rand_state(("a", "b"), rng)
+    gen = np.random.default_rng(5)
+    seen = set()
+    for state in (st, st.to_density()) * 10:
+        project_calls.clear()
+        rec, _ = meas.measure(state, "a", meas.pauli_basis("X"), rng=gen)
+        assert project_calls == ["a"] * (1 + rec.outcome)
+        seen.add(rec.outcome)
+    assert seen == {0, 1}
+
+
+def test_enumeration_projects_once_per_child(project_calls):
+    _, branches = enumerate_compensation(
+        0.8, "4-qubit", state=white_noise(build_psi4(), 0.9)
+    )
+    assert len(branches) == 8
+    assert len(project_calls) == 2 + 4 + 8
 
 
 def test_measure_sampling_statistics():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from corrspace import qmath as qm
+from corrspace.measurement import basis_B
 from helpers import manual_embed, rand_density, rand_state, rand_unitary
 
 TOL = 1e-12
@@ -223,6 +224,23 @@ def test_density_matches_pure_operations(rng):
     assert np.allclose(rest_mix.mat, rest_pure.to_density().mat, atol=TOL)
     herm = qm.kron(qm.X, qm.Y)
     assert abs(rho.expectation(herm) - st.expectation(herm)) < TOL
+
+
+def test_density_project_has_tensordot_bits(rng):
+    kets = [qm.ket(name) for name in "01+-RL"] + [basis_B(0.7, 0.5).ket0]
+    for n in range(1, 6):
+        labels = tuple("abcde"[:n])
+        rho = rand_density(labels, rng)
+        for ax, q in enumerate(labels):
+            for vec in kets:
+                t = rho.mat.reshape([2] * (2 * n))
+                t = np.tensordot(np.conj(vec), t, axes=(0, ax))
+                t = np.tensordot(vec, t, axes=(0, n - 1 + ax))
+                want = t.reshape(2 ** (n - 1), 2 ** (n - 1))
+                prob, rest = rho.project(q, vec)
+                assert prob == float(np.real(np.trace(want)))
+                assert np.array_equal(rest.mat, want)
+                assert rest.labels == labels[:ax] + labels[ax + 1:]
 
 
 def test_density_normalized():
