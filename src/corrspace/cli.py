@@ -407,7 +407,7 @@ def _cmd_tomo_simulate(args) -> tuple[str, str | None]:
 def _load_counts(path: str) -> noise_tomo.CountsTable:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if isinstance(data, dict) and "counts" in data and "labels" not in data:
+    if isinstance(data, dict) and isinstance(data.get("counts"), dict):
         data = data["counts"]  # wrapped `tomo simulate` payload
     if not isinstance(data, dict):
         raise ValueError("counts file must hold a JSON object")
@@ -438,7 +438,7 @@ def _cmd_tomo_reconstruct(args) -> tuple[str, str | None]:
         seed = args.seed if args.seed is not None else _fresh_seed()
         mean, sigma = noise_tomo.monte_carlo_error(
             counts, target, runs=args.mc_runs, seed=seed,
-            max_iters=args.max_iters, tol=args.tol, base=result,
+            max_iters=args.max_iters, tol=args.tol,
         )
         monte_carlo = {
             "runs": args.mc_runs,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 import numpy as np
@@ -100,8 +100,13 @@ class CountsTable:
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "settings", tuple(self.settings))
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = _integer_counts(self.counts)
         object.__setattr__(self, "counts", counts)
+        if not _is_integer(self.shots) or self.shots < 0:
+            raise ValueError(f"shots must be a nonnegative integer, got {self.shots!r}")
+        object.__setattr__(self, "shots", int(self.shots))
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError("duplicate qubit labels")
         n = len(self.labels)
         if any(len(s) != n for s in self.settings):
             raise ValueError("every setting must have one letter per qubit")
@@ -137,18 +142,36 @@ class CountsTable:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CountsTable":
-        """Inverse of :meth:`to_json_dict` (extra keys rejected)."""
-        known = {"labels", "settings", "counts", "shots", "mode"}
-        extra = set(data) - known
+        """Inverse of :meth:`to_json_dict` (missing and extra keys rejected)."""
+        required = {"labels", "settings", "counts", "shots"}
+        missing = required - set(data)
+        if missing:
+            raise ValueError(f"missing counts fields {sorted(missing)}")
+        extra = set(data) - required - {"mode"}
         if extra:
             raise ValueError(f"unknown counts fields {sorted(extra)}")
         return cls(
             labels=tuple(data["labels"]),
             settings=tuple(data["settings"]),
-            counts=np.asarray(data["counts"], dtype=np.int64),
-            shots=int(data["shots"]),
+            counts=data["counts"],
+            shots=data["shots"],
             mode=data.get("mode", "multinomial"),
         )
+
+
+def _is_integer(value) -> bool:
+    """True for Python and numpy integers; bools (JSON true) are not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _integer_counts(counts) -> np.ndarray:
+    """``counts`` as an int64 array.  Every value must be an integer: numpy
+    would truncate 4.7 to 4 and -0.5 to 0, and read JSON true as 1."""
+    if not (isinstance(counts, np.ndarray) and counts.dtype.kind in "iu"):
+        for value in np.asarray(counts, dtype=object).flat:
+            if not _is_integer(value):
+                raise ValueError(f"counts must be integers, got {value!r}")
+    return np.asarray(counts, dtype=np.int64)
 
 
 def exact_probabilities(rho: State, settings: Sequence[str]) -> np.ndarray:
@@ -440,11 +463,48 @@ def ml_reconstruct(
     ``init`` (default maximally mixed) is any PSD matrix with positive
     trace, normalized here; it need not be full rank, but must give every
     observed cell a nonzero probability.
+
+    A fit from the maximally mixed state is computed once per counts table:
+    the last one is kept, keyed by the table's content, ``max_iters`` and
+    ``tol``, so fitting the same table again (as ``monte_carlo_error`` does
+    after its caller) reuses it.  Each call computes ``fidelity_to_target``
+    for its own target.  The reused ``rho`` is shared and read-only: copy
+    ``result.rho.mat`` before editing it.  Fits with ``init`` always run.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError("tol must be finite and >= 0")
+    if init is None:
+        fit = _cold_fit(counts, max_iters, tol)
+    else:
+        fit = _fit(counts, max_iters, tol, init)
+    if target is None:
+        return fit
+    return replace(fit, fidelity_to_target=qm.fidelity(fit.rho, target))
+
+
+_last_cold_fit: tuple[tuple, ReconstructionResult] | None = None
+
+
+def _cold_fit(counts: CountsTable, max_iters: int, tol: float) -> ReconstructionResult:
+    """``_fit`` from the maximally mixed state, kept for the last table.
+
+    The key is the table's content, never its identity: a counts array can
+    be edited in place.
+    """
+    global _last_cold_fit
+    key = (counts.labels, counts.settings, counts.counts.tobytes(), counts.shots,
+           counts.mode, max_iters, tol)
+    if _last_cold_fit is None or _last_cold_fit[0] != key:
+        _last_cold_fit = key, _fit(counts, max_iters, tol, None)
+    return _last_cold_fit[1]
+
+
+def _fit(
+    counts: CountsTable, max_iters: int, tol: float, init: np.ndarray | None
+) -> ReconstructionResult:
+    """The fit of ``ml_reconstruct``, with no target and a read-only rho."""
     n = counts.n_qubits
     cells, mult, complete = _cell_projectors(counts.settings)
     freq = np.bincount(cells, weights=counts.counts.reshape(-1), minlength=len(mult))
@@ -505,12 +565,11 @@ def ml_reconstruct(
     rho = _density_projection((rho + rho.conj().T) / 2)
     gap = total * (np.linalg.eigvalsh(r_operator(evaluate(rho)[0]))[-1] - 1.0)
     dm = qm.DensityMatrix(counts.labels, rho)
-    fid = None if target is None else qm.fidelity(dm, target)
+    dm.mat.setflags(write=False)
     return ReconstructionResult(
         rho=dm,
         log_likelihood=ll,
         iterations=iters,
-        fidelity_to_target=fid,
         informationally_complete=complete,
         likelihood_gap_bound=float(gap),
     )
@@ -524,7 +583,6 @@ def monte_carlo_error(
     *,
     max_iters: int = 10_000,
     tol: float = 1e-9,
-    base: ReconstructionResult | None = None,
 ) -> tuple[float, float]:
     """Poisson-resampled repetition of the whole reconstruction.
 
@@ -533,14 +591,14 @@ def monte_carlo_error(
     and standard deviation of the fidelity to ``target``.  Run seeds are
     derived deterministically from ``seed``.  Runs are warm-started from
     the point estimate, which leaves each run's optimum unchanged and
-    shortens its fit.  ``base`` is the caller's fit of ``counts``
-    with the same ``max_iters`` and ``tol``; when it is given, the point
-    estimate is not fitted again and the result is the same.
+    shortens its fit.  The point estimate is ``ml_reconstruct`` of
+    ``counts``: when the caller has just fitted the same table with the
+    same ``max_iters`` and ``tol``, that fit and its shared, read-only
+    ``rho`` are reused, so only the runs are fitted here.
     """
     if runs < 2:
         raise ValueError("runs must be >= 2")
-    if base is None:
-        base = ml_reconstruct(counts, max_iters=max_iters, tol=tol)
+    base = ml_reconstruct(counts, max_iters=max_iters, tol=tol)
     children = np.random.SeedSequence(seed).spawn(runs)
     fids = np.empty(runs)
     for i, child in enumerate(children):

@@ -424,6 +424,48 @@ def test_tomo_reconstruct_missing_file_maps_to_exit_1(capsys, tmp_path):
     assert code == 1
 
 
+def _edit_counts(data, edit):
+    if edit == "labels":
+        data["labels"] = ["a", "a"]
+    elif edit.startswith("no "):
+        del data[edit[3:]]
+    else:
+        field, value = edit.split("=")
+        value = json.loads(value)
+        if field == "counts":
+            data["counts"][0][0] = value
+        else:
+            data[field] = value
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    (
+        ("counts=4.7", "counts must be integers, got 4.7"),
+        ("counts=-0.5", "counts must be integers, got -0.5"),
+        ("counts=true", "counts must be integers, got True"),
+        ("shots=10.9", "shots must be a nonnegative integer, got 10.9"),
+        ("shots=true", "shots must be a nonnegative integer, got True"),
+        ("labels", "duplicate qubit labels"),
+        ("no shots", "missing counts fields ['shots']"),
+        ("no labels", "missing counts fields ['labels']"),
+        ("no settings", "missing counts fields ['settings']"),
+        ("no counts", "missing counts fields ['counts']"),
+    ),
+)
+def test_tomo_reconstruct_rejects_a_bad_counts_file(capsys, tmp_path, edit, message):
+    data = json.loads(run_cli(
+        capsys, "tomo", "simulate", "--state", "lambda34", "--shots", "10", "--seed", "1",
+    )[1])["counts"]
+    _edit_counts(data, edit)
+    counts_file = tmp_path / "counts.json"
+    counts_file.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "tomo", "reconstruct", "--counts", str(counts_file), "--target", "lambda34",
+    )
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_tomo_reconstruct_with_error_bar(capsys, tmp_path):
     counts_file = tmp_path / "counts.json"
     run_cli(

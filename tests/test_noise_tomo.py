@@ -234,6 +234,55 @@ def test_counts_table_json_round_trip():
         CountsTable.from_json_dict(data)
 
 
+def _counts_data():
+    return simulate_counts(lambda34(), ("ZZ", "XX"), shots=10, seed=4).to_json_dict()
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    (
+        ("counts", 4.7, "counts must be integers, got 4.7"),
+        ("counts", -0.5, "counts must be integers, got -0.5"),
+        ("counts", 4.0, "counts must be integers, got 4.0"),
+        ("counts", True, "counts must be integers, got True"),
+        ("shots", 10.9, "shots must be a nonnegative integer, got 10.9"),
+        ("shots", True, "shots must be a nonnegative integer, got True"),
+        ("shots", -10, "shots must be a nonnegative integer, got -10"),
+    ),
+)
+def test_counts_table_rejects_non_integer_values(field, value, message):
+    data = _counts_data()
+    if field == "counts":
+        data["counts"][0][0] = value
+    else:
+        data["shots"] = value
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CountsTable.from_json_dict(data)
+
+
+def test_counts_table_rejects_non_integer_arrays():
+    for counts in (np.full((1, 2), 5.0), np.ones((1, 2), dtype=bool)):
+        with pytest.raises(ValueError, match="counts must be integers"):
+            CountsTable(("a",), ("Z",), counts, 10)
+    table = CountsTable(("a",), ("Z",), np.array([[6, 4]], dtype=np.uint8), np.int64(10))
+    assert table.counts.dtype == np.int64 and type(table.shots) is int
+
+
+def test_counts_table_rejects_duplicate_labels():
+    data = _counts_data()
+    data["labels"] = ["a", "a"]
+    with pytest.raises(ValueError, match="duplicate qubit labels"):
+        CountsTable.from_json_dict(data)
+
+
+@pytest.mark.parametrize("field", ("labels", "settings", "counts", "shots"))
+def test_counts_table_names_a_missing_field(field):
+    data = _counts_data()
+    del data[field]
+    with pytest.raises(ValueError, match=rf"^missing counts fields \['{field}'\]$"):
+        CountsTable.from_json_dict(data)
+
+
 def test_counts_table_csv_rows():
     table = simulate_counts(lambda34(), ("ZZ",), shots=20, seed=7)
     rows = table.to_csv_rows()
@@ -541,19 +590,159 @@ def test_monte_carlo_requires_two_runs():
         monte_carlo_error(table, lambda34(), runs=1, seed=0)
 
 
-def test_monte_carlo_error_reuses_the_callers_fit(monkeypatch):
+@pytest.fixture
+def fits(monkeypatch):
+    """Start with no kept fit; record the init of every fit that runs."""
+    monkeypatch.setattr(noise_tomo, "_last_cold_fit", None)
+    inits = []
+    fit = noise_tomo._fit
+
+    def counting_fit(counts, max_iters, tol, init):
+        inits.append(init)
+        return fit(counts, max_iters, tol, init)
+
+    monkeypatch.setattr(noise_tomo, "_fit", counting_fit)
+    return inits
+
+
+def test_monte_carlo_error_reuses_the_callers_fit(fits, monkeypatch):
     target = lambda34()
     table = simulate_counts(white_noise(target, 0.9), shots=5000, seed=16)
     without = monte_carlo_error(table, target, runs=4, seed=31)
+    assert len(fits) == 1 + 4
+    monkeypatch.setattr(noise_tomo, "_last_cold_fit", None)
+    fits.clear()
     base = ml_reconstruct(table, target)
-    fits = []
+    assert len(fits) == 1
+    assert monte_carlo_error(table, target, runs=4, seed=31) == without
+    # after the caller's fit, only the warm-started replicas are fitted
+    assert len(fits) == 1 + 4
+    assert all(init is base.rho.mat for init in fits[1:])
 
-    def counting_fit(*args, **kwargs):
-        fits.append(1)
-        return ml_reconstruct(*args, **kwargs)
 
-    monkeypatch.setattr(noise_tomo, "ml_reconstruct", counting_fit)
-    assert monte_carlo_error(table, target, runs=4, seed=31, base=base) == without
-    assert len(fits) == 4
-    monte_carlo_error(table, target, runs=4, seed=31)
-    assert len(fits) == 4 + 5
+def test_bootstrap_makes_one_cold_fit_fewer_projections(monkeypatch):
+    # When monte_carlo_error fitted the table again, this job made 685
+    # projections; one cold fit makes 194 of them.
+    monkeypatch.setattr(noise_tomo, "_last_cold_fit", None)
+    calls = []
+    project = noise_tomo._density_projection
+
+    def counting_projection(h):
+        calls.append(1)
+        return project(h)
+
+    monkeypatch.setattr(noise_tomo, "_density_projection", counting_projection)
+    psi4 = build_psi4()
+    table = simulate_counts(white_noise(psi4, 0.9), shots=100_000, seed=41)
+    ml_reconstruct(table, psi4)
+    cold = len(calls)
+    monte_carlo_error(table, psi4, runs=2, seed=42)
+    assert (cold, len(calls)) == (194, 685 - 194)
+
+
+# ---------------------------------------------------------------------------
+# The kept cold fit
+# ---------------------------------------------------------------------------
+
+def _small_table():
+    return simulate_counts(white_noise(lambda34(), 0.9), shots=500, seed=50)
+
+
+def _same_fit(a, b):
+    return (a.rho.labels == b.rho.labels and np.array_equal(a.rho.mat, b.rho.mat)
+            and a.log_likelihood == b.log_likelihood and a.iterations == b.iterations
+            and a.likelihood_gap_bound == b.likelihood_gap_bound)
+
+
+def test_kept_fit_is_the_fit_of_the_edited_table(fits):
+    table = _small_table()
+    first = ml_reconstruct(table)
+    table.counts[0, [0, 1]] = table.counts[0, [1, 0]]  # edited in place
+    edited = ml_reconstruct(table)
+    assert len(fits) == 2
+    assert edited.log_likelihood != first.log_likelihood
+    fresh = CountsTable(table.labels, table.settings, table.counts.copy(), table.shots)
+    assert _same_fit(edited, noise_tomo._fit(fresh, 10_000, 1e-9, None))
+
+
+@pytest.mark.parametrize(
+    "variant",
+    ("max_iters", "tol", "mode", "shots", "settings", "labels"),
+)
+def test_kept_fit_is_not_reused_for_another_table_or_stop_rule(fits, variant):
+    table = _small_table()
+    kwargs = {"max_iters": 10_000, "tol": 1e-9}
+    other, other_kwargs = table, dict(kwargs)
+    if variant == "max_iters":
+        other_kwargs["max_iters"] = 7
+    elif variant == "tol":
+        other_kwargs["tol"] = 1e-3
+    elif variant == "mode":
+        other = CountsTable(table.labels, table.settings, table.counts, table.shots,
+                            mode="poisson")
+    elif variant == "shots":
+        # same counts, mode and settings: only the Poisson intensity differs
+        table = CountsTable(table.labels, table.settings, table.counts, table.shots,
+                            mode="poisson")
+        other = CountsTable(table.labels, table.settings, table.counts, 2 * table.shots,
+                            mode="poisson")
+    elif variant == "settings":
+        other = CountsTable(table.labels, table.settings[::-1], table.counts, table.shots)
+    else:
+        other = CountsTable(("x", "y"), table.settings, table.counts, table.shots)
+    ml_reconstruct(table, **kwargs)
+    res = ml_reconstruct(other, **other_kwargs)
+    again = ml_reconstruct(table, **kwargs)
+    assert len(fits) == 3
+    assert _same_fit(res, noise_tomo._fit(other, other_kwargs["max_iters"],
+                                          other_kwargs["tol"], None))
+    assert _same_fit(again, noise_tomo._fit(table, kwargs["max_iters"],
+                                            kwargs["tol"], None))
+
+
+def test_fits_with_init_always_run(fits):
+    table = _small_table()
+    cold = ml_reconstruct(table)
+    mixed = np.eye(4) / 4
+    warm = [ml_reconstruct(table, init=mixed) for _ in range(2)]
+    assert len(fits) == 3
+    assert fits[1] is mixed and fits[2] is mixed
+    assert _same_fit(warm[0], warm[1])
+    assert warm[0].rho is not warm[1].rho is not cold.rho
+
+
+def test_kept_fit_shares_a_read_only_rho(fits):
+    table = _small_table()
+    first = ml_reconstruct(table)
+    second = ml_reconstruct(table)
+    assert len(fits) == 1
+    assert second.rho is first.rho
+    assert not first.rho.mat.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        first.rho.mat[0, 0] = 0.0
+
+
+def test_each_target_gets_its_own_fidelity(fits):
+    table = _small_table()
+    entangled = lambda34()
+    product = qm.StateVector(entangled.labels, np.array([1.0, 0.0, 0.0, 0.0]))
+    a = ml_reconstruct(table, entangled)
+    b = ml_reconstruct(table, product)
+    plain = ml_reconstruct(table)
+    assert len(fits) == 1
+    assert a.rho is b.rho is plain.rho
+    assert a.fidelity_to_target == qm.fidelity(a.rho, entangled)
+    assert b.fidelity_to_target == qm.fidelity(b.rho, product)
+    assert a.fidelity_to_target > 0.85 > b.fidelity_to_target
+    assert plain.fidelity_to_target is None
+    assert ml_reconstruct(table, entangled).fidelity_to_target == a.fidelity_to_target
+
+
+def test_kept_fit_still_checks_the_target_and_stop_rule(fits):
+    table = _small_table()
+    ml_reconstruct(table)
+    with pytest.raises(ValueError, match="different registers"):
+        ml_reconstruct(table, build_psi4())
+    with pytest.raises(ValueError, match="max_iters"):
+        ml_reconstruct(table, max_iters=0)
+    assert len(fits) == 1
