@@ -57,11 +57,9 @@ def white_noise(
     return qm.DensityMatrix(state.labels, mat)
 
 
-def product_settings(
-    n_qubits: int, letters: Sequence[str] = _LETTERS
-) -> tuple[str, ...]:
-    """All product settings over the given letters (default 3^n grid)."""
-    return tuple("".join(p) for p in itertools.product(letters, repeat=n_qubits))
+def product_settings(n_qubits: int) -> tuple[str, ...]:
+    """The full 3^n grid of product settings over Z, X and Y."""
+    return tuple("".join(p) for p in itertools.product(_LETTERS, repeat=n_qubits))
 
 
 @functools.lru_cache(maxsize=None)
@@ -98,8 +96,8 @@ class CountsTable:
     mode: str = "multinomial"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "settings", tuple(self.settings))
+        object.__setattr__(self, "labels", _strings(self.labels, "labels"))
+        object.__setattr__(self, "settings", _strings(self.settings, "settings"))
         counts = _integer_counts(self.counts)
         object.__setattr__(self, "counts", counts)
         if not _is_integer(self.shots) or self.shots < 0:
@@ -151,12 +149,23 @@ class CountsTable:
         if extra:
             raise ValueError(f"unknown counts fields {sorted(extra)}")
         return cls(
-            labels=tuple(data["labels"]),
-            settings=tuple(data["settings"]),
+            labels=data["labels"],
+            settings=data["settings"],
             counts=data["counts"],
             shots=data["shots"],
             mode=data.get("mode", "multinomial"),
         )
+
+
+def _strings(value, field: str) -> tuple[str, ...]:
+    """``value`` as a tuple of strings.  It must be a list or tuple: a bare
+    string would read as one entry per character."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{field} must be a list of strings, got {value!r}")
+    for item in value:
+        if not isinstance(item, str):
+            raise ValueError(f"{field} must be strings, got {item!r}")
+    return tuple(value)
 
 
 def _is_integer(value) -> bool:
@@ -233,6 +242,12 @@ class ReconstructionResult:
     (NJP 14, 095017, 2012): N_total (lambda_max(R(rho)) - 1) bounds how far
     the log-likelihood sum_cells f log p of ``rho`` lies below its maximum
     over all density matrices.
+
+    ``informationally_complete`` is true exactly when the counts hold all
+    3^n product settings, in any order and with any repeats.  The cells of
+    setting s span the Pauli words with I or s_k on each qubit k; Pauli
+    words are orthogonal, and a word with no I is spanned only by its own
+    setting.
     """
 
     rho: qm.DensityMatrix
@@ -366,30 +381,6 @@ def _setting_cells(settings: tuple[str, ...], n: int) -> np.ndarray:
     return cells
 
 
-@functools.lru_cache(maxsize=64)
-def _cell_projectors(settings: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Projector of every (setting, outcome) cell, projector multiplicities,
-    and whether the cells are informationally complete.
-
-    The multiplicities count the ``_setting_cells`` on each of the 6^n
-    projectors.  Completeness is the rank of the distinct projectors.
-    """
-    if not settings:
-        raise ValueError("counts table has no settings")
-    n = len(settings[0])
-    cells = _setting_cells(settings, n)
-    mult = np.bincount(cells, minlength=6**n).astype(float)
-
-    h, t = _halves(n)
-    used = np.flatnonzero(mult)
-    head, tail = np.divmod(used, 6**t)
-    vecs = np.einsum("ui,uj->uij", _projector_block(h)[head], _projector_block(t)[tail])
-    complete = bool(np.linalg.matrix_rank(vecs.reshape(len(used), -1), tol=1e-9) == 4**n)
-
-    mult.setflags(write=False)
-    return cells, mult, complete
-
-
 def _log_likelihood(
     freq: np.ndarray, mult: np.ndarray, probs: np.ndarray, shots: int, mode: str
 ) -> float:
@@ -464,6 +455,9 @@ def ml_reconstruct(
     trace, normalized here; it need not be full rank, but must give every
     observed cell a nonzero probability.
 
+    The result is ``informationally_complete`` when the table holds all 3^n
+    settings (see ``ReconstructionResult``); no rank is computed.
+
     A fit from the maximally mixed state is computed once per counts table:
     the last one is kept, keyed by the table's content, ``max_iters`` and
     ``tol``, so fitting the same table again (as ``monte_carlo_error`` does
@@ -506,8 +500,14 @@ def _fit(
 ) -> ReconstructionResult:
     """The fit of ``ml_reconstruct``, with no target and a read-only rho."""
     n = counts.n_qubits
-    cells, mult, complete = _cell_projectors(counts.settings)
-    freq = np.bincount(cells, weights=counts.counts.reshape(-1), minlength=len(mult))
+    if not counts.settings:
+        raise ValueError("counts table has no settings")
+    cells = _setting_cells(counts.settings, n)
+    mult = np.bincount(cells, minlength=6**n)
+    freq = np.bincount(cells, weights=counts.counts.reshape(-1), minlength=6**n)
+    # The cells of setting s span the Pauli words with I or s_k on each qubit k;
+    # words are orthogonal, so a word with no I needs s itself: all 3^n settings.
+    complete = len(set(counts.settings)) == 3**n
     total = freq.sum()
     if total <= 0:
         raise ValueError("counts table is empty")

@@ -129,6 +129,14 @@ def dense_cell_kets(settings) -> np.ndarray:
     return np.array(rows)
 
 
+def svd_rank_complete(settings) -> bool:
+    """Whether the cell projectors |k><k| of ``settings`` span all 4^n
+    operators, by the SVD rank of their (cells, 4^n) flattened matrix."""
+    kets = dense_cell_kets(settings)
+    projectors = np.einsum("ci,cj->cij", kets, np.conj(kets)).reshape(len(kets), -1)
+    return bool(np.linalg.matrix_rank(projectors, tol=1e-9) == len(kets[0]) ** 2)
+
+
 def einsum_probabilities(rho, settings) -> np.ndarray:
     """Cell probabilities (n_settings, 2^n) of a DensityMatrix, one setting at
     a time: <k|rho|k> for each row k of ``setting_kets``, clipped at 0."""

@@ -330,3 +330,28 @@ def test_13_cli_output_is_byte_identical_for_fixed_seeds(capsys, tmp_path):
     capsys.readouterr()
     assert code == 0
     assert out_file.read_text() == streamed
+
+
+def test_14_psi6_tomography_agrees_with_the_36_setting_witness():
+    # ML over all 729 settings and the witness over its 36 settings are two
+    # independent estimates of the same noisy psi6 fidelity.
+    pure = build_psi6().reorder(analysis.WITNESS_ORDER)
+    settings = tuple(sorted({t.setting for t in witness_terms(pi / 6, True)}))
+    vectors = _setting_parity_vectors(corrected=True)
+    shots = 2000
+    for fidelity in (1.0, 0.9, 0.73):
+        rho = white_noise(pure, fidelity)
+        table = simulate_counts(rho, product_settings(6), shots=shots, seed=5)
+        fit = ml_reconstruct(table, pure)
+        assert fit.informationally_complete
+        _, sigma_ml = monte_carlo_error(table, pure, runs=2, seed=5)
+
+        counts = simulate_counts(rho, settings=settings, shots=shots, seed=6)
+        estimate = fidelity_from_settings(counts_to_cells(counts), corrected=True)
+        cells = exact_setting_cells(rho, settings)
+        variance = 0.0
+        for s in settings:
+            mean_g = float(cells[s] @ vectors[s])
+            variance += (float(cells[s] @ vectors[s] ** 2) - mean_g**2) / shots
+        sigma = np.hypot(sqrt(variance), sigma_ml)
+        assert abs(fit.fidelity_to_target - estimate) <= 5 * sigma

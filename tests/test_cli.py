@@ -447,6 +447,10 @@ def _edit_counts(data, edit):
         ("shots=10.9", "shots must be a nonnegative integer, got 10.9"),
         ("shots=true", "shots must be a nonnegative integer, got True"),
         ("labels", "duplicate qubit labels"),
+        ('labels="ab"', "labels must be a list of strings, got 'ab'"),
+        ("labels=[1, 2]", "labels must be strings, got 1"),
+        ('settings="ZX"', "settings must be a list of strings, got 'ZX'"),
+        ('settings=[["Z"]]', "settings must be strings, got ['Z']"),
         ("no shots", "missing counts fields ['shots']"),
         ("no labels", "missing counts fields ['labels']"),
         ("no settings", "missing counts fields ['settings']"),

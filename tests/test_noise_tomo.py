@@ -1,5 +1,7 @@
 """White-noise models, synthetic counts, and ML tomography."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from helpers import (
     dense_r_operator,
     einsum_probabilities,
     rand_density,
+    svd_rank_complete,
 )
 
 TOL = 1e-12
@@ -74,7 +77,6 @@ def test_product_settings_grid():
     assert len(product_settings(4)) == 81
     assert len(product_settings(2)) == 9
     assert product_settings(2)[0] == "ZZ"
-    assert product_settings(1, letters=("X",)) == ("X",)
 
 
 def test_setting_kets_orthonormal_and_complete():
@@ -142,15 +144,15 @@ def test_exact_probabilities_match_einsum_reference_on_random_states(n):
     assert np.array_equal(p[-1], p[0])
 
 
-def test_exact_probabilities_run_no_rank_check(monkeypatch):
+def test_born_path_and_fit_run_no_rank_check(monkeypatch):
     def no_rank(*args, **kwargs):
-        raise AssertionError("matrix_rank called on the Born path")
+        raise AssertionError("matrix_rank called")
 
     monkeypatch.setattr(np.linalg, "matrix_rank", no_rank)
     noise_tomo._setting_cells.cache_clear()
-    noise_tomo._cell_projectors.cache_clear()
     exact_probabilities(build_psi4(), product_settings(4))
-    simulate_counts(lambda34(), ("ZX", "YY"), shots=10, seed=1)
+    table = simulate_counts(lambda34(), ("ZX", "YY"), shots=10, seed=1)
+    ml_reconstruct(table, max_iters=5)
 
 
 def test_exact_probabilities_reject_wrong_setting_length():
@@ -268,6 +270,24 @@ def test_counts_table_rejects_non_integer_arrays():
     assert table.counts.dtype == np.int64 and type(table.shots) is int
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    (
+        ("labels", "ab", "labels must be a list of strings, got 'ab'"),
+        ("labels", [1, 2], "labels must be strings, got 1"),
+        ("settings", "ZX", "settings must be a list of strings, got 'ZX'"),
+        ("settings", [["Z"]], "settings must be strings, got ['Z']"),
+    ),
+)
+def test_counts_table_rejects_fields_that_are_not_string_lists(field, value, message):
+    data = _counts_data()
+    data[field] = value
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CountsTable.from_json_dict(data)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CountsTable(**data)
+
+
 def test_counts_table_rejects_duplicate_labels():
     data = _counts_data()
     data["labels"] = ["a", "a"]
@@ -353,7 +373,8 @@ def test_projector_kernel_matches_dense_reference(n, mode):
     for settings in _settings_cases(n):
         rho = rand_density(labels, rng)
         table = simulate_counts(rho, settings, shots=500, seed=n, mode=mode)
-        cells, mult, _ = noise_tomo._cell_projectors(table.settings)
+        cells = noise_tomo._setting_cells(table.settings, n)
+        mult = np.bincount(cells, minlength=6**n)
         kets = dense_cell_kets(table.settings)
         probs = noise_tomo._projector_probs(rho.mat, n)
         assert np.max(np.abs(probs[cells] - dense_probs(kets, rho.mat))) <= 1e-12
@@ -502,23 +523,39 @@ def test_reconstruct_rejects_unknown_setting_letter():
         ml_reconstruct(table)
 
 
-def test_completeness_rank_runs_once_per_settings_tuple(monkeypatch):
-    calls = []
-    rank = np.linalg.matrix_rank
-
-    def counting_rank(*args, **kwargs):
-        calls.append(1)
-        return rank(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "matrix_rank", counting_rank)
-    noise_tomo._cell_projectors.cache_clear()
+def test_completeness_flag_of_incomplete_and_full_tables():
     incomplete = simulate_counts(lambda34(), ("ZZ", "ZX"), shots=100, seed=3)
     complete = simulate_counts(lambda34(), shots=100, seed=3)
-    for table in (incomplete, complete, incomplete, complete):
-        ml_reconstruct(table, max_iters=5)
-    assert len(calls) == 2
     assert not ml_reconstruct(incomplete, max_iters=5).informationally_complete
     assert ml_reconstruct(complete, max_iters=5).informationally_complete
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_completeness_rule_matches_the_svd_rank(n):
+    rng = np.random.default_rng(90 + n)
+    grid = product_settings(n)
+    cases = [
+        grid,
+        grid[::-1],
+        tuple(rng.permutation(grid)) + grid[:2],  # reordered, with duplicates
+        grid[1:] + grid[1:3],  # one setting short, with duplicates
+    ]
+    for _ in range(10):
+        size = rng.integers(1, len(grid) + 4)
+        cases.append(tuple(rng.choice(grid, size=size)))  # drawn with replacement
+    rho = rand_density(tuple("abcd"[:n]), rng)
+    flags = []
+    for settings in cases:
+        table = simulate_counts(rho, settings, shots=10, seed=n)
+        flags.append(ml_reconstruct(table, max_iters=1).informationally_complete)
+        assert flags[-1] == svd_rank_complete(settings), settings
+    assert flags[:4] == [True, True, True, False]
+
+
+def test_reconstruct_rejects_a_table_with_no_settings():
+    table = CountsTable(("a", "b"), (), np.zeros((0, 4), dtype=int), 10)
+    with pytest.raises(ValueError, match="^counts table has no settings$"):
+        ml_reconstruct(table)
 
 
 def test_likelihood_gap_bound_is_a_certificate():
