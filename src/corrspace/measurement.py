@@ -19,6 +19,10 @@ from .wires import SiteTensor, _check_theta
 
 State = Union[qm.StateVector, qm.DensityMatrix]
 
+# Outcomes less likely than this are not followed: ``measure`` raises
+# ``ZeroProbabilityBranch`` and the branch walker skips the child.
+ZERO_PROBABILITY = 1e-15
+
 
 class ZeroProbabilityBranch(ValueError):
     """The requested (or sampled) outcome has numerically zero probability."""
@@ -195,11 +199,14 @@ def measure(
     Exactly one of ``outcome`` (post-selection) or ``rng`` (Born-rule
     sampling) must be provided.  The measured qubit is removed from the
     register and the remaining state is renormalized.  An outcome of
-    probability below 1e-15 raises ``ZeroProbabilityBranch``.
+    probability below ``ZERO_PROBABILITY`` raises ``ZeroProbabilityBranch``.
 
     Post-selection projects only onto the requested outcome's ket.
     Sampling projects onto ``ket0`` to draw, and onto ``ket1`` as well only
-    when outcome 1 is drawn.
+    when outcome 1 is drawn.  This is the one-branch path of
+    ``Program.run``; whole outcome trees are walked by
+    ``protocols.walk_branches``, which collapses a stack of states per child
+    with ``qmath.collapse`` and never calls ``measure``.
     """
     if (outcome is None) == (rng is None):
         raise ValueError("provide exactly one of outcome= or rng=")
@@ -213,7 +220,7 @@ def measure(
         if chosen not in (0, 1):
             raise ValueError("outcome must be 0 or 1")
         prob, rest = state.project(qubit, basis.ket1 if chosen else basis.ket0)
-    if prob < 1e-15:
+    if prob < ZERO_PROBABILITY:
         raise ZeroProbabilityBranch(
             f"outcome {chosen} on qubit {qubit!r} has zero probability"
         )

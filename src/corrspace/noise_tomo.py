@@ -189,8 +189,11 @@ def exact_probabilities(rho: State, settings: Sequence[str]) -> np.ndarray:
     Every outcome cell of a product setting is one of the 6^n product
     projectors, so the cells are read from ``_projector_probs`` (two small
     matrix products of rho, the kernel ML tomography uses) and clipped at 0.
-    Each setting must have one Z, X or Y letter per register qubit.
+    Each setting must have one Z, X or Y letter per register qubit; a bare
+    string is rejected, as it would read as one setting per letter.
     """
+    if isinstance(settings, str):
+        raise ValueError(f"settings must be a list of strings, got {settings!r}")
     if isinstance(rho, qm.StateVector):
         rho = rho.to_density()
     n = rho.n_qubits
@@ -219,9 +222,9 @@ def simulate_counts(
     labels = rho.labels
     if settings is None:
         settings = product_settings(len(labels))
+    probs = exact_probabilities(rho, settings)  # rejects a bare string first
     if rng is None:
         rng = np.random.default_rng(seed)
-    probs = exact_probabilities(rho, settings)
     counts = np.empty_like(probs, dtype=np.int64)
     for i, p in enumerate(probs):
         p = p / p.sum()

@@ -5,7 +5,9 @@ one compensation round, the probabilistic entangling gate and the
 two-program function-distinguishing algorithm are each a ``Program``:
 single-qubit measurements on a resource state whose bases depend on earlier
 outcomes.  One interpreter runs them all, post-selected or Born-sampled
-(``Program.run``) or over the whole outcome tree (``Program.branches``).
+(``Program.run``); one walker enumerates the whole outcome tree of a stack
+of programs that measure the same qubits (``walk_branches``), of which
+``Program.branches`` is the stack of one.
 Analytic success probabilities and byproduct (Pauli-frame) bookkeeping sit
 beside them.  Everything is driven by literal Born-rule contraction of the
 resource states; closed-form results are used only as oracles in the tests.
@@ -15,13 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import atan2, cos, pi, sin
-from typing import Any, Callable, Sequence, Union
+from typing import Any, Callable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
 from . import qmath as qm
 from .measurement import (
-    MeasurementBasis, OutcomeRecord, ZeroProbabilityBranch, basis_B, measure, pauli_basis,
+    ZERO_PROBABILITY, MeasurementBasis, OutcomeRecord, basis_B, measure, pauli_basis,
 )
 from .noise_tomo import white_noise
 from .wires import _check_theta, build_psi4, build_psi6, lambda34
@@ -223,27 +225,89 @@ class Program:
     def branches(self) -> tuple[Any, ...]:
         """``finish`` of every branch, depth first with outcome 0 before 1.
 
-        Each collapsed state is passed down the tree, so a shared prefix is
-        measured once, and each child costs one projection (``measure``
-        post-selects its outcome).  Only zero-probability children are
-        skipped.
+        The stack of one of ``walk_branches``: a shared prefix is collapsed
+        once, each child costs one ``qmath.collapse``, and only children
+        below ``ZERO_PROBABILITY`` are skipped.  The records and states
+        equal those of ``run`` post-selecting the same outcomes.
         """
-        out = []
+        return tuple(
+            self.finish(leaf.records(0), leaf.state(0)) for leaf in walk_branches((self,))
+        )
 
-        def walk(state: State, records: tuple[OutcomeRecord, ...]) -> None:
-            step = self.next_step(tuple(rec.outcome for rec in records))
-            if step is None:
-                out.append(self.finish(records, state))
-                return
-            for outcome in (0, 1):
-                try:
-                    rec, rest = measure(state, *step, outcome=outcome)
-                except ZeroProbabilityBranch:
-                    continue
-                walk(rest, records + (rec,))
 
-        walk(self.state, ())
-        return tuple(out)
+class Leaf(NamedTuple):
+    """One leaf of the outcome tree shared by a stack of programs.
+
+    ``active`` holds the indices of the programs that reach the leaf; the
+    per-step ``bases`` and ``probs`` and the collapsed ``states`` (amplitude
+    vectors or density matrices on ``labels``) are aligned with it.
+    """
+
+    bits: tuple[int, ...]
+    qubits: tuple[str, ...]
+    active: np.ndarray
+    bases: tuple[list[MeasurementBasis], ...]
+    probs: tuple[np.ndarray, ...]
+    labels: tuple[str, ...]
+    states: np.ndarray
+
+    def records(self, j: int) -> tuple[OutcomeRecord, ...]:
+        """Outcome records of the ``j``-th active program."""
+        return tuple(
+            OutcomeRecord(q, b[j], bit, float(p[j]))
+            for q, b, bit, p in zip(self.qubits, self.bases, self.bits, self.probs)
+        )
+
+    def state(self, j: int) -> State:
+        """Collapsed state of the ``j``-th active program."""
+        if self.states.ndim == 2:
+            return qm.StateVector(self.labels, self.states[j])
+        return qm.DensityMatrix(self.labels, self.states[j])
+
+
+def walk_branches(programs: Sequence[Program]) -> Iterator[Leaf]:
+    """Every leaf of the programs' shared outcome tree, depth first, 0 before 1.
+
+    The programs start from states on one register and, after equal
+    outcome bits, measure the same qubit; only their bases differ.  At each
+    node every program's own ``next_step`` names its basis, and each child
+    is one ``qmath.collapse`` of the whole stack.  A child whose probability
+    is below ``ZERO_PROBABILITY`` is skipped for that program only.
+    Programs that name different qubits at a node raise ``ValueError``;
+    ``ProtocolAbort`` propagates.
+    """
+    first = programs[0].state
+    pure = _is_pure(first)
+    if any(_is_pure(p.state) != pure or p.state.labels != first.labels for p in programs):
+        raise ValueError("programs must start from states of one kind on one register")
+    states = np.stack([p.state.amps if pure else p.state.mat for p in programs])
+    yield from _walk(programs, (), np.arange(len(programs)), (), (), (), first.labels, states)
+
+
+def _walk(programs, bits, active, qubits, bases, probs, labels, states) -> Iterator[Leaf]:
+    steps = [programs[g].next_step(bits) for g in active]
+    if all(step is None for step in steps):
+        yield Leaf(bits, qubits, active, bases, probs, labels, states)
+        return
+    qubit = steps[0][0] if steps[0] is not None else None
+    if any(step is None or step[0] != qubit for step in steps):
+        raise ValueError(f"programs measure different qubits after outcomes {bits}")
+    axis = qm._index_of(labels, qubit)
+    rest_labels = labels[:axis] + labels[axis + 1:]
+    node_bases = [step[1] for step in steps]
+    for outcome in (0, 1):
+        kets = np.array([b.ket1 if outcome else b.ket0 for b in node_bases])
+        p, collapsed = qm.collapse(states, axis, kets, normalize=True)
+        child_active, child_bases, child_probs = active, bases + (node_bases,), probs + (p,)
+        rows = np.flatnonzero(~(p < ZERO_PROBABILITY))
+        if len(rows) == 0:
+            continue
+        if len(rows) < len(p):  # skip this child for the programs that cannot reach it
+            child_active, collapsed = active[rows], collapsed[rows]
+            child_bases = tuple([b[j] for j in rows] for b in child_bases)
+            child_probs = tuple(q[rows] for q in child_probs)
+        yield from _walk(programs, bits + (outcome,), child_active, qubits + (qubit,),
+                         child_bases, child_probs, rest_labels, collapsed)
 
 
 def _transcript(
@@ -343,24 +407,38 @@ def _compensation_program(
 
     def finish(records, state):
         bits = tuple(r.outcome for r in records)
+        frame, success = _compensation_frame(bits, two_qubit)
         notes = ()
-        if two_qubit:
-            frame, success = _single_frame(), bits[0] == 0
-        elif bits[0] == 0:
-            frame, success = _single_frame(x=bits[2], z=bits[1]), True
-        else:
-            frame, success = _single_frame(z=bits[1]), bits[2] == 0
+        if not two_qubit and bits[0] == 1:
             notes = (("compensation_angle", f"{comp_angle(bits[1]):.15g}"),)
         logical = qm.HAD @ state.amps if _is_pure(state) else None
         if logical is not None and success:
-            expected_phys = qm.HAD @ frame.operator("out") @ _rotation_target(alpha)
-            if not qm.vec_equal_up_to_phase(state.amps, expected_phys, 1e-10):
-                raise AssertionError(
-                    "compensation branch output does not match its Pauli frame"
-                )
+            _check_frame(state.amps, frame, alpha)
         return _transcript(records, frame, logical, state, success, notes)
 
     return Program(state, 1 if two_qubit else 3, next_step, finish)
+
+
+def _compensation_frame(bits: tuple[int, ...], two_qubit: bool) -> tuple[PauliFrame, bool]:
+    """Byproduct frame and success flag of a compensation branch's outcome bits."""
+    if two_qubit:
+        return _single_frame(), bits[0] == 0
+    if bits[0] == 0:
+        return _single_frame(x=bits[2], z=bits[1]), True
+    return _single_frame(z=bits[1]), bits[2] == 0
+
+
+def _check_frame(amps: np.ndarray, frame: PauliFrame, alpha: float) -> None:
+    """A successful branch's output must be the rotation up to its frame."""
+    expected_phys = qm.HAD @ frame.operator("out") @ _rotation_target(alpha)
+    if not qm.vec_equal_up_to_phase(amps, expected_phys, 1e-10):
+        raise AssertionError("compensation branch output does not match its Pauli frame")
+
+
+def _check_branch_sum(total) -> None:
+    """Branch probabilities (one total or an array of them) must sum to 1."""
+    if np.any(np.abs(np.asarray(total) - 1.0) > 1e-11):
+        raise AssertionError("branch probabilities do not sum to 1")
 
 
 def compensate(
@@ -398,11 +476,14 @@ def enumerate_compensation(
     sum over branches flagged successful.
     """
     branches = _compensation_program(alpha, resource, theta, state).branches()
-    total = sum(b.total_probability for b in branches)
-    if abs(total - 1.0) > 1e-11:
-        raise AssertionError("branch probabilities do not sum to 1")
+    _check_branch_sum(sum(b.total_probability for b in branches))
     p_success = sum(b.total_probability for b in branches if b.success)
     return float(p_success), branches
+
+
+# Grid angles walked together by ``noisy_success_curve``: memory stays bounded
+# for any grid size.
+_CURVE_CHUNK = 64
 
 
 def noisy_success_curve(
@@ -415,8 +496,13 @@ def noisy_success_curve(
     """Success probability of the compensated rotation on a white-noise state.
 
     The resource is mixed as w |psi><psi| + (1-w) I/2^n with w chosen so the
-    state's fidelity with the pure resource equals ``fidelity``; the curve
-    is produced by exhaustive branch enumeration on the density matrix.
+    state's fidelity with the pure resource equals ``fidelity``.  The grid
+    is walked ``_CURVE_CHUNK`` angles at a time: one ``walk_branches`` per
+    chunk collapses every angle's state in one ``qmath.collapse`` per tree
+    child.  Each angle's value has the bits of ``enumerate_compensation``:
+    successful leaves are summed depth first, each the product of its step
+    probabilities in step order.  Every angle's branches must sum to 1, and
+    on a pure resource every successful leaf must match its Pauli frame.
     """
     pure = _resource_state(resource, theta)
     n = pure.n_qubits
@@ -427,10 +513,26 @@ def noisy_success_curve(
             f"fidelity for the {resource} resource must lie in ({f_min:.6g}, 1]"
         )
     state: State = pure if fidelity == 1.0 else white_noise(pure, fidelity)
+    alphas = [float(a) for a in alpha_grid]
+    two_qubit = resource == "2-qubit"
     out = []
-    for alpha in alpha_grid:
-        p, _ = enumerate_compensation(float(alpha), resource, theta=theta, state=state)
-        out.append((float(alpha), float(p)))
+    for start in range(0, len(alphas), _CURVE_CHUNK):
+        chunk = alphas[start:start + _CURVE_CHUNK]
+        programs = [_compensation_program(a, resource, theta, state) for a in chunk]
+        total, success = np.zeros(len(chunk)), np.zeros(len(chunk))
+        for leaf in walk_branches(programs):
+            p = leaf.probs[0]
+            for step in leaf.probs[1:]:
+                p = p * step
+            total[leaf.active] += p
+            frame, ok = _compensation_frame(leaf.bits, two_qubit)
+            if ok:
+                success[leaf.active] += p
+                if fidelity == 1.0:
+                    for amps, g in zip(leaf.states, leaf.active):
+                        _check_frame(amps, frame, chunk[g])
+        _check_branch_sum(total)
+        out.extend(zip(chunk, success.tolist()))
     return out
 
 

@@ -98,14 +98,48 @@ def _index_of(labels: Sequence[str], qubit: str) -> int:
         raise KeyError(f"unknown qubit label {qubit!r}") from None
 
 
-def _contract_front(row: np.ndarray, t: np.ndarray, axis: int) -> np.ndarray:
-    """``np.tensordot(row, t, axes=(0, axis))`` for a 2-vector ``row``.
+def collapse(
+    states: np.ndarray, axis: int, kets: np.ndarray, *, normalize: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Project qubit ``axis`` of a stack of G states onto G kets.
 
-    Moves ``axis`` to the front, reshapes to (2, rest) and makes tensordot's
-    one ``np.dot`` with the (1, 2) row, so the result has tensordot's bits.
+    ``states`` holds G amplitude vectors (G, 2^n) or G density matrices
+    (G, d, d) on one register; ``kets`` is (G, 2).  Returns the G Born
+    probabilities and the G collapsed states with the qubit removed:
+    unnormalized, or with ``normalize`` divided by their norm (pure) or
+    trace (mixed).  A zero norm or trace is left undivided.
+
+    Each side of the state is contracted with one ``np.matmul`` of the
+    (G, 1, 2) rows with the state regrouped as (G, 2, rest); per item it
+    has the bits of ``np.tensordot``.
     """
-    t = t.transpose([axis, *range(axis), *range(axis + 1, t.ndim)])
-    return np.dot(row.reshape(1, 2), t.reshape(2, -1)).reshape(t.shape[1:])
+    g = states.shape[0]
+    pure = states.ndim == 2
+    n = states.shape[1].bit_length() - 1
+    t = states.reshape((g,) + (2,) * (n if pure else 2 * n))
+    t = _contract_front(np.conj(kets), t, axis)
+    if pure:
+        rest = t.reshape(g, -1)
+        probs = np.array([np.vdot(r, r).real for r in rest])
+        scale = [np.linalg.norm(r) for r in rest] if normalize else None
+    else:
+        t = _contract_front(kets, t, n - 1 + axis)
+        d = 2 ** (n - 1)
+        rest = t.reshape(g, d, d)
+        probs = np.trace(rest, axis1=1, axis2=2).real
+        scale = probs
+    if not normalize:
+        return probs, rest
+    scale = np.where(np.equal(scale, 0.0), 1.0, scale)
+    return probs, rest / scale.reshape((g,) + (1,) * (rest.ndim - 1))
+
+
+def _contract_front(rows: np.ndarray, t: np.ndarray, axis: int) -> np.ndarray:
+    """Contract item axis ``axis`` of a (G, 2, 2, ...) stack with G 2-vectors."""
+    g = t.shape[0]
+    t = t.transpose(0, axis + 1, *(k for k in range(1, t.ndim) if k != axis + 1))
+    out = np.matmul(rows.reshape(g, 1, 2), t.reshape(g, 2, -1))
+    return out.reshape(t.shape[:1] + t.shape[2:])
 
 
 @dataclass(frozen=True)
@@ -195,14 +229,8 @@ class StateVector:
         Returns (probability, unnormalized collapsed state with the qubit
         removed from the register).
         """
-        vec = ket(onto) if isinstance(onto, str) else np.asarray(onto, dtype=complex)
-        ax = _index_of(self.labels, qubit)
-        n = self.n_qubits
-        amps = self.amps.reshape([2] * n)
-        rest = np.tensordot(np.conj(vec), amps, axes=(0, ax))
-        prob = float(np.real(np.vdot(rest, rest)))
-        new_labels = tuple(l for l in self.labels if l != qubit)
-        return prob, StateVector(new_labels, rest.reshape(-1))
+        probs, rest = _project_one(self, qubit, onto)
+        return float(probs[0]), StateVector(_without(self.labels, qubit), rest[0])
 
     def to_density(self) -> "DensityMatrix":
         return DensityMatrix(self.labels, np.outer(self.amps, np.conj(self.amps)))
@@ -257,20 +285,24 @@ class DensityMatrix:
 
     def project(self, qubit: str, onto: np.ndarray | str) -> tuple[float, "DensityMatrix"]:
         """Collapse one qubit onto a ket: (probability, unnormalized rest)."""
-        vec = ket(onto) if isinstance(onto, str) else np.asarray(onto, dtype=complex)
-        ax = _index_of(self.labels, qubit)
-        n = self.n_qubits
-        t = self.mat.reshape([2] * (2 * n))
-        t = _contract_front(np.conj(vec), t, ax)
-        t = _contract_front(vec, t, n - 1 + ax)
-        new_labels = tuple(l for l in self.labels if l != qubit)
-        d = 2 ** len(new_labels)
-        rest = t.reshape(d, d)
-        prob = float(np.real(np.trace(rest)))
-        return prob, DensityMatrix(new_labels, rest)
+        probs, rest = _project_one(self, qubit, onto)
+        return float(probs[0]), DensityMatrix(_without(self.labels, qubit), rest[0])
 
     def expectation(self, op_full: np.ndarray) -> float:
         return float(np.real(np.trace(op_full @ self.mat)))
+
+
+def _project_one(
+    state: StateVector | DensityMatrix, qubit: str, onto: np.ndarray | str
+) -> tuple[np.ndarray, np.ndarray]:
+    """``collapse`` of the stack of one: the state's own ``project``."""
+    vec = ket(onto) if isinstance(onto, str) else np.asarray(onto, dtype=complex)
+    data = state.amps if isinstance(state, StateVector) else state.mat
+    return collapse(data[np.newaxis], _index_of(state.labels, qubit), vec.reshape(1, 2))
+
+
+def _without(labels: tuple[str, ...], qubit: str) -> tuple[str, ...]:
+    return tuple(l for l in labels if l != qubit)
 
 
 def partial_trace(rho: DensityMatrix | StateVector, keep: Iterable[str]) -> DensityMatrix:

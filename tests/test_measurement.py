@@ -8,7 +8,7 @@ import pytest
 from corrspace import qmath as qm
 from corrspace import measurement as meas
 from corrspace.noise_tomo import white_noise
-from corrspace.protocols import enumerate_compensation, wrong_angle
+from corrspace.protocols import enumerate_compensation, noisy_success_curve, wrong_angle
 from corrspace.wires import a_site, b_site, b_site_rotated, build_psi4
 from helpers import rand_state, rand_unitary
 
@@ -242,12 +242,15 @@ def test_sampled_measure_projects_again_only_for_outcome_1(rng, project_calls):
     assert seen == {0, 1}
 
 
-def test_enumeration_projects_once_per_child(project_calls):
-    _, branches = enumerate_compensation(
-        0.8, "4-qubit", state=white_noise(build_psi4(), 0.9)
-    )
+def test_enumeration_projects_once_per_child(project_calls, collapse_stacks):
+    rho = white_noise(build_psi4(), 0.9)
+    _, branches = enumerate_compensation(0.8, "4-qubit", state=rho)
     assert len(branches) == 8
-    assert len(project_calls) == 2 + 4 + 8
+    assert collapse_stacks == [1] * (2 + 4 + 8)
+    collapse_stacks.clear()
+    noisy_success_curve(np.linspace(0, pi, 25), "4-qubit", 0.9)
+    assert collapse_stacks == [25] * (2 + 4 + 8)
+    assert project_calls == []  # the walker collapses stacks; it never projects
 
 
 def test_measure_sampling_statistics():

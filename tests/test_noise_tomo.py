@@ -167,6 +167,16 @@ def test_exact_probabilities_reject_unknown_letter():
         exact_probabilities(lambda34(), ("ZZ", "IZ"))
 
 
+def test_exact_probabilities_reject_a_bare_string(monkeypatch):
+    # "ZX" would read as the settings ("Z", "X") of a one-qubit register
+    def converted(self):
+        raise AssertionError("the state was converted before the settings were checked")
+
+    monkeypatch.setattr(qm.StateVector, "to_density", converted)
+    with pytest.raises(ValueError, match="settings must be a list of strings, got 'ZX'"):
+        exact_probabilities(qm.StateVector(("a",), np.array([1, 0])), "ZX")
+
+
 def test_exact_probabilities_of_no_settings():
     assert exact_probabilities(build_psi4(), ()).shape == (0, 16)
     assert exact_probabilities(lambda34().to_density(), []).shape == (0, 4)
@@ -180,6 +190,14 @@ def test_deterministic_state_gives_deterministic_counts():
     h = qm.StateVector(("a",), np.array([1, 0], dtype=complex))
     table = simulate_counts(h, ("Z",), shots=1000, seed=1)
     assert tuple(table.counts[0]) == (1000, 0)
+
+
+def test_simulate_counts_rejects_a_bare_string():
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="settings must be a list of strings, got 'ZXY'"):
+        simulate_counts(qm.StateVector(("a",), np.array([1, 0])), "ZXY", rng=rng)
+    assert rng.bit_generator.state == before  # nothing was drawn
 
 
 def test_multinomial_rows_sum_to_shots():

@@ -98,18 +98,92 @@ def test_program_branches_propagate_aborts():
         prog.branches()
 
 
-def test_enumeration_shares_prefixes(monkeypatch):
-    calls = []
-    real = protocols.measure
-
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(protocols, "measure", counting)
+def test_enumeration_shares_prefixes(collapse_stacks):
     _, branches = enumerate_compensation(0.8, "4-qubit")
     assert len(branches) == 8
-    assert len(calls) == 2 + 4 + 8  # one call per tree node, not 3 per branch
+    assert collapse_stacks == [1] * (2 + 4 + 8)  # one call per child, not 3 per branch
+    collapse_stacks.clear()
+    # a whole grid walks the same 14 children once, every angle in each call
+    noisy_success_curve(np.linspace(0, pi, 25), "4-qubit", 1.0)
+    assert collapse_stacks == [25] * (2 + 4 + 8)
+
+
+def _one_qubit_program(letter):
+    """Measure the single qubit of |0> in a Pauli basis."""
+    state = qm.StateVector(("a",), qm.ket("0"))
+
+    def next_step(bits):
+        return None if bits else ("a", pauli_basis(letter))
+
+    return Program(state, 1, next_step, lambda records, state: records)
+
+
+def test_walker_skips_a_zero_probability_child_per_program():
+    # Z on |0> never reads 1; X reads both outcomes
+    leaves = list(protocols.walk_branches([_one_qubit_program("Z"), _one_qubit_program("X")]))
+    assert [leaf.bits for leaf in leaves] == [(0,), (1,)]
+    assert [leaf.active.tolist() for leaf in leaves] == [[0, 1], [1]]
+    assert [leaf.records(0)[0].basis.name for leaf in leaves] == ["Z", "X"]
+    x_program = _one_qubit_program("X")
+    half = [x_program.run(outcomes=(o,))[0].probability for o in (0, 1)]
+    assert leaves[0].probs[0].tolist() == [1.0, half[0]]
+    assert leaves[1].probs[0].tolist() == [half[1]]
+    assert leaves[1].state(0).labels == ()  # the measured qubit is gone
+
+
+def test_walker_rejects_programs_that_measure_different_qubits():
+    state = qm.StateVector(("a", "b"), np.kron(qm.ket("0"), qm.ket("+")))
+
+    def program(qubit):
+        def next_step(bits):
+            return None if bits else (qubit, pauli_basis("Z"))
+
+        return Program(state, 1, next_step, lambda records, state: records)
+
+    with pytest.raises(ValueError, match="different qubits"):
+        list(protocols.walk_branches([program("a"), program("b")]))
+    with pytest.raises(ValueError, match="one register"):
+        list(protocols.walk_branches([program("a"), _one_qubit_program("Z")]))
+
+
+def test_grid_curve_has_the_bits_of_per_angle_enumeration():
+    grids = (np.linspace(0, pi, 25), np.linspace(-pi, pi, 100))
+    for theta in (pi / 8, pi / 6, pi / 5):
+        for resource, pure in (("2-qubit", lambda34(theta)), ("4-qubit", build_psi4(theta))):
+            for fid in (1.0, 0.9, 0.73):
+                state = pure if fid == 1.0 else white_noise(pure, fid)
+                for grid in grids:
+                    curve = noisy_success_curve(grid, resource, fid, theta=theta)
+                    for a, (alpha, p) in zip(grid, curve):
+                        want, _ = enumerate_compensation(a, resource, theta=theta, state=state)
+                        assert alpha == a and p == want  # exact floats
+
+
+def test_grid_curve_checks_frames_and_branch_sums(monkeypatch):
+    grid = np.linspace(0, pi, 7)
+    real_frame = protocols._compensation_frame
+
+    def wrong_frame(bits, two_qubit):
+        frame, success = real_frame(bits, two_qubit)
+        return PauliFrame(frame.wires, (1 - frame.x[0],), frame.z), success
+
+    with monkeypatch.context() as m:
+        m.setattr(protocols, "_compensation_frame", wrong_frame)
+        with pytest.raises(AssertionError, match="Pauli frame"):
+            noisy_success_curve(grid, "4-qubit", 1.0)
+        noisy_success_curve(grid, "4-qubit", 0.9)  # no frame on a mixed state
+
+    real_collapse = qm.collapse
+
+    def leaky(states, axis, kets, **kwargs):
+        probs, rest = real_collapse(states, axis, kets, **kwargs)
+        probs[-1] *= 1 + 2e-11  # the last angle's branches no longer sum to 1
+        return probs, rest
+
+    monkeypatch.setattr(qm, "collapse", leaky)
+    for fid in (1.0, 0.9):
+        with pytest.raises(AssertionError, match="do not sum to 1"):
+            noisy_success_curve(grid, "4-qubit", fid)
 
 
 def test_enumerated_branches_equal_postselected_runs():

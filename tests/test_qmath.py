@@ -243,6 +243,35 @@ def test_density_project_has_tensordot_bits(rng):
                 assert rest.labels == labels[:ax] + labels[ax + 1:]
 
 
+def _data(state):
+    return state.amps if isinstance(state, qm.StateVector) else state.mat
+
+
+def test_collapse_of_a_stack_has_each_items_bits(rng):
+    for n in (1, 2, 4):
+        labels = tuple("abcd"[:n])
+        kets = np.array([rand_unitary(rng)[:, 0] for _ in range(5)])
+        for make in (rand_state, rand_density):
+            states = [make(labels, rng) for _ in range(5)]
+            stack = np.stack([_data(s) for s in states])
+            for ax, q in enumerate(labels):
+                probs, rest = qm.collapse(stack, ax, kets)
+                probs_n, unit = qm.collapse(stack, ax, kets, normalize=True)
+                assert np.array_equal(probs, probs_n)
+                for i, state in enumerate(states):
+                    prob, one = state.project(q, kets[i])
+                    assert probs[i] == prob
+                    assert np.array_equal(rest[i], _data(one))
+                    assert np.array_equal(unit[i], _data(one.normalized()[0]))
+
+
+def test_collapse_leaves_a_zero_state_undivided():
+    stack = np.stack([qm.ket("0"), qm.ket("+")])
+    probs, unit = qm.collapse(stack, 0, np.stack([qm.ket("1"), qm.ket("1")]), normalize=True)
+    assert probs[0] == 0.0 and np.array_equal(unit[0], [0])
+    assert abs(probs[1] - 0.5) < TOL and np.allclose(unit[1], [1])
+
+
 def test_density_normalized():
     rho = qm.DensityMatrix(("a",), 2 * np.eye(2))
     unit, tr = rho.normalized()
