@@ -24,7 +24,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from . import analysis, noise_tomo, prep, protocols, qmath as qm
+from . import analysis, noise_tomo, protocols, qmath as qm
 from .wires import PSI6_LABELS, build_psi4, build_psi6, lambda34
 
 SCHEMA = "corrspace/1"

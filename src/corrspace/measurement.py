@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from math import sqrt
 from typing import Union
 
 import numpy as np
@@ -30,7 +31,13 @@ class ZeroProbabilityBranch(ValueError):
 
 @dataclass(frozen=True)
 class MeasurementBasis:
-    """An orthonormal single-qubit basis; outcome 0 selects ``ket0``."""
+    """An orthonormal single-qubit basis; outcome 0 selects ``ket0``.
+
+    The kets are stored as complex 2-vectors.  Construction checks their
+    shape, that each norm is within 1e-12 of 1 and that their overlap is
+    within 1e-12 of 0; the checks run in Python scalar arithmetic on the
+    kets' entries.
+    """
 
     ket0: np.ndarray
     ket1: np.ndarray
@@ -43,9 +50,10 @@ class MeasurementBasis:
         object.__setattr__(self, "ket1", k1)
         if k0.shape != (2,) or k1.shape != (2,):
             raise ValueError("basis kets must be 2-vectors")
-        if abs(np.linalg.norm(k0) - 1) > 1e-12 or abs(np.linalg.norm(k1) - 1) > 1e-12:
+        (a0, a1), (b0, b1) = k0.tolist(), k1.tolist()
+        if abs(_norm(a0, a1) - 1) > 1e-12 or abs(_norm(b0, b1) - 1) > 1e-12:
             raise ValueError("basis kets must be normalized")
-        if abs(np.vdot(k0, k1)) > 1e-12:
+        if abs(a0.conjugate() * b0 + a1.conjugate() * b1) > 1e-12:
             raise ValueError("basis kets must be orthogonal")
 
     def ket(self, outcome: int) -> np.ndarray:
@@ -93,16 +101,51 @@ def basis_B(zeta: float, theta: float = np.pi / 6) -> MeasurementBasis:
 
     These closed forms are orthogonal for every zeta; the endpoints come out
     as B(0) = {|H>,|V>} and B(pi) = {|V>,|H>} (outcome labels swap at pi).
-    Kets are phase-normalized so the first nonzero entry is real positive.
+    Kets are normalized, then phase-normalized so the first entry above
+    1e-12 in modulus is real positive.  Both steps run in Python float
+    arithmetic with the rounding of numpy's ``np.linalg.norm``, complex
+    division and complex multiplication, so the kets have the bits of that
+    numpy construction.  The kets are read-only.
     """
     _check_theta(theta)
-    c, s = np.cos(theta), np.sin(theta)
-    ch, sh = np.cos(zeta / 2), np.sin(zeta / 2)
-    k0 = np.array([s * ch, 1j * c * sh])
-    k1 = np.array([c * sh, -1j * s * ch])
-    k0 = qm.canonical_phase(k0 / np.linalg.norm(k0))
-    k1 = qm.canonical_phase(k1 / np.linalg.norm(k1))
-    return MeasurementBasis(k0, k1, name=f"B({zeta:.12g})")
+    c, s = float(np.cos(theta)), float(np.sin(theta))
+    ch, sh = float(np.cos(zeta / 2)), float(np.sin(zeta / 2))
+    lower0, lower1 = 1j * c * sh, -1j * s * ch
+    kets = np.array((
+        _unit_rephased(s * ch, 0.0, lower0.real, lower0.imag),
+        _unit_rephased(c * sh, 0.0, lower1.real, lower1.imag),
+    ))
+    kets.setflags(write=False)  # rows and their views are read-only too
+    return MeasurementBasis(kets[0], kets[1], name=f"B({zeta:.12g})")
+
+
+def _norm(a: complex, b: complex) -> float:
+    """Norm of the 2-vector (a, b), summed as ``np.linalg.norm`` sums it."""
+    return sqrt((a.real * a.real + b.real * b.real) + (a.imag * a.imag + b.imag * b.imag))
+
+
+def _unit_rephased(re0: float, im0: float, re1: float, im1: float) -> tuple[complex, complex]:
+    """The 2-vector (re0 + i im0, re1 + i im1) divided by its norm and
+    multiplied by conj(c)/|c|, c its first entry above 1e-12 in modulus.
+
+    Each step has the rounding of its numpy counterpart: the norm is summed
+    as in ``_norm``; complex / real is numpy's complex division by (r, 0),
+    which multiplies (re + im*0, im - re*0) by 1/r; and the product with a
+    phase p is (re*p.re - im*p.im, re*p.im + im*p.re).
+    """
+    scale = 1.0 / sqrt((re0 * re0 + re1 * re1) + (im0 * im0 + im1 * im1))
+    re0, im0 = (re0 + im0 * 0.0) * scale, (im0 - re0 * 0.0) * scale
+    re1, im1 = (re1 + im1 * 0.0) * scale, (im1 - re1 * 0.0) * scale
+    for re, im in ((re0, im0), (re1, im1)):
+        size = abs(complex(re, im))
+        if size > 1e-12:
+            scale, im = 1.0 / size, -im
+            ph_re, ph_im = (re + im * 0.0) * scale, (im - re * 0.0) * scale
+            return (
+                complex(re0 * ph_re - im0 * ph_im, re0 * ph_im + im0 * ph_re),
+                complex(re1 * ph_re - im1 * ph_im, re1 * ph_im + im1 * ph_re),
+            )
+    return complex(re0, im0), complex(re1, im1)
 
 
 def basis_u(theta_c: float) -> MeasurementBasis:

@@ -111,7 +111,9 @@ def collapse(
 
     Each side of the state is contracted with one ``np.matmul`` of the
     (G, 1, 2) rows with the state regrouped as (G, 2, rest); per item it
-    has the bits of ``np.tensordot``.
+    has the bits of ``np.tensordot``.  Pure probabilities and norms are
+    stacked dots (``_row_dots``) with the bits of per-item ``np.vdot`` and
+    ``np.linalg.norm``.
     """
     g = states.shape[0]
     pure = states.ndim == 2
@@ -120,8 +122,9 @@ def collapse(
     t = _contract_front(np.conj(kets), t, axis)
     if pure:
         rest = t.reshape(g, -1)
-        probs = np.array([np.vdot(r, r).real for r in rest])
-        scale = [np.linalg.norm(r) for r in rest] if normalize else None
+        probs = _row_dots(rest.conj(), rest).real
+        if normalize:
+            scale = np.sqrt(_row_dots(rest.real, rest.real) + _row_dots(rest.imag, rest.imag))
     else:
         t = _contract_front(kets, t, n - 1 + axis)
         d = 2 ** (n - 1)
@@ -132,6 +135,17 @@ def collapse(
         return probs, rest
     scale = np.where(np.equal(scale, 0.0), 1.0, scale)
     return probs, rest / scale.reshape((g,) + (1,) * (rest.ndim - 1))
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner products a[g] . b[g] of two (G, m) stacks, without conjugation.
+
+    One stacked ``np.matmul`` of (1, m) rows with (m, 1) columns: each item
+    is the BLAS dot that ``np.vdot`` and ``ndarray.dot`` take, so the items
+    have the bits of ``np.vdot(r, r)`` (with ``a`` = conj(r)) and of the
+    ``np.linalg.norm`` sums.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def _contract_front(rows: np.ndarray, t: np.ndarray, axis: int) -> np.ndarray:
@@ -367,15 +381,6 @@ def vec_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> b
     if na == 0 or nb == 0:
         return na == nb
     return abs(abs(np.vdot(a / na, b / nb)) - 1.0) < tol
-
-
-def canonical_phase(vec: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Rescale by a unit phase so the first non-negligible entry is real > 0."""
-    v = np.asarray(vec, dtype=complex).reshape(-1)
-    for comp in v:
-        if abs(comp) > tol:
-            return v * (np.conj(comp) / abs(comp))
-    return v.copy()
 
 
 def mat_proportional(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:

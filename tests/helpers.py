@@ -14,6 +14,7 @@ import numpy as np
 from corrspace import qmath as qm
 from corrspace.measurement import pauli_basis
 from corrspace.noise_tomo import setting_kets
+from corrspace.wires import _check_theta
 
 
 def rand_state(labels, rng) -> qm.StateVector:
@@ -63,6 +64,37 @@ def manual_embed(op: np.ndarray, labels, targets) -> np.ndarray:
                 row = (row << 1) | b
             out[row, col] += a
     return out
+
+
+def canonical_phase(vec: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Rescale by a unit phase so the first non-negligible entry is real > 0."""
+    v = np.asarray(vec, dtype=complex).reshape(-1)
+    for comp in v:
+        if abs(comp) > tol:
+            return v * (np.conj(comp) / abs(comp))
+    return v.copy()
+
+
+def numpy_basis_B(zeta: float, theta: float = np.pi / 6) -> tuple[np.ndarray, np.ndarray, str]:
+    """(ket0, ket1, name) of B(zeta, theta) built in numpy array arithmetic:
+    the closed-form kets divided by ``np.linalg.norm``, then rephased."""
+    _check_theta(theta)
+    c, s = np.cos(theta), np.sin(theta)
+    ch, sh = np.cos(zeta / 2), np.sin(zeta / 2)
+    k0 = np.array([s * ch, 1j * c * sh])
+    k1 = np.array([c * sh, -1j * s * ch])
+    k0 = canonical_phase(k0 / np.linalg.norm(k0))
+    k1 = canonical_phase(k1 / np.linalg.norm(k1))
+    return k0, k1, f"B({zeta:.12g})"
+
+
+def dense_pauli_expectation(state, assignments) -> float:
+    """<P> through the dense 2^n x 2^n operator: the identity times one
+    ``qm.embed`` lift per letter, then ``state.expectation``."""
+    op = np.eye(2 ** len(state.labels), dtype=complex)
+    for label, letter in assignments.items():
+        op = op @ qm.embed(qm.PAULI[letter], state.labels, (label,))
+    return state.expectation(op)
 
 
 def brute_wire_amplitudes(wire) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Correlations, entropies, and the 36-setting fidelity decomposition."""
 
+import itertools
 from math import cos, pi, sin, sqrt
 
 import numpy as np
@@ -22,9 +23,9 @@ from corrspace.analysis import (
     witness_terms,
 )
 from corrspace.noise_tomo import setting_kets, simulate_counts, white_noise
-from corrspace.wires import build_psi4, build_psi6
+from corrspace.wires import build_psi4, build_psi6, lambda34
 
-from helpers import kron_word_matrix, parity_loop_fidelity
+from helpers import dense_pauli_expectation, kron_word_matrix, parity_loop_fidelity
 
 TOL = 1e-12
 
@@ -78,6 +79,75 @@ def test_correlation_argument_validation():
         two_point_correlation(PSI4, "1", "1", "X", "X")
     with pytest.raises(ValueError):
         two_point_correlation(PSI4, "1", "3", "Q", "X")
+    with pytest.raises(ValueError):
+        q_max(PSI4, "3", "3")
+    with pytest.raises(KeyError, match="unknown qubit label"):
+        q_max(PSI4, "1", "9")
+
+
+def _same_bits(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def _expectation_cases(state):
+    """Every single letter (I too), then all nine letter pairs on every
+    ordered pair of qubits."""
+    for q in state.labels:
+        for a in "IXYZ":
+            yield {q: a}
+    for i, j in itertools.permutations(state.labels, 2):
+        for a in "XYZ":
+            for b in "XYZ":
+                yield {i: a, j: b}
+
+
+@pytest.mark.parametrize("theta", [pi / 8, pi / 6, 0.3, 1.2])
+def test_pauli_expectations_have_the_dense_bits(theta):
+    for build in (build_psi4, lambda34, build_psi6):
+        pure = build(theta)
+        for state in (pure, white_noise(pure, 0.9), white_noise(pure, 0.5)):
+            for assignments in _expectation_cases(state):
+                got = analysis._pauli_expectation(state, assignments)
+                assert _same_bits(got, dense_pauli_expectation(state, assignments))
+
+
+def test_pauli_expectations_keep_the_dense_zero_signs(rng):
+    # entries of +-0, exact values and mixed signs: a zero result must come
+    # out with the sign the dense product gives it
+    values = [0.0, -0.0, 0.5, -0.5, 0.25, -1.0]
+    for n in (1, 2, 3):
+        labels = tuple("abc"[:n])
+        d = 2**n
+        for _ in range(20):
+            amps = [complex(*rng.choice(values, 2)) for _ in range(d)]
+            mat = [[complex(*rng.choice(values, 2)) for _ in range(d)] for _ in range(d)]
+            for state in (qm.StateVector(labels, amps), qm.DensityMatrix(labels, mat)):
+                for assignments in _expectation_cases(state):
+                    got = analysis._pauli_expectation(state, assignments)
+                    assert _same_bits(got, dense_pauli_expectation(state, assignments))
+
+
+def test_q_max_is_the_largest_correlation_bit_for_bit():
+    for theta in (pi / 8, pi / 6, pi / 5, pi / 4, 1.2):
+        pure = build_psi4(theta)
+        for state in (pure, white_noise(pure, 0.9), white_noise(pure, 0.5)):
+            for i, j in (("1", "3"), ("4", "2")):
+                want = max(
+                    abs(two_point_correlation(state, i, j, a, b))
+                    for a in "XYZ"
+                    for b in "XYZ"
+                )
+                assert _same_bits(q_max(state, i, j), want)
+
+
+def test_correlations_build_no_dense_operator(monkeypatch):
+    def no_embed(*args, **kwargs):
+        raise AssertionError("a dense operator was built")
+
+    monkeypatch.setattr(qm, "embed", no_embed)
+    for state in (PSI4, white_noise(PSI4, 0.9)):
+        two_point_correlation(state, "1", "3", "X", "Y")
+        q_max(state, "1", "3")
 
 
 # ---------------------------------------------------------------------------

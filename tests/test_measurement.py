@@ -10,7 +10,7 @@ from corrspace import measurement as meas
 from corrspace.noise_tomo import white_noise
 from corrspace.protocols import enumerate_compensation, noisy_success_curve, wrong_angle
 from corrspace.wires import a_site, b_site, b_site_rotated, build_psi4
-from helpers import rand_state, rand_unitary
+from helpers import numpy_basis_B, rand_state, rand_unitary
 
 TOL = 1e-12
 
@@ -50,6 +50,27 @@ def test_angle_basis_closed_form_components():
     assert qm.vec_equal_up_to_phase(b.ket1, k1, TOL)
 
 
+def test_angle_basis_has_the_bits_of_the_numpy_construction():
+    zetas = np.random.default_rng(13).uniform(-4 * pi, 4 * pi, 10_000).tolist()
+    zetas += [0.0, -0.0, pi / 2, -pi / 2, pi, -pi, 2 * pi, -2 * pi]
+    zetas += [1e300, -1e300, 1e-300, -1e-300, np.float64(0.7)]
+    for theta in (pi / 8, pi / 6, pi / 5, 0.3, pi / 4, 1.2, -0.7):
+        for zeta in zetas:
+            b = meas.basis_B(zeta, theta)
+            k0, k1, name = numpy_basis_B(zeta, theta)
+            assert b.ket0.tobytes() == k0.tobytes(), (zeta, theta)
+            assert b.ket1.tobytes() == k1.tobytes(), (zeta, theta)
+            assert b.name == name
+
+
+def test_angle_basis_kets_are_read_only():
+    b = meas.basis_B(0.4)
+    for k in (b.ket0, b.ket1):
+        assert not k.flags.writeable
+        with pytest.raises(ValueError):
+            k[0] = 0.0
+
+
 def test_angle_basis_rejects_degenerate_theta():
     with pytest.raises(ValueError):
         meas.basis_B(0.3, 0.0)
@@ -76,6 +97,33 @@ def test_pauli_bases_are_eigenbases():
         assert np.allclose(m @ b.ket1, -b.ket1, atol=TOL)
     with pytest.raises(ValueError):
         meas.pauli_basis("Q")
+
+
+@pytest.mark.parametrize(
+    "ket0, ket1, message",
+    [
+        (np.ones(3) / sqrt(3), np.ones(3) / sqrt(3), "2-vectors"),
+        (np.array([1, 1, 0]) / sqrt(2), qm.ket("1"), "2-vectors"),
+        (np.array([1 + 2e-12, 0]), qm.ket("1"), "normalized"),
+        (qm.ket("0"), np.array([0, (1 - 2e-12) * 1j]), "normalized"),
+        (qm.ket("0"), np.array([2e-12, 1]), "orthogonal"),
+        (qm.ket("0"), np.array([2e-12j, 1]), "orthogonal"),
+    ],
+)
+def test_measurement_basis_rejects_at_its_bounds(ket0, ket1, message):
+    with pytest.raises(ValueError, match=f"^basis kets must be {message}$"):
+        meas.MeasurementBasis(ket0, ket1)
+
+
+def test_measurement_basis_accepts_deviations_within_its_bounds():
+    for ket0, ket1 in (
+        (np.array([1 + 5e-13, 0]), qm.ket("1")),
+        (qm.ket("0"), np.array([0, (1 - 5e-13) * 1j])),
+        (qm.ket("0"), np.array([5e-13, 1])),
+        (qm.ket("0"), np.array([5e-13j, 1])),
+    ):
+        b = meas.MeasurementBasis(ket0, ket1, name="near")
+        assert b.ket0.dtype == complex and b.ket1.shape == (2,)
 
 
 def test_measurement_basis_validation():

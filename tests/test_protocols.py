@@ -569,6 +569,53 @@ def test_pauli_frame_operator_and_validation():
         PauliFrame(("w",), (2,), (0,))
 
 
+def test_frame_operators_are_shared_read_only_products():
+    for x in (0, 1):
+        for z in (0, 1):
+            op = PauliFrame(("w",), (x,), (z,)).operator("w")
+            want = np.linalg.matrix_power(qm.X, x) @ np.linalg.matrix_power(qm.Z, z)
+            assert op.tobytes() == want.tobytes()
+            assert not op.flags.writeable
+            assert op is PauliFrame(("v", "w"), (1 - x, x), (0, z)).operator("w")
+
+
+def test_frame_check_tolerance():
+    alphas = np.linspace(-3.0, 3.0, 8)  # a Z flip is invisible at 0 and +-pi
+    outputs = protocols._frame_targets(alphas)
+    for x in (0, 1):
+        for z in (0, 1):
+            want = outputs[:, x, z]
+            frame_op = PauliFrame(("out",), (x,), (z,)).operator("out")
+            for g, a in enumerate(alphas):  # H X^x Z^z H Rz(a)|+>, as a product
+                direct = qm.HAD @ frame_op @ qm.HAD @ qm.rz(a) @ qm.ket("+")
+                assert abs(abs(np.vdot(direct, want[g])) - 1.0) < TOL
+            protocols._check_frames(np.exp(0.7j) * 3.0 * want, want)  # phase and scale
+            off = want.copy()
+            off[4] += 1e-4 * np.array([1.0, -1.0])
+            with pytest.raises(AssertionError, match="Pauli frame"):
+                protocols._check_frames(off, want)
+            with pytest.raises(AssertionError, match="Pauli frame"):
+                protocols._check_frames(want, outputs[:, 1 - x, z])
+
+
+def test_enumeration_checks_every_successful_frame(monkeypatch):
+    real_frame = protocols._compensation_frame
+
+    def wrong_frame(bits, two_qubit):
+        frame, success = real_frame(bits, two_qubit)
+        return PauliFrame(frame.wires, frame.x, (1 - frame.z[0],)), success
+
+    monkeypatch.setattr(protocols, "_compensation_frame", wrong_frame)
+    for resource in ("2-qubit", "4-qubit"):
+        with pytest.raises(AssertionError, match="Pauli frame"):
+            enumerate_compensation(1.1, resource)
+        enumerate_compensation(1.1, resource, state=white_noise(_pure(resource), 0.9))
+
+
+def _pure(resource):
+    return lambda34(pi / 6) if resource == "2-qubit" else build_psi4(pi / 6)
+
+
 def test_transcript_probability_consistency_enforced():
     tr = rotate_sequence(0.3, 0.4, 0.5, outcomes=(0, 0, 0))
     with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 
 from corrspace import qmath as qm
 from corrspace.measurement import basis_B
-from helpers import manual_embed, rand_density, rand_state, rand_unitary
+from helpers import canonical_phase, manual_embed, rand_density, rand_state, rand_unitary
 
 TOL = 1e-12
 
@@ -265,6 +265,21 @@ def test_collapse_of_a_stack_has_each_items_bits(rng):
                     assert np.array_equal(unit[i], _data(one.normalized()[0]))
 
 
+def test_pure_collapse_has_the_bits_of_per_item_vdot_and_norm(rng):
+    for n in (1, 2, 3, 5):
+        labels = tuple("abcde"[:n])
+        for g in (1, 3, 25, 70):
+            stack = np.stack([rand_state(labels, rng).amps for _ in range(g)])
+            stack[0] = stack[0].real  # signed zeros in the imaginary parts
+            kets = np.array([rand_unitary(rng)[:, 0] for _ in range(g)])
+            for ax in range(n):
+                probs, rest = qm.collapse(stack, ax, kets)
+                _, unit = qm.collapse(stack, ax, kets, normalize=True)
+                for i, r in enumerate(rest):
+                    assert probs[i] == np.vdot(r, r).real
+                    assert np.array_equal(unit[i], r / np.linalg.norm(r))
+
+
 def test_collapse_leaves_a_zero_state_undivided():
     stack = np.stack([qm.ket("0"), qm.ket("+")])
     probs, unit = qm.collapse(stack, 0, np.stack([qm.ket("1"), qm.ket("1")]), normalize=True)
@@ -363,11 +378,12 @@ def test_vec_equal_up_to_phase():
 
 
 def test_canonical_phase():
+    # the rephasing step of the numpy reference that basis_B's bits are pinned to
     v = np.array([0.0, -1j * 0.6, 0.8])
-    fixed = qm.canonical_phase(v)
+    fixed = canonical_phase(v)
     assert fixed[1].real > 0 and abs(fixed[1].imag) < TOL
     assert abs(np.linalg.norm(fixed) - np.linalg.norm(v)) < TOL
-    assert np.allclose(qm.canonical_phase(np.zeros(3)), np.zeros(3))
+    assert np.allclose(canonical_phase(np.zeros(3)), np.zeros(3))
 
 
 def test_mat_proportional(rng):
