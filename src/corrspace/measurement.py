@@ -1,9 +1,10 @@
 """Two-outcome projective measurements on labeled registers.
 
 Provides the angle-parametrized polarization basis used to drive wire
-rotations, the coupling-site basis for canonical-form wires, the Pauli
-bases, Born-rule collapse (post-selected or sampled) on pure and mixed
-states, and the correlation-space operator induced by consuming one site.
+rotations (one basis, or the kets of many angles as one stack), the
+coupling-site basis for canonical-form wires, the Pauli bases, Born-rule
+collapse (post-selected or sampled) on pure and mixed states, and the
+correlation-space operator induced by consuming one site.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from math import sqrt
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -51,9 +52,9 @@ class MeasurementBasis:
         if k0.shape != (2,) or k1.shape != (2,):
             raise ValueError("basis kets must be 2-vectors")
         (a0, a1), (b0, b1) = k0.tolist(), k1.tolist()
-        if abs(_norm(a0, a1) - 1) > 1e-12 or abs(_norm(b0, b1) - 1) > 1e-12:
+        if not (abs(_norm(a0, a1) - 1) <= 1e-12 and abs(_norm(b0, b1) - 1) <= 1e-12):
             raise ValueError("basis kets must be normalized")
-        if abs(a0.conjugate() * b0 + a1.conjugate() * b1) > 1e-12:
+        if not abs(a0.conjugate() * b0 + a1.conjugate() * b1) <= 1e-12:
             raise ValueError("basis kets must be orthogonal")
 
     def ket(self, outcome: int) -> np.ndarray:
@@ -108,15 +109,48 @@ def basis_B(zeta: float, theta: float = np.pi / 6) -> MeasurementBasis:
     numpy construction.  The kets are read-only.
     """
     _check_theta(theta)
-    c, s = float(np.cos(theta)), float(np.sin(theta))
-    ch, sh = float(np.cos(zeta / 2)), float(np.sin(zeta / 2))
-    lower0, lower1 = 1j * c * sh, -1j * s * ch
-    kets = np.array((
-        _unit_rephased(s * ch, 0.0, lower0.real, lower0.imag),
-        _unit_rephased(c * sh, 0.0, lower1.real, lower1.imag),
-    ))
+    kets = np.array(_b_kets(zeta, float(np.cos(theta)), float(np.sin(theta))))
     kets.setflags(write=False)  # rows and their views are read-only too
     return MeasurementBasis(kets[0], kets[1], name=f"B({zeta:.12g})")
+
+
+def basis_B_stack(zetas: Sequence[float], theta: float = np.pi / 6) -> np.ndarray:
+    """The kets of ``basis_B(zeta, theta)`` for every zeta, as one read-only
+    (G, 2, 2) array: row g holds ket0 and ket1 of B(zetas[g]).
+
+    Theta is checked once; each angle runs ``basis_B``'s arithmetic, so
+    every ket has its bits.  ``MeasurementBasis``'s norm and orthogonality
+    checks run once over the whole stack.
+    """
+    _check_theta(theta)
+    c, s = float(np.cos(theta)), float(np.sin(theta))
+    kets = np.array([_b_kets(zeta, c, s) for zeta in zetas], dtype=complex).reshape(-1, 2, 2)
+    _check_orthonormal(kets)
+    kets.setflags(write=False)
+    return kets
+
+
+def _b_kets(
+    zeta: float, c: float, s: float
+) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
+    """ket0 and ket1 of B(zeta) for c = cos(theta), s = sin(theta)."""
+    ch, sh = float(np.cos(zeta / 2)), float(np.sin(zeta / 2))
+    lower0, lower1 = 1j * c * sh, -1j * s * ch
+    return (
+        _unit_rephased(s * ch, 0.0, lower0.real, lower0.imag),
+        _unit_rephased(c * sh, 0.0, lower1.real, lower1.imag),
+    )
+
+
+def _check_orthonormal(kets: np.ndarray) -> None:
+    """``MeasurementBasis``'s checks over a (G, 2, 2) stack of ket pairs."""
+    re, im = kets.real, kets.imag
+    norms = np.sqrt((re[..., 0] * re[..., 0] + re[..., 1] * re[..., 1])
+                    + (im[..., 0] * im[..., 0] + im[..., 1] * im[..., 1]))
+    if not np.all(np.abs(norms - 1) <= 1e-12):
+        raise ValueError("basis kets must be normalized")
+    if not np.all(np.abs((kets[:, 0].conj() * kets[:, 1]).sum(axis=1)) <= 1e-12):
+        raise ValueError("basis kets must be orthogonal")
 
 
 def _norm(a: complex, b: complex) -> float:

@@ -6,8 +6,9 @@ two-program function-distinguishing algorithm are each a ``Program``:
 single-qubit measurements on a resource state whose bases depend on earlier
 outcomes.  One interpreter runs them all, post-selected or Born-sampled
 (``Program.run``); one walker enumerates the whole outcome tree of a stack
-of programs that measure the same qubits (``walk_branches``), of which
-``Program.branches`` is the stack of one.
+of programs that measure the same qubits (``walk_branches``), asking one
+schedule per tree node for the kets of every program.  ``Program.branches``
+is its stack of one; ``noisy_success_curve`` walks a whole alpha grid.
 Analytic success probabilities and byproduct (Pauli-frame) bookkeeping sit
 beside them.  Everything is driven by literal Born-rule contraction of the
 resource states; closed-form results are used only as oracles in the tests.
@@ -23,7 +24,8 @@ import numpy as np
 
 from . import qmath as qm
 from .measurement import (
-    ZERO_PROBABILITY, MeasurementBasis, OutcomeRecord, basis_B, measure, pauli_basis,
+    ZERO_PROBABILITY, MeasurementBasis, OutcomeRecord, basis_B, basis_B_stack, measure,
+    pauli_basis,
 )
 from .noise_tomo import white_noise
 from .wires import _check_theta, build_psi4, build_psi6, lambda34
@@ -243,38 +245,50 @@ class Program:
     def branches(self) -> tuple[Any, ...]:
         """``finish`` of every branch, depth first with outcome 0 before 1.
 
-        The stack of one of ``walk_branches``: a shared prefix is collapsed
-        once, each child costs one ``qmath.collapse``, and only children
-        below ``ZERO_PROBABILITY`` are skipped.  The records and states
-        equal those of ``run`` post-selecting the same outcomes.
+        The stack of one of ``walk_branches``: ``next_step`` is called once
+        per tree node, a shared prefix is collapsed once, each child costs
+        one ``qmath.collapse``, and only children below ``ZERO_PROBABILITY``
+        are skipped.  The records and states equal those of ``run``
+        post-selecting the same outcomes.
         """
+        steps = {}
+
+        def schedule(bits, active):
+            step = steps[bits] = self.next_step(bits)
+            if step is None:
+                return None
+            qubit, basis = step
+            return qubit, _read_only(np.array([[basis.ket0, basis.ket1]]))
+
         return tuple(
-            self.finish(leaf.records(0), leaf.state(0)) for leaf in walk_branches((self,))
+            self.finish(tuple(
+                OutcomeRecord(q, steps[leaf.bits[:k]][1], bit, float(p[0]))
+                for k, (q, bit, p) in enumerate(zip(leaf.qubits, leaf.bits, leaf.probs))
+            ), leaf.state(0))
+            for leaf in walk_branches((self.state,), schedule)
         )
+
+
+# A stacked measurement program: ``schedule(bits, active)`` names the qubit
+# that the programs in ``active`` measure after the outcome ``bits`` and
+# returns their read-only (len(active), 2, 2) kets, or None once they are done.
+Schedule = Callable[[tuple[int, ...], np.ndarray], "tuple[str, np.ndarray] | None"]
 
 
 class Leaf(NamedTuple):
     """One leaf of the outcome tree shared by a stack of programs.
 
     ``active`` holds the indices of the programs that reach the leaf; the
-    per-step ``bases`` and ``probs`` and the collapsed ``states`` (amplitude
-    vectors or density matrices on ``labels``) are aligned with it.
+    per-step Born ``probs`` and the collapsed ``states`` (amplitude vectors
+    or density matrices on ``labels``) are aligned with it.
     """
 
     bits: tuple[int, ...]
     qubits: tuple[str, ...]
     active: np.ndarray
-    bases: tuple[list[MeasurementBasis], ...]
     probs: tuple[np.ndarray, ...]
     labels: tuple[str, ...]
     states: np.ndarray
-
-    def records(self, j: int) -> tuple[OutcomeRecord, ...]:
-        """Outcome records of the ``j``-th active program."""
-        return tuple(
-            OutcomeRecord(q, b[j], bit, float(p[j]))
-            for q, b, bit, p in zip(self.qubits, self.bases, self.bits, self.probs)
-        )
 
     def state(self, j: int) -> State:
         """Collapsed state of the ``j``-th active program."""
@@ -283,49 +297,52 @@ class Leaf(NamedTuple):
         return qm.DensityMatrix(self.labels, self.states[j])
 
 
-def walk_branches(programs: Sequence[Program]) -> Iterator[Leaf]:
-    """Every leaf of the programs' shared outcome tree, depth first, 0 before 1.
+def walk_branches(states: Sequence[State], schedule: Schedule) -> Iterator[Leaf]:
+    """Every leaf of a stack of programs' shared outcome tree, depth first,
+    0 before 1.
 
-    The programs start from states on one register and, after equal
-    outcome bits, measure the same qubit; only their bases differ.  At each
-    node every program's own ``next_step`` names its basis, and each child
-    is one ``qmath.collapse`` of the whole stack.  A child whose probability
-    is below ``ZERO_PROBABILITY`` is skipped for that program only.
-    Programs that name different qubits at a node raise ``ValueError``;
-    ``ProtocolAbort`` propagates.
+    Program g starts from ``states[g]``; the states are of one kind on one
+    register.  ``schedule`` is called once per tree node with the outcome
+    bits and the indices of the programs still active; row j of its kets
+    holds ket0 and ket1 of program ``active[j]``.  Each child is one
+    ``qmath.collapse`` of the whole stack.  A child whose probability is
+    below ``ZERO_PROBABILITY`` is skipped for that program only, so the
+    schedule below it sees fewer rows.  A ket stack whose shape is not
+    (len(active), 2, 2) raises ``ValueError``; ``ProtocolAbort`` propagates.
     """
-    first = programs[0].state
+    first = states[0]
     pure = _is_pure(first)
-    if any(_is_pure(p.state) != pure or p.state.labels != first.labels for p in programs):
+    if any(_is_pure(s) != pure or s.labels != first.labels for s in states):
         raise ValueError("programs must start from states of one kind on one register")
-    states = np.stack([p.state.amps if pure else p.state.mat for p in programs])
-    yield from _walk(programs, (), np.arange(len(programs)), (), (), (), first.labels, states)
+    stack = np.stack([s.amps if pure else s.mat for s in states])
+    yield from _walk(schedule, (), np.arange(len(states)), (), (), first.labels, stack)
 
 
-def _walk(programs, bits, active, qubits, bases, probs, labels, states) -> Iterator[Leaf]:
-    steps = [programs[g].next_step(bits) for g in active]
-    if all(step is None for step in steps):
-        yield Leaf(bits, qubits, active, bases, probs, labels, states)
+def _walk(schedule, bits, active, qubits, probs, labels, states) -> Iterator[Leaf]:
+    step = schedule(bits, active)
+    if step is None:
+        yield Leaf(bits, qubits, active, probs, labels, states)
         return
-    qubit = steps[0][0] if steps[0] is not None else None
-    if any(step is None or step[0] != qubit for step in steps):
-        raise ValueError(f"programs measure different qubits after outcomes {bits}")
+    qubit, kets = step
+    if np.shape(kets) != (len(active), 2, 2):
+        raise ValueError(
+            f"schedule gave kets of shape {np.shape(kets)} for {len(active)} programs "
+            f"after outcomes {bits}; expected ({len(active)}, 2, 2)"
+        )
     axis = qm._index_of(labels, qubit)
     rest_labels = labels[:axis] + labels[axis + 1:]
-    node_bases = [step[1] for step in steps]
     for outcome in (0, 1):
-        kets = np.array([b.ket1 if outcome else b.ket0 for b in node_bases])
-        p, collapsed = qm.collapse(states, axis, kets, normalize=True)
-        child_active, child_bases, child_probs = active, bases + (node_bases,), probs + (p,)
+        outcome_kets = np.ascontiguousarray(kets[:, outcome], dtype=complex)
+        p, collapsed = qm.collapse(states, axis, outcome_kets, normalize=True)
+        child_active, child_probs = active, probs + (p,)
         rows = np.flatnonzero(~(p < ZERO_PROBABILITY))
         if len(rows) == 0:
             continue
         if len(rows) < len(p):  # skip this child for the programs that cannot reach it
             child_active, collapsed = active[rows], collapsed[rows]
-            child_bases = tuple([b[j] for j in rows] for b in child_bases)
             child_probs = tuple(q[rows] for q in child_probs)
-        yield from _walk(programs, bits + (outcome,), child_active, qubits + (qubit,),
-                         child_bases, child_probs, rest_labels, collapsed)
+        yield from _walk(schedule, bits + (outcome,), child_active, qubits + (qubit,),
+                         child_probs, rest_labels, collapsed)
 
 
 def _transcript(
@@ -389,6 +406,8 @@ def rotate_sequence(
 # ---------------------------------------------------------------------------
 
 _RESOURCES = ("2-qubit", "4-qubit")
+_Z_BASIS = pauli_basis("Z")
+_Z_KETS = _read_only(np.array([_Z_BASIS.ket0, _Z_BASIS.ket1]))
 
 
 def _resource_state(resource: str, theta: float) -> qm.StateVector:
@@ -399,52 +418,95 @@ def _resource_state(resource: str, theta: float) -> qm.StateVector:
     raise ValueError(f"unknown resource {resource!r}; expected one of {_RESOURCES}")
 
 
+def _compensation_step(bits: tuple[int, ...], two_qubit: bool) -> tuple[str, float | None] | None:
+    """The compensated rotation's rule (see ``compensate``): the qubit and
+    setting measured after ``bits``, or None once the branch is done.
+
+    The setting is None for the computational basis, 0 for B(alpha), and
+    +1.0 or -1.0 for B(+-(alpha - alpha')), alpha' = ``wrong_angle(alpha)``.
+    """
+    k = len(bits)
+    if two_qubit:
+        return None if k else ("3", 0)
+    if k == 0:
+        return "1", 0
+    if k == 1:
+        return "2", None
+    if k == 2:
+        return "3", None if bits[0] == 0 else (-1.0 if bits[1] else 1.0)
+    return None
+
+
+def _compensation_zeta(alphas: Sequence[float], theta: float) -> Callable[[float, int], float]:
+    """``zeta(setting, g)``: the basis-B angle of a B setting of
+    ``_compensation_step`` for ``alphas[g]``.  alpha - alpha' is computed
+    once per angle, when a branch first needs it."""
+    deltas = {}
+
+    def zeta(setting, g):
+        if setting == 0:
+            return alphas[g]
+        if g not in deltas:
+            deltas[g] = alphas[g] - wrong_angle(alphas[g], theta)
+        return setting * deltas[g]
+
+    return zeta
+
+
 def _compensation_program(
     alpha: float, resource: str, theta: float, state: State | None,
-    outputs: np.ndarray | None = None,
 ) -> Program:
     """The compensated rotation (see ``compensate``) as a program.
 
     On a pure state every successful branch is checked against its frame's
-    expected output: ``outputs``, alpha's row of ``_frame_targets``, is
-    built here unless the caller has built it.
+    expected output.
     """
     if state is None:
         state = _resource_state(resource, theta)
     elif resource not in _RESOURCES:
         raise ValueError(f"unknown resource {resource!r}; expected one of {_RESOURCES}")
     two_qubit = resource == "2-qubit"
-    z_basis = pauli_basis("Z")
-    if outputs is None and _is_pure(state):
-        outputs = _frame_targets((alpha,))[0]
-
-    def comp_angle(r2):
-        return (-1.0 if r2 else 1.0) * (alpha - wrong_angle(alpha, theta))
+    zeta = _compensation_zeta((alpha,), theta)
+    outputs = _frame_targets((alpha,))[0] if _is_pure(state) else None
 
     def next_step(bits):
-        k = len(bits)
-        if two_qubit:
-            return None if k else ("3", basis_B(alpha, theta))
-        if k == 0:
-            return "1", basis_B(alpha, theta)
-        if k == 1:
-            return "2", z_basis
-        if k == 2:
-            return "3", z_basis if bits[0] == 0 else basis_B(comp_angle(bits[1]), theta)
-        return None
+        step = _compensation_step(bits, two_qubit)
+        if step is None:
+            return None
+        qubit, setting = step
+        return qubit, _Z_BASIS if setting is None else basis_B(zeta(setting, 0), theta)
 
     def finish(records, state):
         bits = tuple(r.outcome for r in records)
         frame, success = _compensation_frame(bits, two_qubit)
         notes = ()
         if not two_qubit and bits[0] == 1:
-            notes = (("compensation_angle", f"{comp_angle(bits[1]):.15g}"),)
+            setting = _compensation_step(bits[:2], two_qubit)[1]  # qubit 3's B setting
+            notes = (("compensation_angle", f"{zeta(setting, 0):.15g}"),)
         logical = qm.HAD @ state.amps if _is_pure(state) else None
         if logical is not None and success:
             _check_frames(state.amps[None], outputs[None, frame.x[0], frame.z[0]])
         return _transcript(records, frame, logical, state, success, notes)
 
     return Program(state, 1 if two_qubit else 3, next_step, finish)
+
+
+def _compensation_schedule(alphas: Sequence[float], two_qubit: bool, theta: float) -> Schedule:
+    """The compensated rotation at every angle of ``alphas`` as one stacked
+    schedule for ``walk_branches``: the rule of ``_compensation_step`` with
+    each node's B kets built by one ``basis_B_stack``."""
+    zeta = _compensation_zeta(alphas, theta)
+
+    def schedule(bits, active):
+        step = _compensation_step(bits, two_qubit)
+        if step is None:
+            return None
+        qubit, setting = step
+        if setting is None:
+            return qubit, np.broadcast_to(_Z_KETS, (len(active), 2, 2))
+        return qubit, basis_B_stack([zeta(setting, g) for g in active], theta)
+
+    return schedule
 
 
 def _compensation_frame(bits: tuple[int, ...], two_qubit: bool) -> tuple[PauliFrame, bool]:
@@ -528,11 +590,13 @@ def noisy_success_curve(
     The resource is mixed as w |psi><psi| + (1-w) I/2^n with w chosen so the
     state's fidelity with the pure resource equals ``fidelity``.  The grid
     is walked ``_CURVE_CHUNK`` angles at a time: one ``walk_branches`` per
-    chunk collapses every angle's state in one ``qmath.collapse`` per tree
-    child.  Each angle's value has the bits of ``enumerate_compensation``:
-    successful leaves are summed depth first, each the product of its step
-    probabilities in step order.  Every angle's branches must sum to 1, and
-    on a pure resource every successful leaf must match its Pauli frame.
+    chunk asks one ``_compensation_schedule`` for each tree node's kets of
+    every angle and collapses every angle's state in one ``qmath.collapse``
+    per tree child.  Each angle's value has the bits of
+    ``enumerate_compensation``: successful leaves are summed depth first,
+    each the product of its step probabilities in step order.  Every
+    angle's branches must sum to 1, and on a pure resource every successful
+    leaf must match its Pauli frame.
     """
     pure = _resource_state(resource, theta)
     n = pure.n_qubits
@@ -548,13 +612,10 @@ def noisy_success_curve(
     out = []
     for start in range(0, len(alphas), _CURVE_CHUNK):
         chunk = alphas[start:start + _CURVE_CHUNK]
-        outputs = _frame_targets(chunk) if fidelity == 1.0 else [None] * len(chunk)
-        programs = [
-            _compensation_program(a, resource, theta, state, row)
-            for a, row in zip(chunk, outputs)
-        ]
+        schedule = _compensation_schedule(chunk, two_qubit, theta)
+        outputs = _frame_targets(chunk) if fidelity == 1.0 else None
         total, success = np.zeros(len(chunk)), np.zeros(len(chunk))
-        for leaf in walk_branches(programs):
+        for leaf in walk_branches([state] * len(chunk), schedule):
             p = leaf.probs[0]
             for step in leaf.probs[1:]:
                 p = p * step

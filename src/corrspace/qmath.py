@@ -360,35 +360,7 @@ def linear_entropy(rho_single: DensityMatrix) -> float:
     return 2.0 * (1.0 - purity)
 
 
-def states_equal(a: StateVector, b: StateVector, tol: float = 1e-12) -> bool:
-    """Equality up to global phase: | |<a|b>| - 1 | < tol for unit vectors."""
-    an, _ = a.normalized()
-    bn, _ = b.normalized()
-    return abs(abs(an.overlap(bn)) - 1.0) < tol
-
-
 def overlap_modulus(a: StateVector, b: StateVector) -> float:
     an, _ = a.normalized()
     bn, _ = b.normalized()
     return abs(an.overlap(bn))
-
-
-def vec_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:
-    """Global-phase-insensitive comparison of two plain vectors."""
-    a = np.asarray(a, dtype=complex).reshape(-1)
-    b = np.asarray(b, dtype=complex).reshape(-1)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        return na == nb
-    return abs(abs(np.vdot(a / na, b / nb)) - 1.0) < tol
-
-
-def mat_proportional(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:
-    """True when a = z*b for some complex scalar z (b nonzero)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    nb = np.linalg.norm(b)
-    if nb == 0:
-        return np.linalg.norm(a) < tol
-    z = np.vdot(b, a) / nb**2
-    return bool(np.linalg.norm(a - z * b) < tol * max(1.0, np.linalg.norm(a)))

@@ -75,6 +75,34 @@ def canonical_phase(vec: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return v.copy()
 
 
+def states_equal(a: qm.StateVector, b: qm.StateVector, tol: float = 1e-12) -> bool:
+    """Equality up to global phase: | |<a|b>| - 1 | < tol for unit vectors."""
+    an, _ = a.normalized()
+    bn, _ = b.normalized()
+    return abs(abs(an.overlap(bn)) - 1.0) < tol
+
+
+def vec_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:
+    """Global-phase-insensitive comparison of two plain vectors."""
+    a = np.asarray(a, dtype=complex).reshape(-1)
+    b = np.asarray(b, dtype=complex).reshape(-1)
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0 or nb == 0:
+        return na == nb
+    return abs(abs(np.vdot(a / na, b / nb)) - 1.0) < tol
+
+
+def mat_proportional(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:
+    """True when a = z*b for some complex scalar z (b nonzero)."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    nb = np.linalg.norm(b)
+    if nb == 0:
+        return np.linalg.norm(a) < tol
+    z = np.vdot(b, a) / nb**2
+    return bool(np.linalg.norm(a - z * b) < tol * max(1.0, np.linalg.norm(a)))
+
+
 def numpy_basis_B(zeta: float, theta: float = np.pi / 6) -> tuple[np.ndarray, np.ndarray, str]:
     """(ket0, ket1, name) of B(zeta, theta) built in numpy array arithmetic:
     the closed-form kets divided by ``np.linalg.norm``, then rephased."""

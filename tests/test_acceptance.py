@@ -53,7 +53,7 @@ from corrspace.wires import (
     psi6_explicit,
     psi6_spec,
 )
-from helpers import overlap2
+from helpers import overlap2, vec_equal_up_to_phase
 from reference_tables import (
     ANOMALOUS_GATE_ROW_OVERLAP2,
     ANOMALOUS_GATE_ROW_VECTOR,
@@ -168,12 +168,12 @@ def test_06_success_curves_pure_pins_and_noisy_mixing():
 def test_07_entangling_gate_outputs_and_reference_rows():
     tr = cz_gate_protocol(0.0, outcomes=(0, 0, 0, 0))
     assert tr.physical_out.labels == ("1p", "3p")
-    assert qm.vec_equal_up_to_phase(
+    assert vec_equal_up_to_phase(
         tr.physical_out.amps, np.array([1, 0, 0, 0], dtype=complex), 1e-10
     )
     tr = cz_gate_protocol(pi / 3, outcomes=(0, 0, 0, 0))
     want = np.array([sqrt(3) / 2, 0, 0, -0.5j])
-    assert qm.vec_equal_up_to_phase(tr.physical_out.amps, want, 1e-10)
+    assert vec_equal_up_to_phase(tr.physical_out.amps, want, 1e-10)
 
     for alpha, r2, r3, r4, f1, f3 in GATE_REFERENCE_ROWS:
         tr = cz_gate_protocol(alpha, outcomes=(0, r2, r3, r4))
@@ -197,7 +197,7 @@ def test_08_gate_logical_action_is_byproduct_dressed_cz():
                     np.linalg.matrix_power(qm.Z, r4),
                 )
                 want = qm.kron(qm.HAD, qm.HAD) @ zz @ cz @ vin
-                assert qm.vec_equal_up_to_phase(tr.logical_out, want, 1e-10)
+                assert vec_equal_up_to_phase(tr.logical_out, want, 1e-10)
 
 
 def _setting_parity_vectors(corrected):

@@ -10,7 +10,9 @@ from corrspace import measurement as meas
 from corrspace.noise_tomo import white_noise
 from corrspace.protocols import enumerate_compensation, noisy_success_curve, wrong_angle
 from corrspace.wires import a_site, b_site, b_site_rotated, build_psi4
-from helpers import numpy_basis_B, rand_state, rand_unitary
+from helpers import (
+    mat_proportional, numpy_basis_B, rand_state, rand_unitary, vec_equal_up_to_phase,
+)
 
 TOL = 1e-12
 
@@ -46,8 +48,8 @@ def test_angle_basis_closed_form_components():
     k0 = np.array([s * ch, 1j * c * sh])
     k1 = np.array([c * sh, -1j * s * ch])
     b = meas.basis_B(zeta, theta)
-    assert qm.vec_equal_up_to_phase(b.ket0, k0, TOL)
-    assert qm.vec_equal_up_to_phase(b.ket1, k1, TOL)
+    assert vec_equal_up_to_phase(b.ket0, k0, TOL)
+    assert vec_equal_up_to_phase(b.ket1, k1, TOL)
 
 
 def test_angle_basis_has_the_bits_of_the_numpy_construction():
@@ -74,6 +76,51 @@ def test_angle_basis_kets_are_read_only():
 def test_angle_basis_rejects_degenerate_theta():
     with pytest.raises(ValueError):
         meas.basis_B(0.3, 0.0)
+
+
+def test_angle_basis_stack_has_the_bits_of_basis_B():
+    # zeta in {0, +-pi, +-2pi} zeroes a first entry: the rephasing uses the second
+    zetas = np.random.default_rng(14).uniform(-4 * pi, 4 * pi, 2_000).tolist()
+    zetas += [0.0, -0.0, pi, -pi, 2 * pi, -2 * pi, pi / 2, 1e300, np.float64(0.7)]
+    for theta in (pi / 8, pi / 6, pi / 5, pi / 4, 0.9):
+        stack = meas.basis_B_stack(zetas, theta)
+        want = np.array([[b.ket0, b.ket1] for b in (meas.basis_B(z, theta) for z in zetas)])
+        assert stack.shape == (len(zetas), 2, 2)
+        assert stack.tobytes() == want.tobytes(), theta
+
+
+def test_angle_basis_stack_is_read_only_and_checks_theta():
+    stack = meas.basis_B_stack([0.4, 1.1])
+    for view in (stack, stack[0], stack[:, 1]):
+        assert not view.flags.writeable
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 0.0
+    with pytest.raises(ValueError) as scalar:
+        meas.basis_B(0.3, 0.0)
+    with pytest.raises(ValueError) as stacked:
+        meas.basis_B_stack([0.3], 0.0)
+    assert str(stacked.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda k0, k1: ((k0[0] * (1 + 2e-12), k0[1]), k1), "normalized"),
+        (lambda k0, k1: (k0, (complex("nan"), k1[1])), "normalized"),
+        (lambda k0, k1: (k0, k0), "orthogonal"),
+    ],
+)
+def test_angle_basis_stack_checks_every_row(monkeypatch, corrupt, message):
+    real = meas._b_kets
+
+    def one_bad_row(zeta, c, s):
+        k0, k1 = real(zeta, c, s)
+        return corrupt(k0, k1) if zeta == 0.5 else (k0, k1)
+
+    monkeypatch.setattr(meas, "_b_kets", one_bad_row)
+    meas.basis_B_stack([0.1, 0.9])
+    with pytest.raises(ValueError, match=f"^basis kets must be {message}$"):
+        meas.basis_B_stack([0.1, 0.5, 0.9])
 
 
 def test_coupler_basis_closed_form():
@@ -108,6 +155,8 @@ def test_pauli_bases_are_eigenbases():
         (qm.ket("0"), np.array([0, (1 - 2e-12) * 1j]), "normalized"),
         (qm.ket("0"), np.array([2e-12, 1]), "orthogonal"),
         (qm.ket("0"), np.array([2e-12j, 1]), "orthogonal"),
+        (np.array([np.nan, 0]), qm.ket("1"), "normalized"),
+        (qm.ket("0"), np.array([0, 1j * np.nan]), "normalized"),
     ],
 )
 def test_measurement_basis_rejects_at_its_bounds(ket0, ket1, message):
@@ -159,9 +208,9 @@ def test_weighted_site_induces_phase_rotation():
         scalar, u = meas.su2_decompose(ind0)
         p0 = sin(2 * theta) ** 2 / (2 * (1 - cos(2 * theta) * cos(zeta)))
         assert abs(abs(scalar) ** 2 - p0) < TOL
-        assert qm.mat_proportional(ind0, qm.HAD @ qm.rz(zeta))
+        assert mat_proportional(ind0, qm.HAD @ qm.rz(zeta))
         ind1 = meas.induced_operator(b.ket1, site)
-        assert qm.mat_proportional(ind1, qm.HAD @ qm.rz(wrong_angle(zeta, theta)))
+        assert mat_proportional(ind1, qm.HAD @ qm.rz(wrong_angle(zeta, theta)))
         other, _ = meas.su2_decompose(ind1)
         assert abs(abs(scalar) ** 2 + abs(other) ** 2 - 1.0) < TOL
 

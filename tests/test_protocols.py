@@ -27,7 +27,7 @@ from corrspace.protocols import (
     wrong_angle,
 )
 from corrspace.wires import build_psi4, lambda34
-from helpers import overlap2
+from helpers import overlap2, vec_equal_up_to_phase
 from reference_tables import (
     ANOMALOUS_GATE_ROW_VECTOR,
     ANOMALOUS_ROTATION_ROWS,
@@ -98,14 +98,58 @@ def test_program_branches_propagate_aborts():
         prog.branches()
 
 
-def test_enumeration_shares_prefixes(collapse_stacks):
+def test_enumeration_shares_prefixes(collapse_stacks, monkeypatch):
     _, branches = enumerate_compensation(0.8, "4-qubit")
     assert len(branches) == 8
     assert collapse_stacks == [1] * (2 + 4 + 8)  # one call per child, not 3 per branch
     collapse_stacks.clear()
-    # a whole grid walks the same 14 children once, every angle in each call
+    # a whole grid walks the same 14 children once, every angle in each call,
+    # and asks one schedule for each node's kets of all the angles
+    nodes, stacks, scalar = [], [], []
+    make_schedule, stack_of = protocols._compensation_schedule, protocols.basis_B_stack
+
+    def counted_schedule(*args):
+        schedule = make_schedule(*args)
+        return lambda bits, active: nodes.append(bits) or schedule(bits, active)
+
+    monkeypatch.setattr(protocols, "_compensation_schedule", counted_schedule)
+    monkeypatch.setattr(protocols, "basis_B_stack",
+                        lambda zetas, theta: stacks.append(len(zetas)) or stack_of(zetas, theta))
+    monkeypatch.setattr(protocols, "basis_B", lambda *args: scalar.append(args))
     noisy_success_curve(np.linspace(0, pi, 25), "4-qubit", 1.0)
     assert collapse_stacks == [25] * (2 + 4 + 8)
+    assert sorted(nodes) == sorted(set(nodes)) and len(nodes) == 1 + 2 + 4 + 8
+    assert stacks == [25] * 3  # B(alpha) at the root, B(+-(alpha - alpha')) below r1 = 1
+    assert scalar == []
+
+
+def test_wrong_angle_is_computed_once_per_compensation_angle(monkeypatch):
+    calls = []
+    real = protocols.wrong_angle
+    monkeypatch.setattr(protocols, "wrong_angle",
+                        lambda alpha, theta: calls.append(alpha) or real(alpha, theta))
+    grid = np.linspace(0.1, pi, 25)
+    noisy_success_curve(grid, "4-qubit", 0.9)
+    assert calls == grid.tolist()
+    calls.clear()
+    _, branches = enumerate_compensation(0.8, "4-qubit")
+    assert calls == [0.8]  # two level-2 bases and two notes share it
+    assert [dict(b.notes).get("compensation_angle") for b in branches[4:]] == [
+        f"{0.8 - real(0.8, pi / 6):.15g}"] * 2 + [f"{-(0.8 - real(0.8, pi / 6)):.15g}"] * 2
+    calls.clear()
+    compensate(0.8, outcomes=(0, 1, 1))
+    assert calls == []  # a branch that never reaches the compensation computes nothing
+
+
+def _pauli_schedule(letters, calls):
+    """Measure qubit 'a' of state g in the Pauli basis ``letters[g]``; log each call."""
+    kets = np.array([[pauli_basis(k).ket0, pauli_basis(k).ket1] for k in letters])
+
+    def schedule(bits, active):
+        calls.append((bits, active.tolist()))
+        return None if bits else ("a", kets[active])
+
+    return schedule
 
 
 def _one_qubit_program(letter):
@@ -120,10 +164,12 @@ def _one_qubit_program(letter):
 
 def test_walker_skips_a_zero_probability_child_per_program():
     # Z on |0> never reads 1; X reads both outcomes
-    leaves = list(protocols.walk_branches([_one_qubit_program("Z"), _one_qubit_program("X")]))
+    zero, calls = qm.StateVector(("a",), qm.ket("0")), []
+    leaves = list(protocols.walk_branches([zero, zero], _pauli_schedule("ZX", calls)))
     assert [leaf.bits for leaf in leaves] == [(0,), (1,)]
     assert [leaf.active.tolist() for leaf in leaves] == [[0, 1], [1]]
-    assert [leaf.records(0)[0].basis.name for leaf in leaves] == ["Z", "X"]
+    # one schedule call per node; below outcome 1 only the X program is asked
+    assert calls == [((), [0, 1]), ((0,), [0, 1]), ((1,), [1])]
     x_program = _one_qubit_program("X")
     half = [x_program.run(outcomes=(o,))[0].probability for o in (0, 1)]
     assert leaves[0].probs[0].tolist() == [1.0, half[0]]
@@ -131,19 +177,18 @@ def test_walker_skips_a_zero_probability_child_per_program():
     assert leaves[1].state(0).labels == ()  # the measured qubit is gone
 
 
-def test_walker_rejects_programs_that_measure_different_qubits():
-    state = qm.StateVector(("a", "b"), np.kron(qm.ket("0"), qm.ket("+")))
+def test_walker_checks_the_ket_stack_and_the_register():
+    zero, plus = qm.StateVector(("a",), qm.ket("0")), qm.StateVector(("a",), qm.ket("+"))
+    z_kets = np.array([[qm.ket("0"), qm.ket("1")]])
 
-    def program(qubit):
-        def next_step(bits):
-            return None if bits else (qubit, pauli_basis("Z"))
+    def one_row(bits, active):
+        return None if bits else ("a", z_kets)
 
-        return Program(state, 1, next_step, lambda records, state: records)
-
-    with pytest.raises(ValueError, match="different qubits"):
-        list(protocols.walk_branches([program("a"), program("b")]))
+    with pytest.raises(ValueError, match=r"kets of shape \(1, 2, 2\) for 2 programs"):
+        list(protocols.walk_branches([zero, plus], one_row))
+    pair = qm.StateVector(("a", "b"), np.kron(qm.ket("0"), qm.ket("+")))
     with pytest.raises(ValueError, match="one register"):
-        list(protocols.walk_branches([program("a"), _one_qubit_program("Z")]))
+        list(protocols.walk_branches([pair, zero], _pauli_schedule("ZZ", [])))
 
 
 def test_grid_curve_has_the_bits_of_per_angle_enumeration():
@@ -205,7 +250,7 @@ def test_rotation_rows_match_reference_and_closed_form():
         assert overlap2(amps, expect) > 1 - 1e-9
         assert overlap2(amps, _closed_form_rotation(alpha, beta, gamma)) > 1 - TOL
         assert tr.success and tr.outcome_bits == (0, 0, 0)
-        assert qm.vec_equal_up_to_phase(tr.logical_out, qm.HAD @ amps, TOL)
+        assert vec_equal_up_to_phase(tr.logical_out, qm.HAD @ amps, TOL)
 
 
 def test_anomalous_rotation_rows_pinned():
@@ -348,7 +393,7 @@ def test_successful_branches_realize_target_rotation():
         # undoing the recorded byproduct on the logical output recovers the
         # target rotation in every successful branch
         fixed = b.frame.operator("out") @ b.logical_out
-        assert qm.vec_equal_up_to_phase(fixed, target, 1e-10)
+        assert vec_equal_up_to_phase(fixed, target, 1e-10)
 
 
 def test_compensate_resource_handling():
@@ -414,12 +459,12 @@ def test_noisy_curve_fidelity_floor_validation():
 def test_gate_all_zero_outcomes_product_and_entangled_cases():
     tr = cz_gate_protocol(0.0, outcomes=(0, 0, 0, 0))
     assert tr.physical_out.labels == ("1p", "3p")
-    assert qm.vec_equal_up_to_phase(
+    assert vec_equal_up_to_phase(
         tr.physical_out.amps, np.array([1, 0, 0, 0], dtype=complex), 1e-10
     )
     tr = cz_gate_protocol(pi / 3, outcomes=(0, 0, 0, 0))
     want = np.array([S3 / 2, 0, 0, -0.5j])
-    assert qm.vec_equal_up_to_phase(tr.physical_out.amps, want, 1e-10)
+    assert vec_equal_up_to_phase(tr.physical_out.amps, want, 1e-10)
     assert tr.success
 
 
@@ -462,7 +507,7 @@ def test_gate_logical_identity_on_entangling_branches():
                     np.linalg.matrix_power(qm.Z, r4), np.linalg.matrix_power(qm.Z, r4)
                 )
                 want = qm.kron(qm.HAD, qm.HAD) @ zz @ cz @ vin
-                assert qm.vec_equal_up_to_phase(tr.logical_out, want, 1e-10)
+                assert vec_equal_up_to_phase(tr.logical_out, want, 1e-10)
                 assert tr.success
                 if r1 == 1:
                     assert any(k == "effective_alpha" for k, _ in tr.notes)

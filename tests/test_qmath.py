@@ -5,7 +5,10 @@ import pytest
 
 from corrspace import qmath as qm
 from corrspace.measurement import basis_B
-from helpers import canonical_phase, manual_embed, rand_density, rand_state, rand_unitary
+from helpers import (
+    canonical_phase, manual_embed, mat_proportional, rand_density, rand_state, rand_unitary,
+    states_equal, vec_equal_up_to_phase,
+)
 
 TOL = 1e-12
 
@@ -362,19 +365,19 @@ def test_linear_entropy_limits():
 def test_states_equal_up_to_phase(rng):
     st = rand_state(("a", "b"), rng)
     rotated = qm.StateVector(st.labels, np.exp(0.77j) * st.amps)
-    assert qm.states_equal(st, rotated)
+    assert states_equal(st, rotated)
     assert abs(qm.overlap_modulus(st, rotated) - 1.0) < TOL
     other = rand_state(("a", "b"), rng)
-    assert not qm.states_equal(st, other)
+    assert not states_equal(st, other)
 
 
 def test_vec_equal_up_to_phase():
     v = np.array([1.0, 1j])
-    assert qm.vec_equal_up_to_phase(v, np.exp(-1.3j) * v)
-    assert qm.vec_equal_up_to_phase(3 * v, v)  # scale-insensitive
-    assert not qm.vec_equal_up_to_phase(v, np.array([1.0, -1j]))
-    assert qm.vec_equal_up_to_phase(np.zeros(2), np.zeros(2))
-    assert not qm.vec_equal_up_to_phase(np.zeros(2), v)
+    assert vec_equal_up_to_phase(v, np.exp(-1.3j) * v)
+    assert vec_equal_up_to_phase(3 * v, v)  # scale-insensitive
+    assert not vec_equal_up_to_phase(v, np.array([1.0, -1j]))
+    assert vec_equal_up_to_phase(np.zeros(2), np.zeros(2))
+    assert not vec_equal_up_to_phase(np.zeros(2), v)
 
 
 def test_canonical_phase():
@@ -388,6 +391,6 @@ def test_canonical_phase():
 
 def test_mat_proportional(rng):
     m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    assert qm.mat_proportional((0.3 - 2j) * m, m)
-    assert not qm.mat_proportional(m + 0.5 * qm.Z, m)
-    assert qm.mat_proportional(np.zeros((2, 2)), np.zeros((2, 2)))
+    assert mat_proportional((0.3 - 2j) * m, m)
+    assert not mat_proportional(m + 0.5 * qm.Z, m)
+    assert mat_proportional(np.zeros((2, 2)), np.zeros((2, 2)))

@@ -7,7 +7,7 @@ import pytest
 
 from corrspace import qmath as qm
 from corrspace import wires as w
-from helpers import brute_wire_amplitudes
+from helpers import brute_wire_amplitudes, vec_equal_up_to_phase
 
 TOL = 1e-12
 
@@ -119,7 +119,7 @@ def test_two_qubit_readout_state_literal():
         )
         state = w.lambda34(theta)
         assert state.labels == ("3", "4")
-        assert qm.vec_equal_up_to_phase(state.amps, expect, TOL)
+        assert vec_equal_up_to_phase(state.amps, expect, TOL)
 
 
 def test_four_qubit_state_operational_vs_literal():
