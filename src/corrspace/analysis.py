@@ -146,12 +146,6 @@ class PauliWord:
     def matrix(self) -> np.ndarray:
         return _scatter_words((self,))
 
-    @property
-    def support(self) -> tuple[str, ...]:
-        return tuple(
-            lab for lab, let in zip(self.labels, self.letters) if let != "I"
-        )
-
 
 @dataclass(frozen=True)
 class WitnessTerm:
@@ -190,29 +184,6 @@ def _scatter_words(words: Sequence[PauliWord]) -> np.ndarray:
     out = np.zeros((cols.size, cols.size), dtype=complex)
     np.add.at(out, (rows, np.broadcast_to(cols, rows.shape)), values)
     return out
-
-
-@dataclass(frozen=True)
-class SettingTable:
-    """The measurement settings, one basis letter per qubit in WITNESS_ORDER."""
-
-    entries: tuple[str, ...]
-    qubit_order: tuple[str, ...] = WITNESS_ORDER
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
-        n = len(self.qubit_order)
-        for e in self.entries:
-            if len(e) != n or any(c not in "XYZ" for c in e):
-                raise ValueError(f"bad setting string {e!r}")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def witness_settings() -> SettingTable:
-    """The 36 tabulated product-basis settings of the fidelity protocol."""
-    return SettingTable(TABULATED_SETTINGS)
 
 
 # Block helpers: every term is a product of per-qubit-group factors, each

@@ -62,13 +62,6 @@ class MeasurementBasis:
             raise ValueError("outcome must be 0 or 1")
         return self.ket0 if outcome == 0 else self.ket1
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "ket0": [[float(c.real), float(c.imag)] for c in self.ket0],
-            "ket1": [[float(c.real), float(c.imag)] for c in self.ket1],
-        }
-
 
 @dataclass(frozen=True)
 class OutcomeRecord:

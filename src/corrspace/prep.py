@@ -8,27 +8,31 @@ element, a path relabeling, and polarization-to-path expansions.  Every
 filter is a contraction, so the pipeline tracks the overall post-selection
 probability, and the final state is verified against the abstract builder.
 
-Element model
--------------
-``pbc``          single-qubit polarization filter diag(sqrt(T_h), sqrt(T_v)).
-``pbc_overlap``  one filter cube crossed by two photons: each photon's V
-                 amplitude is attenuated by sqrt(T_v) (H by sqrt(T_h)) and
-                 the joint VV amplitude acquires a minus sign from
-                 two-photon interference.  With T_h = 1, T_v = 1/3, followed
-                 by a ``pbc`` (T_h = 1/3) on the second photon, the combined
-                 effect is diag(sqrt(1/3), sqrt(1/3), 1/3, -1/3) — a
-                 post-selected conditional-phase gate with an extra
-                 polarization weighting of the first photon.
-``pbs_expand``   polarization-to-path expansion |H> -> |H>|H'>,
-                 |V> -> |V>|V'>; an isometry that adds one qubit.
-``hwp``          half-wave plate at a given fast-axis angle (unitary).
+Functions
+---------
+``pbc_filter``          single-qubit polarization filter
+                        diag(sqrt(t_h), sqrt(t_v)).
+``pbc_overlap_filter``  one filter cube crossed by two photons: each photon's
+                        V amplitude is attenuated by sqrt(t_v) (H by
+                        sqrt(t_h)) and the joint VV amplitude acquires a
+                        minus sign from two-photon interference.  With
+                        t_h = 1, t_v = 1/3, followed by a ``pbc_filter``
+                        (t_h = 1/3) on the second photon, the combined
+                        effect is diag(sqrt(1/3), sqrt(1/3), 1/3, -1/3) — a
+                        post-selected conditional-phase gate with an extra
+                        polarization weighting of the first photon.
+``pbs_expand``          polarization-to-path expansion |H> -> |H>|H'>,
+                        |V> -> |V>|V'>; an isometry that adds one qubit.
+``exchange_labels``     a reroute of outputs: two register names swap.
+``methods_pipeline``    the filters in order, then (for psi6) the reroute
+                        and the two expansions; the product of the filters'
+                        post-selection probabilities is returned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import cos, pi, sin, sqrt
-from typing import Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -43,76 +47,24 @@ CPHASE_DIAG = np.array(
     [sqrt(1.0 / 3.0), sqrt(1.0 / 3.0), 1.0 / 3.0, -1.0 / 3.0]
 )
 
-_KINDS = ("pbc", "pbc_overlap", "pbs_expand", "hwp")
-
-
-@dataclass(frozen=True)
-class OpticalElement:
-    """One element of an optical preparation pipeline.
-
-    ``qubit`` is the acted-on polarization qubit; ``partner`` is the second
-    photon of a ``pbc_overlap``; ``new_label`` is the path qubit created by
-    ``pbs_expand``; ``angle`` is the ``hwp`` fast-axis angle.
-    """
-
-    kind: str
-    qubit: str
-    t_h: float = 1.0
-    t_v: float = 1.0
-    partner: str | None = None
-    new_label: str | None = None
-    angle: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown element kind {self.kind!r}")
-        for name, t in (("t_h", self.t_h), ("t_v", self.t_v)):
-            if not 0.0 <= t <= 1.0:
-                raise ValueError(f"{name}={t} outside [0, 1]")
-        if self.kind == "pbc_overlap" and self.partner is None:
-            raise ValueError("pbc_overlap requires a partner qubit")
-        if self.kind == "pbs_expand" and self.new_label is None:
-            raise ValueError("pbs_expand requires a new_label")
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"kind": self.kind, "qubit": self.qubit}
-        if self.kind in ("pbc", "pbc_overlap"):
-            out["t_h"] = float(self.t_h)
-            out["t_v"] = float(self.t_v)
-        if self.kind == "pbc_overlap":
-            out["partner"] = self.partner
-        if self.kind == "pbs_expand":
-            out["new_label"] = self.new_label
-        if self.kind == "hwp":
-            out["angle"] = float(self.angle)
-        return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "OpticalElement":
-        known = {"kind", "qubit", "t_h", "t_v", "partner", "new_label", "angle"}
-        extra = set(data) - known
-        if extra:
-            raise ValueError(f"unknown element fields {sorted(extra)}")
-        return cls(**data)
-
 
 # ---------------------------------------------------------------------------
 # Elementary transforms
 # ---------------------------------------------------------------------------
 
-def pbc_filter(
-    state: StateVector, qubit: str, t_h: float, t_v: float
+def _post_select(
+    state: StateVector, t_h: float, t_v: float, act: Callable[[float, float], StateVector]
 ) -> tuple[StateVector, float]:
-    """Polarization-dependent filter diag(sqrt(t_h), sqrt(t_v)) on one qubit.
+    """Run the filter ``act(sqrt(t_h), sqrt(t_v))`` on ``state`` and post-select.
 
     Returns the renormalized state and the post-selection probability (the
-    squared norm ratio).  Raises if the filter annihilates the state.
+    squared norm ratio).  Raises if a transmission lies outside [0, 1] or if
+    the filter annihilates the state.
     """
     for name, t in (("t_h", t_h), ("t_v", t_v)):
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"{name}={t} outside [0, 1]")
-    filt = np.diag([sqrt(t_h), sqrt(t_v)]).astype(complex)
-    raw = state.apply(filt, qubit)
+    raw = act(sqrt(t_h), sqrt(t_v))
     norm_in = state.norm
     if norm_in == 0.0:
         raise ValueError("input state has zero norm")
@@ -120,6 +72,16 @@ def pbc_filter(
     if prob <= 1e-300:
         raise ValueError("filter post-selection annihilated the state")
     return raw.normalized()[0], float(prob)
+
+
+def pbc_filter(
+    state: StateVector, qubit: str, t_h: float, t_v: float
+) -> tuple[StateVector, float]:
+    """Polarization-dependent filter diag(sqrt(t_h), sqrt(t_v)) on one qubit."""
+    return _post_select(
+        state, t_h, t_v,
+        lambda sh, sv: state.apply(np.diag([sh, sv]).astype(complex), qubit),
+    )
 
 
 def pbc_overlap_filter(
@@ -130,19 +92,13 @@ def pbc_overlap_filter(
     Each photon's amplitudes are filtered by diag(sqrt(t_h), sqrt(t_v)) and
     the joint VV amplitude flips sign (two-photon interference in the cube).
     """
-    for name, t in (("t_h", t_h), ("t_v", t_v)):
-        if not 0.0 <= t <= 1.0:
-            raise ValueError(f"{name}={t} outside [0, 1]")
-    sh, sv = sqrt(t_h), sqrt(t_v)
-    op = np.diag([sh * sh, sh * sv, sv * sh, -sv * sv]).astype(complex)
-    raw = state.apply_two(op, qubit_a, qubit_b)
-    norm_in = state.norm
-    if norm_in == 0.0:
-        raise ValueError("input state has zero norm")
-    prob = (raw.norm / norm_in) ** 2
-    if prob <= 1e-300:
-        raise ValueError("filter post-selection annihilated the state")
-    return raw.normalized()[0], float(prob)
+    return _post_select(
+        state, t_h, t_v,
+        lambda sh, sv: state.apply_two(
+            np.diag([sh * sh, sh * sv, sv * sh, -sv * sv]).astype(complex),
+            qubit_a, qubit_b,
+        ),
+    )
 
 
 def pbs_expand(state: StateVector, qubit: str, new_label: str) -> StateVector:
@@ -168,52 +124,12 @@ def pbs_expand(state: StateVector, qubit: str, new_label: str) -> StateVector:
     return StateVector(state.labels + (new_label,), expanded.reshape(-1))
 
 
-def hwp(state: StateVector, qubit: str, angle: float) -> StateVector:
-    """Half-wave plate with fast axis at ``angle``: a polarization reflection."""
-    c2, s2 = cos(2 * angle), sin(2 * angle)
-    jones = np.array([[c2, s2], [s2, -c2]], dtype=complex)
-    return state.apply(jones, qubit)
-
-
 def exchange_labels(state: StateVector, a: str, b: str) -> StateVector:
     """Swap the names of two register positions (physical path relabeling)."""
     if a not in state.labels or b not in state.labels:
         raise KeyError(f"labels {a!r}, {b!r} must both be present")
     renamed = tuple(b if l == a else a if l == b else l for l in state.labels)
     return StateVector(renamed, state.amps)
-
-
-def apply_element(
-    state: StateVector, element: OpticalElement
-) -> tuple[StateVector, float]:
-    """Apply one pipeline element; returns (state, post-selection probability)."""
-    if element.kind == "pbc":
-        return pbc_filter(state, element.qubit, element.t_h, element.t_v)
-    if element.kind == "pbc_overlap":
-        return pbc_overlap_filter(
-            state, element.qubit, element.partner, element.t_h, element.t_v
-        )
-    if element.kind == "pbs_expand":
-        return pbs_expand(state, element.qubit, element.new_label), 1.0
-    if element.kind == "hwp":
-        return hwp(state, element.qubit, element.angle), 1.0
-    raise ValueError(f"unknown element kind {element.kind!r}")
-
-
-def apply_pipeline(
-    state: StateVector, elements: Sequence[OpticalElement]
-) -> tuple[StateVector, float]:
-    """Apply elements in order; probability is the product of element factors."""
-    prob = 1.0
-    for el in elements:
-        state, p = apply_element(state, el)
-        prob *= p
-    return state, prob
-
-
-def load_pipeline(data: Sequence[dict]) -> tuple[OpticalElement, ...]:
-    """Deserialize an ordered element list from JSON-shaped dicts."""
-    return tuple(OpticalElement.from_json_dict(d) for d in data)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +163,7 @@ def balance_transmissions(theta: float) -> tuple[float, float]:
     The conditional-phase combination weights the first photon by
     diag(cos(pi/6), sin(pi/6)) up to scale; this filter converts that into
     diag(cos(theta), sin(theta)).  At theta = pi/6 it is the identity and
-    the element can be omitted.
+    the filter passes everything.
     """
     c, s = cos(theta), sin(theta)
     if not (c > 0 and s > 0):
@@ -257,60 +173,39 @@ def balance_transmissions(theta: float) -> tuple[float, float]:
     return f_h**2, f_v**2
 
 
-def pipeline_elements(target: str, theta: float = pi / 6) -> tuple[OpticalElement, ...]:
-    """The ordered element list preparing ``target`` ("psi4" or "psi6").
-
-    The list starts from two entangled pairs on labels (1,2) and (3,4); for
-    "psi6" the caller must also exchange labels 1 and 2 before the two
-    ``pbs_expand`` elements (see ``methods_pipeline``), which is a reroute
-    of outputs rather than an optical element.
-    """
-    t_h, t_v = weighting_transmissions(theta)
-    b_h, b_v = balance_transmissions(theta)
-    elements = [
-        OpticalElement("pbc", "2", t_h=t_h, t_v=t_v),
-        OpticalElement("pbc", "3", t_h=t_h, t_v=t_v),
-        OpticalElement("pbc_overlap", "1", t_h=1.0, t_v=1.0 / 3.0, partner="4"),
-        OpticalElement("pbc", "4", t_h=1.0 / 3.0, t_v=1.0),
-        OpticalElement("pbc", "1", t_h=b_h, t_v=b_v),
-    ]
-    if target == "psi4":
-        return tuple(elements)
-    if target == "psi6":
-        return tuple(
-            elements
-            + [
-                OpticalElement("pbs_expand", "1", new_label="1p"),
-                OpticalElement("pbs_expand", "3", new_label="3p"),
-            ]
-        )
-    raise ValueError(f"unknown target {target!r} (expected 'psi4' or 'psi6')")
-
-
 def methods_pipeline(
     target: str, theta: float = pi / 6
 ) -> tuple[StateVector, float]:
     """Run the full optical preparation and verify it against the builder.
 
+    Starting from two entangled pairs on labels (1,2) and (3,4): two
+    weighting filters, the conditional-phase combination, and the balancing
+    filter on photon 1.  For "psi6" the outputs are then rerouted (labels 1
+    and 2 exchange) and photons 1 and 3 are expanded into paths 1p and 3p.
+
     Returns the normalized output state (register ordered as the builder's)
-    and the overall post-selection probability.  Raises if any stage
-    annihilates the state or if the output fails to match the builder state
-    (overlap modulus 1 within 1e-10).
+    and the overall post-selection probability, the product of the filters'
+    probabilities.  Raises if any stage annihilates the state or if the
+    output fails to match the builder state (overlap modulus 1 within 1e-10).
     """
+    if target not in ("psi4", "psi6"):
+        raise ValueError(f"unknown target {target!r} (expected 'psi4' or 'psi6')")
+    t_h, t_v = weighting_transmissions(theta)
+    b_h, b_v = balance_transmissions(theta)
     state = entangled_pair("1", "2").tensor(entangled_pair("3", "4"))
-    elements = pipeline_elements(target, theta)
+    state, p_2 = pbc_filter(state, "2", t_h, t_v)
+    state, p_3 = pbc_filter(state, "3", t_h, t_v)
+    state, p_14 = pbc_overlap_filter(state, "1", "4", 1.0, 1.0 / 3.0)
+    state, p_4 = pbc_filter(state, "4", 1.0 / 3.0, 1.0)
+    state, p_1 = pbc_filter(state, "1", b_h, b_v)
+    prob = p_2 * p_3 * p_14 * p_4 * p_1
     if target == "psi4":
-        state, prob = apply_pipeline(state, elements)
         state = state.reorder(("1", "2", "3", "4"))
         reference = build_psi4(theta)
     else:
-        # Optical elements up to the conditional phase, then the output
-        # reroute (labels 1 and 2 exchange), then the path expansions.
-        head, tail = elements[:5], elements[5:]
-        state, prob = apply_pipeline(state, head)
         state = exchange_labels(state, "1", "2")
-        state, p_tail = apply_pipeline(state, tail)
-        prob *= p_tail
+        state = pbs_expand(state, "1", "1p")
+        state = pbs_expand(state, "3", "3p")
         state = state.reorder(PSI6_LABELS)
         reference = build_psi6(theta)
     if abs(qm.overlap_modulus(state, reference) - 1.0) > 1e-10:

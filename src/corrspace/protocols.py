@@ -375,7 +375,7 @@ def rotate_sequence(
     gamma: float,
     *,
     theta: float = pi / 6,
-    outcomes: Sequence[int] | None = (0, 0, 0),
+    outcomes: Sequence[int] | None = None,
     rng: np.random.Generator | None = None,
 ) -> ProtocolTranscript:
     """Three consecutive basis-B measurements on the four-qubit resource.
@@ -383,10 +383,11 @@ def rotate_sequence(
     With all outcomes 0 the readout qubit carries
     Rz(gamma) Rx(beta) Rz(alpha) |+>  (computational encoding 0->H, 1->V),
     and the correlation-space output is the same vector with an extra
-    Hadamard in front.
+    Hadamard in front.  Without ``outcomes`` or ``rng`` the all-zero
+    branch is post-selected.
     """
-    if rng is not None:
-        outcomes = None  # an explicit generator overrides the default zeros
+    if outcomes is None and rng is None:
+        outcomes = (0, 0, 0)
     angles = (alpha, beta, gamma)
 
     def next_step(bits):
@@ -701,10 +702,9 @@ def deutsch_relabel(
     """
     if function not in _FUNCTIONS:
         raise ValueError(f"unknown function {function!r}; expected one of {_FUNCTIONS}")
-    q, a = (int(b) for b in raw_bits)
-    if q not in (0, 1) or a not in (0, 1):
+    q, a, r1, r4 = (int(b) for b in (*raw_bits, r1, r4))
+    if q not in (0, 1) or a not in (0, 1) or r1 not in (0, 1) or r4 not in (0, 1):
         raise ValueError("bits must be 0 or 1")
-    r1, r4 = int(r1), int(r4)
     if function == "constant":
         return q, a ^ r1
     return q ^ r1 ^ r4, a ^ r1

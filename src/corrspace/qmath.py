@@ -292,11 +292,6 @@ class DensityMatrix:
         mat = self.mat.reshape([2] * (2 * n)).transpose(full_perm).reshape(2**n, 2**n)
         return DensityMatrix(tuple(new_labels), mat)
 
-    def apply(self, op: np.ndarray, qubit: str) -> "DensityMatrix":
-        mat = np.asarray(op, dtype=complex)
-        full = embed(mat, self.labels, [qubit])
-        return DensityMatrix(self.labels, full @ self.mat @ full.conj().T)
-
     def project(self, qubit: str, onto: np.ndarray | str) -> tuple[float, "DensityMatrix"]:
         """Collapse one qubit onto a ket: (probability, unnormalized rest)."""
         probs, rest = _project_one(self, qubit, onto)

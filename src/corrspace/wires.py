@@ -153,6 +153,8 @@ class ResourceSpec:
             tuple((l, np.asarray(v, dtype=complex)) for l, v in self.injected),
         )
         object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
+        if any(np.linalg.norm(v) == 0 for _, v in self.injected):
+            raise ValueError("injected vectors must be nonzero")
         labels = self.all_labels()
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate site labels across wires/injected sites")
@@ -168,23 +170,6 @@ class ResourceSpec:
             out.extend(w.labels)
         out.extend(l for l, _ in self.injected)
         return tuple(out)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "wires": [
-                {
-                    "labels": list(w.labels),
-                    "site_kinds": [s.kind for s in w.sites],
-                    "thetas": [s.theta for s in w.sites],
-                    "left": [complex(x) for x in w.left],
-                    "right": [complex(x) for x in w.right],
-                }
-                for w in self.wires
-            ],
-            "injected": [{"label": l, "state": [complex(x) for x in v]} for l, v in self.injected],
-            "edges": [list(e) for e in self.edges],
-        }
-
 
 def contract_wire(wire: Wire) -> tuple[StateVector, float]:
     """Contract a wire to a normalized state vector; also return the raw norm."""

@@ -11,7 +11,6 @@ from corrspace.analysis import (
     TABULATED_SETTINGS,
     WITNESS_ORDER,
     PauliWord,
-    SettingTable,
     assemble_witness,
     counts_to_cells,
     exact_setting_cells,
@@ -19,7 +18,6 @@ from corrspace.analysis import (
     linear_entropies,
     q_max,
     two_point_correlation,
-    witness_settings,
     witness_terms,
 )
 from corrspace.noise_tomo import setting_kets, simulate_counts, white_noise
@@ -181,20 +179,12 @@ def test_entropy_extremes():
 # ---------------------------------------------------------------------------
 
 def test_setting_table_contents():
-    st = witness_settings()
-    assert len(st) == 36
-    assert st.entries == TABULATED_SETTINGS
-    assert st.entries[0] == "ZZZZZZ"
-    assert st.entries[18] == "XZZZZZ"
-    assert st.entries[23] == "XYZXYX"
-    assert st.qubit_order == WITNESS_ORDER
-
-
-def test_setting_table_validation():
-    with pytest.raises(ValueError):
-        SettingTable(("ZZZZZ",))  # five letters for six qubits
-    with pytest.raises(ValueError):
-        SettingTable(("ZZZZZQ",))
+    assert len(TABULATED_SETTINGS) == 36
+    assert TABULATED_SETTINGS[0] == "ZZZZZZ"
+    assert TABULATED_SETTINGS[18] == "XZZZZZ"
+    assert TABULATED_SETTINGS[23] == "XYZXYX"
+    for entry in TABULATED_SETTINGS:
+        assert len(entry) == len(WITNESS_ORDER) and set(entry) <= set("XYZ")
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +244,9 @@ def test_assembled_witness_equals_kron_sum_exactly(corrected):
     assert rep.term_expectations == tuple(psi.expectation(m) for m in mats)
 
 
-def test_pauli_word_validation_and_support():
+def test_pauli_word_validation():
     w = PauliWord(("a", "b"), ("X", "I"), 2.0)
     assert np.allclose(w.matrix(), 2.0 * np.kron(qm.X, qm.I2), atol=TOL)
-    assert w.support == ("a",)
     with pytest.raises(ValueError):
         PauliWord(("a",), ("X", "Z"), 1.0)
     with pytest.raises(ValueError):

@@ -186,8 +186,6 @@ def test_measurement_basis_validation():
     assert np.allclose(b.ket(0), b.ket0) and np.allclose(b.ket(1), b.ket1)
     with pytest.raises(ValueError):
         b.ket(2)
-    d = b.to_json_dict()
-    assert d["name"] == "Z" and d["ket0"] == [[1.0, 0.0], [0.0, 0.0]]
 
 
 # ---------------------------------------------------------------------------

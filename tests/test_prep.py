@@ -8,19 +8,13 @@ import pytest
 from corrspace import qmath as qm
 from corrspace.prep import (
     CPHASE_DIAG,
-    OpticalElement,
-    apply_element,
-    apply_pipeline,
     balance_transmissions,
     entangled_pair,
     exchange_labels,
-    hwp,
-    load_pipeline,
     methods_pipeline,
     pbc_filter,
     pbc_overlap_filter,
     pbs_expand,
-    pipeline_elements,
     weighting_transmissions,
 )
 from corrspace.qmath import StateVector
@@ -59,6 +53,50 @@ def test_pbc_filter_validation():
     h_state = StateVector.from_kets([("1", "H")])
     with pytest.raises(ValueError):
         pbc_filter(h_state, "1", 0.0, 1.0)  # annihilates the state
+    with pytest.raises(ValueError):
+        pbc_filter(StateVector(("1",), np.zeros(2)), "1", 1.0, 1.0)
+    with pytest.raises(KeyError):
+        pbc_filter(pair, "9", 1.0, 1.0)
+
+
+def test_pbc_overlap_filter_validation():
+    pair = entangled_pair("1", "2")
+    with pytest.raises(ValueError):
+        pbc_overlap_filter(pair, "1", "2", 1.0, -0.1)
+    with pytest.raises(ValueError):
+        pbc_overlap_filter(pair, "1", "2", 1.5, 1.0)
+    hh = StateVector.from_kets([("1", "H"), ("2", "H")])
+    with pytest.raises(ValueError):
+        pbc_overlap_filter(hh, "1", "2", 0.0, 1.0)  # annihilates the state
+    with pytest.raises(KeyError):
+        pbc_overlap_filter(pair, "1", "9", 1.0, 1.0)  # unknown partner
+
+
+def test_pbc_overlap_filter_flips_the_vv_sign():
+    # at full transmission the cube is a lossless controlled-Z
+    plus2 = StateVector.from_kets([("1", "P"), ("2", "P")])
+    st, p = pbc_overlap_filter(plus2, "1", "2", 1.0, 1.0)
+    assert p == 1.0
+    assert np.allclose(st.amps, np.array([1, 1, 1, -1]) / 2, atol=TOL)
+    # with attenuated V the squared amplitude factors average over |++>
+    st, p = pbc_overlap_filter(plus2, "1", "2", 1.0, 1.0 / 3.0)
+    assert abs(p - (1 + 1 / 3 + 1 / 3 + 1 / 9) / 4) < TOL
+    want = np.array([1, sqrt(1 / 3), sqrt(1 / 3), -1 / 3])
+    assert np.allclose(st.amps, want / np.linalg.norm(want), atol=TOL)
+
+
+def test_filter_probability_is_the_norm_ratio():
+    # an unnormalized input post-selects with the same probability as its
+    # normalized copy, and the output is always renormalized
+    pair = entangled_pair("1", "2")
+    scaled = StateVector(pair.labels, 3.0 * pair.amps)
+    for filt, args in ((pbc_filter, ("2", 1.0, 0.25)),
+                       (pbc_overlap_filter, ("1", "2", 0.5, 0.25))):
+        st_unit, p_unit = filt(pair, *args)
+        st_scaled, p_scaled = filt(scaled, *args)
+        assert abs(p_scaled - p_unit) < TOL
+        assert abs(st_scaled.norm - 1.0) < TOL
+        assert np.allclose(st_scaled.amps, st_unit.amps, atol=TOL)
 
 
 def test_weighted_pair_intermediate_state():
@@ -118,13 +156,6 @@ def test_pbs_expand_label_errors():
         pbs_expand(pair, "9", "9p")
 
 
-def test_hwp_is_an_involution_and_rotates_h_to_plus():
-    h_state = StateVector.from_kets([("q", "H")])
-    assert np.allclose(hwp(h_state, "q", pi / 8).amps, PLUS, atol=TOL)
-    rolled = hwp(hwp(h_state, "q", 0.3), "q", 0.3)
-    assert np.allclose(rolled.amps, h_state.amps, atol=TOL)
-
-
 def test_exchange_labels_swaps_names_only():
     pair = entangled_pair("1", "2")
     ex = exchange_labels(pair, "1", "2")
@@ -135,50 +166,6 @@ def test_exchange_labels_swaps_names_only():
     )
     with pytest.raises(KeyError):
         exchange_labels(pair, "1", "7")
-
-
-# ---------------------------------------------------------------------------
-# Pipeline elements and serialization
-# ---------------------------------------------------------------------------
-
-def test_element_validation():
-    with pytest.raises(ValueError):
-        OpticalElement("pbc", "1", t_h=1.5)
-    with pytest.raises(ValueError):
-        OpticalElement("zap", "1")
-    with pytest.raises(ValueError):
-        OpticalElement("pbc_overlap", "1")  # missing partner
-    with pytest.raises(ValueError):
-        OpticalElement("pbs_expand", "1")  # missing new_label
-
-
-def test_element_json_round_trip():
-    elements = pipeline_elements("psi6", pi / 6)
-    loaded = load_pipeline([e.to_json_dict() for e in elements])
-    assert loaded == elements
-    with pytest.raises(ValueError):
-        OpticalElement.from_json_dict({"kind": "pbc", "qubit": "1", "bogus": 2})
-
-
-def test_apply_element_dispatch():
-    pair = entangled_pair("1", "2")
-    st, p = apply_element(pair, OpticalElement("hwp", "1", angle=pi / 8))
-    assert p == 1.0
-    assert abs(st.norm - 1.0) < TOL
-    st, p = apply_element(pair, OpticalElement("pbs_expand", "1", new_label="1p"))
-    assert p == 1.0 and st.labels == ("1", "2", "1p")
-    with pytest.raises(KeyError):
-        apply_element(pair, OpticalElement("pbc", "9"))
-
-
-def test_pipeline_elements_shape_and_bad_target():
-    els4 = pipeline_elements("psi4", pi / 6)
-    els6 = pipeline_elements("psi6", pi / 6)
-    assert len(els4) == 5 and len(els6) == 7
-    assert els6[:5] == els4
-    assert [e.kind for e in els6[5:]] == ["pbs_expand", "pbs_expand"]
-    with pytest.raises(ValueError):
-        pipeline_elements("psi8", pi / 6)
 
 
 # ---------------------------------------------------------------------------
@@ -226,18 +213,41 @@ def test_six_qubit_preparation():
 
 def test_preparation_probability_is_the_raw_contraction_norm():
     state0 = entangled_pair("1", "2").tensor(entangled_pair("3", "4"))
-    elements = pipeline_elements("psi4", pi / 6)
-    _, prob = apply_pipeline(state0, elements)
+    t_h, t_v = weighting_transmissions(pi / 6)
+    b_h, b_v = balance_transmissions(pi / 6)
+    # (qubits, t_h, t_v) of the four single-photon filters and the overlap cube
+    filters = [
+        (("2",), t_h, t_v),
+        (("3",), t_h, t_v),
+        (("1", "4"), 1.0, 1.0 / 3.0),
+        (("4",), 1.0 / 3.0, 1.0),
+        (("1",), b_h, b_v),
+    ]
+    _, prob = methods_pipeline("psi4", pi / 6)
     acc = state0
-    for el in elements:
-        if el.kind == "pbc":
-            filt = np.diag([sqrt(el.t_h), sqrt(el.t_v)]).astype(complex)
-            acc = acc.apply(filt, el.qubit)
-        elif el.kind == "pbc_overlap":
-            sh, sv = sqrt(el.t_h), sqrt(el.t_v)
+    for qubits, th, tv in filters:
+        sh, sv = sqrt(th), sqrt(tv)
+        if len(qubits) == 1:
+            acc = acc.apply(np.diag([sh, sv]).astype(complex), qubits[0])
+        else:
             op = np.diag([sh * sh, sh * sv, sv * sh, -sv * sv]).astype(complex)
-            acc = acc.apply_two(op, el.qubit, el.partner)
+            acc = acc.apply_two(op, *qubits)
     assert abs(prob - acc.norm**2) < TOL
+
+
+def test_psi6_preparation_costs_what_psi4_costs():
+    # the reroute and the two expansions are lossless: psi6 post-selects
+    # with exactly the probability of the psi4 filters it starts from
+    for theta in (0.3, pi / 6, 1.2):
+        _, p4 = methods_pipeline("psi4", theta)
+        s6, p6 = methods_pipeline("psi6", theta)
+        assert p6 == p4
+        assert s6.labels == PSI6_LABELS
+
+
+def test_methods_pipeline_rejects_an_unknown_target():
+    with pytest.raises(ValueError):
+        methods_pipeline("psi8", pi / 6)
 
 
 def test_preparation_generalizes_over_theta():

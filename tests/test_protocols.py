@@ -289,6 +289,16 @@ def test_rotation_sampled_mode_is_deterministic():
         outs.append((tr.outcome_bits, tr.physical_out.amps.copy()))
     assert outs[0][0] == outs[1][0]
     assert np.array_equal(outs[0][1], outs[1][1])
+    # rng= alone samples; replaying the sampled bits gives the same transcript
+    sampled = rotate_sequence(0.3, 0.4, 0.5, rng=np.random.default_rng(0))
+    assert sampled.outcome_bits == (0, 0, 0)
+    replay = rotate_sequence(0.3, 0.4, 0.5, outcomes=sampled.outcome_bits)
+    assert sampled.to_json_dict() == replay.to_json_dict()
+
+
+def test_rotation_rejects_outcomes_together_with_rng():
+    with pytest.raises(ValueError, match="exactly one of"):
+        rotate_sequence(0.3, 0.4, 0.5, outcomes=(1, 1, 1), rng=np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +559,10 @@ def test_program_relabel_map():
         deutsch_relabel((0, 0), 0, 0, "mystery")
     with pytest.raises(ValueError):
         deutsch_relabel((0, 2), 0, 0, "constant")
+    with pytest.raises(ValueError):
+        deutsch_relabel((0, 0), 2, 0, "constant")
+    with pytest.raises(ValueError):
+        deutsch_relabel((0, 0), 1, 3, "balanced")
 
 
 def test_balanced_program_aborts_when_entangling_step_unavailable():

@@ -213,10 +213,6 @@ def test_density_matches_pure_operations(rng):
     st = rand_state(("a", "b"), rng)
     rho = st.to_density()
     assert abs(rho.trace - 1.0) < TOL
-    op = rand_unitary(rng)
-    assert np.allclose(
-        rho.apply(op, "b").mat, st.apply(op, "b").to_density().mat, atol=TOL
-    )
     assert np.allclose(
         rho.reorder(("b", "a")).mat, st.reorder(("b", "a")).to_density().mat, atol=TOL
     )

@@ -174,15 +174,17 @@ def test_resource_spec_validation():
         w.ResourceSpec((wire,), injected=(("b", qm.ket("0")),), edges=(("a", "b", "SWAP"),))
     with pytest.raises(ValueError):
         w.ResourceSpec((wire,), edges=(("a", "a", "CZ"),))
+    with pytest.raises(ValueError):
+        w.ResourceSpec((wire,), injected=(("b", np.zeros(2)),))
 
 
-def test_resource_spec_json_shape():
-    d = w.psi6_spec().to_json_dict()
-    assert [wd["labels"] for wd in d["wires"]] == [["1", "2", "1p"], ["3", "3p"]]
-    assert d["wires"][0]["site_kinds"] == ["A", "A", "B"]
-    assert d["wires"][1]["site_kinds"] == ["A", "B-spatial-rotated"]
-    assert d["edges"] == [["2", "4", "CZ"], ["3", "4", "CZ"]]
-    assert d["injected"][0]["label"] == "4"
+def test_psi6_spec_structure():
+    spec = w.psi6_spec()
+    assert [wd.labels for wd in spec.wires] == [("1", "2", "1p"), ("3", "3p")]
+    assert [s.kind for s in spec.wires[0].sites] == ["A", "A", "B"]
+    assert [s.kind for s in spec.wires[1].sites] == ["A", "B-spatial-rotated"]
+    assert spec.edges == (("2", "4", "CZ"), ("3", "4", "CZ"))
+    assert spec.injected[0][0] == "4"
 
 
 def test_contract_resource_size_guard():
