@@ -1,10 +1,9 @@
 """Two-outcome projective measurements on labeled registers.
 
 Provides the angle-parametrized polarization basis used to drive wire
-rotations (one basis, or the kets of many angles as one stack), the
-coupling-site basis for canonical-form wires, the Pauli bases, Born-rule
-collapse (post-selected or sampled) on pure and mixed states, and the
-correlation-space operator induced by consuming one site.
+rotations (one basis, or the kets of many angles as one stack), the Pauli
+bases, and Born-rule collapse (post-selected or sampled) on pure and mixed
+states.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import qmath as qm
-from .wires import SiteTensor, _check_theta
+from .wires import _check_theta
 
 State = Union[qm.StateVector, qm.DensityMatrix]
 
@@ -175,20 +174,6 @@ def _unit_rephased(re0: float, im0: float, re1: float, im1: float) -> tuple[comp
     return complex(re0, im0), complex(re1, im1)
 
 
-def basis_u(theta_c: float) -> MeasurementBasis:
-    """Coupling-site basis for a canonical-form wire with angle ``theta_c``.
-
-    With u0 = (cos(theta_c/4) - sin(theta_c/4))/sqrt2 and
-    u1 = (cos(theta_c/4) + sin(theta_c/4))/sqrt2, the kets are
-    {u0|0> - u1|1>, u1|0> + u0|1>} (kept literally, no rephasing).
-    """
-    u0 = (np.cos(theta_c / 4) - np.sin(theta_c / 4)) / qm.SQRT2
-    u1 = (np.cos(theta_c / 4) + np.sin(theta_c / 4)) / qm.SQRT2
-    k0 = np.array([u0, -u1], dtype=complex)
-    k1 = np.array([u1, u0], dtype=complex)
-    return MeasurementBasis(k0, k1, name=f"u({theta_c:.12g})")
-
-
 def pauli_basis(letter: str) -> MeasurementBasis:
     """Eigenbasis of a Pauli operator; outcome 0 is the +1 eigenstate.
 
@@ -212,48 +197,6 @@ def _pauli_basis(letter: str) -> MeasurementBasis:
     basis.ket0.setflags(write=False)
     basis.ket1.setflags(write=False)
     return basis
-
-
-def induced_operator(basis_ket: np.ndarray, site: SiteTensor) -> np.ndarray:
-    """Correlation-space operator left behind by consuming one site.
-
-    Projecting the site's physical qubit onto |phi> = sum_s phi_s |s>
-    (components in the computational basis, matching the stored tensors)
-    induces  sum_s conj(phi_s) T[s]  on the wire's correlation vector.
-    """
-    phi = np.asarray(basis_ket, dtype=complex).reshape(-1)
-    if phi.shape != (2,):
-        raise ValueError("basis ket must be a 2-vector")
-    return np.conj(phi[0]) * site.matrix(0) + np.conj(phi[1]) * site.matrix(1)
-
-
-def su2_decompose(mat: np.ndarray, tol: float = 1e-10) -> tuple[complex, np.ndarray]:
-    """Split an invertible matrix proportional to a unitary as scalar * SU(2).
-
-    Returns (scalar, u) with mat = scalar * u, det(u) = 1 and the sign of u
-    fixed so its first non-negligible entry has nonnegative real part.
-    Raises ValueError when the matrix is singular or not proportional to a
-    unitary.
-    """
-    mat = np.asarray(mat, dtype=complex)
-    gram = mat.conj().T @ mat
-    mag2 = float(np.real(np.trace(gram))) / 2.0
-    if mag2 < tol:
-        raise ValueError("matrix is (numerically) singular")
-    if np.linalg.norm(gram - mag2 * np.eye(2)) > tol * max(1.0, mag2):
-        raise ValueError("matrix is not proportional to a unitary")
-    mag = np.sqrt(mag2)
-    u = mat / mag
-    det_phase = np.linalg.det(u)
-    root = np.sqrt(det_phase)  # principal branch; sign fixed below
-    u = u / root
-    for comp in u.reshape(-1):
-        if abs(comp) > tol:
-            if comp.real < -tol or (abs(comp.real) <= tol and comp.imag < 0):
-                u = -u
-                root = -root
-            break
-    return mag * root, u
 
 
 def measure(

@@ -215,10 +215,13 @@ def simulate_counts(
 
     multinomial mode draws a single multinomial of size ``shots`` per
     setting; poisson mode draws each cell independently with mean
-    shots * p(cell).
+    shots * p(cell).  The draws come from ``rng``, or from a generator
+    seeded with ``seed``; giving both raises ``ValueError``.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    if seed is not None and rng is not None:
+        raise ValueError("provide at most one of seed= or rng=")
     labels = rho.labels
     if settings is None:
         settings = product_settings(len(labels))

@@ -40,14 +40,6 @@ from . import qmath as qm
 from .qmath import StateVector
 from .wires import PSI6_LABELS, build_psi4, build_psi6
 
-#: Joint amplitude factors of the two-photon conditional-phase combination
-#: (overlapping filter cube plus a T_h = 1/3 filter on the second photon),
-#: in the (HH, HV, VH, VV) basis of (first photon, second photon).
-CPHASE_DIAG = np.array(
-    [sqrt(1.0 / 3.0), sqrt(1.0 / 3.0), 1.0 / 3.0, -1.0 / 3.0]
-)
-
-
 # ---------------------------------------------------------------------------
 # Elementary transforms
 # ---------------------------------------------------------------------------
@@ -94,7 +86,7 @@ def pbc_overlap_filter(
     """
     return _post_select(
         state, t_h, t_v,
-        lambda sh, sv: state.apply_two(
+        lambda sh, sv: state.apply(
             np.diag([sh * sh, sh * sv, sv * sh, -sv * sv]).astype(complex),
             qubit_a, qubit_b,
         ),

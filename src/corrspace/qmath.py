@@ -48,17 +48,6 @@ def ket(name: str) -> np.ndarray:
         raise ValueError(f"unknown ket name {name!r}") from None
 
 
-def rz(angle: float) -> np.ndarray:
-    """Rotation exp(-i*angle*Z/2) = diag(e^{-i a/2}, e^{i a/2})."""
-    return np.array([[np.exp(-0.5j * angle), 0], [0, np.exp(0.5j * angle)]])
-
-
-def rx(angle: float) -> np.ndarray:
-    """Rotation exp(-i*angle*X/2)."""
-    c, s = np.cos(angle / 2), np.sin(angle / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]])
-
-
 def kron(*mats: np.ndarray) -> np.ndarray:
     """Kronecker product; the first argument is the most significant qubit."""
     out = np.asarray(mats[0], dtype=complex)
@@ -215,20 +204,23 @@ class StateVector:
         return StateVector(tuple(new_labels), amps)
 
     # -- operators ---------------------------------------------------------
-    def apply(self, op: np.ndarray, qubit: str) -> "StateVector":
-        """Apply a single-qubit operator to one tensor factor."""
-        mat = np.asarray(op, dtype=complex)
-        ax = _index_of(self.labels, qubit)
-        n = self.n_qubits
-        amps = self.amps.reshape([2] * n)
-        amps = np.tensordot(mat, amps, axes=(1, ax))
-        amps = np.moveaxis(amps, 0, ax)
-        return StateVector(self.labels, amps.reshape(-1))
+    def apply(self, op: np.ndarray, *qubits: str) -> "StateVector":
+        """Apply a k-qubit operator to ``qubits`` (the first is the most
+        significant qubit of ``op``).
 
-    def apply_two(self, op4: np.ndarray, qa: str, qb: str) -> "StateVector":
-        """Apply a two-qubit operator (qa = most significant of the pair)."""
-        full = embed(op4, self.labels, [qa, qb])
-        return StateVector(self.labels, full @ self.amps)
+        ``op`` is reshaped to (2,)*2k, contracted into the qubits' axes with
+        ``np.tensordot`` and the axis order restored with ``np.moveaxis``;
+        no 2^n x 2^n operator is built.
+        """
+        k = len(qubits)
+        if k == 0 or len(set(qubits)) != k:
+            raise ValueError("apply needs one or more distinct qubits")
+        axes = [_index_of(self.labels, q) for q in qubits]
+        mat = np.asarray(op, dtype=complex).reshape((2,) * (2 * k))
+        amps = self.amps.reshape((2,) * self.n_qubits)
+        amps = np.tensordot(mat, amps, axes=(list(range(k, 2 * k)), axes))
+        amps = np.moveaxis(amps, list(range(k)), axes)
+        return StateVector(self.labels, amps.reshape(-1))
 
     # -- inner products and collapse ---------------------------------------
     def overlap(self, other: "StateVector") -> complex:

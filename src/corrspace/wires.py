@@ -17,7 +17,7 @@ from math import cos, isfinite, pi, sin
 import numpy as np
 
 from . import qmath
-from .qmath import HAD, SQRT2, StateVector, Z, ket, rz
+from .qmath import HAD, SQRT2, StateVector, Z, ket
 
 CZ4 = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
 CX4 = np.array(
@@ -44,16 +44,13 @@ def _check_theta(theta: float) -> None:
 class SiteTensor:
     """Per-site map from a computational outcome index to a 2x2 matrix.
 
-    ``basis_labels`` names the two physical kets the computational indices
-    correspond to (for bookkeeping only).  ``kind`` is one of "A" (weighted
-    computing site), "B" (readout site), "B-spatial-rotated" (readout site
-    whose defining basis is the diagonal one), or "canonical".
+    ``tensors[s]`` is the matrix T[s] for the physical ket |s> of the
+    computational basis: a weighted computing site (``a_site``), a readout
+    site (``b_site``) or a readout site defined in the diagonal basis
+    (``b_site_rotated``).
     """
 
-    kind: str
     tensors: tuple[np.ndarray, np.ndarray]
-    basis_labels: tuple[str, str] = ("H", "V")
-    theta: float | None = None
 
     def matrix(self, outcome: int) -> np.ndarray:
         return self.tensors[outcome]
@@ -62,14 +59,12 @@ class SiteTensor:
 def a_site(theta: float) -> SiteTensor:
     """Computing site: T[H] = H*cos(theta), T[V] = H*Z*sin(theta)."""
     _check_theta(theta)
-    return SiteTensor(
-        "A", (HAD * cos(theta), (HAD @ Z) * sin(theta)), ("H", "V"), theta
-    )
+    return SiteTensor((HAD * cos(theta), (HAD @ Z) * sin(theta)))
 
 
 def b_site() -> SiteTensor:
     """Readout site: T[H] = H, T[V] = H*Z."""
-    return SiteTensor("B", (HAD.copy(), HAD @ Z), ("H", "V"))
+    return SiteTensor((HAD.copy(), HAD @ Z))
 
 
 def b_site_rotated() -> SiteTensor:
@@ -81,32 +76,7 @@ def b_site_rotated() -> SiteTensor:
     t_p, t_m = HAD, HAD @ Z
     t_h = (t_p + t_m) / SQRT2
     t_v = (t_p - t_m) / SQRT2
-    return SiteTensor("B-spatial-rotated", (t_h, t_v), ("H'", "V'"))
-
-
-@dataclass(frozen=True)
-class CanonicalWire:
-    """Wire in canonical form: T[0] = W, T[1] = W * diag(e^{-i t/2}, e^{i t/2})."""
-
-    W: np.ndarray
-    theta_c: float
-
-    def __post_init__(self) -> None:
-        W = np.asarray(self.W, dtype=complex)
-        object.__setattr__(self, "W", W)
-        if not np.allclose(W.conj().T @ W, np.eye(2), atol=1e-12):
-            raise ValueError("W must be unitary")
-
-    def site(self) -> SiteTensor:
-        return SiteTensor(
-            "canonical",
-            (self.W.copy(), self.W @ rz(self.theta_c)),
-            ("0", "1"),
-            self.theta_c,
-        )
-
-    def sites(self, n: int) -> list[SiteTensor]:
-        return [self.site() for _ in range(n)]
+    return SiteTensor((t_h, t_v))
 
 
 @dataclass(frozen=True)
@@ -125,6 +95,8 @@ class Wire:
         object.__setattr__(self, "right", np.asarray(self.right, dtype=complex))
         if len(self.sites) != len(self.labels):
             raise ValueError("one label per site required")
+        if not (np.isfinite(self.left).all() and np.isfinite(self.right).all()):
+            raise ValueError("boundary vectors must be finite")
         if np.linalg.norm(self.left) == 0 or np.linalg.norm(self.right) == 0:
             raise ValueError("boundary vectors must be nonzero")
 
@@ -153,6 +125,8 @@ class ResourceSpec:
             tuple((l, np.asarray(v, dtype=complex)) for l, v in self.injected),
         )
         object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
+        if not all(np.isfinite(v).all() for _, v in self.injected):
+            raise ValueError("injected vectors must be finite")
         if any(np.linalg.norm(v) == 0 for _, v in self.injected):
             raise ValueError("injected vectors must be nonzero")
         labels = self.all_labels()
@@ -207,7 +181,7 @@ def contract_resource(spec: ResourceSpec) -> tuple[StateVector, float]:
     if state is None:
         raise ValueError("empty resource")
     for a, b, gate in spec.edges:
-        state = state.apply_two(CZ4 if gate == "CZ" else CX4, a, b)
+        state = state.apply(CZ4 if gate == "CZ" else CX4, a, b)
     normed, raw = state.normalized()
     return normed, raw_total * raw
 
@@ -228,6 +202,13 @@ def _frozen(state: StateVector) -> StateVector:
     return state
 
 
+def _cross_checked(state: StateVector, literal: StateVector, size: str) -> StateVector:
+    """``state`` made read-only, once it matches its literal expansion."""
+    if qmath.overlap_modulus(state, literal) < 1.0 - 1e-12:
+        raise AssertionError(f"operational and literal {size}-qubit builds disagree")
+    return _frozen(state)
+
+
 def psi4_wire(theta: float = pi / 6) -> Wire:
     """The A,A,A,B wire on labels 1..4."""
     return Wire(
@@ -237,14 +218,19 @@ def psi4_wire(theta: float = pi / 6) -> Wire:
 
 
 def build_psi4(theta: float = pi / 6) -> StateVector:
-    """Four-qubit resource state on labels (1,2,3,4), normalized."""
+    """Four-qubit resource state on labels (1,2,3,4), normalized.
+
+    Built operationally (the A,A,A,B wire) and cross-checked against the
+    literal expansion; the two must agree up to global phase.
+    """
     return _psi4(float(theta))
 
 
 @functools.lru_cache(maxsize=_CACHED_THETAS)
 def _psi4(theta: float) -> StateVector:
     state, _ = contract_wire(psi4_wire(theta))
-    return _frozen(state)
+    literal, _ = psi4_explicit(theta)
+    return _cross_checked(state, literal, "four")
 
 
 def psi4_explicit(theta: float = pi / 6) -> tuple[StateVector, float]:
@@ -311,11 +297,8 @@ def build_psi6(theta: float = pi / 6) -> StateVector:
 @functools.lru_cache(maxsize=_CACHED_THETAS)
 def _psi6(theta: float) -> StateVector:
     state, _ = contract_resource(psi6_spec(theta))
-    state = state.reorder(PSI6_LABELS)
     literal, _ = psi6_explicit(theta)
-    if qmath.overlap_modulus(state, literal) < 1.0 - 1e-12:
-        raise AssertionError("operational and literal six-qubit builds disagree")
-    return _frozen(state)
+    return _cross_checked(state.reorder(PSI6_LABELS), literal, "six")
 
 
 def psi6_explicit(theta: float = pi / 6) -> tuple[StateVector, float]:
@@ -349,37 +332,3 @@ def psi6_explicit(theta: float = pi / 6) -> tuple[StateVector, float]:
     raw = float(np.linalg.norm(amps))
     return StateVector(PSI6_LABELS, amps / raw), raw
 
-
-def couple_canonical(
-    left: list[SiteTensor] | CanonicalWire,
-    right: list[SiteTensor] | CanonicalWire,
-    left_labels: tuple[str, ...] | None = None,
-    right_labels: tuple[str, ...] | None = None,
-    coupled: tuple[str, str] | None = None,
-    injected_label: str = "c",
-    n_sites: int = 3,
-) -> ResourceSpec:
-    """Couple two canonical-form wires through an injected |+> site.
-
-    The injected qubit is the control of one controlled-X edge onto a chosen
-    site of each wire (defaults: the middle site of each).  Measuring the
-    injected qubit in the computational basis undoes the coupling (outcome 0)
-    or leaves sigma_x on the two coupled sites (outcome 1).
-    """
-    if isinstance(left, CanonicalWire):
-        left = left.sites(n_sites)
-    if isinstance(right, CanonicalWire):
-        right = right.sites(n_sites)
-    if left_labels is None:
-        left_labels = tuple(f"L{i}" for i in range(len(left)))
-    if right_labels is None:
-        right_labels = tuple(f"R{i}" for i in range(len(right)))
-    if coupled is None:
-        coupled = (left_labels[len(left_labels) // 2], right_labels[len(right_labels) // 2])
-    wire_l = Wire(tuple(left), left_labels)
-    wire_r = Wire(tuple(right), right_labels)
-    return ResourceSpec(
-        wires=(wire_l, wire_r),
-        injected=((injected_label, ket("+")),),
-        edges=((injected_label, coupled[0], "CX"), (injected_label, coupled[1], "CX")),
-    )

@@ -1,4 +1,5 @@
-"""Shared test utilities: random states and independent brute-force references.
+"""Shared test utilities: random states, independent brute-force references,
+and reference constructions that the library itself does not call.
 
 The reference implementations here deliberately avoid the library's own
 vectorized code paths (they loop over basis states and bits) so that tests
@@ -7,14 +8,32 @@ compare two genuinely different computations.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from math import sqrt
 
 import numpy as np
 
 from corrspace import qmath as qm
-from corrspace.measurement import pauli_basis
+from corrspace.measurement import MeasurementBasis, pauli_basis
 from corrspace.noise_tomo import setting_kets
-from corrspace.wires import _check_theta
+from corrspace.wires import ResourceSpec, SiteTensor, Wire, _check_theta
+
+#: Joint amplitude factors of the two-photon conditional-phase combination
+#: (overlapping filter cube plus a T_h = 1/3 filter on the second photon),
+#: in the (HH, HV, VH, VV) basis of (first photon, second photon).
+CPHASE_DIAG = np.array([sqrt(1.0 / 3.0), sqrt(1.0 / 3.0), 1.0 / 3.0, -1.0 / 3.0])
+
+
+def rz(angle: float) -> np.ndarray:
+    """Rotation exp(-i*angle*Z/2) = diag(e^{-i a/2}, e^{i a/2})."""
+    return np.array([[np.exp(-0.5j * angle), 0], [0, np.exp(0.5j * angle)]])
+
+
+def rx(angle: float) -> np.ndarray:
+    """Rotation exp(-i*angle*X/2)."""
+    c, s = np.cos(angle / 2), np.sin(angle / 2)
+    return np.array([[c, -1j * s], [-1j * s, c]])
 
 
 def rand_state(labels, rng) -> qm.StateVector:
@@ -291,3 +310,104 @@ def bisection_density_projection(h) -> np.ndarray:
             hi = tau
     lam = np.array([float(max(v - (lo + hi) / 2, 0)) for v in exact])
     return (vecs * lam) @ vecs.conj().T
+
+
+# ---------------------------------------------------------------------------
+# Correlation-space references: the operator a measured site leaves on its
+# wire, and canonical-form wires (Gross & Eisert, PRL 98, 220503, 2007)
+# ---------------------------------------------------------------------------
+
+def induced_operator(basis_ket: np.ndarray, site: SiteTensor) -> np.ndarray:
+    """Correlation-space operator left behind by consuming one site.
+
+    Projecting the site's physical qubit onto |phi> = sum_s phi_s |s>
+    (components in the computational basis, matching the stored tensors)
+    induces  sum_s conj(phi_s) T[s]  on the wire's correlation vector.
+    """
+    phi = np.asarray(basis_ket, dtype=complex).reshape(-1)
+    if phi.shape != (2,):
+        raise ValueError("basis ket must be a 2-vector")
+    return np.conj(phi[0]) * site.matrix(0) + np.conj(phi[1]) * site.matrix(1)
+
+
+def su2_decompose(mat: np.ndarray, tol: float = 1e-10) -> tuple[complex, np.ndarray]:
+    """Split an invertible matrix proportional to a unitary as scalar * SU(2).
+
+    Returns (scalar, u) with mat = scalar * u, det(u) = 1 and the sign of u
+    fixed so its first non-negligible entry has nonnegative real part.
+    Raises ValueError when the matrix is singular or not proportional to a
+    unitary.
+    """
+    mat = np.asarray(mat, dtype=complex)
+    gram = mat.conj().T @ mat
+    mag2 = float(np.real(np.trace(gram))) / 2.0
+    if mag2 < tol:
+        raise ValueError("matrix is (numerically) singular")
+    if np.linalg.norm(gram - mag2 * np.eye(2)) > tol * max(1.0, mag2):
+        raise ValueError("matrix is not proportional to a unitary")
+    mag = np.sqrt(mag2)
+    u = mat / mag
+    root = np.sqrt(np.linalg.det(u))  # principal branch; sign fixed below
+    u = u / root
+    for comp in u.reshape(-1):
+        if abs(comp) > tol:
+            if comp.real < -tol or (abs(comp.real) <= tol and comp.imag < 0):
+                u = -u
+                root = -root
+            break
+    return mag * root, u
+
+
+def basis_u(theta_c: float) -> MeasurementBasis:
+    """Coupling-site basis for a canonical-form wire with angle ``theta_c``.
+
+    With u0 = (cos(theta_c/4) - sin(theta_c/4))/sqrt2 and
+    u1 = (cos(theta_c/4) + sin(theta_c/4))/sqrt2, the kets are
+    {u0|0> - u1|1>, u1|0> + u0|1>} (kept literally, no rephasing).
+    """
+    u0 = (np.cos(theta_c / 4) - np.sin(theta_c / 4)) / qm.SQRT2
+    u1 = (np.cos(theta_c / 4) + np.sin(theta_c / 4)) / qm.SQRT2
+    k0 = np.array([u0, -u1], dtype=complex)
+    k1 = np.array([u1, u0], dtype=complex)
+    return MeasurementBasis(k0, k1, name=f"u({theta_c:.12g})")
+
+
+@dataclass(frozen=True)
+class CanonicalWire:
+    """Wire in canonical form: T[0] = W, T[1] = W * diag(e^{-i t/2}, e^{i t/2})."""
+
+    W: np.ndarray
+    theta_c: float
+
+    def __post_init__(self) -> None:
+        W = np.asarray(self.W, dtype=complex)
+        object.__setattr__(self, "W", W)
+        if not np.allclose(W.conj().T @ W, np.eye(2), atol=1e-12):
+            raise ValueError("W must be unitary")
+
+    def site(self) -> SiteTensor:
+        return SiteTensor((self.W.copy(), self.W @ rz(self.theta_c)))
+
+    def sites(self, n: int) -> list[SiteTensor]:
+        return [self.site() for _ in range(n)]
+
+
+def couple_canonical(cw: CanonicalWire, n_sites: int = 3) -> ResourceSpec:
+    """Two copies of a canonical-form wire (labels L0.. and R0..) coupled
+    through an injected |+> site "c".
+
+    The injected qubit is the control of one controlled-X edge onto the
+    middle site of each wire.  Measuring it in the computational basis
+    undoes the coupling (outcome 0) or leaves sigma_x on the two coupled
+    sites (outcome 1).
+    """
+    wires = tuple(
+        Wire(tuple(cw.sites(n_sites)), tuple(f"{side}{i}" for i in range(n_sites)))
+        for side in "LR"
+    )
+    mid = n_sites // 2
+    return ResourceSpec(
+        wires=wires,
+        injected=(("c", qm.ket("+")),),
+        edges=(("c", f"L{mid}", "CX"), ("c", f"R{mid}", "CX")),
+    )

@@ -53,7 +53,7 @@ from corrspace.wires import (
     psi6_explicit,
     psi6_spec,
 )
-from helpers import overlap2, vec_equal_up_to_phase
+from helpers import overlap2, rx, rz, vec_equal_up_to_phase
 from reference_tables import (
     ANOMALOUS_GATE_ROW_OVERLAP2,
     ANOMALOUS_GATE_ROW_VECTOR,
@@ -66,7 +66,7 @@ TOL = 1e-12
 
 
 def _closed_form_rotation(alpha, beta, gamma):
-    return qm.rz(gamma) @ qm.rx(beta) @ qm.rz(alpha) @ qm.ket("+")
+    return rz(gamma) @ rx(beta) @ rz(alpha) @ qm.ket("+")
 
 
 def test_01_operational_contraction_matches_literal_amplitudes():
@@ -191,7 +191,7 @@ def test_08_gate_logical_action_is_byproduct_dressed_cz():
             for r4 in (0, 1):
                 tr = cz_gate_protocol(alpha, outcomes=(r1, 0, 0, r4))
                 a_eff = alpha if r1 == 0 else wrong_angle(alpha)
-                vin = np.kron(qm.HAD @ qm.rz(a_eff) @ qm.ket("+"), qm.ket("+"))
+                vin = np.kron(qm.HAD @ rz(a_eff) @ qm.ket("+"), qm.ket("+"))
                 zz = qm.kron(
                     np.linalg.matrix_power(qm.Z, r4),
                     np.linalg.matrix_power(qm.Z, r4),

@@ -11,7 +11,8 @@ from corrspace.noise_tomo import white_noise
 from corrspace.protocols import enumerate_compensation, noisy_success_curve, wrong_angle
 from corrspace.wires import a_site, b_site, b_site_rotated, build_psi4
 from helpers import (
-    mat_proportional, numpy_basis_B, rand_state, rand_unitary, vec_equal_up_to_phase,
+    basis_u, induced_operator, mat_proportional, numpy_basis_B, rand_state, rand_unitary,
+    rz, su2_decompose, vec_equal_up_to_phase,
 )
 
 TOL = 1e-12
@@ -127,11 +128,11 @@ def test_coupler_basis_closed_form():
     tc = 0.7
     u0 = (cos(tc / 4) - sin(tc / 4)) / sqrt(2)
     u1 = (cos(tc / 4) + sin(tc / 4)) / sqrt(2)
-    b = meas.basis_u(tc)
+    b = basis_u(tc)
     assert np.allclose(b.ket0, [u0, -u1], atol=TOL)
     assert np.allclose(b.ket1, [u1, u0], atol=TOL)
     assert abs(np.vdot(b.ket0, b.ket1)) < TOL
-    b0 = meas.basis_u(0.0)
+    b0 = basis_u(0.0)
     assert np.allclose(b0.ket0, qm.ket("-"), atol=TOL)
     assert np.allclose(b0.ket1, qm.ket("+"), atol=TOL)
 
@@ -202,50 +203,50 @@ def test_weighted_site_induces_phase_rotation():
         theta = 0.6
         site = a_site(theta)
         b = meas.basis_B(zeta, theta)
-        ind0 = meas.induced_operator(b.ket0, site)
-        scalar, u = meas.su2_decompose(ind0)
+        ind0 = induced_operator(b.ket0, site)
+        scalar, u = su2_decompose(ind0)
         p0 = sin(2 * theta) ** 2 / (2 * (1 - cos(2 * theta) * cos(zeta)))
         assert abs(abs(scalar) ** 2 - p0) < TOL
-        assert mat_proportional(ind0, qm.HAD @ qm.rz(zeta))
-        ind1 = meas.induced_operator(b.ket1, site)
-        assert mat_proportional(ind1, qm.HAD @ qm.rz(wrong_angle(zeta, theta)))
-        other, _ = meas.su2_decompose(ind1)
+        assert mat_proportional(ind0, qm.HAD @ rz(zeta))
+        ind1 = induced_operator(b.ket1, site)
+        assert mat_proportional(ind1, qm.HAD @ rz(wrong_angle(zeta, theta)))
+        other, _ = su2_decompose(ind1)
         assert abs(abs(scalar) ** 2 + abs(other) ** 2 - 1.0) < TOL
 
 
 def test_readout_sites_induced_maps():
-    assert np.allclose(meas.induced_operator(qm.ket("H"), b_site()), qm.HAD, atol=TOL)
+    assert np.allclose(induced_operator(qm.ket("H"), b_site()), qm.HAD, atol=TOL)
     assert np.allclose(
-        meas.induced_operator(qm.ket("V"), b_site()), qm.HAD @ qm.Z, atol=TOL
+        induced_operator(qm.ket("V"), b_site()), qm.HAD @ qm.Z, atol=TOL
     )
     rot = b_site_rotated()
-    assert np.allclose(meas.induced_operator(qm.ket("P"), rot), qm.HAD, atol=TOL)
-    assert np.allclose(meas.induced_operator(qm.ket("M"), rot), qm.HAD @ qm.Z, atol=TOL)
+    assert np.allclose(induced_operator(qm.ket("P"), rot), qm.HAD, atol=TOL)
+    assert np.allclose(induced_operator(qm.ket("M"), rot), qm.HAD @ qm.Z, atol=TOL)
 
 
 def test_induced_operator_is_conjugate_linear():
     site = b_site()
     phi = np.array([0.6, 0.8j])
-    got = meas.induced_operator(phi, site)
+    got = induced_operator(phi, site)
     want = 0.6 * site.matrix(0) + np.conj(0.8j) * site.matrix(1)
     assert np.allclose(got, want, atol=TOL)
     with pytest.raises(ValueError):
-        meas.induced_operator(np.ones(3), site)
+        induced_operator(np.ones(3), site)
 
 
 def test_su2_decompose_roundtrip(rng):
     for _ in range(5):
         u = rand_unitary(rng)
         z = (rng.normal() + 1j * rng.normal()) or 1.0
-        scalar, su = meas.su2_decompose(z * u)
+        scalar, su = su2_decompose(z * u)
         assert abs(np.linalg.det(su) - 1) < 1e-9
         assert np.allclose(scalar * su, z * u, atol=1e-9)
         first = su.reshape(-1)[np.flatnonzero(np.abs(su.reshape(-1)) > 1e-10)[0]]
         assert first.real > -1e-10
     with pytest.raises(ValueError):
-        meas.su2_decompose(np.zeros((2, 2)))
+        su2_decompose(np.zeros((2, 2)))
     with pytest.raises(ValueError):
-        meas.su2_decompose(np.diag([1.0, 2.0]))
+        su2_decompose(np.diag([1.0, 2.0]))
 
 
 # ---------------------------------------------------------------------------

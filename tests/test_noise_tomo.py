@@ -215,6 +215,16 @@ def test_counts_seed_determinism():
     assert np.array_equal(a.counts, c.counts)
 
 
+def test_counts_take_a_seed_or_an_rng_not_both():
+    rng = np.random.default_rng(9)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="^provide at most one of seed= or rng=$"):
+        simulate_counts(lambda34(), shots=1000, seed=9, rng=rng)
+    assert rng.bit_generator.state == before  # nothing was drawn
+    table = simulate_counts(lambda34(), ("ZZ",), shots=10)  # neither: fresh entropy
+    assert table.counts.sum() == 10
+
+
 def test_poisson_mode():
     table = simulate_counts(lambda34(), shots=1000, seed=3, mode="poisson")
     assert table.mode == "poisson"

@@ -7,7 +7,6 @@ import pytest
 
 from corrspace import qmath as qm
 from corrspace.prep import (
-    CPHASE_DIAG,
     balance_transmissions,
     entangled_pair,
     exchange_labels,
@@ -19,6 +18,7 @@ from corrspace.prep import (
 )
 from corrspace.qmath import StateVector
 from corrspace.wires import PSI6_LABELS, build_psi4, build_psi6
+from helpers import CPHASE_DIAG
 
 TOL = 1e-12
 
@@ -231,7 +231,7 @@ def test_preparation_probability_is_the_raw_contraction_norm():
             acc = acc.apply(np.diag([sh, sv]).astype(complex), qubits[0])
         else:
             op = np.diag([sh * sh, sh * sv, sv * sh, -sv * sv]).astype(complex)
-            acc = acc.apply_two(op, *qubits)
+            acc = acc.apply(op, *qubits)
     assert abs(prob - acc.norm**2) < TOL
 
 

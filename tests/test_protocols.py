@@ -27,7 +27,7 @@ from corrspace.protocols import (
     wrong_angle,
 )
 from corrspace.wires import build_psi4, lambda34
-from helpers import overlap2, vec_equal_up_to_phase
+from helpers import overlap2, rx, rz, vec_equal_up_to_phase
 from reference_tables import (
     ANOMALOUS_GATE_ROW_VECTOR,
     ANOMALOUS_ROTATION_ROWS,
@@ -45,7 +45,7 @@ TOL = 1e-12
 
 def _closed_form_rotation(alpha, beta, gamma):
     """Rz(gamma) Rx(beta) Rz(alpha) |+> — the advertised physical output."""
-    return qm.rz(gamma) @ qm.rx(beta) @ qm.rz(alpha) @ qm.ket("+")
+    return rz(gamma) @ rx(beta) @ rz(alpha) @ qm.ket("+")
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +394,7 @@ def test_branch_success_pattern_and_frames():
 
 def test_successful_branches_realize_target_rotation():
     alpha = 1.1
-    target = qm.HAD @ qm.rz(alpha) @ qm.ket("+")
+    target = qm.HAD @ rz(alpha) @ qm.ket("+")
     _, branches = enumerate_compensation(alpha, "4-qubit")
     assert any(b.success for b in branches)
     for b in branches:
@@ -512,7 +512,7 @@ def test_gate_logical_identity_on_entangling_branches():
             for r4 in (0, 1):
                 tr = cz_gate_protocol(alpha, outcomes=(r1, 0, 0, r4))
                 a_eff = alpha if r1 == 0 else wrong_angle(alpha)
-                vin = np.kron(qm.HAD @ qm.rz(a_eff) @ qm.ket("+"), qm.ket("+"))
+                vin = np.kron(qm.HAD @ rz(a_eff) @ qm.ket("+"), qm.ket("+"))
                 zz = qm.kron(
                     np.linalg.matrix_power(qm.Z, r4), np.linalg.matrix_power(qm.Z, r4)
                 )
@@ -646,7 +646,7 @@ def test_frame_check_tolerance():
             want = outputs[:, x, z]
             frame_op = PauliFrame(("out",), (x,), (z,)).operator("out")
             for g, a in enumerate(alphas):  # H X^x Z^z H Rz(a)|+>, as a product
-                direct = qm.HAD @ frame_op @ qm.HAD @ qm.rz(a) @ qm.ket("+")
+                direct = qm.HAD @ frame_op @ qm.HAD @ rz(a) @ qm.ket("+")
                 assert abs(abs(np.vdot(direct, want[g])) - 1.0) < TOL
             protocols._check_frames(np.exp(0.7j) * 3.0 * want, want)  # phase and scale
             off = want.copy()

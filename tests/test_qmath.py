@@ -7,7 +7,7 @@ from corrspace import qmath as qm
 from corrspace.measurement import basis_B
 from helpers import (
     canonical_phase, manual_embed, mat_proportional, rand_density, rand_state, rand_unitary,
-    states_equal, vec_equal_up_to_phase,
+    rx, rz, states_equal, vec_equal_up_to_phase,
 )
 
 TOL = 1e-12
@@ -54,15 +54,15 @@ def test_pauli_algebra():
 
 def test_rotations_closed_form_and_composition(rng):
     for a in rng.uniform(-7, 7, size=5):
-        rz = qm.rz(a)
-        assert np.allclose(rz, np.diag([np.exp(-0.5j * a), np.exp(0.5j * a)]))
+        z_rot = rz(a)
+        assert np.allclose(z_rot, np.diag([np.exp(-0.5j * a), np.exp(0.5j * a)]))
         # exp(-i a X/2) = H exp(-i a Z/2) H because X = H Z H
-        assert np.allclose(qm.rx(a), qm.HAD @ rz @ qm.HAD, atol=TOL)
+        assert np.allclose(rx(a), qm.HAD @ z_rot @ qm.HAD, atol=TOL)
         b = float(rng.uniform(-7, 7))
-        assert np.allclose(qm.rz(a) @ qm.rz(b), qm.rz(a + b), atol=1e-10)
-        assert np.allclose(qm.rx(a) @ qm.rx(b), qm.rx(a + b), atol=1e-10)
-    assert np.allclose(qm.rz(2 * np.pi), -np.eye(2), atol=TOL)
-    assert np.allclose(qm.rx(np.pi), -1j * qm.X, atol=TOL)
+        assert np.allclose(rz(a) @ rz(b), rz(a + b), atol=1e-10)
+        assert np.allclose(rx(a) @ rx(b), rx(a + b), atol=1e-10)
+    assert np.allclose(rz(2 * np.pi), -np.eye(2), atol=TOL)
+    assert np.allclose(rx(np.pi), -1j * qm.X, atol=TOL)
 
 
 def test_kron_msb_first():
@@ -160,12 +160,44 @@ def test_apply_matches_embedding(rng):
     assert np.allclose(got.amps, want, atol=TOL)
 
 
-def test_apply_two_matches_embedding(rng):
-    st = rand_state(("a", "b", "c"), rng)
-    cx = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-    got = st.apply_two(cx, "c", "a")  # control c, target a
-    want = qm.embed(cx, st.labels, ("c", "a")) @ st.amps
-    assert np.allclose(got.amps, want, atol=TOL)
+REGISTER4 = ("a", "b", "c", "d")
+ORDERED_PAIRS = [(p, q) for p in REGISTER4 for q in REGISTER4 if p != q]
+# The operators the library applies: each output amplitude has one nonzero
+# term, so the axis contraction has the bits of the dense product.
+MONOMIAL_OPS = {
+    "CZ4": np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex),
+    "CX4": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+    # the overlap filter cube at t_h = 1, t_v = 1/3
+    "filter": np.diag([1.0, np.sqrt(1 / 3), np.sqrt(1 / 3), -1 / 3]).astype(complex),
+}
+
+
+@pytest.mark.parametrize("pair", ORDERED_PAIRS)
+@pytest.mark.parametrize("name", sorted(MONOMIAL_OPS))
+def test_apply_two_qubits_has_the_dense_bits(rng, name, pair):
+    st = rand_state(REGISTER4, rng)
+    op = MONOMIAL_OPS[name]
+    got = st.apply(op, *pair)
+    assert got.labels == REGISTER4
+    assert np.array_equal(got.amps, qm.embed(op, REGISTER4, pair) @ st.amps)
+
+
+@pytest.mark.parametrize("pair", ORDERED_PAIRS)
+def test_apply_two_matches_embedding(rng, pair):
+    st = rand_state(REGISTER4, rng)
+    op = rand_unitary(rng, 4)
+    got = st.apply(op, *pair)
+    assert np.allclose(got.amps, qm.embed(op, REGISTER4, pair) @ st.amps, atol=TOL)
+
+
+def test_apply_rejects_repeated_or_unknown_qubits():
+    st = rand_state(("a", "b"), np.random.default_rng(1))
+    with pytest.raises(ValueError, match="^apply needs one or more distinct qubits$"):
+        st.apply(np.eye(4), "a", "a")
+    with pytest.raises(ValueError, match="^apply needs one or more distinct qubits$"):
+        st.apply(np.eye(1))
+    with pytest.raises(KeyError):
+        st.apply(np.eye(2), "z")
 
 
 def test_overlap_aligns_registers(rng):

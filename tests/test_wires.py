@@ -5,9 +5,12 @@ from math import cos, pi, sin, sqrt
 import numpy as np
 import pytest
 
+from corrspace import cli, prep
 from corrspace import qmath as qm
 from corrspace import wires as w
-from helpers import brute_wire_amplitudes, vec_equal_up_to_phase
+from helpers import (
+    CanonicalWire, brute_wire_amplitudes, couple_canonical, rz, vec_equal_up_to_phase,
+)
 
 TOL = 1e-12
 
@@ -21,7 +24,10 @@ def test_weighted_site_tensors():
         site = w.a_site(theta)
         assert np.allclose(site.matrix(0), cos(theta) * qm.HAD, atol=TOL)
         assert np.allclose(site.matrix(1), sin(theta) * qm.HAD @ qm.Z, atol=TOL)
-        assert site.kind == "A" and site.theta == theta
+        # the readout site weighted by the angle, bit for bit
+        readout = w.b_site()
+        assert np.array_equal(site.matrix(0), readout.matrix(0) * cos(theta))
+        assert np.array_equal(site.matrix(1), readout.matrix(1) * sin(theta))
 
 
 def test_readout_site_tensors():
@@ -52,13 +58,13 @@ def test_degenerate_angles_rejected():
 
 def test_canonical_wire_site():
     u = qm.HAD
-    cw = w.CanonicalWire(u, 0.9)
+    cw = CanonicalWire(u, 0.9)
     site = cw.site()
     assert np.allclose(site.matrix(0), u, atol=TOL)
-    assert np.allclose(site.matrix(1), u @ qm.rz(0.9), atol=TOL)
+    assert np.allclose(site.matrix(1), u @ rz(0.9), atol=TOL)
     assert len(cw.sites(4)) == 4
     with pytest.raises(ValueError):
-        w.CanonicalWire(np.array([[1, 1], [0, 1]]), 0.5)  # not unitary
+        CanonicalWire(np.array([[1, 1], [0, 1]]), 0.5)  # not unitary
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +101,29 @@ def test_wire_validation():
     big = w.Wire(tuple(w.b_site() for _ in range(11)), tuple(str(i) for i in range(11)))
     with pytest.raises(ValueError):
         w.contract_wire(big)
+
+
+NON_FINITE = (np.nan, np.inf, -np.inf, complex(0, np.nan))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("side", ("left", "right"))
+@pytest.mark.parametrize("entry", (0, 1))
+def test_wire_rejects_non_finite_boundary_vectors(side, entry, bad):
+    vec = np.array([1.0, 1.0], dtype=complex)
+    vec[entry] = bad
+    with pytest.raises(ValueError, match="^boundary vectors must be finite$"):
+        w.Wire((w.b_site(),), ("a",), **{side: vec})
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("entry", (0, 1))
+def test_resource_spec_rejects_non_finite_injected_vectors(entry, bad):
+    vec = np.array([1.0, 1.0], dtype=complex)
+    vec[entry] = bad
+    wire = w.Wire((w.b_site(),), ("a",))
+    with pytest.raises(ValueError, match="^injected vectors must be finite$"):
+        w.ResourceSpec((wire,), injected=(("b", qm.ket("0")), ("c", vec)))
 
 
 def test_single_site_wires_closed_form():
@@ -178,13 +207,24 @@ def test_resource_spec_validation():
         w.ResourceSpec((wire,), injected=(("b", np.zeros(2)),))
 
 
+def _same_sites(got, want) -> bool:
+    return len(got) == len(want) and all(
+        np.array_equal(g.matrix(s), e.matrix(s)) for g, e in zip(got, want) for s in (0, 1)
+    )
+
+
 def test_psi6_spec_structure():
-    spec = w.psi6_spec()
+    theta = 0.7
+    spec = w.psi6_spec(theta)
     assert [wd.labels for wd in spec.wires] == [("1", "2", "1p"), ("3", "3p")]
-    assert [s.kind for s in spec.wires[0].sites] == ["A", "A", "B"]
-    assert [s.kind for s in spec.wires[1].sites] == ["A", "B-spatial-rotated"]
+    a = w.a_site(theta)
+    assert _same_sites(spec.wires[0].sites, (a, a, w.b_site()))
+    assert _same_sites(spec.wires[1].sites, (a, w.b_site_rotated()))
+    # the readout sites are distinct: the rotated one is not the plain one
+    assert not _same_sites((w.b_site_rotated(),), (w.b_site(),))
     assert spec.edges == (("2", "4", "CZ"), ("3", "4", "CZ"))
     assert spec.injected[0][0] == "4"
+    assert np.array_equal(spec.injected[0][1], qm.ket("+"))
 
 
 def test_contract_resource_size_guard():
@@ -201,8 +241,8 @@ def test_contract_resource_size_guard():
 # ---------------------------------------------------------------------------
 
 def test_canonical_coupling_collapses_to_product_or_flipped():
-    cw = w.CanonicalWire(qm.HAD, pi / 2)
-    spec = w.couple_canonical(cw, cw, n_sites=3)
+    cw = CanonicalWire(qm.HAD, pi / 2)
+    spec = couple_canonical(cw, n_sites=3)
     state, _ = w.contract_resource(spec)
 
     solo, _ = w.contract_wire(w.Wire(tuple(cw.sites(3)), ("L0", "L1", "L2")))
@@ -252,6 +292,19 @@ def test_cached_states_equal_a_fresh_build():
     assert w.build_psi6(theta).labels == w.PSI6_LABELS
 
 
+def test_failed_psi4_cross_check_is_not_cached(monkeypatch):
+    theta = 0.5183  # an angle no other test builds
+    wrong = qm.StateVector(("1", "2", "3", "4"), np.eye(16)[0])
+    monkeypatch.setattr(w, "psi4_explicit", lambda th: (wrong, 1.0))
+    w._psi4.cache_clear()
+    with pytest.raises(AssertionError, match="^operational and literal four-qubit builds disagree$"):
+        w.build_psi4(theta)
+    monkeypatch.undo()
+    state = w.build_psi4(theta)
+    literal, _ = w.psi4_explicit(theta)
+    assert qm.overlap_modulus(state, literal) > 1 - 1e-12
+
+
 def test_failed_psi6_cross_check_is_not_cached(monkeypatch):
     theta = 0.5171  # an angle no other test builds
     wrong = qm.StateVector(w.PSI6_LABELS, np.eye(64)[0])
@@ -289,3 +342,18 @@ def test_dense_engine_limit_is_named():
               w.Wire((site,) * 5, tuple(f"b{i}" for i in range(5))))
     with pytest.raises(ValueError, match=r"^resource too large \(more than 10 qubits\)$"):
         w.contract_resource(w.ResourceSpec(wires6))
+
+
+def test_resources_build_no_dense_operator(monkeypatch, capsys):
+    def no_embed(*args, **kwargs):
+        raise AssertionError("a dense operator was built")
+
+    monkeypatch.setattr(qm, "embed", no_embed)
+    w._psi6.cache_clear()
+    state = w.build_psi6(0.6)
+    literal, _ = w.psi6_explicit(0.6)
+    assert qm.overlap_modulus(state, literal) > 1 - 1e-12
+    for target in ("psi4", "psi6"):
+        prep.methods_pipeline(target, 0.6)
+    assert cli.main(["state", "analyze", "--state", "psi6"]) == 0
+    assert '"state": "psi6"' in capsys.readouterr().out
