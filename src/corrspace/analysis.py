@@ -465,13 +465,16 @@ def fidelity_from_settings(
         if np.shape(cell_data[term.setting]) != (64,):
             raise ValueError(f"setting {term.setting}: expected 64 cells")
         rows.append(cell_data[term.setting])
-    word_term, signs, coeffs, bounds = _parity_table(float(theta), bool(corrected))
+    word_term, signs, coeffs, ends = _parity_table(float(theta), bool(corrected))
     cells = np.array(rows, dtype=float)[word_term]
     # cumsum adds in sequence, as scalar loops do (np.sum adds pairwise)
-    values = np.cumsum(signs * cells, axis=1)[:, -1] * coeffs
+    values = (np.cumsum(signs * cells, axis=1)[:, -1] * coeffs).tolist()
     total = 0.0
-    for chunk in np.split(values, bounds):
-        total += np.cumsum(chunk)[-1]
+    for start, end in zip((0, *ends), ends):
+        term = 0.0
+        for value in values[start:end]:
+            term += value
+        total += term
     if corrected:
         total /= 2.0
     return float(total)
@@ -480,16 +483,16 @@ def fidelity_from_settings(
 @functools.lru_cache(maxsize=8)
 def _parity_table(
     theta: float, corrected: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
     """Per word of the terms, in order: its term index, its parity signs over
-    the 64 cells and its real coefficient; then the word index at which each
-    term after the first starts (the split points).  All are read-only."""
+    the 64 cells and its real coefficient (read-only arrays); then the word
+    index at which each term ends."""
     terms = witness_terms(theta, corrected)
     words = [w for t in terms for w in t.words]
     word_term = np.repeat(np.arange(len(terms)), [len(t.words) for t in terms])
     signs = _parity_signs(np.arange(64) & _bit_masks(words, "XYZ")[:, None])
     coeffs = np.array([w.coefficient.real for w in words])
-    bounds = np.cumsum([len(t.words) for t in terms])[:-1]
-    for a in (word_term, signs, coeffs, bounds):
+    for a in (word_term, signs, coeffs):
         a.setflags(write=False)
-    return word_term, signs, coeffs, bounds
+    ends = tuple(itertools.accumulate(len(t.words) for t in terms))
+    return word_term, signs, coeffs, ends

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
@@ -189,16 +190,20 @@ def exact_probabilities(rho: State, settings: Sequence[str]) -> np.ndarray:
     Every outcome cell of a product setting is one of the 6^n product
     projectors, so the cells are read from ``_projector_probs`` (two small
     matrix products of rho, the kernel ML tomography uses) and clipped at 0.
-    Each setting must have one Z, X or Y letter per register qubit; a bare
-    string is rejected, as it would read as one setting per letter.
+    Only the projector rows that the settings use are multiplied: the
+    head-block rows of their head letters and the tail-block rows of their
+    tail letters (for the 36 psi6 witness settings, 72 of the 216 rows in
+    each block).  A full 3^n grid uses every row.  Each setting must have
+    one Z, X or Y letter per register qubit; a bare string is rejected, as
+    it would read as one setting per letter.
     """
     if isinstance(settings, str):
         raise ValueError(f"settings must be a list of strings, got {settings!r}")
     if isinstance(rho, qm.StateVector):
         rho = rho.to_density()
     n = rho.n_qubits
-    cells = _setting_cells(tuple(settings), n)
-    out = _projector_probs(rho.mat, n)[cells].reshape(len(settings), 2**n)
+    head, tail, cells = _setting_rows(tuple(settings), n)
+    out = _projector_probs(rho.mat, head, tail)[cells].reshape(len(settings), 2**n)
     np.clip(out, 0.0, None, out=out)
     return out
 
@@ -215,28 +220,31 @@ def simulate_counts(
 
     multinomial mode draws a single multinomial of size ``shots`` per
     setting; poisson mode draws each cell independently with mean
-    shots * p(cell).  The draws come from ``rng``, or from a generator
-    seeded with ``seed``; giving both raises ``ValueError``.
+    shots * p(cell).  The whole table is drawn in one generator call, which
+    walks the settings in order, so the stream is that of one call per
+    setting.  The draws come from ``rng``, or from a generator seeded with
+    ``seed``; giving both raises ``ValueError``.  ``shots`` and ``mode``
+    are checked before any probability is computed or any number drawn.
     """
+    if not _is_integer(shots):
+        raise ValueError(f"shots must be a nonnegative integer, got {shots!r}")
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    if mode not in ("multinomial", "poisson"):
+        raise ValueError("mode must be 'multinomial' or 'poisson'")
     if seed is not None and rng is not None:
         raise ValueError("provide at most one of seed= or rng=")
     labels = rho.labels
     if settings is None:
         settings = product_settings(len(labels))
     probs = exact_probabilities(rho, settings)  # rejects a bare string first
+    probs /= probs.sum(axis=1, keepdims=True)
     if rng is None:
         rng = np.random.default_rng(seed)
-    counts = np.empty_like(probs, dtype=np.int64)
-    for i, p in enumerate(probs):
-        p = p / p.sum()
-        if mode == "multinomial":
-            counts[i] = rng.multinomial(shots, p)
-        elif mode == "poisson":
-            counts[i] = rng.poisson(shots * p)
-        else:
-            raise ValueError("mode must be 'multinomial' or 'poisson'")
+    if mode == "multinomial":
+        counts = rng.multinomial(shots, probs)
+    else:
+        counts = rng.poisson(shots * probs)
     return CountsTable(labels, tuple(settings), counts, shots, mode)
 
 
@@ -321,18 +329,22 @@ def _halves(n: int) -> tuple[int, int]:
 _P_FLOOR = 1e-300
 
 
-def _projector_probs(rho: np.ndarray, n: int) -> np.ndarray:
-    """Born probabilities of all 6^n product projectors, unclipped.
+def _projector_probs(rho: np.ndarray, head: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Born probabilities of the product projectors of two blocks, unclipped.
 
-    rho regrouped as T[(I_h, J_h), (I_t, J_t)] over its head and tail
-    qubits gives P = M_h T M_t^T, whose row-major entries are the projector
-    probabilities in base-6 digit order.  This is the one Born routine:
-    ``exact_probabilities`` clips its cells at 0, and ML tomography clips
-    at _P_FLOOR so that logarithms and ratios stay finite.
+    ``head`` and ``tail`` hold rows of ``_projector_block`` for the head and
+    tail qubits (see ``_halves``).  rho regrouped as T[(I_h, J_h), (I_t, J_t)]
+    gives P = head T tail^T, whose row-major entries are the probabilities
+    of every (head row, tail row) pair; with the full blocks, of all 6^n
+    projectors in base-6 digit order.  This is the one Born routine: ML
+    tomography passes the full blocks and clips at _P_FLOOR so that
+    logarithms and ratios stay finite, and ``exact_probabilities`` passes
+    the rows its settings use and clips its cells at 0.
     """
-    h, t = _halves(n)
-    blocks = rho.reshape(2**h, 2**t, 2**h, 2**t).transpose(0, 2, 1, 3)
-    probs = _projector_block(h) @ blocks.reshape(4**h, 4**t) @ _projector_block(t).T
+    dh = math.isqrt(head.shape[1])  # 2^h
+    dt = len(rho) // dh
+    blocks = rho.reshape(dh, dt, dh, dt).transpose(0, 2, 1, 3)
+    probs = head @ blocks.reshape(dh * dh, dt * dt) @ tail.T
     return probs.real.reshape(-1)
 
 
@@ -385,6 +397,26 @@ def _setting_cells(settings: tuple[str, ...], n: int) -> np.ndarray:
     cells = (digits @ 6 ** np.arange(n - 1, -1, -1)).reshape(-1)
     cells.setflags(write=False)
     return cells
+
+
+@functools.lru_cache(maxsize=64)
+def _setting_rows(
+    settings: tuple[str, ...], n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (head, tail, cells) for ``exact_probabilities``: the rows of
+    the head and tail ``_projector_block`` that the settings' cells use, in
+    ascending order, and the index of every (setting, outcome) cell in the
+    row-major head x tail grid of ``_projector_probs(rho, head, tail)``."""
+    h, t = _halves(n)
+    head_index, tail_index = np.divmod(_setting_cells(settings, n), 6**t)
+    head_rows, head_pos = np.unique(head_index, return_inverse=True)
+    tail_rows, tail_pos = np.unique(tail_index, return_inverse=True)
+    head = _projector_block(h)[head_rows]
+    tail = _projector_block(t)[tail_rows]
+    cells = head_pos * len(tail_rows) + tail_pos
+    for a in (head, tail, cells):
+        a.setflags(write=False)
+    return head, tail, cells
 
 
 def _log_likelihood(
@@ -509,6 +541,7 @@ def _fit(
     if not counts.settings:
         raise ValueError("counts table has no settings")
     cells = _setting_cells(counts.settings, n)
+    m_head, m_tail = (_projector_block(k) for k in _halves(n))
     mult = np.bincount(cells, minlength=6**n)
     freq = np.bincount(cells, weights=counts.counts.reshape(-1), minlength=6**n)
     # The cells of setting s span the Pauli words with I or s_k on each qubit k;
@@ -520,7 +553,7 @@ def _fit(
     observed = freq > 0
 
     def evaluate(rho: np.ndarray) -> tuple[np.ndarray, float]:
-        p = np.maximum(_projector_probs(rho, n), _P_FLOOR)
+        p = np.maximum(_projector_probs(rho, m_head, m_tail), _P_FLOOR)
         return p, _log_likelihood(freq, mult, p, counts.shots, counts.mode)
 
     def r_operator(p: np.ndarray) -> np.ndarray:

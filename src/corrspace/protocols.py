@@ -61,11 +61,6 @@ class PauliFrame:
         if any(v not in (0, 1) for v in self.x + self.z):
             raise ValueError("frame exponents must be 0 or 1")
 
-    def operator(self, wire: str) -> np.ndarray:
-        """X^x Z^z on ``wire``, from a shared read-only table."""
-        i = self.wires.index(wire)
-        return _FRAME_OPERATORS[self.x[i], self.z[i]]
-
     def to_json_dict(self) -> dict:
         return {
             "wires": list(self.wires),

@@ -289,9 +289,6 @@ class DensityMatrix:
         probs, rest = _project_one(self, qubit, onto)
         return float(probs[0]), DensityMatrix(_without(self.labels, qubit), rest[0])
 
-    def expectation(self, op_full: np.ndarray) -> float:
-        return float(np.real(np.trace(op_full @ self.mat)))
-
 
 def _project_one(
     state: StateVector | DensityMatrix, qubit: str, onto: np.ndarray | str

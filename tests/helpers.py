@@ -16,7 +16,9 @@ import numpy as np
 
 from corrspace import qmath as qm
 from corrspace.measurement import MeasurementBasis, pauli_basis
+from corrspace import noise_tomo
 from corrspace.noise_tomo import setting_kets
+from corrspace.protocols import _FRAME_OPERATORS, PauliFrame
 from corrspace.wires import ResourceSpec, SiteTensor, Wire, _check_theta
 
 #: Joint amplitude factors of the two-photon conditional-phase combination
@@ -135,12 +137,25 @@ def numpy_basis_B(zeta: float, theta: float = np.pi / 6) -> tuple[np.ndarray, np
     return k0, k1, f"B({zeta:.12g})"
 
 
+def density_expectation(rho: qm.DensityMatrix, op_full: np.ndarray) -> float:
+    """Real part of Tr(op rho) for a full-register operator."""
+    return float(np.real(np.trace(op_full @ rho.mat)))
+
+
+def frame_operator(frame: PauliFrame, wire: str) -> np.ndarray:
+    """X^x Z^z of ``frame`` on ``wire``: the shared read-only table entry."""
+    i = frame.wires.index(wire)
+    return _FRAME_OPERATORS[frame.x[i], frame.z[i]]
+
+
 def dense_pauli_expectation(state, assignments) -> float:
     """<P> through the dense 2^n x 2^n operator: the identity times one
-    ``qm.embed`` lift per letter, then ``state.expectation``."""
+    ``qm.embed`` lift per letter, then the state's expectation."""
     op = np.eye(2 ** len(state.labels), dtype=complex)
     for label, letter in assignments.items():
         op = op @ qm.embed(qm.PAULI[letter], state.labels, (label,))
+    if isinstance(state, qm.DensityMatrix):
+        return density_expectation(state, op)
     return state.expectation(op)
 
 
@@ -224,6 +239,25 @@ def einsum_probabilities(rho, settings) -> np.ndarray:
         kets = setting_kets(s)
         out[i] = np.real(np.einsum("od,de,oe->o", np.conj(kets), rho.mat, kets))
     return np.clip(out, 0.0, None)
+
+
+def full_projector_probs(rho_mat: np.ndarray, n: int) -> np.ndarray:
+    """All 6^n projector probabilities, unclipped, from the full head and
+    tail projector blocks: the Born call of ML tomography."""
+    head, tail = (noise_tomo._projector_block(k) for k in noise_tomo._halves(n))
+    return noise_tomo._projector_probs(rho_mat, head, tail)
+
+
+def per_row_counts(rho, settings, shots: int, seed: int, mode: str) -> np.ndarray:
+    """Counts of ``simulate_counts`` drawn with one generator call per
+    setting, each row normalized on its own."""
+    probs = noise_tomo.exact_probabilities(rho, settings)
+    rng = np.random.default_rng(seed)
+    out = np.empty(probs.shape, dtype=np.int64)
+    for i, p in enumerate(probs):
+        p = p / p.sum()
+        out[i] = rng.multinomial(shots, p) if mode == "multinomial" else rng.poisson(shots * p)
+    return out
 
 
 def dense_probs(kets, rho) -> np.ndarray:

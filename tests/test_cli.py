@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import corrspace
+from corrspace import noise_tomo
 from corrspace.cli import (
     dumps15,
     format_float,
@@ -565,6 +566,29 @@ def test_witness_fidelity_stdout_bytes_are_pinned(capsys, args, digest):
     code, out, err = run_cli(capsys, "witness", "fidelity", *args.split())
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_witness_fidelity_reads_only_the_projector_rows_it_uses(capsys, monkeypatch):
+    # the pinned bytes come from the 72 head and 72 tail projector rows of
+    # the 36 settings: no setting ket matrix and no full 216-row block
+    def no_kets(setting):
+        raise AssertionError("setting_kets called on the witness path")
+
+    born, shapes = noise_tomo._projector_probs, []
+
+    def rows_in_use(rho, head, tail):
+        if len(head) == 216 or len(tail) == 216:
+            raise AssertionError("full projector block on the witness path")
+        shapes.append((len(head), len(tail)))
+        return born(rho, head, tail)
+
+    monkeypatch.setattr(noise_tomo, "setting_kets", no_kets)
+    monkeypatch.setattr(noise_tomo, "_projector_probs", rows_in_use)
+    for args, digest in WITNESS_DIGESTS:
+        code, out, err = run_cli(capsys, "witness", "fidelity", *args.split())
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert set(shapes) == {(72, 72)} and len(shapes) == len(WITNESS_DIGESTS)
 
 
 def test_curve_fig2_json_endpoints(capsys):

@@ -27,6 +27,8 @@ from helpers import (
     dense_probs,
     dense_r_operator,
     einsum_probabilities,
+    full_projector_probs,
+    per_row_counts,
     rand_density,
     svd_rank_complete,
 )
@@ -144,12 +146,60 @@ def test_exact_probabilities_match_einsum_reference_on_random_states(n):
     assert np.array_equal(p[-1], p[0])
 
 
+def _row_subset_and_full_cells(rho, settings):
+    """Unclipped cells from the settings' projector rows, and the same cells
+    read from all 6^n projector probabilities."""
+    n = rho.n_qubits
+    head, tail, cells = noise_tomo._setting_rows(tuple(settings), n)
+    subset = noise_tomo._projector_probs(rho.mat, head, tail)[cells]
+    full = full_projector_probs(rho.mat, n)[noise_tomo._setting_cells(tuple(settings), n)]
+    return subset, full
+
+
+@pytest.mark.parametrize("theta", (np.pi / 6, 0.3, np.pi / 8))
+def test_witness_cells_from_row_subsets_have_the_full_grid_bits(theta):
+    psi6 = build_psi6(theta).reorder(analysis.WITNESS_ORDER)
+    for corrected in (False, True):
+        settings = sorted({t.setting for t in analysis.witness_terms(theta, corrected)})
+        head, tail, _ = noise_tomo._setting_rows(tuple(settings), 6)
+        assert len(head) < 216 and len(tail) < 216
+        for rho in (psi6.to_density(), white_noise(psi6, 0.73)):
+            subset, full = _row_subset_and_full_cells(rho, settings)
+            assert np.array_equal(subset, full)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_full_grid_cells_from_row_subsets_have_the_full_grid_bits(n):
+    rho = rand_density(tuple("abcdef"[:n]), np.random.default_rng(130 + n))
+    head, tail, _ = noise_tomo._setting_rows(product_settings(n), n)
+    h, t = noise_tomo._halves(n)
+    assert (len(head), len(tail)) == (6**h, 6**t)  # every row is used
+    subset, full = _row_subset_and_full_cells(rho, product_settings(n))
+    assert np.array_equal(subset, full)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_random_setting_subsets_match_the_full_grid_cells(n):
+    # Not bit for bit: BLAS multiplies small matrices with kernels chosen by
+    # their shape, so a product with fewer rows may round differently (seen
+    # as 1 ulp, at most 5.6e-17, on a few random subsets at n <= 3).
+    rng = np.random.default_rng(140 + n)
+    grid = product_settings(n)
+    for _ in range(5):
+        rho = rand_density(tuple("abcdef"[:n]), rng)
+        subset = list(rng.choice(grid, size=min(len(grid), 6), replace=False))
+        settings = subset + subset[::-2]  # unsorted, with repeats
+        got, full = _row_subset_and_full_cells(rho, settings)
+        np.testing.assert_allclose(got, full, rtol=0, atol=1e-15)
+
+
 def test_born_path_and_fit_run_no_rank_check(monkeypatch):
     def no_rank(*args, **kwargs):
         raise AssertionError("matrix_rank called")
 
     monkeypatch.setattr(np.linalg, "matrix_rank", no_rank)
     noise_tomo._setting_cells.cache_clear()
+    noise_tomo._setting_rows.cache_clear()
     exact_probabilities(build_psi4(), product_settings(4))
     table = simulate_counts(lambda34(), ("ZX", "YY"), shots=10, seed=1)
     ml_reconstruct(table, max_iters=5)
@@ -234,6 +284,45 @@ def test_poisson_mode():
         simulate_counts(lambda34(), shots=10, seed=1, mode="gaussian")
     with pytest.raises(ValueError):
         simulate_counts(lambda34(), shots=0, seed=1)
+
+
+@pytest.mark.parametrize("mode", ("multinomial", "poisson"))
+def test_one_draw_call_gives_the_per_setting_stream(mode):
+    psi6 = build_psi6().reorder(analysis.WITNESS_ORDER)
+    witness = sorted({t.setting for t in analysis.witness_terms()})
+    cases = (
+        (psi6, witness, 2000),
+        (white_noise(psi6, 0.73), witness, 5000),
+        (build_psi4(), product_settings(4), 100_000),
+        (lambda34(), ("YX", "ZZ", "YX"), 7),
+    )
+    for seed, (rho, settings, shots) in enumerate(cases):
+        table = simulate_counts(rho, settings, shots=shots, seed=seed, mode=mode)
+        assert np.array_equal(table.counts, per_row_counts(rho, settings, shots, seed, mode))
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    (
+        ({"shots": 2.5}, "shots must be a nonnegative integer, got 2.5"),
+        ({"shots": 10.0}, "shots must be a nonnegative integer, got 10.0"),
+        ({"shots": True}, "shots must be a nonnegative integer, got True"),
+        ({"shots": "10"}, "shots must be a nonnegative integer, got '10'"),
+        ({"shots": 0}, "shots must be >= 1"),
+        ({"shots": np.int64(-3)}, "shots must be >= 1"),
+        ({"shots": 10, "mode": "gaussian"}, "mode must be 'multinomial' or 'poisson'"),
+    ),
+)
+def test_simulate_counts_checks_shots_and_mode_before_any_work(monkeypatch, kwargs, message):
+    def no_probabilities(*args):
+        raise AssertionError("probabilities computed before the inputs were checked")
+
+    monkeypatch.setattr(noise_tomo, "_projector_probs", no_probabilities)
+    rng = np.random.default_rng(11)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        simulate_counts(lambda34(), ("ZZ", "XY"), rng=rng, **kwargs)
+    assert rng.bit_generator.state == before  # nothing was drawn
 
 
 def test_counts_table_validation():
@@ -404,7 +493,7 @@ def test_projector_kernel_matches_dense_reference(n, mode):
         cells = noise_tomo._setting_cells(table.settings, n)
         mult = np.bincount(cells, minlength=6**n)
         kets = dense_cell_kets(table.settings)
-        probs = noise_tomo._projector_probs(rho.mat, n)
+        probs = full_projector_probs(rho.mat, n)
         assert np.max(np.abs(probs[cells] - dense_probs(kets, rho.mat))) <= 1e-12
 
         w = rng.uniform(0.0, 2.0, size=len(cells))

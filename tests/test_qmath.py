@@ -6,7 +6,7 @@ import pytest
 from corrspace import qmath as qm
 from corrspace.measurement import basis_B
 from helpers import (
-    canonical_phase, manual_embed, mat_proportional, rand_density, rand_state, rand_unitary,
+    canonical_phase, density_expectation, manual_embed, mat_proportional, rand_density, rand_state, rand_unitary,
     rx, rz, states_equal, vec_equal_up_to_phase,
 )
 
@@ -254,7 +254,7 @@ def test_density_matches_pure_operations(rng):
     assert abs(p_pure - p_mix) < TOL
     assert np.allclose(rest_mix.mat, rest_pure.to_density().mat, atol=TOL)
     herm = qm.kron(qm.X, qm.Y)
-    assert abs(rho.expectation(herm) - st.expectation(herm)) < TOL
+    assert abs(density_expectation(rho, herm) - st.expectation(herm)) < TOL
 
 
 def test_density_project_has_tensordot_bits(rng):
@@ -358,7 +358,7 @@ def test_partial_trace_general_consistency(rng):
     obs = rng.normal(size=(4, 4))
     obs = obs + obs.T
     lifted = qm.embed(obs, ("a", "b", "c"), ("a", "b"))
-    assert abs(red.expectation(obs) - rho.expectation(lifted)) < 1e-10
+    assert abs(density_expectation(red, obs) - density_expectation(rho, lifted)) < 1e-10
 
 
 def test_fidelity_pure_and_mixed(rng):
