@@ -7,8 +7,12 @@ field order is fixed, floats are printed with 15 significant digits, and
 every randomized command either takes ``--seed`` or generates one and
 records it in the output.
 
+Output goes to stdout, or with ``--out FILE`` to FILE, which is
+overwritten in place and cut to the new length (``_write_output``).
+
 Exit codes: 0 success, 1 numeric failure (zero-probability post-selection,
-annihilated filters, ...), 2 usage error.
+annihilated filters, ...) or a file that cannot be read or written, 2
+usage error.
 """
 
 from __future__ import annotations
@@ -16,8 +20,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import secrets
+import stat
 import sys
 from math import isfinite, pi
 from typing import Any, Sequence
@@ -182,11 +188,29 @@ def render_csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
 
 
 def _write_output(text: str, path: str | None) -> None:
+    """Write ``text`` to stdout, or over ``path`` in place.
+
+    The file is never truncated to zero: on ext4 that makes the close start
+    writeback, so every rewrite would wait for a flush.  A regular file is
+    cut at the end of what was written, also when a write fails, so no old
+    bytes trail the new ones; devices and FIFOs are only written.  A new
+    file gets the mode ``open(path, "w")`` gives it.  Nothing is fsynced.
+    """
     if path is None:
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
+        return
+    view = memoryview(text.encode("ascii"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
+        try:
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            if regular:
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+    finally:
+        os.close(fd)
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +694,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        text, out_path = args.func(args)
+        _write_output(*args.func(args))
     except CliError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
@@ -678,7 +702,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             protocols.ProtocolAbort, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write_output(text, out_path)
     return 0
 
 

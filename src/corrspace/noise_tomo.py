@@ -321,6 +321,14 @@ def _projector_block(k: int) -> np.ndarray:
     return m
 
 
+@functools.lru_cache(maxsize=None)
+def _conj_projector_block(k: int) -> np.ndarray:
+    """Read-only conj(_projector_block(k)), for ``_projector_operator``."""
+    m = _projector_block(k).conj()
+    m.setflags(write=False)
+    return m
+
+
 def _halves(n: int) -> tuple[int, int]:
     """Qubits in the head and tail blocks of an n-qubit register."""
     return (n + 1) // 2, n // 2
@@ -351,8 +359,7 @@ def _projector_probs(rho: np.ndarray, head: np.ndarray, tail: np.ndarray) -> np.
 def _projector_operator(w: np.ndarray, n: int) -> np.ndarray:
     """R = sum_a w_a P_a over the 6^n product projectors: M_h^H W conj(M_t)."""
     h, t = _halves(n)
-    m_h, m_t = _projector_block(h), _projector_block(t)
-    blocks = m_h.conj().T @ w.reshape(6**h, 6**t) @ m_t.conj()
+    blocks = _conj_projector_block(h).T @ w.reshape(6**h, 6**t) @ _conj_projector_block(t)
     r = blocks.reshape(2**h, 2**h, 2**t, 2**t).transpose(0, 2, 1, 3)
     return r.reshape(2**n, 2**n)
 
@@ -420,16 +427,17 @@ def _setting_rows(
 
 
 def _log_likelihood(
-    freq: np.ndarray, mult: np.ndarray, probs: np.ndarray, shots: int, mode: str
+    obs: np.ndarray, f_obs: np.ndarray, mult: np.ndarray, probs: np.ndarray,
+    shots: int, mode: str,
 ) -> float:
-    """Log-likelihood from per-projector counts ``freq`` and multiplicities."""
-    good = freq > 0
+    """Log-likelihood from the projectors ``obs`` that hold counts, their
+    counts ``f_obs``, and the multiplicity of every projector."""
     if mode == "poisson":
         # cells enter independently: sum f log(mu) - mu with mu = shots * p
         return float(
-            freq[good] @ np.log(shots * probs[good]) - shots * (mult @ probs)
+            f_obs @ np.log(shots * probs[obs]) - shots * (mult @ probs)
         )
-    return float(freq[good] @ np.log(probs[good]))
+    return float(f_obs @ np.log(probs[obs]))
 
 
 def _initial_state(init: np.ndarray | None, dim: int) -> np.ndarray:
@@ -550,11 +558,12 @@ def _fit(
     total = freq.sum()
     if total <= 0:
         raise ValueError("counts table is empty")
-    observed = freq > 0
+    obs = np.flatnonzero(freq > 0)
+    f_obs = freq[obs]
 
     def evaluate(rho: np.ndarray) -> tuple[np.ndarray, float]:
         p = np.maximum(_projector_probs(rho, m_head, m_tail), _P_FLOOR)
-        return p, _log_likelihood(freq, mult, p, counts.shots, counts.mode)
+        return p, _log_likelihood(obs, f_obs, mult, p, counts.shots, counts.mode)
 
     def r_operator(p: np.ndarray) -> np.ndarray:
         return _projector_operator(freq / (total * p), n)
@@ -577,7 +586,7 @@ def _fit(
 
     rho = _initial_state(init, 2**n)
     p, ll = evaluate(rho)
-    if p[observed].min() <= _P_FLOOR:
+    if p[obs].min() <= _P_FLOOR:
         raise ValueError("init gives an observed cell zero probability")
     prev, k, step = rho, 0, 1.0
     for iters in range(1, max_iters + 1):
@@ -586,7 +595,7 @@ def _fit(
         if k:
             y = rho + k / (k + 3) * (rho - prev)
             p_y, ll_y = evaluate(y)
-            if p_y[observed].min() > _P_FLOOR:
+            if p_y[obs].min() > _P_FLOOR:
                 new, p_new, ll_new, step = ascent_step(y, p_y, ll_y, step)
         if ll_new < ll:
             k = 0

@@ -629,6 +629,66 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     assert out_file.read_text(encoding="ascii") == stdout_text
 
 
+def test_out_rewrite_is_cut_to_the_new_length(capsys, tmp_path):
+    short = ("curve", "fig2", "--resource", "2", "--grid", "3")
+    _, stdout_text, _ = run_cli(capsys, *short)
+    out_file = tmp_path / "out"
+    for argv in (("state", "analyze", "--state", "psi4"), short):
+        code, piped, err = run_cli(capsys, *argv, "--out", str(out_file))
+        assert code == 0 and piped == "", err
+    assert out_file.read_bytes() == stdout_text.encode("ascii")
+
+
+def test_out_to_a_character_device_is_written_not_cut(capsys):
+    code, piped, err = run_cli(capsys, "state", "build", "--state", "psi4",
+                               "--out", os.devnull)
+    assert (code, piped, err) == (0, "", "")
+
+
+@pytest.mark.parametrize("mask", (0o022, 0o077))
+def test_out_creates_files_with_the_mode_of_open_w(capsys, tmp_path, mask):
+    reference = tmp_path / "reference"
+    created = tmp_path / "created"
+    old = os.umask(mask)
+    try:
+        with open(reference, "w"):
+            pass
+        code, _, err = run_cli(capsys, "curve", "fig2", "--resource", "2",
+                               "--out", str(created))
+    finally:
+        os.umask(old)
+    assert code == 0, err
+    assert created.stat().st_mode == reference.stat().st_mode
+
+
+@pytest.mark.parametrize("where", ("missing directory", "directory"))
+def test_unwritable_out_maps_to_exit_1(capsys, tmp_path, where):
+    path = tmp_path / "nope" / "out" if where == "missing directory" else tmp_path
+    code, out, err = run_cli(capsys, "curve", "fig2", "--resource", "2",
+                             "--out", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_out_rewrite_never_truncates_to_zero(capsys, tmp_path, monkeypatch):
+    # O_TRUNC on a file that holds data makes ext4 flush it on close, so a
+    # rewrite would wait for the disk on every call
+    real_open, flags = os.open, []
+
+    def recording_open(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    out_file = tmp_path / "out"
+    for _ in range(2):
+        code, _, err = run_cli(capsys, "curve", "fig2", "--resource", "2",
+                               "--out", str(out_file))
+        assert code == 0, err
+    assert len(flags) == 2
+    assert not any(flag & os.O_TRUNC for flag in flags)
+
+
 def test_degenerate_theta_maps_to_exit_1(capsys):
     code, _, err = run_cli(
         capsys, "state", "build", "--state", "psi4", "--theta", "0"

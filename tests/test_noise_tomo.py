@@ -1,5 +1,6 @@
 """White-noise models, synthetic counts, and ML tomography."""
 
+import hashlib
 import re
 
 import numpy as np
@@ -503,7 +504,10 @@ def test_projector_kernel_matches_dense_reference(n, mode):
 
         freq = table.counts.reshape(-1).astype(float)
         proj_freq = np.bincount(cells, weights=freq, minlength=6**n)
-        ll = noise_tomo._log_likelihood(proj_freq, mult, probs, table.shots, mode)
+        obs = np.flatnonzero(proj_freq > 0)
+        ll = noise_tomo._log_likelihood(
+            obs, proj_freq[obs], mult, probs, table.shots, mode
+        )
         want = dense_log_likelihood(freq, dense_probs(kets, rho.mat), table.shots, mode)
         assert abs(ll - want) <= 1e-12 * abs(want)
 
@@ -532,6 +536,43 @@ def test_fit_matches_converged_dense_reference_fit(name, shots, mode):
     assert res.log_likelihood <= ll + gap
     assert ll <= res.log_likelihood + res.likelihood_gap_bound
     assert 0.0 <= res.likelihood_gap_bound <= 1.0
+
+
+# Seeded fits, cold and warm-started, pinned bit for bit: (state, fidelity,
+# shots, mode, seed) -> (SHA-256 of rho's bytes, log-likelihood, iterations,
+# gap bound) for the cold fit, then the same for a fit started from the cold
+# rho plus I/2.  Recorded with the projector conjugates and the observed
+# cells computed inside every iteration; computing them once per fit must
+# not move a single rounding.
+FROZEN_FITS = (
+    (("psi4", 0.9, 2000, "multinomial", 21),
+     ("c92d2df91e78955ce35b9d6cbb08ba2194cc3222b4c0bb50f7f21380e47c35ca",
+      "-0x1.81bf182409a56p+18", 111, "0x1.eb6e96fcf2000p-9"),
+     ("388838ffb1f056d51503cf10870f84c45e905d49da14915a98dc03d5aeb6f599",
+      "-0x1.81bf182409a58p+18", 107, "0x1.9834832250000p-8")),
+    (("lambda34", 0.7, 200, "poisson", 5),
+     ("aa16c33a50cbe6605e071419ec3246bbae0fddf1608c56e365d0d2aaba17c6e2",
+      "0x1.5546959b825d4p+12", 18, "0x1.4a5901af6e000p-12"),
+     ("b8a3c24faf683d8017f49f76a213f3a10de3cddbc8ca3c7312e0232c30b2ecd8",
+      "0x1.5546959b81d62p+12", 19, "0x1.5a07276d1f800p-11")),
+)
+
+
+@pytest.mark.parametrize("case, cold, warm", FROZEN_FITS)
+def test_seeded_fit_is_bit_identical_to_its_frozen_copy(case, cold, warm):
+    name, fidelity, shots, mode, seed = case
+    target = build_psi4() if name == "psi4" else lambda34()
+    table = simulate_counts(white_noise(target, fidelity), shots=shots, seed=seed, mode=mode)
+
+    def frozen(res):
+        return (hashlib.sha256(res.rho.mat.tobytes()).hexdigest(),
+                res.log_likelihood.hex(), res.iterations,
+                res.likelihood_gap_bound.hex())
+
+    res = ml_reconstruct(table)
+    assert frozen(res) == cold
+    init = res.rho.mat + np.eye(len(res.rho.mat)) / 2
+    assert frozen(ml_reconstruct(table, init=init)) == warm
 
 
 @pytest.mark.parametrize("seed", range(6))
