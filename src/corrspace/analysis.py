@@ -16,15 +16,14 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import cos, pi, sin
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import qmath as qm
+from .qmath import State
 from .noise_tomo import CountsTable, exact_probabilities
 from .wires import _check_theta, build_psi6
-
-State = Union[qm.StateVector, qm.DensityMatrix]
 
 #: Qubit order used by witness settings strings (one letter per qubit).
 WITNESS_ORDER = ("4", "3", "3p", "2", "1", "1p")
@@ -337,18 +336,6 @@ class WitnessReport:
     derived_settings: tuple[str, ...]
     unmatched_tabulated: tuple[str, ...]
     unmatched_terms: tuple[int, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "corrected": self.corrected,
-            "residual_maxabs": float(self.residual_maxabs),
-            "residual_opnorm": float(self.residual_opnorm),
-            "best_scale": float(self.best_scale),
-            "term_expectations": [float(v) for v in self.term_expectations],
-            "derived_settings": list(self.derived_settings),
-            "unmatched_tabulated_settings": list(self.unmatched_tabulated),
-            "terms_without_tabulated_setting": list(self.unmatched_terms),
-        }
 
 
 def assemble_witness(theta: float = pi / 6, corrected: bool = False) -> WitnessReport:

@@ -7,6 +7,11 @@ field order is fixed, floats are printed with 15 significant digits, and
 every randomized command either takes ``--seed`` or generates one and
 records it in the output.
 
+This module alone defines the JSON and CSV output and the counts-file
+format: the library's results are plain data, and the payload functions
+below read their fields.  Each command returns its payload body (or CSV
+text); ``main`` puts the ``schema``/``command`` header in front of a body.
+
 Output goes to stdout, or with ``--out FILE`` to FILE, which is
 overwritten in place and cut to the new length (``_write_output``).
 
@@ -214,13 +219,79 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Shared payload pieces
+# Payloads of the library's results
 # ---------------------------------------------------------------------------
 
 def _state_payload(state: qm.StateVector) -> dict:
+    return {"labels": state.labels, "amplitudes": state.amps}
+
+
+def transcript_payload(tr: protocols.ProtocolTranscript) -> dict:
+    """One protocol branch.  The CLI protocols run on pure resources, so the
+    physical output is a state vector."""
     return {
-        "labels": list(state.labels),
-        "amplitudes": [[a.real, a.imag] for a in state.amps],
+        "outcomes": [
+            {"qubit": r.qubit, "basis": r.basis.name, "outcome": r.outcome,
+             "probability": r.probability}
+            for r in tr.outcomes
+        ],
+        "frame": {"wires": tr.frame.wires, "x": tr.frame.x, "z": tr.frame.z},
+        "logical_out": tr.logical_out,
+        "physical_out": None if tr.physical_out is None else _state_payload(tr.physical_out),
+        "success": bool(tr.success),
+        "total_probability": tr.total_probability,
+        "notes": tr.notes,
+    }
+
+
+_COUNTS_FIELDS = ("labels", "settings", "counts", "shots")
+
+
+def counts_payload(counts: noise_tomo.CountsTable) -> dict:
+    return {name: getattr(counts, name) for name in (*_COUNTS_FIELDS, "mode")}
+
+
+def counts_rows(counts: noise_tomo.CountsTable) -> list[tuple[str, int, int]]:
+    """(setting, outcome-cell index, count) triples."""
+    return [
+        (setting, cell, n)
+        for setting, row in zip(counts.settings, counts.counts.tolist())
+        for cell, n in enumerate(row)
+    ]
+
+
+def counts_table(data: dict) -> noise_tomo.CountsTable:
+    """Inverse of :func:`counts_payload` (missing and unknown keys rejected;
+    ``mode`` may be left out)."""
+    missing = set(_COUNTS_FIELDS) - set(data)
+    if missing:
+        raise ValueError(f"missing counts fields {sorted(missing)}")
+    extra = set(data) - set(_COUNTS_FIELDS) - {"mode"}
+    if extra:
+        raise ValueError(f"unknown counts fields {sorted(extra)}")
+    return noise_tomo.CountsTable(**data)
+
+
+def fit_payload(result: noise_tomo.ReconstructionResult, full_matrix: bool) -> dict:
+    payload = {"labels": result.rho.labels}
+    if full_matrix:
+        payload["rho"] = result.rho.mat
+    for name in ("log_likelihood", "iterations", "likelihood_gap_bound",
+                 "fidelity_to_target", "fidelity_sigma", "informationally_complete"):
+        payload[name] = getattr(result, name)
+    return payload
+
+
+def report_payload(report: analysis.WitnessReport) -> dict:
+    return {
+        "corrected": report.corrected,
+        "residual_maxabs": report.residual_maxabs,
+        "residual_opnorm": report.residual_opnorm,
+        "best_scale": report.best_scale,
+        "term_expectations": report.term_expectations,
+        "derived_settings": report.derived_settings,
+        "unmatched_tabulated_settings": report.unmatched_tabulated,
+        "terms_without_tabulated_setting": report.unmatched_terms,
     }
 
 
@@ -259,19 +330,12 @@ def _noisy_state(pure: qm.StateVector, fidelity: float):
 # Command implementations
 # ---------------------------------------------------------------------------
 
-def _cmd_state_build(args) -> tuple[str, str | None]:
+def _cmd_state_build(args) -> dict:
     state = _STATE_BUILDERS[args.state](args.theta)
-    payload = {
-        "schema": SCHEMA,
-        "command": "state build",
-        "state": args.state,
-        "theta": args.theta,
-    }
-    payload.update(_state_payload(state))
-    return dumps15(payload), args.out
+    return {"state": args.state, "theta": args.theta, **_state_payload(state)}
 
 
-def _cmd_state_analyze(args) -> tuple[str, str | None]:
+def _cmd_state_analyze(args) -> dict:
     state = _STATE_BUILDERS[args.state](args.theta)
     if args.state == "psi4":
         correlations = {
@@ -286,38 +350,32 @@ def _cmd_state_analyze(args) -> tuple[str, str | None]:
     else:
         correlations = {}
     entropies = analysis.linear_entropies(state)
-    payload = {
-        "schema": SCHEMA,
-        "command": "state analyze",
+    return {
         "state": args.state,
         "theta": args.theta,
         "correlations": correlations,
         "entropies": {label: entropies[label] for label in state.labels},
     }
-    return dumps15(payload), args.out
 
 
-def _cmd_protocol_rotate(args) -> tuple[str, str | None]:
+def _cmd_protocol_rotate(args) -> dict:
     outcomes, rng, seed, mode = _resolve_mode(args, 3)
     tr = protocols.rotate_sequence(
         args.alpha, args.beta, args.gamma, theta=args.theta,
         outcomes=outcomes, rng=rng,
     )
-    payload = {
-        "schema": SCHEMA,
-        "command": "protocol rotate",
+    return {
         "theta": args.theta,
         "alpha": args.alpha,
         "beta": args.beta,
         "gamma": args.gamma,
         "mode": mode,
         "seed": seed,
-        "transcript": tr.to_json_dict(),
+        "transcript": transcript_payload(tr),
     }
-    return dumps15(payload), args.out
 
 
-def _cmd_protocol_compensate(args) -> tuple[str, str | None]:
+def _cmd_protocol_compensate(args) -> dict:
     resource = f"{args.resource}-qubit"
     p_s, p_theta = protocols.success_probability(args.alpha, args.theta)
     alpha_wrong = protocols.wrong_angle(args.alpha, args.theta)
@@ -330,8 +388,6 @@ def _cmd_protocol_compensate(args) -> tuple[str, str | None]:
         "p_success_total": total,
     }
     payload = {
-        "schema": SCHEMA,
-        "command": "protocol compensate",
         "resource": resource,
         "theta": args.theta,
         "alpha": args.alpha,
@@ -343,53 +399,42 @@ def _cmd_protocol_compensate(args) -> tuple[str, str | None]:
         p_total, branches = protocols.enumerate_compensation(
             args.alpha, resource, theta=args.theta
         )
-        payload["mode"] = "enumerate"
-        payload["seed"] = None
-        payload["total_success_probability"] = p_total
-        payload["branches"] = [
-            {
-                "outcomes": [rec.outcome for rec in tr.outcomes],
-                "probability": tr.total_probability,
-                "success": tr.success,
-            }
+        branches = [
+            {"outcomes": tr.outcome_bits, "probability": tr.total_probability,
+             "success": tr.success}
             for tr in branches
         ]
-        return dumps15(payload), args.out
+        payload.update(mode="enumerate", seed=None, total_success_probability=p_total,
+                       branches=branches)
+        return payload
     outcomes, rng, seed, mode = _resolve_mode(args, 1 if args.resource == 2 else 3)
     tr = protocols.compensate(
         args.alpha, resource, theta=args.theta, outcomes=outcomes, rng=rng
     )
-    payload["mode"] = mode
-    payload["seed"] = seed
-    payload["transcript"] = tr.to_json_dict()
-    return dumps15(payload), args.out
+    payload.update(mode=mode, seed=seed, transcript=transcript_payload(tr))
+    return payload
 
 
-def _cmd_protocol_cz(args) -> tuple[str, str | None]:
+def _cmd_protocol_cz(args) -> dict:
     outcomes, rng, seed, mode = _resolve_mode(args, 4)
     tr = protocols.cz_gate_protocol(
         args.alpha, outcomes=outcomes, rng=rng, theta=args.theta
     )
-    payload = {
-        "schema": SCHEMA,
-        "command": "protocol cz",
+    return {
         "theta": args.theta,
         "alpha": args.alpha,
         "mode": mode,
         "seed": seed,
-        "transcript": tr.to_json_dict(),
+        "transcript": transcript_payload(tr),
     }
-    return dumps15(payload), args.out
 
 
-def _cmd_protocol_deutsch(args) -> tuple[str, str | None]:
+def _cmd_protocol_deutsch(args) -> dict:
     outcomes, rng, seed, mode = _resolve_mode(args, 4)
     query, ancilla, tr = protocols.deutsch(
         args.function, outcomes=outcomes, rng=rng, theta=args.theta
     )
-    payload = {
-        "schema": SCHEMA,
-        "command": "protocol deutsch",
+    return {
         "function": args.function,
         "theta": args.theta,
         "mode": mode,
@@ -397,12 +442,11 @@ def _cmd_protocol_deutsch(args) -> tuple[str, str | None]:
         "query_bit": query,
         "ancilla_bit": ancilla,
         "success": tr.success,
-        "transcript": tr.to_json_dict(),
+        "transcript": transcript_payload(tr),
     }
-    return dumps15(payload), args.out
 
 
-def _cmd_tomo_simulate(args) -> tuple[str, str | None]:
+def _cmd_tomo_simulate(args) -> dict | str:
     pure = _STATE_BUILDERS[args.state](args.theta)
     rho = _noisy_state(pure, args.fidelity)
     seed = args.seed if args.seed is not None else _fresh_seed()
@@ -410,22 +454,16 @@ def _cmd_tomo_simulate(args) -> tuple[str, str | None]:
         rho, shots=args.shots, seed=seed, mode=args.sampling
     )
     if args.format == "csv":
-        return (
-            render_csv(("setting", "cell", "count"), counts.to_csv_rows()),
-            args.out,
-        )
-    payload = {
-        "schema": SCHEMA,
-        "command": "tomo simulate",
+        return render_csv(("setting", "cell", "count"), counts_rows(counts))
+    return {
         "state": args.state,
         "theta": args.theta,
         "fidelity": args.fidelity,
         "shots": args.shots,
         "sampling": args.sampling,
         "seed": seed,
-        "counts": counts.to_json_dict(),
+        "counts": counts_payload(counts),
     }
-    return dumps15(payload), args.out
 
 
 def _load_counts(path: str) -> noise_tomo.CountsTable:
@@ -435,10 +473,10 @@ def _load_counts(path: str) -> noise_tomo.CountsTable:
         data = data["counts"]  # wrapped `tomo simulate` payload
     if not isinstance(data, dict):
         raise ValueError("counts file must hold a JSON object")
-    return noise_tomo.CountsTable.from_json_dict(data)
+    return counts_table(data)
 
 
-def _cmd_tomo_reconstruct(args) -> tuple[str, str | None]:
+def _cmd_tomo_reconstruct(args) -> dict:
     if args.max_iters < 1:
         raise CliError("--max-iters must be at least 1")
     if not (isfinite(args.tol) and args.tol >= 0):
@@ -469,23 +507,18 @@ def _cmd_tomo_reconstruct(args) -> tuple[str, str | None]:
             "fidelity_mean": mean,
             "fidelity_sigma": sigma,
         }
-    payload = {
-        "schema": SCHEMA,
-        "command": "tomo reconstruct",
+    return {
         "target": args.target,
         "theta": args.theta,
         "max_iters": args.max_iters,
         "tol": args.tol,
         "seed": seed,
-        "result": result.to_json_dict(),
+        "result": fit_payload(result, args.full_matrix),
         "monte_carlo": monte_carlo,
     }
-    if not args.full_matrix:
-        payload["result"].pop("rho")
-    return dumps15(payload), args.out
 
 
-def _cmd_witness_fidelity(args) -> tuple[str, str | None]:
+def _cmd_witness_fidelity(args) -> dict:
     pure = build_psi6(args.theta).reorder(analysis.WITNESS_ORDER)
     rho = _noisy_state(pure, args.fidelity)
     report = analysis.assemble_witness(args.theta, corrected=args.corrected)
@@ -504,9 +537,7 @@ def _cmd_witness_fidelity(args) -> tuple[str, str | None]:
     value = analysis.fidelity_from_settings(
         cells, theta=args.theta, corrected=args.corrected
     )
-    payload = {
-        "schema": SCHEMA,
-        "command": "witness fidelity",
+    return {
         "state": "psi6",
         "theta": args.theta,
         "fidelity": args.fidelity,
@@ -515,12 +546,11 @@ def _cmd_witness_fidelity(args) -> tuple[str, str | None]:
         "shots": args.shots,
         "seed": seed,
         "fidelity_estimate": value,
-        "report": report.to_json_dict(),
+        "report": report_payload(report),
     }
-    return dumps15(payload), args.out
 
 
-def _cmd_curve_fig2(args) -> tuple[str, str | None]:
+def _cmd_curve_fig2(args) -> dict | str:
     if args.grid < 2:
         raise CliError("--grid must be at least 2")
     resource = f"{args.resource}-qubit"
@@ -528,18 +558,15 @@ def _cmd_curve_fig2(args) -> tuple[str, str | None]:
     points = protocols.noisy_success_curve(
         alphas, resource, args.fidelity, theta=args.theta
     )
-    if args.format == "json":
-        payload = {
-            "schema": SCHEMA,
-            "command": "curve fig2",
-            "resource": resource,
-            "fidelity": args.fidelity,
-            "theta": args.theta,
-            "grid": args.grid,
-            "points": [[a, p] for a, p in points],
-        }
-        return dumps15(payload), args.out
-    return render_csv(("alpha", "p_success"), points), args.out
+    if args.format == "csv":
+        return render_csv(("alpha", "p_success"), points)
+    return {
+        "resource": resource,
+        "fidelity": args.fidelity,
+        "theta": args.theta,
+        "grid": args.grid,
+        "points": points,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +721,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        _write_output(*args.func(args))
+        body = args.func(args)
+        if isinstance(body, dict):
+            command = f"{args.group} {args.action}"
+            body = dumps15({"schema": SCHEMA, "command": command, **body})
+        _write_output(body, args.out)
     except CliError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

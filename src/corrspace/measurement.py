@@ -11,14 +11,13 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from math import sqrt
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from . import qmath as qm
+from .qmath import State
 from .wires import _check_theta
-
-State = Union[qm.StateVector, qm.DensityMatrix]
 
 # Outcomes less likely than this are not followed: ``measure`` raises
 # ``ZeroProbabilityBranch`` and the branch walker skips the child.
@@ -56,11 +55,6 @@ class MeasurementBasis:
         if not abs(a0.conjugate() * b0 + a1.conjugate() * b1) <= 1e-12:
             raise ValueError("basis kets must be orthogonal")
 
-    def ket(self, outcome: int) -> np.ndarray:
-        if outcome not in (0, 1):
-            raise ValueError("outcome must be 0 or 1")
-        return self.ket0 if outcome == 0 else self.ket1
-
 
 @dataclass(frozen=True)
 class OutcomeRecord:
@@ -76,14 +70,6 @@ class OutcomeRecord:
             raise ValueError("outcome must be 0 or 1")
         if not -1e-12 <= self.probability <= 1 + 1e-12:
             raise ValueError("probability out of [0, 1]")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "qubit": self.qubit,
-            "basis": self.basis.name,
-            "outcome": self.outcome,
-            "probability": float(self.probability),
-        }
 
 
 def basis_B(zeta: float, theta: float = np.pi / 6) -> MeasurementBasis:

@@ -13,14 +13,13 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from . import qmath as qm
+from .qmath import State
 from .measurement import pauli_basis
-
-State = Union[qm.StateVector, qm.DensityMatrix]
 
 _LETTERS = ("Z", "X", "Y")
 
@@ -121,41 +120,6 @@ class CountsTable:
     @property
     def n_qubits(self) -> int:
         return len(self.labels)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "settings": list(self.settings),
-            "counts": self.counts.tolist(),
-            "shots": int(self.shots),
-            "mode": self.mode,
-        }
-
-    def to_csv_rows(self) -> list[tuple[str, int, int]]:
-        """(setting, outcome-cell index, count) triples."""
-        rows = []
-        for s, row in zip(self.settings, self.counts):
-            for o, c in enumerate(row):
-                rows.append((s, o, int(c)))
-        return rows
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CountsTable":
-        """Inverse of :meth:`to_json_dict` (missing and extra keys rejected)."""
-        required = {"labels", "settings", "counts", "shots"}
-        missing = required - set(data)
-        if missing:
-            raise ValueError(f"missing counts fields {sorted(missing)}")
-        extra = set(data) - required - {"mode"}
-        if extra:
-            raise ValueError(f"unknown counts fields {sorted(extra)}")
-        return cls(
-            labels=data["labels"],
-            settings=data["settings"],
-            counts=data["counts"],
-            shots=data["shots"],
-            mode=data.get("mode", "multinomial"),
-        )
 
 
 def _strings(value, field: str) -> tuple[str, ...]:
@@ -279,31 +243,10 @@ class ReconstructionResult:
         if abs(self.rho.trace - 1.0) > 1e-9:
             raise ValueError("reconstructed state must have unit trace within 1e-9")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "labels": list(self.rho.labels),
-            "rho": [
-                [[float(v.real), float(v.imag)] for v in row] for row in self.rho.mat
-            ],
-            "log_likelihood": float(self.log_likelihood),
-            "iterations": int(self.iterations),
-            "likelihood_gap_bound": None
-            if self.likelihood_gap_bound is None
-            else float(self.likelihood_gap_bound),
-            "fidelity_to_target": None
-            if self.fidelity_to_target is None
-            else float(self.fidelity_to_target),
-            "fidelity_sigma": None
-            if self.fidelity_sigma is None
-            else float(self.fidelity_sigma),
-            "informationally_complete": bool(self.informationally_complete),
-        }
-
 
 # Product projectors: per qubit, index a = 2 * letter + outcome over the six
 # eigenkets of Z, X and Y; an n-qubit projector index reads its n base-6
 # digits MSB first, like the qubits of a setting string.
-
 @functools.lru_cache(maxsize=None)
 def _projector_block(k: int) -> np.ndarray:
     """Read-only M (6^k, 4^k) with M[a, (I, J)] = conj(K[a, I]) K[a, J].

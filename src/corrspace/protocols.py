@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import atan2, cos, pi, sin
-from typing import Any, Callable, Iterator, NamedTuple, Sequence, Union
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import qmath as qm
+from .qmath import State
 from .measurement import (
     ZERO_PROBABILITY, MeasurementBasis, OutcomeRecord, basis_B, basis_B_stack, measure,
     pauli_basis,
@@ -30,7 +31,6 @@ from .measurement import (
 from .noise_tomo import white_noise
 from .wires import _check_theta, build_psi4, build_psi6, lambda34
 
-State = Union[qm.StateVector, qm.DensityMatrix]
 Step = tuple[str, MeasurementBasis]
 
 # Basis-family angle for the coupling qubit: it carries an unweighted |+>
@@ -60,13 +60,6 @@ class PauliFrame:
             raise ValueError("frame fields must have equal lengths")
         if any(v not in (0, 1) for v in self.x + self.z):
             raise ValueError("frame exponents must be 0 or 1")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "wires": list(self.wires),
-            "x": list(self.x),
-            "z": list(self.z),
-        }
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -120,35 +113,6 @@ class ProtocolTranscript:
     @property
     def outcome_bits(self) -> tuple[int, ...]:
         return tuple(rec.outcome for rec in self.outcomes)
-
-    def to_json_dict(self) -> dict:
-        phys = None
-        if isinstance(self.physical_out, qm.StateVector):
-            phys = {
-                "labels": list(self.physical_out.labels),
-                "amplitudes": [
-                    [float(a.real), float(a.imag)] for a in self.physical_out.amps
-                ],
-            }
-        elif isinstance(self.physical_out, qm.DensityMatrix):
-            phys = {
-                "labels": list(self.physical_out.labels),
-                "matrix": [
-                    [[float(v.real), float(v.imag)] for v in row]
-                    for row in self.physical_out.mat
-                ],
-            }
-        return {
-            "outcomes": [rec.to_json_dict() for rec in self.outcomes],
-            "frame": self.frame.to_json_dict(),
-            "logical_out": None
-            if self.logical_out is None
-            else [[float(a.real), float(a.imag)] for a in self.logical_out],
-            "physical_out": phys,
-            "success": bool(self.success),
-            "total_probability": float(self.total_probability),
-            "notes": [list(kv) for kv in self.notes],
-        }
 
 
 # ---------------------------------------------------------------------------

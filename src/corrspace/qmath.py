@@ -9,7 +9,7 @@ global phase via overlap modulus.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -290,8 +290,12 @@ class DensityMatrix:
         return float(probs[0]), DensityMatrix(_without(self.labels, qubit), rest[0])
 
 
+#: A pure or a mixed register state.
+State = Union[StateVector, DensityMatrix]
+
+
 def _project_one(
-    state: StateVector | DensityMatrix, qubit: str, onto: np.ndarray | str
+    state: State, qubit: str, onto: np.ndarray | str
 ) -> tuple[np.ndarray, np.ndarray]:
     """``collapse`` of the stack of one: the state's own ``project``."""
     vec = ket(onto) if isinstance(onto, str) else np.asarray(onto, dtype=complex)
@@ -303,7 +307,7 @@ def _without(labels: tuple[str, ...], qubit: str) -> tuple[str, ...]:
     return tuple(l for l in labels if l != qubit)
 
 
-def partial_trace(rho: DensityMatrix | StateVector, keep: Iterable[str]) -> DensityMatrix:
+def partial_trace(rho: State, keep: Iterable[str]) -> DensityMatrix:
     """Reduced density matrix on ``keep`` (register order preserved)."""
     if isinstance(rho, StateVector):
         rho = rho.to_density()

@@ -20,9 +20,6 @@ from . import qmath
 from .qmath import HAD, SQRT2, StateVector, Z, ket
 
 CZ4 = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-CX4 = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
 
 #: Largest register the dense engine contracts: states are 2^n amplitude
 #: vectors and coupling edges act on them directly, so a wire or resource
@@ -109,8 +106,8 @@ class Wire:
 class ResourceSpec:
     """Wires plus injected single-qubit sites and two-qubit coupling edges.
 
-    Edges are (site_label, site_label, gate) with gate in {"CZ", "CX"}; for
-    "CX" the first label is the control.
+    Edges are (site_label, site_label, gate) with gate "CZ", the one
+    coupling the resources use.
     """
 
     wires: tuple[Wire, ...]
@@ -135,7 +132,7 @@ class ResourceSpec:
         for a, b, gate in self.edges:
             if a == b or a not in labels or b not in labels:
                 raise ValueError(f"edge ({a},{b}) must reference two distinct existing sites")
-            if gate not in ("CZ", "CX"):
+            if gate != "CZ":
                 raise ValueError(f"unsupported coupling gate {gate!r}")
 
     def all_labels(self) -> tuple[str, ...]:
@@ -180,8 +177,8 @@ def contract_resource(spec: ResourceSpec) -> tuple[StateVector, float]:
         state = site_state if state is None else state.tensor(site_state)
     if state is None:
         raise ValueError("empty resource")
-    for a, b, gate in spec.edges:
-        state = state.apply(CZ4 if gate == "CZ" else CX4, a, b)
+    for a, b, _ in spec.edges:
+        state = state.apply(CZ4, a, b)
     normed, raw = state.normalized()
     return normed, raw_total * raw
 

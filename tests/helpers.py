@@ -19,12 +19,15 @@ from corrspace.measurement import MeasurementBasis, pauli_basis
 from corrspace import noise_tomo
 from corrspace.noise_tomo import setting_kets
 from corrspace.protocols import _FRAME_OPERATORS, PauliFrame
-from corrspace.wires import ResourceSpec, SiteTensor, Wire, _check_theta
+from corrspace.wires import ResourceSpec, SiteTensor, Wire, _check_theta, contract_resource
 
 #: Joint amplitude factors of the two-photon conditional-phase combination
 #: (overlapping filter cube plus a T_h = 1/3 filter on the second photon),
 #: in the (HH, HV, VH, VV) basis of (first photon, second photon).
 CPHASE_DIAG = np.array([sqrt(1.0 / 3.0), sqrt(1.0 / 3.0), 1.0 / 3.0, -1.0 / 3.0])
+
+#: Controlled-X, first qubit the control (the coupling of ``couple_canonical``).
+_CX = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
 
 
 def rz(angle: float) -> np.ndarray:
@@ -170,6 +173,29 @@ def brute_wire_amplitudes(wire) -> np.ndarray:
             vec = site.matrix(s) @ vec
         amps[idx] = np.conj(wire.right) @ vec
     return amps
+
+
+def assert_same_transcript(a, b) -> None:
+    """Two protocol transcripts agree field by field, every float exactly."""
+
+    def steps(tr):
+        return [(r.qubit, r.basis.name, r.outcome, r.probability) for r in tr.outcomes]
+
+    assert steps(a) == steps(b)
+    for ra, rb in zip(a.outcomes, b.outcomes):
+        assert np.array_equal(ra.basis.ket0, rb.basis.ket0)
+        assert np.array_equal(ra.basis.ket1, rb.basis.ket1)
+    assert a.frame == b.frame
+    assert (a.logical_out is None) == (b.logical_out is None)
+    if a.logical_out is not None:
+        assert np.array_equal(a.logical_out, b.logical_out)
+    pa, pb = a.physical_out, b.physical_out
+    assert type(pa) is type(pb)
+    if isinstance(pa, qm.StateVector):
+        assert pa.labels == pb.labels and np.array_equal(pa.amps, pb.amps)
+    elif pa is not None:
+        assert pa.labels == pb.labels and np.array_equal(pa.mat, pb.mat)
+    assert (a.success, a.total_probability, a.notes) == (b.success, b.total_probability, b.notes)
 
 
 def overlap2(a: np.ndarray, b: np.ndarray) -> float:
@@ -426,22 +452,19 @@ class CanonicalWire:
         return [self.site() for _ in range(n)]
 
 
-def couple_canonical(cw: CanonicalWire, n_sites: int = 3) -> ResourceSpec:
+def couple_canonical(cw: CanonicalWire, n_sites: int = 3) -> qm.StateVector:
     """Two copies of a canonical-form wire (labels L0.. and R0..) coupled
     through an injected |+> site "c".
 
-    The injected qubit is the control of one controlled-X edge onto the
-    middle site of each wire.  Measuring it in the computational basis
-    undoes the coupling (outcome 0) or leaves sigma_x on the two coupled
-    sites (outcome 1).
+    The injected qubit is the control of one controlled-X onto the middle
+    site of each wire.  Measuring it in the computational basis undoes the
+    coupling (outcome 0) or leaves sigma_x on the two coupled sites
+    (outcome 1).
     """
     wires = tuple(
         Wire(tuple(cw.sites(n_sites)), tuple(f"{side}{i}" for i in range(n_sites)))
         for side in "LR"
     )
     mid = n_sites // 2
-    return ResourceSpec(
-        wires=wires,
-        injected=(("c", qm.ket("+")),),
-        edges=(("c", f"L{mid}", "CX"), ("c", f"R{mid}", "CX")),
-    )
+    state, _ = contract_resource(ResourceSpec(wires=wires, injected=(("c", qm.ket("+")),)))
+    return state.apply(_CX, "c", f"L{mid}").apply(_CX, "c", f"R{mid}")

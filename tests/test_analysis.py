@@ -1,6 +1,7 @@
 """Correlations, entropies, and the 36-setting fidelity decomposition."""
 
 import itertools
+import json
 from math import cos, pi, sin, sqrt
 
 import numpy as np
@@ -20,6 +21,7 @@ from corrspace.analysis import (
     two_point_correlation,
     witness_terms,
 )
+from corrspace.cli import dumps15, report_payload
 from corrspace.noise_tomo import setting_kets, simulate_counts, white_noise
 from corrspace.wires import build_psi4, build_psi6, lambda34
 
@@ -301,7 +303,7 @@ def test_corrected_sum_is_the_projector():
 
 
 def test_report_json_shape():
-    d = assemble_witness(corrected=True).to_json_dict()
+    d = json.loads(dumps15(report_payload(assemble_witness(corrected=True))))
     assert d["corrected"] is True
     assert len(d["term_expectations"]) == 36
     assert d["terms_without_tabulated_setting"] == [34]

@@ -124,6 +124,21 @@ def test_state_analyze_values(capsys):
     assert abs(data["entropies"]["2"] - 0.5625) < TOL
 
 
+STATE_BUILD_DIGESTS = (
+    ("psi4", "eb56dfe99c88347e1a0fc92c1e36e294c0c5847a835dd1e5c15dbc206df50f80"),
+    ("psi6", "a3cea72f1a45f74ff576076ab41a046e833fd3873eded8507b416064376220d0"),
+    ("lambda34", "12fe4d8d14fca809aa4d99be46055a2f10adf4827e1caa4973ad402bd97987b1"),
+)
+
+
+@pytest.mark.parametrize("state,digest", STATE_BUILD_DIGESTS)
+def test_state_build_stdout_bytes_are_pinned(capsys, state, digest):
+    # recorded while the amplitudes were still rendered entry by entry
+    code, out, err = run_cli(capsys, "state", "build", "--state", state)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # protocol commands
 # ---------------------------------------------------------------------------
@@ -488,6 +503,48 @@ def test_tomo_reconstruct_with_error_bar(capsys, tmp_path):
     assert 0.9 <= mc["fidelity_mean"] <= 1.0
     assert mc["fidelity_sigma"] >= 0.0
     assert data["seed"] == 23
+
+
+# Stdout SHA-256 of the tomography commands, recorded while the counts and
+# fit results still rendered themselves (``to_json_dict``/``to_csv_rows``).
+TOMO_SIMULATE_DIGESTS = (
+    ("--state lambda34 --shots 50 --seed 7",
+     "d29e7acee58caa77bce2af38b2ff6361eb85adb31ce5828ab680fe14017e4740"),
+    ("--state lambda34 --shots 50 --seed 7 --format csv",
+     "98ecf44842ef1b984b3d4388bb06410bb8f13473639920359fe5151dbfc3a26a"),
+    ("--state psi4 --fidelity 0.9 --shots 50 --seed 7 --sampling poisson",
+     "70c44d690c7afc4702911176a6ad42d3db75f54e9ffa21141e2383b5c0fcca00"),
+)
+
+TOMO_RECONSTRUCT_DIGESTS = (
+    ("", "174f4b16c9f55322a3e29701de0f5a4971df590b57254cc9e4c47ee1f88f798d"),
+    ("--full-matrix", "fe12c661d3820719a93f97767b5747b50b773fc6ddc36aabe88a0273612aca00"),
+    ("--target lambda34 --mc-runs 3 --seed 23",
+     "c0cc215e11d597e890e6f4b391b22f01084b3dfe8d898fa486710c529dde2373"),
+)
+
+
+@pytest.mark.parametrize("args,digest", TOMO_SIMULATE_DIGESTS)
+def test_tomo_simulate_stdout_bytes_are_pinned(capsys, args, digest):
+    code, out, err = run_cli(capsys, "tomo", "simulate", *args.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args,digest", TOMO_RECONSTRUCT_DIGESTS)
+def test_tomo_reconstruct_stdout_bytes_are_pinned(capsys, tmp_path, args, digest):
+    counts_file = tmp_path / "counts.json"
+    code, _, err = run_cli(
+        capsys,
+        "tomo", "simulate", "--state", "lambda34", "--shots", "2000",
+        "--seed", "17", "--out", str(counts_file),
+    )
+    assert code == 0, err
+    code, out, err = run_cli(
+        capsys, "tomo", "reconstruct", "--counts", str(counts_file), *args.split()
+    )
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """White-noise models, synthetic counts, and ML tomography."""
 
 import hashlib
+import json
 import re
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from corrspace import analysis, noise_tomo
 from corrspace import qmath as qm
+from corrspace.cli import counts_payload, counts_rows, counts_table, dumps15, fit_payload
 from corrspace.noise_tomo import (
     CountsTable,
     ReconstructionResult,
@@ -341,21 +343,26 @@ def test_counts_table_validation():
         CountsTable(("a", "b"), ("ZZ",), np.ones((1, 4), dtype=int), 5)
 
 
+def _as_json(payload: dict) -> dict:
+    """``payload`` as the CLI prints it, read back."""
+    return json.loads(dumps15(payload))
+
+
 def test_counts_table_json_round_trip():
     table = simulate_counts(lambda34(), ("ZX", "YY"), shots=50, seed=6)
-    data = table.to_json_dict()
-    back = CountsTable.from_json_dict(data)
+    data = _as_json(counts_payload(table))
+    back = counts_table(data)
     assert back.labels == table.labels
     assert back.settings == table.settings
     assert np.array_equal(back.counts, table.counts)
     assert back.shots == table.shots and back.mode == table.mode
     data["surprise"] = 1
     with pytest.raises(ValueError):
-        CountsTable.from_json_dict(data)
+        counts_table(data)
 
 
 def _counts_data():
-    return simulate_counts(lambda34(), ("ZZ", "XX"), shots=10, seed=4).to_json_dict()
+    return _as_json(counts_payload(simulate_counts(lambda34(), ("ZZ", "XX"), shots=10, seed=4)))
 
 
 @pytest.mark.parametrize(
@@ -377,7 +384,7 @@ def test_counts_table_rejects_non_integer_values(field, value, message):
     else:
         data["shots"] = value
     with pytest.raises(ValueError, match=f"^{message}$"):
-        CountsTable.from_json_dict(data)
+        CountsTable(**data)
 
 
 def test_counts_table_rejects_non_integer_arrays():
@@ -401,8 +408,6 @@ def test_counts_table_rejects_fields_that_are_not_string_lists(field, value, mes
     data = _counts_data()
     data[field] = value
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        CountsTable.from_json_dict(data)
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         CountsTable(**data)
 
 
@@ -410,7 +415,7 @@ def test_counts_table_rejects_duplicate_labels():
     data = _counts_data()
     data["labels"] = ["a", "a"]
     with pytest.raises(ValueError, match="duplicate qubit labels"):
-        CountsTable.from_json_dict(data)
+        CountsTable(**data)
 
 
 @pytest.mark.parametrize("field", ("labels", "settings", "counts", "shots"))
@@ -418,12 +423,12 @@ def test_counts_table_names_a_missing_field(field):
     data = _counts_data()
     del data[field]
     with pytest.raises(ValueError, match=rf"^missing counts fields \['{field}'\]$"):
-        CountsTable.from_json_dict(data)
+        counts_table(data)
 
 
 def test_counts_table_csv_rows():
     table = simulate_counts(lambda34(), ("ZZ",), shots=20, seed=7)
-    rows = table.to_csv_rows()
+    rows = counts_rows(table)
     assert len(rows) == 4
     assert rows[0][0] == "ZZ" and [r[1] for r in rows] == [0, 1, 2, 3]
     assert sum(r[2] for r in rows) == 20
@@ -727,7 +732,8 @@ def test_likelihood_gap_bound_is_a_certificate():
     # the bound covers the likelihood still to be gained
     assert early.log_likelihood + early.likelihood_gap_bound >= best.log_likelihood
     assert best.likelihood_gap_bound < early.likelihood_gap_bound
-    assert best.to_json_dict()["likelihood_gap_bound"] == best.likelihood_gap_bound
+    payload = fit_payload(best, full_matrix=False)
+    assert payload["likelihood_gap_bound"] == best.likelihood_gap_bound
 
 
 @pytest.mark.parametrize("mode", ("multinomial", "poisson"))
@@ -757,7 +763,7 @@ def test_reconstruction_result_validation():
         ReconstructionResult(rho=wrong_trace, log_likelihood=0.0, iterations=1)
     dm = qm.DensityMatrix(("a", "b"), np.eye(4) / 4)
     res = ReconstructionResult(rho=dm, log_likelihood=-1.0, iterations=3)
-    d = res.to_json_dict()
+    d = _as_json(fit_payload(res, full_matrix=True))
     assert d["iterations"] == 3
     assert d["fidelity_to_target"] is None
     assert d["informationally_complete"] is True

@@ -1,5 +1,6 @@
 """Measurement protocols: rotations, compensation, entangling gate, programs."""
 
+import json
 from math import atan, cos, pi, sin, sqrt
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from corrspace import protocols
 from corrspace import qmath as qm
+from corrspace.cli import dumps15, transcript_payload
 from corrspace.measurement import pauli_basis
 from corrspace.noise_tomo import white_noise
 from corrspace.protocols import (
@@ -27,7 +29,9 @@ from corrspace.protocols import (
     wrong_angle,
 )
 from corrspace.wires import build_psi4, lambda34
-from helpers import frame_operator, overlap2, rx, rz, vec_equal_up_to_phase
+from helpers import (
+    assert_same_transcript, frame_operator, overlap2, rx, rz, vec_equal_up_to_phase,
+)
 from reference_tables import (
     ANOMALOUS_GATE_ROW_VECTOR,
     ANOMALOUS_ROTATION_ROWS,
@@ -236,7 +240,7 @@ def test_enumerated_branches_equal_postselected_runs():
         _, branches = enumerate_compensation(1.3, resource)
         for b in branches:
             tr = compensate(1.3, resource, outcomes=b.outcome_bits)
-            assert tr.to_json_dict() == b.to_json_dict()  # exact floats
+            assert_same_transcript(tr, b)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +297,7 @@ def test_rotation_sampled_mode_is_deterministic():
     sampled = rotate_sequence(0.3, 0.4, 0.5, rng=np.random.default_rng(0))
     assert sampled.outcome_bits == (0, 0, 0)
     replay = rotate_sequence(0.3, 0.4, 0.5, outcomes=sampled.outcome_bits)
-    assert sampled.to_json_dict() == replay.to_json_dict()
+    assert_same_transcript(sampled, replay)
 
 
 def test_rotation_rejects_outcomes_together_with_rng():
@@ -690,7 +694,7 @@ def test_transcript_probability_consistency_enforced():
 
 def test_transcript_json_shape():
     tr = rotate_sequence(0.3, 0.4, 0.5, outcomes=(0, 1, 0))
-    d = tr.to_json_dict()
+    d = json.loads(dumps15(transcript_payload(tr)))
     assert [rec["outcome"] for rec in d["outcomes"]] == [0, 1, 0]
     assert d["frame"] == {"wires": ["out"], "x": [0], "z": [0]}
     assert d["success"] is False

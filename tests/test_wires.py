@@ -201,6 +201,8 @@ def test_resource_spec_validation():
         w.ResourceSpec((wire,), edges=(("a", "z", "CZ"),))
     with pytest.raises(ValueError):
         w.ResourceSpec((wire,), injected=(("b", qm.ket("0")),), edges=(("a", "b", "SWAP"),))
+    with pytest.raises(ValueError, match="unsupported coupling gate 'CX'"):
+        w.ResourceSpec((wire,), injected=(("b", qm.ket("0")),), edges=(("b", "a", "CX"),))
     with pytest.raises(ValueError):
         w.ResourceSpec((wire,), edges=(("a", "a", "CZ"),))
     with pytest.raises(ValueError):
@@ -242,8 +244,7 @@ def test_contract_resource_size_guard():
 
 def test_canonical_coupling_collapses_to_product_or_flipped():
     cw = CanonicalWire(qm.HAD, pi / 2)
-    spec = couple_canonical(cw, n_sites=3)
-    state, _ = w.contract_resource(spec)
+    state = couple_canonical(cw, n_sites=3)
 
     solo, _ = w.contract_wire(w.Wire(tuple(cw.sites(3)), ("L0", "L1", "L2")))
     solo_r, _ = w.contract_wire(w.Wire(tuple(cw.sites(3)), ("R0", "R1", "R2")))
