@@ -586,7 +586,7 @@ def _add_branch_options(p: argparse.ArgumentParser, n: int | str) -> None:
                    help=f"post-select {n} comma-separated outcome bits")
     p.add_argument("--postselect-zeros", action="store_true",
                    help="post-select the all-zero outcome branch")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_int_at_least(0), default=None,
                    help="sample outcomes with this RNG seed")
 
 
@@ -655,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=_int_at_least(1), default=1000)
     p.add_argument("--sampling", choices=("multinomial", "poisson"),
                    default="multinomial")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int_at_least(0), default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(p)
     p.set_defaults(func=_cmd_tomo_simulate)
@@ -669,7 +669,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--mc-runs", type=int, default=0,
                    help="bootstrap runs for the fidelity error bar")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int_at_least(0), default=None)
     p.add_argument("--full-matrix", action="store_true",
                    help="include the reconstructed density matrix")
     _add_common(p)
@@ -686,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the repaired decomposition (exact projector)")
     p.add_argument("--shots", type=_int_at_least(0), default=0,
                    help="shots per setting (0 = exact expectations)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int_at_least(0), default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_witness_fidelity)
 

@@ -156,14 +156,6 @@ def wrong_angle(alpha: float, theta: float = pi / 6) -> float:
     return a
 
 
-def compensation_bound(alpha: float, theta: float = pi / 6, n_blocks: int = 1) -> float:
-    """Lower bound p_s + (1-p_s)(1-(1-p_theta)^n) with n compensation blocks."""
-    if n_blocks < 0:
-        raise ValueError("n_blocks must be nonnegative")
-    p_s, p_theta = success_probability(alpha, theta)
-    return p_s + (1.0 - p_s) * (1.0 - (1.0 - p_theta) ** n_blocks)
-
-
 # ---------------------------------------------------------------------------
 # The interpreter
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from corrspace import qmath as qm
 from corrspace.measurement import MeasurementBasis, pauli_basis
 from corrspace import noise_tomo
 from corrspace.noise_tomo import setting_kets
-from corrspace.protocols import _FRAME_OPERATORS, PauliFrame
+from corrspace.protocols import _FRAME_OPERATORS, PauliFrame, success_probability
 from corrspace.wires import ResourceSpec, SiteTensor, Wire, _check_theta, contract_resource
 
 #: Joint amplitude factors of the two-photon conditional-phase combination
@@ -173,6 +173,14 @@ def brute_wire_amplitudes(wire) -> np.ndarray:
             vec = site.matrix(s) @ vec
         amps[idx] = np.conj(wire.right) @ vec
     return amps
+
+
+def compensation_bound(alpha: float, theta: float = np.pi / 6, n_blocks: int = 1) -> float:
+    """Lower bound p_s + (1-p_s)(1-(1-p_theta)^n) with n compensation blocks."""
+    if n_blocks < 0:
+        raise ValueError("n_blocks must be nonnegative")
+    p_s, p_theta = success_probability(alpha, theta)
+    return p_s + (1.0 - p_s) * (1.0 - (1.0 - p_theta) ** n_blocks)
 
 
 def assert_same_transcript(a, b) -> None:

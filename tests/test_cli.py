@@ -1,7 +1,6 @@
 """Command-line interface: parsing, serialization, commands, exit codes."""
 
 import argparse
-import hashlib
 import json
 import os
 import subprocess
@@ -22,6 +21,7 @@ from corrspace.cli import (
     parse_bits,
     render_csv,
 )
+from record_golden import commands, golden_files, golden_name, run
 
 TOL = 1e-12
 
@@ -122,21 +122,6 @@ def test_state_analyze_values(capsys):
     data = run_json(capsys, "state", "analyze", "--state", "psi4")
     assert abs(data["correlations"]["Q_XX_13"] - 0.375) < TOL
     assert abs(data["entropies"]["2"] - 0.5625) < TOL
-
-
-STATE_BUILD_DIGESTS = (
-    ("psi4", "eb56dfe99c88347e1a0fc92c1e36e294c0c5847a835dd1e5c15dbc206df50f80"),
-    ("psi6", "a3cea72f1a45f74ff576076ab41a046e833fd3873eded8507b416064376220d0"),
-    ("lambda34", "12fe4d8d14fca809aa4d99be46055a2f10adf4827e1caa4973ad402bd97987b1"),
-)
-
-
-@pytest.mark.parametrize("state,digest", STATE_BUILD_DIGESTS)
-def test_state_build_stdout_bytes_are_pinned(capsys, state, digest):
-    # recorded while the amplitudes were still rendered entry by entry
-    code, out, err = run_cli(capsys, "state", "build", "--state", state)
-    assert code == 0, err
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
@@ -268,83 +253,6 @@ def test_protocol_deutsch_abort_maps_to_exit_1(capsys):
     )
     assert code == 1
     assert "abort" in err.lower()
-
-
-# Stdout SHA-256 of the protocol and fig2 commands over both wire angles
-# (seeded, post-selected, explicit outcomes and enumerated branches),
-# recorded on the per-protocol measurement loops that the program
-# interpreter replaced.  Any change in which qubit is measured in which
-# basis, in the order of the rng draws or in the branch order changes
-# these bytes.
-PROTOCOL_DIGESTS = (
-    ("protocol rotate --alpha 0.3 --beta 0.7 --gamma=-0.2 --seed 11 --theta pi/6",
-     "0db72b4b406514541e6de54b6e2bc82f183ccad2df50d6c422c7fdb35eddf19c"),
-    ("protocol rotate --alpha 0.3 --beta 0.7 --gamma=-0.2 --postselect-zeros --theta pi/6",
-     "5d64ce53f63e33cc90bf24d70be56773f0045af27029154cde2965d39c3776b8"),
-    ("protocol compensate --alpha pi/2 --resource 4 --enumerate --theta pi/6",
-     "97b3560737b24a4b9a34b8321740054d9583cfe5492f27d734021e39a77a6010"),
-    ("protocol compensate --alpha pi/2 --resource 4 --seed 7 --theta pi/6",
-     "5603bbbf08c8f11a80154e42d285f7b19201eb2207307c5043f3a0f48ecdd9a9"),
-    ("protocol compensate --alpha pi/2 --resource 4 --postselect-zeros --theta pi/6",
-     "a4b612a6c72661f1fb1042b1488902376531f481eb76ce534d38e701db6e287f"),
-    ("protocol compensate --alpha pi/2 --resource 4 --outcomes 1,1,0 --theta pi/6",
-     "fdb0ef13b0fd2c31602d83d864b7213180aaf4619c84a5acb5c6cda9b96e7361"),
-    ("protocol compensate --alpha pi/2 --resource 2 --enumerate --theta pi/6",
-     "396be5fae8cbf2d92c1c6d7f38908c7414feea1490423d4e755594ffa2094e2f"),
-    ("protocol compensate --alpha pi/2 --resource 2 --seed 7 --theta pi/6",
-     "76cae3456b34ed6c4644b6eb62df9e250bed0e0499752aea9b3c85cb04929f22"),
-    ("protocol compensate --alpha pi/2 --resource 2 --postselect-zeros --theta pi/6",
-     "c0f047df10f2d3ca7b6db06c92d91a2e51640d543a895f452b7c48ceaa6f2f74"),
-    ("protocol cz --alpha pi/3 --seed 11 --theta pi/6",
-     "f7c59ae2c7ddfafcd19f4f37f529968efbe28342391868bca19a3b8954e2743e"),
-    ("protocol cz --alpha pi/3 --outcomes 1,0,0,1 --theta pi/6",
-     "c167f9909e4f375f303012b570627a1c3f96650cdcfa849fb327d1c9e9b508c4"),
-    ("protocol deutsch --function constant --seed 6 --theta pi/6",
-     "8405434a47dfcdd908aa4bbe78b8530223c9a5dc946375d3486704fb69dd629b"),
-    ("protocol deutsch --function balanced --seed 6 --theta pi/6",
-     "a2483c9c3359783831b0f22d846a907fccec8a3d81243abea5eb41ad010f5680"),
-    ("curve fig2 --resource 2 --fidelity 0.73 --theta pi/6",
-     "20584298fd0a2d4a090392cfd8ef45f33602284d684a73d7c7be49dff5ab8347"),
-    ("curve fig2 --resource 4 --fidelity 0.73 --theta pi/6",
-     "79ae86ad47f8ce29169a0a60c745bd427876a0456646746dbdab8680a7cc428b"),
-    ("protocol rotate --alpha 0.3 --beta 0.7 --gamma=-0.2 --seed 11 --theta 0.3",
-     "0f9947cbcc65b31ec6fbbedcd84c8c8bc745396018f3a4f010ccce6d75e27d85"),
-    ("protocol rotate --alpha 0.3 --beta 0.7 --gamma=-0.2 --postselect-zeros --theta 0.3",
-     "83069162095ad0050a8007a5012abd3b2cc5d72464225930b21c5a61371a4330"),
-    ("protocol compensate --alpha pi/2 --resource 4 --enumerate --theta 0.3",
-     "e875b07f0e52a4b233da791d8e7478eac9342e386ae59cdab0faba1ee068acba"),
-    ("protocol compensate --alpha pi/2 --resource 4 --seed 7 --theta 0.3",
-     "36afd799d83a4cc7d7a8bdfa12fdf8b9eab0117d4c7e7b22689279f07965d321"),
-    ("protocol compensate --alpha pi/2 --resource 4 --postselect-zeros --theta 0.3",
-     "6893599e9a777e4553024be647eb7b24282378caa36ff3a8a48f0336037d7416"),
-    ("protocol compensate --alpha pi/2 --resource 4 --outcomes 1,1,0 --theta 0.3",
-     "03fcaf32600369729924ea62a6b94f670fcba2104311ff36ace6c6c87011a05b"),
-    ("protocol compensate --alpha pi/2 --resource 2 --enumerate --theta 0.3",
-     "34c0aeb781914bafe176cc9f97031a9761d80a10e79323f9e70752c560630575"),
-    ("protocol compensate --alpha pi/2 --resource 2 --seed 7 --theta 0.3",
-     "d84039d915c8366a5bb4e83e0df34b2a6f552340310c9d0cff901fae0c85624b"),
-    ("protocol compensate --alpha pi/2 --resource 2 --postselect-zeros --theta 0.3",
-     "af3ee557bc9dde2534f6a44ee1b4426ef8ed20f0c3d49a6a29ffd7bbcde364b3"),
-    ("protocol cz --alpha pi/3 --seed 11 --theta 0.3",
-     "be8b8581ec028dae3427fd52125d6fb0804527e30fa96e7c3f30f5e5631db06d"),
-    ("protocol cz --alpha pi/3 --outcomes 1,0,0,1 --theta 0.3",
-     "b5ed7dd22935186e6f9670735e8d15df06b8e94a4570d0cbe3e9d58ef28caa90"),
-    ("protocol deutsch --function constant --seed 6 --theta 0.3",
-     "5655ed33e8b10a1fe325d5ada69afdb08019eed47d5c74fb26061cc016fb6602"),
-    ("protocol deutsch --function balanced --seed 43 --theta 0.3",
-     "84911815dc8da50b5f242e8e91cf52974bda34bd1470c13ba62e955f4504d652"),
-    ("curve fig2 --resource 2 --fidelity 0.73 --theta 0.3",
-     "65a91a612324cf5497927538bc2ec9f9d94a3a0589c3da28d8ba7d6d49543f3b"),
-    ("curve fig2 --resource 4 --fidelity 0.73 --theta 0.3",
-     "336d52c16469e0304d3051d90f2a08300b502a64fccd85783a8a567b49a30d1b"),
-)
-
-
-@pytest.mark.parametrize("args,digest", PROTOCOL_DIGESTS)
-def test_protocol_stdout_bytes_are_pinned(capsys, args, digest):
-    code, out, err = run_cli(capsys, *args.split())
-    assert code == 0, err
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
@@ -505,48 +413,6 @@ def test_tomo_reconstruct_with_error_bar(capsys, tmp_path):
     assert data["seed"] == 23
 
 
-# Stdout SHA-256 of the tomography commands, recorded while the counts and
-# fit results still rendered themselves (``to_json_dict``/``to_csv_rows``).
-TOMO_SIMULATE_DIGESTS = (
-    ("--state lambda34 --shots 50 --seed 7",
-     "d29e7acee58caa77bce2af38b2ff6361eb85adb31ce5828ab680fe14017e4740"),
-    ("--state lambda34 --shots 50 --seed 7 --format csv",
-     "98ecf44842ef1b984b3d4388bb06410bb8f13473639920359fe5151dbfc3a26a"),
-    ("--state psi4 --fidelity 0.9 --shots 50 --seed 7 --sampling poisson",
-     "70c44d690c7afc4702911176a6ad42d3db75f54e9ffa21141e2383b5c0fcca00"),
-)
-
-TOMO_RECONSTRUCT_DIGESTS = (
-    ("", "174f4b16c9f55322a3e29701de0f5a4971df590b57254cc9e4c47ee1f88f798d"),
-    ("--full-matrix", "fe12c661d3820719a93f97767b5747b50b773fc6ddc36aabe88a0273612aca00"),
-    ("--target lambda34 --mc-runs 3 --seed 23",
-     "c0cc215e11d597e890e6f4b391b22f01084b3dfe8d898fa486710c529dde2373"),
-)
-
-
-@pytest.mark.parametrize("args,digest", TOMO_SIMULATE_DIGESTS)
-def test_tomo_simulate_stdout_bytes_are_pinned(capsys, args, digest):
-    code, out, err = run_cli(capsys, "tomo", "simulate", *args.split())
-    assert code == 0, err
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-@pytest.mark.parametrize("args,digest", TOMO_RECONSTRUCT_DIGESTS)
-def test_tomo_reconstruct_stdout_bytes_are_pinned(capsys, tmp_path, args, digest):
-    counts_file = tmp_path / "counts.json"
-    code, _, err = run_cli(
-        capsys,
-        "tomo", "simulate", "--state", "lambda34", "--shots", "2000",
-        "--seed", "17", "--out", str(counts_file),
-    )
-    assert code == 0, err
-    code, out, err = run_cli(
-        capsys, "tomo", "reconstruct", "--counts", str(counts_file), *args.split()
-    )
-    assert code == 0, err
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
 # ---------------------------------------------------------------------------
 # witness and curve commands
 # ---------------------------------------------------------------------------
@@ -574,57 +440,6 @@ def test_witness_bad_fidelity_maps_to_exit_1(capsys):
     assert code == 1
 
 
-# Stdout SHA-256 of `witness fidelity` over a fixed grid (theta, fidelity,
-# exact or seeded 2000-shot counts, literal or corrected), recorded on the
-# dense-Kronecker implementation.  Any change in rounding anywhere on the
-# witness path (term matrices, expectations, cells, parity sums, counts)
-# changes these bytes.  The four seeded fidelity-1 entries were re-recorded
-# when the cells moved to the product-projector kernel: it and the former
-# per-setting einsum round different zero-probability cells to +-1e-17, and
-# a multinomial draw consumes a uniform for p > 0 but none for p = 0.
-WITNESS_DIGESTS = (
-    ("--theta pi/6 --fidelity 1",
-     "6692f2d038a4e897d5c86b374fcd1f024ebfd19369afe57d6f58a879ce4d6dcd"),
-    ("--theta pi/6 --fidelity 1 --corrected",
-     "8506ee5f4a1112bced90c2b12adcabefffaa11d3ef1eebff3fc98a64dc1c8000"),
-    ("--theta pi/6 --fidelity 1 --shots 2000 --seed 5",
-     "17deb822de5514a13e54a58e1cd940b9994ed1fb999a7bc219e370cff38ef8de"),
-    ("--theta pi/6 --fidelity 1 --shots 2000 --seed 5 --corrected",
-     "939da310106e5f11ccacd4f8176dc0f0f115b2e00104f1f9dc48ad3ad5b683e8"),
-    ("--theta pi/6 --fidelity 0.73",
-     "c322b6b7919d9ba01fd1a14b029c1e9014809df36ff5f757a51d5eab70f3be4a"),
-    ("--theta pi/6 --fidelity 0.73 --corrected",
-     "fbba5b65e2c3ac22088bd3c388c3f942d2a073d056e69cd20f62702840e897c8"),
-    ("--theta pi/6 --fidelity 0.73 --shots 2000 --seed 5",
-     "341a93f47dd315e6162c5cff591d84c4bcf051c94acb7c5d7fe362d559efdb21"),
-    ("--theta pi/6 --fidelity 0.73 --shots 2000 --seed 5 --corrected",
-     "e29b735cf2f21283d576fe28ce3dcac39b337d974d964f5f84cb76c10db3f102"),
-    ("--theta 0.3 --fidelity 1",
-     "83c6fcf5c2b1e6a25a492839ee2501d6596dee5f5e58daec85bff0750a6312b4"),
-    ("--theta 0.3 --fidelity 1 --corrected",
-     "4df5af74c236a23e74261012b21ce4108d1b24e6906b8a5023d74351baa89d44"),
-    ("--theta 0.3 --fidelity 1 --shots 2000 --seed 5",
-     "356372f4c04cd327762a9ac7e8a6c2eddee447c51178a7f1b1a58ded50e40459"),
-    ("--theta 0.3 --fidelity 1 --shots 2000 --seed 5 --corrected",
-     "54960db0e832cb9adce3f81119675785a6085acebce693197753315168be16fb"),
-    ("--theta 0.3 --fidelity 0.73",
-     "5e595db4743702fcf048d0f7aaabd5b612cea14d76a057f9f2b14ba3a7ff6399"),
-    ("--theta 0.3 --fidelity 0.73 --corrected",
-     "9cc6d307fce98117425b785d1934d5cd852c7af23b1125174600afa89a5e5009"),
-    ("--theta 0.3 --fidelity 0.73 --shots 2000 --seed 5",
-     "7254e2ba980296fb50db61ec6cb050e21385d4059b3e9be65dfbda72e0a050d2"),
-    ("--theta 0.3 --fidelity 0.73 --shots 2000 --seed 5 --corrected",
-     "9b290f82e5ae44b1ba071474d922dfda1e94c56a0ee70888eb4aaf2beab7d31c"),
-)
-
-
-@pytest.mark.parametrize("args,digest", WITNESS_DIGESTS)
-def test_witness_fidelity_stdout_bytes_are_pinned(capsys, args, digest):
-    code, out, err = run_cli(capsys, "witness", "fidelity", *args.split())
-    assert code == 0, err
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
 def test_witness_fidelity_reads_only_the_projector_rows_it_uses(capsys, monkeypatch):
     # the pinned bytes come from the 72 head and 72 tail projector rows of
     # the 36 settings: no setting ket matrix and no full 216-row block
@@ -641,11 +456,11 @@ def test_witness_fidelity_reads_only_the_projector_rows_it_uses(capsys, monkeypa
 
     monkeypatch.setattr(noise_tomo, "setting_kets", no_kets)
     monkeypatch.setattr(noise_tomo, "_projector_probs", rows_in_use)
-    for args, digest in WITNESS_DIGESTS:
-        code, out, err = run_cli(capsys, "witness", "fidelity", *args.split())
-        assert code == 0, err
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
-    assert set(shapes) == {(72, 72)} and len(shapes) == len(WITNESS_DIGESTS)
+    files = golden_files()
+    witness = [c for c in commands() if c.startswith("witness fidelity ")]
+    for command in witness:
+        assert run(command) == files[golden_name(command)].read_bytes(), command
+    assert set(shapes) == {(72, 72)} and len(shapes) == len(witness) == 16
 
 
 def test_curve_fig2_json_endpoints(capsys):
@@ -773,15 +588,25 @@ def test_non_finite_angle_is_a_usage_error(capsys, argv):
     assert "Warning" not in err
 
 
-@pytest.mark.parametrize("argv, low", (
-    (["witness", "fidelity", "--shots", "-5"], 0),
-    (["tomo", "simulate", "--state", "psi4", "--shots", "0"], 1),
-    (["tomo", "simulate", "--state", "psi4", "--shots", "-3"], 1),
+@pytest.mark.parametrize("flag, argv, low", (
+    ("--shots", ["witness", "fidelity", "--shots", "-5"], 0),
+    ("--shots", ["tomo", "simulate", "--state", "psi4", "--shots", "0"], 1),
+    ("--shots", ["tomo", "simulate", "--state", "psi4", "--shots", "-3"], 1),
+    ("--seed", ["protocol", "rotate", "--alpha", "0", "--beta", "0", "--gamma", "0",
+                "--seed", "-2"], 0),
+    ("--seed", ["protocol", "compensate", "--alpha", "pi/2", "--seed", "-1"], 0),
+    ("--seed", ["protocol", "cz", "--alpha", "pi/3", "--seed", "-1"], 0),
+    ("--seed", ["protocol", "deutsch", "--function", "balanced", "--seed", "-1"], 0),
+    ("--seed", ["tomo", "simulate", "--state", "psi4", "--seed", "-3"], 0),
+    ("--seed", ["tomo", "reconstruct", "--counts", str(golden_files()[golden_name(
+        "tomo simulate --state lambda34 --shots 2000 --seed 17")]), "--target", "lambda34",
+                "--mc-runs", "3", "--seed", "-1"], 0),
+    ("--seed", ["witness", "fidelity", "--shots", "10", "--seed", "-1"], 0),
 ))
-def test_out_of_range_shots_is_a_usage_error(capsys, argv, low):
+def test_out_of_range_shots_is_a_usage_error(capsys, flag, argv, low):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
-    assert f"argument --shots: must be an integer >= {low}, got {argv[-1]}" in err
+    assert f"argument {flag}: must be an integer >= {low}, got {argv[-1]}" in err
 
 
 def test_unknown_command_maps_to_exit_2(capsys):

@@ -18,7 +18,6 @@ from corrspace.protocols import (
     ProtocolAbort,
     ProtocolTranscript,
     compensate,
-    compensation_bound,
     cz_gate_protocol,
     deutsch,
     deutsch_relabel,
@@ -30,7 +29,8 @@ from corrspace.protocols import (
 )
 from corrspace.wires import build_psi4, lambda34
 from helpers import (
-    assert_same_transcript, frame_operator, overlap2, rx, rz, vec_equal_up_to_phase,
+    assert_same_transcript, compensation_bound, frame_operator, overlap2, rx, rz,
+    vec_equal_up_to_phase,
 )
 from reference_tables import (
     ANOMALOUS_GATE_ROW_VECTOR,
