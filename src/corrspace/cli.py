@@ -483,6 +483,8 @@ def _cmd_tomo_reconstruct(args) -> dict:
         raise CliError("--tol must be finite and >= 0")
     if not (args.mc_runs == 0 or args.mc_runs >= 2):
         raise CliError("--mc-runs must be 0 (no error bar) or at least 2")
+    if args.seed is not None and not args.mc_runs:
+        raise CliError("--seed needs --mc-runs (it seeds the bootstrap)")
     counts = _load_counts(args.counts)
     target = None
     if args.target is not None:
@@ -519,6 +521,8 @@ def _cmd_tomo_reconstruct(args) -> dict:
 
 
 def _cmd_witness_fidelity(args) -> dict:
+    if args.seed is not None and not args.shots:
+        raise CliError("--seed needs --shots of at least 1 (it seeds the counts)")
     pure = build_psi6(args.theta).reorder(analysis.WITNESS_ORDER)
     rho = _noisy_state(pure, args.fidelity)
     report = analysis.assemble_witness(args.theta, corrected=args.corrected)

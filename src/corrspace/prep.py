@@ -7,32 +7,11 @@ polarization pairs are pushed through polarization-dependent attenuators
 element, a path relabeling, and polarization-to-path expansions.  Every
 filter is a contraction, so the pipeline tracks the overall post-selection
 probability, and the final state is verified against the abstract builder.
-
-Functions
----------
-``pbc_filter``          single-qubit polarization filter
-                        diag(sqrt(t_h), sqrt(t_v)).
-``pbc_overlap_filter``  one filter cube crossed by two photons: each photon's
-                        V amplitude is attenuated by sqrt(t_v) (H by
-                        sqrt(t_h)) and the joint VV amplitude acquires a
-                        minus sign from two-photon interference.  With
-                        t_h = 1, t_v = 1/3, followed by a ``pbc_filter``
-                        (t_h = 1/3) on the second photon, the combined
-                        effect is diag(sqrt(1/3), sqrt(1/3), 1/3, -1/3) — a
-                        post-selected conditional-phase gate with an extra
-                        polarization weighting of the first photon.
-``pbs_expand``          polarization-to-path expansion |H> -> |H>|H'>,
-                        |V> -> |V>|V'>; an isometry that adds one qubit.
-``exchange_labels``     a reroute of outputs: two register names swap.
-``methods_pipeline``    the filters in order, then (for psi6) the reroute
-                        and the two expansions; the product of the filters'
-                        post-selection probabilities is returned.
 """
 
 from __future__ import annotations
 
 from math import cos, pi, sin, sqrt
-from typing import Callable
 
 import numpy as np
 
@@ -40,23 +19,28 @@ from . import qmath as qm
 from .qmath import StateVector
 from .wires import PSI6_LABELS, build_psi4, build_psi6
 
+#: Controlled-X, the first qubit the control.
+_CX = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+
 # ---------------------------------------------------------------------------
 # Elementary transforms
 # ---------------------------------------------------------------------------
 
-def _post_select(
-    state: StateVector, t_h: float, t_v: float, act: Callable[[float, float], StateVector]
-) -> tuple[StateVector, float]:
-    """Run the filter ``act(sqrt(t_h), sqrt(t_v))`` on ``state`` and post-select.
-
-    Returns the renormalized state and the post-selection probability (the
-    squared norm ratio).  Raises if a transmission lies outside [0, 1] or if
-    the filter annihilates the state.
-    """
+def _roots(t_h: float, t_v: float) -> tuple[float, float]:
+    """Amplitude transmissions (sqrt(t_h), sqrt(t_v)) of a filter."""
     for name, t in (("t_h", t_h), ("t_v", t_v)):
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"{name}={t} outside [0, 1]")
-    raw = act(sqrt(t_h), sqrt(t_v))
+    return sqrt(t_h), sqrt(t_v)
+
+
+def _post_select(state: StateVector, diag: list[float], *qubits: str) -> tuple[StateVector, float]:
+    """Apply the filter diag(``diag``) to ``qubits`` of ``state`` and post-select.
+
+    Returns the renormalized state and the post-selection probability (the
+    squared norm ratio).  Raises if the filter annihilates the state.
+    """
+    raw = state.apply(np.diag(diag).astype(complex), *qubits)
     norm_in = state.norm
     if norm_in == 0.0:
         raise ValueError("input state has zero norm")
@@ -70,10 +54,8 @@ def pbc_filter(
     state: StateVector, qubit: str, t_h: float, t_v: float
 ) -> tuple[StateVector, float]:
     """Polarization-dependent filter diag(sqrt(t_h), sqrt(t_v)) on one qubit."""
-    return _post_select(
-        state, t_h, t_v,
-        lambda sh, sv: state.apply(np.diag([sh, sv]).astype(complex), qubit),
-    )
+    sh, sv = _roots(t_h, t_v)
+    return _post_select(state, [sh, sv], qubit)
 
 
 def pbc_overlap_filter(
@@ -83,37 +65,24 @@ def pbc_overlap_filter(
 
     Each photon's amplitudes are filtered by diag(sqrt(t_h), sqrt(t_v)) and
     the joint VV amplitude flips sign (two-photon interference in the cube).
+    With t_h = 1, t_v = 1/3, followed by a ``pbc_filter`` (t_h = 1/3) on the
+    second photon, the combined effect is diag(sqrt(1/3), sqrt(1/3), 1/3,
+    -1/3): a post-selected conditional-phase gate with an extra polarization
+    weighting of the first photon.
     """
-    return _post_select(
-        state, t_h, t_v,
-        lambda sh, sv: state.apply(
-            np.diag([sh * sh, sh * sv, sv * sh, -sv * sv]).astype(complex),
-            qubit_a, qubit_b,
-        ),
-    )
+    sh, sv = _roots(t_h, t_v)
+    return _post_select(state, [sh * sh, sh * sv, sv * sh, -sv * sv], qubit_a, qubit_b)
 
 
 def pbs_expand(state: StateVector, qubit: str, new_label: str) -> StateVector:
     """Split a polarization qubit over two paths: |H> -> |H>|H'>, |V> -> |V>|V'>.
 
-    The new path qubit ``new_label`` is appended at the end of the register;
-    the map is an isometry (norm and inner products preserved).
+    The new path qubit ``new_label`` starts in |H'> at the end of the
+    register, and a CX from ``qubit`` copies the polarization onto it; the map
+    is an isometry (norm and inner products preserved).
     """
-    if new_label in state.labels:
-        raise ValueError(f"label {new_label!r} already present")
-    ax = state.labels.index(qubit) if qubit in state.labels else None
-    if ax is None:
-        raise KeyError(f"unknown qubit label {qubit!r}")
-    n = state.n_qubits
-    amps = state.amps.reshape([2] * n)
-    expanded = np.zeros([2] * n + [2], dtype=complex)
-    idx_h = [slice(None)] * n
-    idx_h[ax] = 0
-    expanded[tuple(idx_h) + (0,)] = amps[tuple(idx_h)]
-    idx_v = [slice(None)] * n
-    idx_v[ax] = 1
-    expanded[tuple(idx_v) + (1,)] = amps[tuple(idx_v)]
-    return StateVector(state.labels + (new_label,), expanded.reshape(-1))
+    expanded = state.tensor(StateVector((new_label,), qm.ket("H")))
+    return expanded.apply(_CX, qubit, new_label)
 
 
 def exchange_labels(state: StateVector, a: str, b: str) -> StateVector:
@@ -135,15 +104,20 @@ def entangled_pair(label_a: str, label_b: str) -> StateVector:
     return StateVector(h.labels, (h.amps + v.amps) / qm.SQRT2)
 
 
+def _cos_sin(theta: float) -> tuple[float, float]:
+    c, s = cos(theta), sin(theta)
+    if not (c > 0 and s > 0):
+        raise ValueError("theta must lie strictly inside (0, pi/2)")
+    return c, s
+
+
 def weighting_transmissions(theta: float) -> tuple[float, float]:
     """Filter transmissions turning |P>/|M> weights into cos/sin weights.
 
     Returns (t_h, t_v) with max(t_h, t_v) = 1: the less-attenuated
     polarization passes unfiltered.
     """
-    c, s = cos(theta), sin(theta)
-    if not (c > 0 and s > 0):
-        raise ValueError("theta must lie strictly inside (0, pi/2)")
+    c, s = _cos_sin(theta)
     if s <= c:
         return 1.0, (s / c) ** 2
     return (c / s) ** 2, 1.0
@@ -157,9 +131,7 @@ def balance_transmissions(theta: float) -> tuple[float, float]:
     diag(cos(theta), sin(theta)).  At theta = pi/6 it is the identity and
     the filter passes everything.
     """
-    c, s = cos(theta), sin(theta)
-    if not (c > 0 and s > 0):
-        raise ValueError("theta must lie strictly inside (0, pi/2)")
+    c, s = _cos_sin(theta)
     f_h = min(1.0, c / (sqrt(3.0) * s))
     f_v = min(1.0, sqrt(3.0) * s / c)
     return f_h**2, f_v**2

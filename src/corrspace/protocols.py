@@ -16,7 +16,7 @@ resource states; closed-form results are used only as oracles in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import atan2, cos, pi, sin
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
@@ -87,14 +87,15 @@ def _single_frame(x: int = 0, z: int = 0, wire: str = "out") -> PauliFrame:
 
 @dataclass(frozen=True)
 class ProtocolTranscript:
-    """Full record of one protocol branch."""
+    """Full record of one protocol branch; its probability is the product
+    of its steps'."""
 
     outcomes: tuple[OutcomeRecord, ...]
     frame: PauliFrame
     logical_out: np.ndarray | None
     physical_out: State | None
     success: bool
-    total_probability: float
+    total_probability: float = field(init=False)
     notes: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
@@ -104,11 +105,9 @@ class ProtocolTranscript:
             object.__setattr__(
                 self, "logical_out", np.asarray(self.logical_out, dtype=complex)
             )
-        prod = 1.0
-        for rec in self.outcomes:
-            prod *= rec.probability
-        if abs(prod - self.total_probability) > 1e-12:
-            raise ValueError("total_probability must equal the product of step probabilities")
+        object.__setattr__(
+            self, "total_probability", float(np.prod([r.probability for r in self.outcomes]))
+        )
 
     @property
     def outcome_bits(self) -> tuple[int, ...]:
@@ -296,15 +295,6 @@ def _walk(schedule, bits, active, qubits, probs, labels, states) -> Iterator[Lea
                          child_probs, rest_labels, collapsed)
 
 
-def _transcript(
-    records: tuple[OutcomeRecord, ...], frame: PauliFrame, logical: np.ndarray | None,
-    state: State, success: bool, notes: Sequence[tuple[str, str]] = (),
-) -> ProtocolTranscript:
-    """A branch's transcript; its probability is the product of its steps'."""
-    total = float(np.prod([r.probability for r in records]))
-    return ProtocolTranscript(records, frame, logical, state, success, total, notes)
-
-
 def _frame_targets(alphas: Sequence[float]) -> np.ndarray:
     """(G, 2, 2, 2) array: [g, x, z] is H X^x Z^z H Rz(alpha_g)|+>, the output
     a successful compensation branch with frame (x, z) must have up to phase."""
@@ -348,7 +338,7 @@ def rotate_sequence(
     def finish(records, state):
         logical = qm.HAD @ state.amps if _is_pure(state) else None
         success = all(r.outcome == 0 for r in records)
-        return _transcript(records, _single_frame(), logical, state, success)
+        return ProtocolTranscript(records, _single_frame(), logical, state, success)
 
     return Program(build_psi4(theta), 3, next_step, finish).run(outcomes=outcomes, rng=rng)
 
@@ -438,7 +428,7 @@ def _compensation_program(
         logical = qm.HAD @ state.amps if _is_pure(state) else None
         if logical is not None and success:
             _check_frames(state.amps[None], outputs[None, frame.x[0], frame.z[0]])
-        return _transcript(records, frame, logical, state, success, notes)
+        return ProtocolTranscript(records, frame, logical, state, success, notes)
 
     return Program(state, 1 if two_qubit else 3, next_step, finish)
 
@@ -540,7 +530,8 @@ def noisy_success_curve(
     """Success probability of the compensated rotation on a white-noise state.
 
     The resource is mixed as w |psi><psi| + (1-w) I/2^n with w chosen so the
-    state's fidelity with the pure resource equals ``fidelity``.  The grid
+    state's fidelity with the pure resource equals ``fidelity``, which
+    ``white_noise`` requires to lie in (1/2^n, 1].  The grid
     is walked ``_CURVE_CHUNK`` angles at a time: one ``walk_branches`` per
     chunk asks one ``_compensation_schedule`` for each tree node's kets of
     every angle and collapses every angle's state in one ``qmath.collapse``
@@ -551,13 +542,6 @@ def noisy_success_curve(
     leaf must match its Pauli frame.
     """
     pure = _resource_state(resource, theta)
-    n = pure.n_qubits
-    dim = 2**n
-    f_min = 1.0 / dim
-    if not f_min < fidelity <= 1.0:
-        raise ValueError(
-            f"fidelity for the {resource} resource must lie in ({f_min:.6g}, 1]"
-        )
     state: State = pure if fidelity == 1.0 else white_noise(pure, fidelity)
     alphas = [float(a) for a in alpha_grid]
     two_qubit = resource == "2-qubit"
@@ -625,7 +609,7 @@ def cz_gate_protocol(
         frame = PauliFrame(("1p", "3p"), (0, 0), (z, z))
         # Invert the readout maps: site 1p reads H*v, site 3p reads v.
         logical = qm.kron(qm.HAD, qm.I2) @ state.amps if _is_pure(state) else None
-        return _transcript(records, frame, logical, state, entangling, notes)
+        return ProtocolTranscript(records, frame, logical, state, entangling, notes)
 
     return Program(build_psi6(theta), 4, next_step, finish).run(outcomes=outcomes, rng=rng)
 
@@ -715,6 +699,6 @@ def deutsch(
             notes.append(("relabel_scope", "r2/r3 nonzero: outside the relabeling map"))
         success = in_scope and (query, ancilla) == _TARGET_BITS[function]
         frame = PauliFrame(("1p", "3p"), (0, 0), (0, 0))
-        return query, ancilla, _transcript(records, frame, None, state, success, notes)
+        return query, ancilla, ProtocolTranscript(records, frame, None, state, success, notes)
 
     return Program(build_psi6(theta), 4, next_step, finish).run(outcomes=outcomes, rng=rng)

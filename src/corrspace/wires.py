@@ -1,17 +1,21 @@
 """Matrix-product computational wires and the small 2D resources built
 from them.
 
-A wire is an ordered list of site tensors between two boundary vectors in
-correlation space.  The amplitude of a physical configuration |s1...sn> is
-<r| T[sn] ... T[s1] |l>, where T[s] is the 2x2 matrix the site assigns to
-outcome s.  The first site label is the most significant bit of the output
-state vector.
+A wire is an ordered list of site tensors between the fixed boundary
+vectors ``LEFT`` = |+> and ``RIGHT`` = |0> in correlation space.  A site
+tensor is a read-only (2, 2, 2) array whose ``[s]`` is the 2x2 matrix T[s]
+the site assigns to outcome s.  The amplitude of a physical configuration
+|s1...sn> is <RIGHT| T[sn] ... T[s1] |LEFT>.  The first site label is the
+most significant bit of the output state vector.
+
+A resource (``ResourceSpec``) joins wires through |+> coupler sites, named
+by label, and CZ edges, given as pairs of site labels.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import cos, isfinite, pi, sin
 
 import numpy as np
@@ -30,6 +34,16 @@ MAX_DENSE_QUBITS = 10
 _CACHED_THETAS = 32
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+#: Boundary vectors of every wire.
+LEFT = _read_only(ket("+"))
+RIGHT = _read_only(ket("0"))
+
+
 def _check_theta(theta: float) -> None:
     if not isfinite(theta):
         raise ValueError(f"degenerate wire angle: theta must be finite, got {theta}")
@@ -37,122 +51,78 @@ def _check_theta(theta: float) -> None:
         raise ValueError("degenerate wire angle: sin(theta) and cos(theta) must be nonzero")
 
 
-@dataclass(frozen=True)
-class SiteTensor:
-    """Per-site map from a computational outcome index to a 2x2 matrix.
-
-    ``tensors[s]`` is the matrix T[s] for the physical ket |s> of the
-    computational basis: a weighted computing site (``a_site``), a readout
-    site (``b_site``) or a readout site defined in the diagonal basis
-    (``b_site_rotated``).
-    """
-
-    tensors: tuple[np.ndarray, np.ndarray]
-
-    def matrix(self, outcome: int) -> np.ndarray:
-        return self.tensors[outcome]
+def _site(t_h: np.ndarray, t_v: np.ndarray) -> np.ndarray:
+    return _read_only(np.stack((t_h, t_v)))
 
 
-def a_site(theta: float) -> SiteTensor:
+def a_site(theta: float) -> np.ndarray:
     """Computing site: T[H] = H*cos(theta), T[V] = H*Z*sin(theta)."""
     _check_theta(theta)
-    return SiteTensor((HAD * cos(theta), (HAD @ Z) * sin(theta)))
+    return _site(HAD * cos(theta), (HAD @ Z) * sin(theta))
 
 
-def b_site() -> SiteTensor:
+def b_site() -> np.ndarray:
     """Readout site: T[H] = H, T[V] = H*Z."""
-    return SiteTensor((HAD.copy(), HAD @ Z))
+    return _site(HAD, HAD @ Z)
 
 
-def b_site_rotated() -> SiteTensor:
+def b_site_rotated() -> np.ndarray:
     """Readout site defined in the diagonal basis: T[P'] = H, T[M'] = H*Z.
 
     Stored in the computational basis, where the tensors become
     sqrt2*H|0><0| and sqrt2*H|1><1| for outcomes H' and V'.
     """
     t_p, t_m = HAD, HAD @ Z
-    t_h = (t_p + t_m) / SQRT2
-    t_v = (t_p - t_m) / SQRT2
-    return SiteTensor((t_h, t_v))
+    return _site((t_p + t_m) / SQRT2, (t_p - t_m) / SQRT2)
 
 
 @dataclass(frozen=True)
 class Wire:
-    """Ordered site tensors with boundary vectors."""
+    """Ordered (2, 2, 2) site tensors, one label each."""
 
-    sites: tuple[SiteTensor, ...]
+    sites: tuple[np.ndarray, ...]
     labels: tuple[str, ...]
-    left: np.ndarray = field(default_factory=lambda: ket("+"))
-    right: np.ndarray = field(default_factory=lambda: ket("0"))
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sites", tuple(self.sites))
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "left", np.asarray(self.left, dtype=complex))
-        object.__setattr__(self, "right", np.asarray(self.right, dtype=complex))
         if len(self.sites) != len(self.labels):
             raise ValueError("one label per site required")
-        if not (np.isfinite(self.left).all() and np.isfinite(self.right).all()):
-            raise ValueError("boundary vectors must be finite")
-        if np.linalg.norm(self.left) == 0 or np.linalg.norm(self.right) == 0:
-            raise ValueError("boundary vectors must be nonzero")
-
-    @property
-    def n_sites(self) -> int:
-        return len(self.sites)
 
 
 @dataclass(frozen=True)
 class ResourceSpec:
-    """Wires plus injected single-qubit sites and two-qubit coupling edges.
-
-    Edges are (site_label, site_label, gate) with gate "CZ", the one
-    coupling the resources use.
-    """
+    """Wires plus |+> coupler sites (by label) and CZ edges (label pairs)."""
 
     wires: tuple[Wire, ...]
-    injected: tuple[tuple[str, np.ndarray], ...] = ()
-    edges: tuple[tuple[str, str, str], ...] = ()
+    couplers: tuple[str, ...] = ()
+    edges: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "wires", tuple(self.wires))
-        object.__setattr__(
-            self,
-            "injected",
-            tuple((l, np.asarray(v, dtype=complex)) for l, v in self.injected),
-        )
+        object.__setattr__(self, "couplers", tuple(self.couplers))
         object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
-        if not all(np.isfinite(v).all() for _, v in self.injected):
-            raise ValueError("injected vectors must be finite")
-        if any(np.linalg.norm(v) == 0 for _, v in self.injected):
-            raise ValueError("injected vectors must be nonzero")
         labels = self.all_labels()
         if len(set(labels)) != len(labels):
-            raise ValueError("duplicate site labels across wires/injected sites")
-        for a, b, gate in self.edges:
+            raise ValueError("duplicate site labels across wires/couplers")
+        for a, b in self.edges:
             if a == b or a not in labels or b not in labels:
                 raise ValueError(f"edge ({a},{b}) must reference two distinct existing sites")
-            if gate != "CZ":
-                raise ValueError(f"unsupported coupling gate {gate!r}")
 
     def all_labels(self) -> tuple[str, ...]:
-        out: list[str] = []
-        for w in self.wires:
-            out.extend(w.labels)
-        out.extend(l for l, _ in self.injected)
-        return tuple(out)
+        return tuple(l for w in self.wires for l in w.labels) + self.couplers
+
 
 def contract_wire(wire: Wire) -> tuple[StateVector, float]:
     """Contract a wire to a normalized state vector; also return the raw norm."""
-    if not 1 <= wire.n_sites <= MAX_DENSE_QUBITS:
+    if not 1 <= len(wire.sites) <= MAX_DENSE_QUBITS:
         raise ValueError(f"wire must have between 1 and {MAX_DENSE_QUBITS} sites")
-    # part[s1,...,sk;:] = T[sk]...T[s1] |l>, built site by site.
-    part = wire.left.reshape(1, 2)
+    # part[s1,...,sk;:] = T[sk]...T[s1] |LEFT>, built site by site.
+    part = LEFT.reshape(1, 2)
     for site in wire.sites:
-        stacked = np.stack([site.matrix(0), site.matrix(1)])  # (2, 2, 2)
         # new axis for this site's outcome is appended after the existing ones
-        part = np.einsum("sij,kj->ksi", stacked, part).reshape(-1, 2)
-    amps = part @ np.conj(wire.right)
+        part = np.einsum("sij,kj->ksi", site, part).reshape(-1, 2)
+    amps = part @ np.conj(RIGHT)
     raw = float(np.linalg.norm(amps))
     if raw < 1e-300:
         raise ValueError("wire contraction produced a zero state")
@@ -160,24 +130,21 @@ def contract_wire(wire: Wire) -> tuple[StateVector, float]:
 
 
 def contract_resource(spec: ResourceSpec) -> tuple[StateVector, float]:
-    """Contract wires, tensor in injected sites, apply coupling edges."""
-    labels = spec.all_labels()
-    if len(labels) > MAX_DENSE_QUBITS:
+    """Contract wires, tensor in the |+> couplers, apply the CZ edges."""
+    if len(spec.all_labels()) > MAX_DENSE_QUBITS:
         raise ValueError(f"resource too large (more than {MAX_DENSE_QUBITS} qubits)")
-    state: StateVector | None = None
-    raw_total = 1.0
-    for w in spec.wires:
-        s, raw = contract_wire(w)
-        raw_total *= raw
-        state = s if state is None else state.tensor(s)
-    for label, vec in spec.injected:
-        nrm = float(np.linalg.norm(vec))
-        raw_total *= nrm
-        site_state = StateVector((label,), vec / nrm)
-        state = site_state if state is None else state.tensor(site_state)
-    if state is None:
+    parts = [contract_wire(w) for w in spec.wires]
+    # the stored |+> has norm 0.9999999999999999: divide it out, keep it in raw
+    plus = ket("+")
+    plus_norm = float(np.linalg.norm(plus))
+    parts += [(StateVector((label,), plus / plus_norm), plus_norm) for label in spec.couplers]
+    if not parts:
         raise ValueError("empty resource")
-    for a, b, _ in spec.edges:
+    state, raw_total = parts[0]
+    for part, raw in parts[1:]:
+        raw_total *= raw
+        state = state.tensor(part)
+    for a, b in spec.edges:
         state = state.apply(CZ4, a, b)
     normed, raw = state.normalized()
     return normed, raw_total * raw
@@ -195,7 +162,7 @@ def contract_resource(spec: ResourceSpec) -> tuple[StateVector, float]:
 # ---------------------------------------------------------------------------
 
 def _frozen(state: StateVector) -> StateVector:
-    state.amps.setflags(write=False)
+    _read_only(state.amps)
     return state
 
 
@@ -268,15 +235,11 @@ def psi6_spec(theta: float = pi / 6) -> ResourceSpec:
     """Operational six-qubit resource: two wires coupled through a |+> site.
 
     Wire (1,2,1p) has sites A,A,B; wire (3,3p) has sites A,B-spatial-rotated;
-    site 4 is injected as |+> and CZ-coupled to qubits 2 and 3.
+    site 4 is the |+> coupler, CZ-coupled to qubits 2 and 3.
     """
     wire_a = Wire((a_site(theta), a_site(theta), b_site()), ("1", "2", "1p"))
     wire_b = Wire((a_site(theta), b_site_rotated()), ("3", "3p"))
-    return ResourceSpec(
-        wires=(wire_a, wire_b),
-        injected=(("4", ket("+")),),
-        edges=(("2", "4", "CZ"), ("3", "4", "CZ")),
-    )
+    return ResourceSpec((wire_a, wire_b), couplers=("4",), edges=(("2", "4"), ("3", "4")))
 
 
 PSI6_LABELS = ("1", "2", "1p", "3", "3p", "4")

@@ -19,7 +19,7 @@ from corrspace.measurement import MeasurementBasis, pauli_basis
 from corrspace import noise_tomo
 from corrspace.noise_tomo import setting_kets
 from corrspace.protocols import _FRAME_OPERATORS, PauliFrame, success_probability
-from corrspace.wires import ResourceSpec, SiteTensor, Wire, _check_theta, contract_resource
+from corrspace.wires import LEFT, RIGHT, ResourceSpec, Wire, _check_theta, contract_resource
 
 #: Joint amplitude factors of the two-photon conditional-phase combination
 #: (overlapping filter cube plus a T_h = 1/3 filter on the second photon),
@@ -163,15 +163,15 @@ def dense_pauli_expectation(state, assignments) -> float:
 
 
 def brute_wire_amplitudes(wire) -> np.ndarray:
-    """Sum over all outcome strings: amp[s1..sn] = <r| T[sn]...T[s1] |l>."""
-    n = wire.n_sites
+    """Sum over all outcome strings: amp[s1..sn] = <RIGHT| T[sn]...T[s1] |LEFT>."""
+    n = len(wire.sites)
     amps = np.zeros(2**n, dtype=complex)
     for idx in range(2**n):
         bits = [(idx >> (n - 1 - k)) & 1 for k in range(n)]
-        vec = wire.left.copy()
+        vec = LEFT.copy()
         for site, s in zip(wire.sites, bits):
-            vec = site.matrix(s) @ vec
-        amps[idx] = np.conj(wire.right) @ vec
+            vec = site[s] @ vec
+        amps[idx] = np.conj(RIGHT) @ vec
     return amps
 
 
@@ -385,7 +385,7 @@ def bisection_density_projection(h) -> np.ndarray:
 # wire, and canonical-form wires (Gross & Eisert, PRL 98, 220503, 2007)
 # ---------------------------------------------------------------------------
 
-def induced_operator(basis_ket: np.ndarray, site: SiteTensor) -> np.ndarray:
+def induced_operator(basis_ket: np.ndarray, site: np.ndarray) -> np.ndarray:
     """Correlation-space operator left behind by consuming one site.
 
     Projecting the site's physical qubit onto |phi> = sum_s phi_s |s>
@@ -395,7 +395,7 @@ def induced_operator(basis_ket: np.ndarray, site: SiteTensor) -> np.ndarray:
     phi = np.asarray(basis_ket, dtype=complex).reshape(-1)
     if phi.shape != (2,):
         raise ValueError("basis ket must be a 2-vector")
-    return np.conj(phi[0]) * site.matrix(0) + np.conj(phi[1]) * site.matrix(1)
+    return np.conj(phi[0]) * site[0] + np.conj(phi[1]) * site[1]
 
 
 def su2_decompose(mat: np.ndarray, tol: float = 1e-10) -> tuple[complex, np.ndarray]:
@@ -453,18 +453,18 @@ class CanonicalWire:
         if not np.allclose(W.conj().T @ W, np.eye(2), atol=1e-12):
             raise ValueError("W must be unitary")
 
-    def site(self) -> SiteTensor:
-        return SiteTensor((self.W.copy(), self.W @ rz(self.theta_c)))
+    def site(self) -> np.ndarray:
+        return np.stack((self.W, self.W @ rz(self.theta_c)))
 
-    def sites(self, n: int) -> list[SiteTensor]:
+    def sites(self, n: int) -> list[np.ndarray]:
         return [self.site() for _ in range(n)]
 
 
 def couple_canonical(cw: CanonicalWire, n_sites: int = 3) -> qm.StateVector:
     """Two copies of a canonical-form wire (labels L0.. and R0..) coupled
-    through an injected |+> site "c".
+    through a |+> coupler site "c".
 
-    The injected qubit is the control of one controlled-X onto the middle
+    The coupler qubit is the control of one controlled-X onto the middle
     site of each wire.  Measuring it in the computational basis undoes the
     coupling (outcome 0) or leaves sigma_x on the two coupled sites
     (outcome 1).
@@ -474,5 +474,5 @@ def couple_canonical(cw: CanonicalWire, n_sites: int = 3) -> qm.StateVector:
         for side in "LR"
     )
     mid = n_sites // 2
-    state, _ = contract_resource(ResourceSpec(wires=wires, injected=(("c", qm.ket("+")),)))
+    state, _ = contract_resource(ResourceSpec(wires, couplers=("c",)))
     return state.apply(_CX, "c", f"L{mid}").apply(_CX, "c", f"R{mid}")

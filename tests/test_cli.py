@@ -204,6 +204,19 @@ def test_protocol_compensate_enumerate_excludes_seed(capsys):
     assert code == 2
 
 
+def test_tomo_reconstruct_seed_needs_mc_runs(capsys):
+    counts = golden_files()[golden_name("tomo simulate --state lambda34 --shots 2000 --seed 17")]
+    code, out, err = run_cli(capsys, "tomo", "reconstruct", "--counts", str(counts), "--seed", "3")
+    assert code == 2 and out == ""
+    assert "--seed needs --mc-runs" in err
+
+
+def test_witness_fidelity_seed_needs_shots(capsys):
+    code, out, err = run_cli(capsys, "witness", "fidelity", "--shots", "0", "--seed", "3")
+    assert code == 2 and out == ""
+    assert "--seed needs --shots" in err
+
+
 @pytest.mark.parametrize("mode", (["--postselect-zeros"], ["--outcomes", "0,0,0"]))
 def test_protocol_compensate_enumerate_excludes_postselection(capsys, mode):
     code, out, err = run_cli(

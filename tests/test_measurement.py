@@ -228,7 +228,7 @@ def test_induced_operator_is_conjugate_linear():
     site = b_site()
     phi = np.array([0.6, 0.8j])
     got = induced_operator(phi, site)
-    want = 0.6 * site.matrix(0) + np.conj(0.8j) * site.matrix(1)
+    want = 0.6 * site[0] + np.conj(0.8j) * site[1]
     assert np.allclose(got, want, atol=TOL)
     with pytest.raises(ValueError):
         induced_operator(np.ones(3), site)
@@ -383,7 +383,7 @@ def test_outcome_record_validation():
     with pytest.raises(ValueError):
         meas.OutcomeRecord("a", b, 0, 1.5)
     rec = meas.OutcomeRecord("a", b, 1, 0.25)
-    tr = ProtocolTranscript((rec,), PauliFrame((), (), ()), None, None, False, 0.25)
+    tr = ProtocolTranscript((rec,), PauliFrame((), (), ()), None, None, False)
     assert json.loads(dumps15(transcript_payload(tr)))["outcomes"] == [
         {"qubit": "a", "basis": "Z", "outcome": 1, "probability": 0.25},
     ]

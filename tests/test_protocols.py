@@ -679,17 +679,11 @@ def _pure(resource):
     return lambda34(pi / 6) if resource == "2-qubit" else build_psi4(pi / 6)
 
 
-def test_transcript_probability_consistency_enforced():
-    tr = rotate_sequence(0.3, 0.4, 0.5, outcomes=(0, 0, 0))
-    with pytest.raises(ValueError):
-        ProtocolTranscript(
-            outcomes=tr.outcomes,
-            frame=tr.frame,
-            logical_out=None,
-            physical_out=None,
-            success=True,
-            total_probability=tr.total_probability + 0.1,
-        )
+def test_transcript_probability_is_the_product_of_its_steps():
+    tr = rotate_sequence(0.3, 0.4, 0.5, outcomes=(0, 1, 0))
+    assert tr.total_probability == float(np.prod([r.probability for r in tr.outcomes]))
+    with pytest.raises(TypeError):
+        ProtocolTranscript(tr.outcomes, tr.frame, None, None, True, total_probability=0.5)
 
 
 def test_transcript_json_shape():
