@@ -679,7 +679,8 @@ def _pure(resource):
     return lambda34(pi / 6) if resource == "2-qubit" else build_psi4(pi / 6)
 
 
-def test_transcript_probability_is_the_product_of_its_steps():
+def test_transcript_probability_consistency_enforced():
+    # the total is computed from the steps, so a differing one cannot be passed in
     tr = rotate_sequence(0.3, 0.4, 0.5, outcomes=(0, 1, 0))
     assert tr.total_probability == float(np.prod([r.probability for r in tr.outcomes]))
     with pytest.raises(TypeError):

@@ -102,6 +102,42 @@ def test_wire_validation():
         w.contract_wire(big)
 
 
+NON_FINITE = (np.nan, np.inf, -np.inf, complex(0, np.nan))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("side", ("left", "right"))
+@pytest.mark.parametrize("entry", (0, 1))
+def test_wire_rejects_non_finite_boundary_vectors(side, entry, bad):
+    # every wire runs between the fixed LEFT and RIGHT: a wire takes no
+    # boundary vector, and the shared ones refuse the write
+    vec = np.array([1.0, 1.0], dtype=complex)
+    vec[entry] = bad
+    with pytest.raises(TypeError):
+        w.Wire((w.b_site(),), ("a",), **{side: vec})
+    boundary = w.LEFT if side == "left" else w.RIGHT
+    kept = boundary.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        boundary[entry] = bad
+    assert np.array_equal(boundary, kept)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("entry", (0, 1))
+def test_resource_spec_rejects_non_finite_injected_vectors(entry, bad):
+    # couplers are labels of |+> sites: no vector can be injected in place of one
+    vec = np.array([1.0, 1.0], dtype=complex)
+    vec[entry] = bad
+    wire = w.Wire((w.b_site(),), ("a",))
+    with pytest.raises(TypeError):
+        w.ResourceSpec((wire,), injected=(("b", qm.ket("0")), ("c", vec)))
+    with pytest.raises(TypeError):
+        w.ResourceSpec((wire,), couplers=("b", vec))
+    state, _ = w.contract_resource(w.ResourceSpec((wire,), couplers=("b", "c")))
+    assert np.isfinite(state.amps).all()
+    assert np.allclose(state.amps, np.kron([1, 0], np.kron(qm.ket("+"), qm.ket("+"))), atol=TOL)
+
+
 def test_single_site_wires_closed_form():
     # <0|H|+> = 1 and <0|HZ|+> = 0: a lone readout site is deterministic
     state, raw = w.contract_wire(w.Wire((w.b_site(),), ("a",)))
