@@ -26,8 +26,8 @@ import argparse
 import functools
 import json
 import os
+import random
 import re
-import secrets
 import stat
 import sys
 from math import isfinite, pi
@@ -114,7 +114,7 @@ def _int_at_least(low: int):
 
 
 def _fresh_seed() -> int:
-    return secrets.randbits(63)
+    return random.SystemRandom().getrandbits(63)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,18 @@ Provides the angle-parametrized polarization basis used to drive wire
 rotations (one basis, or the kets of many angles as one stack), the Pauli
 bases, and Born-rule collapse (post-selected or sampled) on pure and mixed
 states.
+
+Bases are shared, like the named resource states of ``wires``: each
+(zeta, theta) pair gets one frozen ``basis_B`` basis with read-only kets,
+and the last 1,024 pairs used are kept.  The key tells -0.0 from 0.0:
+B(-0) and B(0) differ in name.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import sqrt
+from math import copysign, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +27,9 @@ from .wires import _check_theta
 # Outcomes less likely than this are not followed: ``measure`` raises
 # ``ZeroProbabilityBranch`` and the branch walker skips the child.
 ZERO_PROBABILITY = 1e-15
+
+#: (zeta, theta) pairs whose ``basis_B`` basis is kept (least recently used go).
+_SHARED_BASES = 1024
 
 
 class ZeroProbabilityBranch(ValueError):
@@ -85,7 +93,18 @@ def basis_B(zeta: float, theta: float = np.pi / 6) -> MeasurementBasis:
     arithmetic with the rounding of numpy's ``np.linalg.norm``, complex
     division and complex multiplication, so the kets have the bits of that
     numpy construction.  The kets are read-only.
+
+    Each (zeta, theta) pair gets one shared basis: the first call builds
+    and checks it, later calls return the same object, and the last 1,024
+    pairs used are kept.  The key tells -0.0 from 0.0 (B(-0) and B(0)
+    differ in name).
     """
+    # theta = +-0 is degenerate, so only zeta's sign needs a place in the key
+    return _shared_basis_B(float(zeta), float(theta), copysign(1.0, zeta))
+
+
+@functools.lru_cache(maxsize=_SHARED_BASES)
+def _shared_basis_B(zeta: float, theta: float, zeta_sign: float) -> MeasurementBasis:
     _check_theta(theta)
     kets = np.array(_b_kets(zeta, float(np.cos(theta)), float(np.sin(theta))))
     kets.setflags(write=False)  # rows and their views are read-only too

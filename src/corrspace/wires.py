@@ -124,6 +124,8 @@ def contract_wire(wire: Wire) -> tuple[StateVector, float]:
         part = np.einsum("sij,kj->ksi", site, part).reshape(-1, 2)
     amps = part @ np.conj(RIGHT)
     raw = float(np.linalg.norm(amps))
+    if not isfinite(raw):
+        raise ValueError(f"wire contraction produced a non-finite norm ({raw})")
     if raw < 1e-300:
         raise ValueError("wire contraction produced a zero state")
     return StateVector(wire.labels, amps / raw), raw

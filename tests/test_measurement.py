@@ -1,5 +1,6 @@
 """Measurement bases, induced correlation-space operators, Born-rule collapse."""
 
+import hashlib
 import json
 from math import cos, pi, sin, sqrt
 
@@ -11,7 +12,8 @@ from corrspace import measurement as meas
 from corrspace.noise_tomo import white_noise
 from corrspace.cli import dumps15, transcript_payload
 from corrspace.protocols import (
-    PauliFrame, ProtocolTranscript, enumerate_compensation, noisy_success_curve, wrong_angle,
+    PauliFrame, ProtocolAbort, ProtocolTranscript, compensate, cz_gate_protocol, deutsch,
+    enumerate_compensation, noisy_success_curve, rotate_sequence, wrong_angle,
 )
 from corrspace.wires import a_site, b_site, b_site_rotated, build_psi4
 from helpers import (
@@ -76,6 +78,23 @@ def test_angle_basis_kets_are_read_only():
         assert not k.flags.writeable
         with pytest.raises(ValueError):
             k[0] = 0.0
+
+
+def test_angle_basis_is_shared_per_pair():
+    b = meas.basis_B(0.4, 0.9)
+    assert meas.basis_B(0.4, 0.9) is b
+    assert not b.ket0.flags.writeable and not b.ket1.flags.writeable
+    assert meas.basis_B(0.4) is not b
+    zero, negative_zero = meas.basis_B(0.0), meas.basis_B(-0.0)
+    assert (zero.name, negative_zero.name) == ("B(0)", "B(-0)")
+    assert meas.basis_B(0.0) is zero and meas.basis_B(-0.0) is negative_zero
+
+
+def test_shared_bases_are_bounded():
+    meas._shared_basis_B.cache_clear()
+    for zeta in np.linspace(-pi, pi, 1100).tolist():
+        meas.basis_B(zeta)
+    assert meas._shared_basis_B.cache_info().currsize <= 1024
 
 
 def test_angle_basis_rejects_degenerate_theta():
@@ -400,3 +419,64 @@ def test_pauli_bases_are_shared_and_read_only():
     for _ in range(2):
         with pytest.raises(ValueError, match="unknown Pauli letter"):
             meas.pauli_basis("Q")
+
+
+# ---------------------------------------------------------------------------
+# Shared bases leave every shot unchanged
+# ---------------------------------------------------------------------------
+
+def shot_digest() -> str:
+    """SHA-256 over 300 seeds of every sampled protocol and 8 post-selected
+    runs: each record's qubit, outcome, probability, basis name and ket
+    bytes, and each branch's outputs."""
+    h = hashlib.sha256()
+
+    def add(tr):
+        for r in tr.outcomes:
+            h.update(repr((r.qubit, r.outcome, r.probability, r.basis.name)).encode())
+            h.update(r.basis.ket0.tobytes() + r.basis.ket1.tobytes())
+        h.update(repr((tr.frame, tr.success, tr.total_probability, tr.notes)).encode())
+        if tr.logical_out is not None:
+            h.update(tr.logical_out.tobytes())
+        out = tr.physical_out
+        h.update(repr(out.labels).encode())
+        h.update((out.amps if isinstance(out, qm.StateVector) else out.mat).tobytes())
+
+    def add_deutsch(function, **kwargs):
+        try:
+            query, ancilla, tr = deutsch(function, **kwargs)
+        except ProtocolAbort:
+            h.update(b"abort")
+            return
+        h.update(bytes((query, ancilla)))
+        add(tr)
+
+    alphas = (0.0, -0.0, pi / 2, -pi / 2, 2 * pi / 3, 0.8, -1.1, pi)
+    noisy = white_noise(build_psi4(), 0.8)
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        alpha, beta, gamma = (alphas[(seed + k) % len(alphas)] for k in (0, 3, 5))
+        add(compensate(alpha, "4-qubit", rng=rng))
+        add(compensate(alpha, "2-qubit", rng=rng))
+        add(compensate(alpha, "4-qubit", rng=rng, state=noisy))
+        add(rotate_sequence(alpha, beta, gamma, rng=rng))
+        add(cz_gate_protocol(alpha, rng=rng))
+        add_deutsch("constant", rng=rng)
+        add_deutsch("balanced", rng=rng)
+    add(compensate(0.0, "2-qubit", outcomes=(0,)))
+    add(compensate(-0.0, "2-qubit", outcomes=(0,)))
+    add(compensate(-0.0, "4-qubit", outcomes=(1, 1, 0)))
+    add(compensate(pi / 2, "4-qubit", outcomes=(1, 0, 0), state=noisy))
+    add(rotate_sequence(0.3, -0.0, 0.0))
+    add(cz_gate_protocol(pi / 3, outcomes=(1, 0, 0, 1)))
+    add_deutsch("constant", outcomes=(0, 1, 0, 0))
+    add_deutsch("balanced", outcomes=(1, 0, 0, 1))
+    return h.hexdigest()
+
+
+def test_shared_bases_leave_every_shot_unchanged(monkeypatch):
+    meas._shared_basis_B.cache_clear()
+    cleared = shot_digest()
+    assert shot_digest() == cleared  # every basis now comes from the memo
+    monkeypatch.setattr(meas, "_shared_basis_B", meas._shared_basis_B.__wrapped__)
+    assert shot_digest() == cleared  # a basis built on every call

@@ -36,10 +36,6 @@ from reference_tables import (
     ANOMALOUS_GATE_ROW_VECTOR,
     ANOMALOUS_ROTATION_ROWS,
     GATE_REFERENCE_ROWS,
-    K0,
-    K1,
-    MINUS,
-    PLUS,
     ROTATION_REFERENCE_ROWS,
     S3,
 )

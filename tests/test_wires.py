@@ -102,6 +102,16 @@ def test_wire_validation():
         w.contract_wire(big)
 
 
+def test_contract_wire_rejects_zero_and_nan_norms():
+    zero = np.zeros((2, 2, 2), dtype=complex)
+    with pytest.raises(ValueError, match="^wire contraction produced a zero state$"):
+        w.contract_wire(w.Wire((zero,), ("a",)))
+    one_nan = w.b_site().copy()
+    one_nan[0, 0, 0] = np.nan
+    with pytest.raises(ValueError, match=r"^wire contraction produced a non-finite norm \(nan\)$"):
+        w.contract_wire(w.Wire((one_nan,), ("a",)))
+
+
 NON_FINITE = (np.nan, np.inf, -np.inf, complex(0, np.nan))
 
 
