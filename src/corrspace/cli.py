@@ -733,7 +733,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OverflowError, AssertionError,
+    except (ValueError, KeyError, OverflowError, MemoryError, AssertionError,
             protocols.ProtocolAbort, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,7 +8,9 @@ states.
 Bases are shared, like the named resource states of ``wires``: each
 (zeta, theta) pair gets one frozen ``basis_B`` basis with read-only kets,
 and the last 1,024 pairs used are kept.  The key tells -0.0 from 0.0:
-B(-0) and B(0) differ in name.
+B(-0) and B(0) differ in name.  Stacks are shared the same way: each
+(zetas, theta) pair gets one read-only ``basis_B_stack`` array, and the
+last 64 pairs used are kept.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ ZERO_PROBABILITY = 1e-15
 
 #: (zeta, theta) pairs whose ``basis_B`` basis is kept (least recently used go).
 _SHARED_BASES = 1024
+
+#: (zetas, theta) pairs whose ``basis_B_stack`` stack is kept (least recently
+#: used go); ``noisy_success_curve`` asks for at most 3 per chunk of its grid.
+_SHARED_STACKS = 64
 
 
 class ZeroProbabilityBranch(ValueError):
@@ -118,10 +124,25 @@ def basis_B_stack(zetas: Sequence[float], theta: float = np.pi / 6) -> np.ndarra
     Theta is checked once; each angle runs ``basis_B``'s arithmetic, so
     every ket has its bits.  ``MeasurementBasis``'s norm and orthogonality
     checks run once over the whole stack.
+
+    Each (zetas, theta) pair gets one shared stack: the first call builds
+    and checks it, later calls with the same angles return the same array,
+    and the last 64 pairs used are kept.  The key holds the angles' float64
+    bytes, so a grid with -0.0 and one with 0.0 get separate stacks.  A
+    failed build is not kept.
     """
+    grid = np.asarray(zetas, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError(f"zetas must be a 1-D sequence of angles, got shape {grid.shape}")
+    return _shared_basis_B_stack(grid.tobytes(), float(theta))
+
+
+@functools.lru_cache(maxsize=_SHARED_STACKS)
+def _shared_basis_B_stack(zetas: bytes, theta: float) -> np.ndarray:
     _check_theta(theta)
     c, s = float(np.cos(theta)), float(np.sin(theta))
-    kets = np.array([_b_kets(zeta, c, s) for zeta in zetas], dtype=complex).reshape(-1, 2, 2)
+    rows = [_b_kets(zeta, c, s) for zeta in np.frombuffer(zetas).tolist()]
+    kets = np.array(rows, dtype=complex).reshape(-1, 2, 2)
     _check_orthonormal(kets)
     kets.setflags(write=False)
     return kets

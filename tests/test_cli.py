@@ -555,6 +555,14 @@ def test_unwritable_out_maps_to_exit_1(capsys, tmp_path, where):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_over_large_grid_maps_to_exit_1(capsys):
+    # numpy refuses the 7 PiB alpha grid at once with a MemoryError
+    code, out, err = run_cli(capsys, "curve", "fig2", "--resource", "2",
+                             "--grid", "1000000000000000")
+    assert code == 1 and out == ""
+    assert err.startswith("error: Unable to allocate") and "Traceback" not in err
+
+
 def test_out_rewrite_never_truncates_to_zero(capsys, tmp_path, monkeypatch):
     # O_TRUNC on a file that holds data makes ext4 flush it on close, so a
     # rewrite would wait for the disk on every call

@@ -18,6 +18,7 @@ from math import inf
 
 import pytest
 
+from corrspace import measurement
 from record_golden import COMMANDS, GOLDEN, ROOT, commands, golden_files, golden_name, run
 
 PINNED = commands()
@@ -175,6 +176,34 @@ def test_golden_output(command):
     want, got = path.read_bytes(), run(command)
     if got != want:
         pytest.fail(f"{command}: {mismatch_report(want, got)}", pytrace=False)
+
+
+def _is_warmable(command: str) -> bool:
+    words = command.split()
+    return words[:2] == ["curve", "fig2"] or (
+        words[:2] == ["protocol", "compensate"] and "--enumerate" in words)
+
+
+def _memo_counts() -> tuple[int, int]:
+    """Hits and misses of the shared ``basis_B`` bases and stacks together."""
+    infos = (measurement._shared_basis_B.cache_info(),
+             measurement._shared_basis_B_stack.cache_info())
+    return sum(i.hits for i in infos), sum(i.misses for i in infos)
+
+
+@pytest.mark.parametrize("command", [c for c in PINNED if _is_warmable(c)])
+def test_golden_output_when_repeated_from_shared_bases(command):
+    want = golden_files()[golden_name(command)].read_bytes()
+    measurement._shared_basis_B.cache_clear()
+    measurement._shared_basis_B_stack.cache_clear()
+    cold = run(command)
+    hits, misses = _memo_counts()
+    warm = run(command)
+    for kind, got in (("cold", cold), ("warm", warm)):
+        if got != want:
+            pytest.fail(f"{command} ({kind}): {mismatch_report(want, got)}", pytrace=False)
+    # the second run builds no basis and no stack: every one comes from the memo
+    assert _memo_counts()[1] == misses and _memo_counts()[0] > hits
 
 
 def test_every_command_has_one_file_and_every_file_a_command():

@@ -126,6 +126,41 @@ def test_angle_basis_stack_is_read_only_and_checks_theta():
     assert str(stacked.value) == str(scalar.value)
 
 
+def test_angle_basis_stack_is_shared_per_pair():
+    stack = meas.basis_B_stack([0.4, 1.1], 0.9)
+    assert not stack.flags.writeable
+    for same in ([0.4, 1.1], (0.4, 1.1), np.array([0.4, 1.1]), [np.float64(0.4), 1.1]):
+        assert meas.basis_B_stack(same, 0.9) is stack
+    assert meas.basis_B_stack([0.4, 1.1]) is not stack
+    assert meas.basis_B_stack([0.4, 1.1, 0.2], 0.9) is not stack
+
+
+def test_angle_basis_stack_tells_negative_zero_apart():
+    zero, negative_zero = meas.basis_B_stack([0.0, 0.7]), meas.basis_B_stack([-0.0, 0.7])
+    assert zero is not negative_zero
+    for stack, zetas in ((zero, [0.0, 0.7]), (negative_zero, [-0.0, 0.7])):
+        want = np.array([[b.ket0, b.ket1] for b in map(meas.basis_B, zetas)])
+        assert stack.tobytes() == want.tobytes()
+        assert meas.basis_B_stack(zetas) is stack
+
+
+def test_angle_basis_stack_failures_are_not_kept():
+    for _ in range(3):
+        with pytest.raises(ValueError, match="^degenerate wire angle"):
+            meas.basis_B_stack([0.3], 0.0)
+    # the float64 bytes of a (2, 1) grid are those of [0.1, 0.2]
+    meas.basis_B_stack([0.1, 0.2])
+    with pytest.raises(ValueError, match="1-D"):
+        meas.basis_B_stack([[0.1], [0.2]])
+
+
+def test_shared_stacks_are_bounded():
+    meas._shared_basis_B_stack.cache_clear()
+    for zeta in np.linspace(-pi, pi, 100).tolist():
+        meas.basis_B_stack([zeta, 0.5])
+    assert meas._shared_basis_B_stack.cache_info().currsize <= 64
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -141,6 +176,7 @@ def test_angle_basis_stack_checks_every_row(monkeypatch, corrupt, message):
         k0, k1 = real(zeta, c, s)
         return corrupt(k0, k1) if zeta == 0.5 else (k0, k1)
 
+    meas._shared_basis_B_stack.cache_clear()  # a kept stack would skip the corrupted build
     monkeypatch.setattr(meas, "_b_kets", one_bad_row)
     meas.basis_B_stack([0.1, 0.9])
     with pytest.raises(ValueError, match=f"^basis kets must be {message}$"):
