@@ -244,8 +244,8 @@ def measure(
     Sampling projects onto ``ket0`` to draw, and onto ``ket1`` as well only
     when outcome 1 is drawn.  This is the one-branch path of
     ``Program.run``; whole outcome trees are walked by
-    ``protocols.walk_branches``, which collapses a stack of states per child
-    with ``qmath.collapse`` and never calls ``measure``.
+    ``protocols.walk_branches``, which collapses a stack of states per tree
+    level with ``qmath.collapse`` and never calls ``measure``.
     """
     if (outcome is None) == (rng is None):
         raise ValueError("provide exactly one of outcome= or rng=")

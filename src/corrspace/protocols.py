@@ -6,9 +6,10 @@ two-program function-distinguishing algorithm are each a ``Program``:
 single-qubit measurements on a resource state whose bases depend on earlier
 outcomes.  One interpreter runs them all, post-selected or Born-sampled
 (``Program.run``); one walker enumerates the whole outcome tree of a stack
-of programs that measure the same qubits (``walk_branches``), asking one
-schedule per tree node for the kets of every program.  ``Program.branches``
-is its stack of one; ``noisy_success_curve`` walks a whole alpha grid.
+of programs that measure the same qubits (``walk_branches``) one level at a
+time, asking one schedule per tree node for the kets of every program and
+taking one stacked Born step per tree level.  ``Program.branches`` is its
+stack of one; ``noisy_success_curve`` walks a whole alpha grid.
 Analytic success probabilities and byproduct (Pauli-frame) bookkeeping sit
 beside them.  Everything is driven by literal Born-rule contraction of the
 resource states; closed-form results are used only as oracles in the tests.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import atan2, cos, pi, sin
-from typing import Any, Callable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -196,10 +197,12 @@ class Program:
         """``finish`` of every branch, depth first with outcome 0 before 1.
 
         The stack of one of ``walk_branches``: ``next_step`` is called once
-        per tree node, a shared prefix is collapsed once, each child costs
-        one ``qmath.collapse``, and only children below ``ZERO_PROBABILITY``
-        are skipped.  The records and states equal those of ``run``
-        post-selecting the same outcomes.
+        per tree node, a shared prefix is collapsed once, each tree level
+        costs one ``qmath.collapse``, and only children below
+        ``ZERO_PROBABILITY`` are skipped.  The records and states equal
+        those of ``run`` post-selecting the same outcomes.  ``finish`` runs
+        after the whole tree is walked; a ``ProtocolAbort`` from
+        ``next_step`` propagates.
         """
         steps = {}
 
@@ -247,52 +250,86 @@ class Leaf(NamedTuple):
         return qm.DensityMatrix(self.labels, self.states[j])
 
 
-def walk_branches(states: Sequence[State], schedule: Schedule) -> Iterator[Leaf]:
+def walk_branches(states: Sequence[State], schedule: Schedule) -> list[Leaf]:
     """Every leaf of a stack of programs' shared outcome tree, depth first,
     0 before 1.
 
     Program g starts from ``states[g]``; the states are of one kind on one
-    register.  ``schedule`` is called once per tree node with the outcome
-    bits and the indices of the programs still active; row j of its kets
-    holds ket0 and ket1 of program ``active[j]``.  Each child is one
-    ``qmath.collapse`` of the whole stack.  A child whose probability is
-    below ``ZERO_PROBABILITY`` is skipped for that program only, so the
-    schedule below it sees fewer rows.  A ket stack whose shape is not
-    (len(active), 2, 2) raises ``ValueError``; ``ProtocolAbort`` propagates.
+    register.  The tree is walked one level at a time.  ``schedule`` is
+    called once per tree node with the outcome bits and the indices of the
+    programs still active; row j of its kets holds ket0 and ket1 of program
+    ``active[j]``.  The nodes of a level that measure one qubit of one
+    register are one group: the states of every node in it, once for
+    outcome 0 and once for outcome 1, are one ``qmath.collapse``, so a tree
+    whose nodes at each depth measure one qubit makes one call per tree
+    level.  Within a level the schedule is called in the order of the bits.
+    A child whose probability is below ``ZERO_PROBABILITY`` is skipped for
+    that program only, so the schedule below it sees fewer rows.  The leaves
+    come back after the whole walk.  An empty stack of states or a ket stack
+    whose shape is not (len(active), 2, 2) raises ``ValueError``;
+    ``ProtocolAbort`` propagates.
     """
+    if len(states) == 0:
+        raise ValueError("walk_branches needs at least one program; the stack of states is empty")
     first = states[0]
     pure = _is_pure(first)
     if any(_is_pure(s) != pure or s.labels != first.labels for s in states):
         raise ValueError("programs must start from states of one kind on one register")
     stack = np.stack([s.amps if pure else s.mat for s in states])
-    yield from _walk(schedule, (), np.arange(len(states)), (), (), first.labels, stack)
+    # a node is a Leaf until its schedule says it is one
+    level = [Leaf((), (), np.arange(len(states)), (), first.labels, stack)]
+    leaves = []
+    while level:
+        groups: dict[tuple[tuple[str, ...], str], list[tuple[Leaf, np.ndarray]]] = {}
+        for node in level:
+            step = schedule(node.bits, node.active)
+            if step is None:
+                leaves.append(node)
+                continue
+            qubit, kets = step
+            if np.shape(kets) != (len(node.active), 2, 2):
+                raise ValueError(
+                    f"schedule gave kets of shape {np.shape(kets)} for {len(node.active)} "
+                    f"programs after outcomes {node.bits}; expected ({len(node.active)}, 2, 2)"
+                )
+            groups.setdefault((node.labels, qubit), []).append((node, kets))
+        level = [child for (labels, qubit), members in groups.items()
+                 for child in _children(labels, qubit, members)]
+        level.sort(key=lambda node: node.bits)
+    leaves.sort(key=lambda leaf: leaf.bits)
+    return leaves
 
 
-def _walk(schedule, bits, active, qubits, probs, labels, states) -> Iterator[Leaf]:
-    step = schedule(bits, active)
-    if step is None:
-        yield Leaf(bits, qubits, active, probs, labels, states)
-        return
-    qubit, kets = step
-    if np.shape(kets) != (len(active), 2, 2):
-        raise ValueError(
-            f"schedule gave kets of shape {np.shape(kets)} for {len(active)} programs "
-            f"after outcomes {bits}; expected ({len(active)}, 2, 2)"
-        )
+def _children(
+    labels: tuple[str, ...], qubit: str, members: list[tuple[Leaf, np.ndarray]],
+) -> list[Leaf]:
+    """Both children of every (node, kets) in ``members`` from one
+    ``qmath.collapse`` of their stacked states.
+
+    Outcomes are stacked along the program axis, never contracted together,
+    so each item is the (1, 2) by (2, rest) product of a per-child collapse.
+    """
     axis = qm._index_of(labels, qubit)
     rest_labels = labels[:axis] + labels[axis + 1:]
+    states = np.concatenate([node.states for node, _ in members] * 2)
+    kets = np.concatenate([kets[:, outcome] for outcome in (0, 1) for _, kets in members],
+                          dtype=complex)
+    p_all, collapsed_all = qm.collapse(states, axis, kets, normalize=True)
+    children, stop = [], 0
     for outcome in (0, 1):
-        outcome_kets = np.ascontiguousarray(kets[:, outcome], dtype=complex)
-        p, collapsed = qm.collapse(states, axis, outcome_kets, normalize=True)
-        child_active, child_probs = active, probs + (p,)
-        rows = np.flatnonzero(~(p < ZERO_PROBABILITY))
-        if len(rows) == 0:
-            continue
-        if len(rows) < len(p):  # skip this child for the programs that cannot reach it
-            child_active, collapsed = active[rows], collapsed[rows]
-            child_probs = tuple(q[rows] for q in child_probs)
-        yield from _walk(schedule, bits + (outcome,), child_active, qubits + (qubit,),
-                         child_probs, rest_labels, collapsed)
+        for node, _ in members:
+            start, stop = stop, stop + len(node.active)
+            p, collapsed = p_all[start:stop], collapsed_all[start:stop]
+            active, probs = node.active, node.probs + (p,)
+            rows = np.flatnonzero(~(p < ZERO_PROBABILITY))
+            if len(rows) == 0:
+                continue
+            if len(rows) < len(p):  # skip this child for the programs that cannot reach it
+                active, collapsed = active[rows], collapsed[rows]
+                probs = tuple(q[rows] for q in probs)
+            children.append(Leaf(node.bits + (outcome,), node.qubits + (qubit,), active,
+                                 probs, rest_labels, collapsed))
+    return children
 
 
 def _frame_targets(alphas: Sequence[float]) -> np.ndarray:
@@ -470,8 +507,9 @@ def _check_frames(amps: np.ndarray, expected: np.ndarray) -> None:
 
 
 def _check_branch_sum(total) -> None:
-    """Branch probabilities (one total or an array of them) must sum to 1."""
-    if np.any(np.abs(np.asarray(total) - 1.0) > 1e-11):
+    """Branch probabilities (one total or an array of them) must sum to 1;
+    a NaN total fails."""
+    if not np.all(np.abs(np.asarray(total) - 1.0) <= 1e-11):
         raise AssertionError("branch probabilities do not sum to 1")
 
 
@@ -534,12 +572,12 @@ def noisy_success_curve(
     ``white_noise`` requires to lie in (1/2^n, 1].  The grid
     is walked ``_CURVE_CHUNK`` angles at a time: one ``walk_branches`` per
     chunk asks one ``_compensation_schedule`` for each tree node's kets of
-    every angle and collapses every angle's state in one ``qmath.collapse``
-    per tree child.  Each angle's value has the bits of
-    ``enumerate_compensation``: successful leaves are summed depth first,
-    each the product of its step probabilities in step order.  Every
-    angle's branches must sum to 1, and on a pure resource every successful
-    leaf must match its Pauli frame.
+    every angle and collapses every angle's state, for every node and
+    outcome of a tree level, in one ``qmath.collapse`` per tree level.  Each
+    angle's value has the bits of ``enumerate_compensation``: successful
+    leaves are summed depth first, each the product of its step
+    probabilities in step order.  Every angle's branches must sum to 1, and
+    on a pure resource every successful leaf must match its Pauli frame.
     """
     pure = _resource_state(resource, theta)
     state: State = pure if fidelity == 1.0 else white_noise(pure, fidelity)

@@ -393,14 +393,14 @@ def test_sampled_measure_projects_again_only_for_outcome_1(rng, project_calls):
     assert seen == {0, 1}
 
 
-def test_enumeration_projects_once_per_child(project_calls, collapse_stacks):
+def test_enumeration_projects_once_per_level(project_calls, collapse_stacks):
     rho = white_noise(build_psi4(), 0.9)
     _, branches = enumerate_compensation(0.8, "4-qubit", state=rho)
     assert len(branches) == 8
-    assert collapse_stacks == [1] * (2 + 4 + 8)
+    assert collapse_stacks == [2, 4, 8]  # both outcomes of every node of a level
     collapse_stacks.clear()
     noisy_success_curve(np.linspace(0, pi, 25), "4-qubit", 0.9)
-    assert collapse_stacks == [25] * (2 + 4 + 8)
+    assert collapse_stacks == [50, 100, 200]
     assert project_calls == []  # the walker collapses stacks; it never projects
 
 

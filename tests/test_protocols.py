@@ -1,5 +1,6 @@
 """Measurement protocols: rotations, compensation, entangling gate, programs."""
 
+import dataclasses
 import json
 from math import atan, cos, pi, sin, sqrt
 
@@ -9,7 +10,7 @@ import pytest
 from corrspace import protocols
 from corrspace import qmath as qm
 from corrspace.cli import dumps15, transcript_payload
-from corrspace.measurement import pauli_basis
+from corrspace.measurement import ZeroProbabilityBranch, pauli_basis
 from corrspace.noise_tomo import white_noise
 from corrspace.protocols import (
     COUPLER_THETA,
@@ -29,7 +30,7 @@ from corrspace.protocols import (
 )
 from corrspace.wires import build_psi4, lambda34
 from helpers import (
-    assert_same_transcript, compensation_bound, frame_operator, overlap2, rx, rz,
+    assert_same_transcript, compensation_bound, frame_operator, overlap2, rand_state, rx, rz,
     vec_equal_up_to_phase,
 )
 from reference_tables import (
@@ -101,10 +102,12 @@ def test_program_branches_propagate_aborts():
 def test_enumeration_shares_prefixes(collapse_stacks, monkeypatch):
     _, branches = enumerate_compensation(0.8, "4-qubit")
     assert len(branches) == 8
-    assert collapse_stacks == [1] * (2 + 4 + 8)  # one call per child, not 3 per branch
+    # one call per tree level, holding both outcomes of every node on it
+    assert collapse_stacks == [2, 4, 8]
     collapse_stacks.clear()
-    # a whole grid walks the same 14 children once, every angle in each call,
-    # and asks one schedule for each node's kets of all the angles
+    # a whole grid walks the same 14 children once, every angle of every node
+    # of a level in one call, and asks one schedule for each node's kets of
+    # all the angles
     nodes, stacks, scalar = [], [], []
     make_schedule, stack_of = protocols._compensation_schedule, protocols.basis_B_stack
 
@@ -117,7 +120,7 @@ def test_enumeration_shares_prefixes(collapse_stacks, monkeypatch):
                         lambda zetas, theta: stacks.append(len(zetas)) or stack_of(zetas, theta))
     monkeypatch.setattr(protocols, "basis_B", lambda *args: scalar.append(args))
     noisy_success_curve(np.linspace(0, pi, 25), "4-qubit", 1.0)
-    assert collapse_stacks == [25] * (2 + 4 + 8)
+    assert collapse_stacks == [50, 100, 200]
     assert sorted(nodes) == sorted(set(nodes)) and len(nodes) == 1 + 2 + 4 + 8
     assert stacks == [25] * 3  # B(alpha) at the root, B(+-(alpha - alpha')) below r1 = 1
     assert scalar == []
@@ -191,6 +194,67 @@ def test_walker_checks_the_ket_stack_and_the_register():
         list(protocols.walk_branches([pair, zero], _pauli_schedule("ZZ", [])))
 
 
+def test_walker_refuses_an_empty_stack():
+    with pytest.raises(ValueError, match="stack of states is empty"):
+        protocols.walk_branches([], lambda bits, active: None)
+
+
+def test_walker_walks_one_level_at_a_time(collapse_stacks, rng):
+    # After a = 0 the programs measure b and after a = 1 they measure c: two
+    # collapse groups at depth 1.  Only the (1, 0) node goes a level deeper,
+    # so the leaves sit at depths 2 and 3.  Program 0 holds b in |0> and
+    # measures it in Z, so the (0, 1) child is skipped for program 0 alone.
+    qubits = {(): "a", (0,): "b", (1,): "c", (1, 0): "b"}
+    letters = ({(): "X", (0,): "Z", (1,): "Y", (1, 0): "X"},
+               {(): "Y", (0,): "X", (1,): "Z", (1, 0): "Y"})
+    product = np.kron(np.kron(rand_state(("a",), rng).amps, qm.ket("0")),
+                      rand_state(("c",), rng).amps)
+    pure = (qm.StateVector(("a", "b", "c"), product), rand_state(("a", "b", "c"), rng))
+
+    def next_step(g):
+        def step(bits):
+            return (qubits[bits], pauli_basis(letters[g][bits])) if bits in qubits else None
+        return step
+
+    for states in (pure, tuple(s.to_density() for s in pure)):
+        programs = [Program(s, 0, next_step(g), lambda records, state: (records, state))
+                    for g, s in enumerate(states)]
+        calls = []
+
+        def schedule(bits, active):
+            calls.append(bits)
+            steps = [programs[g].next_step(bits) for g in active]
+            if steps[0] is None:
+                return None
+            return steps[0][0], np.array([[basis.ket0, basis.ket1] for _, basis in steps])
+
+        collapse_stacks.clear()
+        leaves = protocols.walk_branches(states, schedule)
+        assert collapse_stacks == [4, 4, 4, 4]  # a; then b and c at depth 1; then b
+        assert [leaf.bits for leaf in leaves] == [(0, 0), (0, 1), (1, 0, 0), (1, 0, 1), (1, 1)]
+        assert [leaf.active.tolist() for leaf in leaves] == [[0, 1], [1], [0, 1], [0, 1], [0, 1]]
+        # one schedule call per node, level by level, in the order of the bits
+        assert calls == [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1), (1, 0, 0), (1, 0, 1)]
+        for leaf in leaves:
+            for g, program in enumerate(programs):
+                # each leaf is a branch of len(bits) steps of program g
+                program = dataclasses.replace(program, n_steps=len(leaf.bits))
+                if g not in leaf.active:
+                    with pytest.raises(ZeroProbabilityBranch):
+                        program.run(outcomes=leaf.bits)
+                    continue
+                j = leaf.active.tolist().index(g)
+                records, state = program.run(outcomes=leaf.bits)
+                assert leaf.qubits == tuple(r.qubit for r in records)
+                assert [p[j] for p in leaf.probs] == [r.probability for r in records]
+                got = leaf.state(j)
+                assert type(got) is type(state) and got.labels == state.labels
+                if isinstance(state, qm.StateVector):
+                    assert got.amps.tobytes() == state.amps.tobytes()
+                else:
+                    assert got.mat.tobytes() == state.mat.tobytes()
+
+
 def test_grid_curve_has_the_bits_of_per_angle_enumeration():
     grids = (np.linspace(0, pi, 25), np.linspace(-pi, pi, 100))
     for theta in (pi / 8, pi / 6, pi / 5):
@@ -229,6 +293,24 @@ def test_grid_curve_checks_frames_and_branch_sums(monkeypatch):
     for fid in (1.0, 0.9):
         with pytest.raises(AssertionError, match="do not sum to 1"):
             noisy_success_curve(grid, "4-qubit", fid)
+
+
+def test_branch_sum_check_fails_closed(monkeypatch):
+    protocols._check_branch_sum(1.0)
+    protocols._check_branch_sum(np.array([1.0, 1.0 + 5e-12]))
+    for total in (float("nan"), np.array([1.0, np.nan]), 1.0 + 2e-11):
+        with pytest.raises(AssertionError, match="do not sum to 1"):
+            protocols._check_branch_sum(total)
+    real_collapse = qm.collapse
+
+    def nan_collapse(states, axis, kets, **kwargs):
+        probs, rest = real_collapse(states, axis, kets, **kwargs)
+        probs[-1] = np.nan  # neither kept below ZERO_PROBABILITY nor summed to 1
+        return probs, rest
+
+    monkeypatch.setattr(qm, "collapse", nan_collapse)
+    with pytest.raises(AssertionError, match="do not sum to 1"):
+        noisy_success_curve(np.linspace(0, pi, 7), "4-qubit", 0.9)
 
 
 def test_enumerated_branches_equal_postselected_runs():
