@@ -276,7 +276,7 @@ def walk_branches(states: Sequence[State], schedule: Schedule) -> list[Leaf]:
     if any(_is_pure(s) != pure or s.labels != first.labels for s in states):
         raise ValueError("programs must start from states of one kind on one register")
     stack = np.stack([s.amps if pure else s.mat for s in states])
-    # a node is a Leaf until its schedule says it is one
+    # every node is held as a Leaf record; one whose schedule returns None is kept
     level = [Leaf((), (), np.arange(len(states)), (), first.labels, stack)]
     leaves = []
     while level:
