@@ -172,6 +172,6 @@ def methods_pipeline(
         state = pbs_expand(state, "3", "3p")
         state = state.reorder(PSI6_LABELS)
         reference = build_psi6(theta)
-    if abs(qm.overlap_modulus(state, reference) - 1.0) > 1e-10:
-        raise AssertionError("optical pipeline output does not match the builder")
+    qm.require("optical pipeline", abs(qm.overlap_modulus(state, reference) - 1.0), 1e-10,
+               "optical pipeline output does not match the builder")
     return state, float(prob)

@@ -30,7 +30,7 @@ from .measurement import (
     pauli_basis,
 )
 from .noise_tomo import white_noise
-from .wires import _check_theta, build_psi4, build_psi6, lambda34
+from .wires import _check_theta, _read_only, build_psi4, build_psi6, lambda34
 
 Step = tuple[str, MeasurementBasis]
 
@@ -61,11 +61,6 @@ class PauliFrame:
             raise ValueError("frame fields must have equal lengths")
         if any(v not in (0, 1) for v in self.x + self.z):
             raise ValueError("frame exponents must be 0 or 1")
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 _FRAME_OPERATORS = {
@@ -502,15 +497,15 @@ def _check_frames(amps: np.ndarray, expected: np.ndarray) -> None:
     phase: | |<a|e>| / (|a| |e|) - 1 | < 1e-10 for every row."""
     overlap = np.abs((amps.conj() * expected).sum(axis=1))
     norms = np.sqrt((np.abs(amps) ** 2).sum(axis=1) * (np.abs(expected) ** 2).sum(axis=1))
-    if not np.all(np.abs(overlap / norms - 1.0) < 1e-10):
-        raise AssertionError("compensation branch output does not match its Pauli frame")
+    # the bound is the float just below 1e-10, so the check stays strict
+    qm.require("compensation frame", np.abs(overlap / norms - 1.0), 9.999999999999999e-11,
+               "compensation branch output does not match its Pauli frame")
 
 
 def _check_branch_sum(total) -> None:
-    """Branch probabilities (one total or an array of them) must sum to 1;
-    a NaN total fails."""
-    if not np.all(np.abs(np.asarray(total) - 1.0) <= 1e-11):
-        raise AssertionError("branch probabilities do not sum to 1")
+    """Branch probabilities (one total or an array of them) must sum to 1
+    within 1e-11; a NaN total fails."""
+    qm.require("branch sum", abs(total - 1.0), 1e-11, "branch probabilities do not sum to 1")
 
 
 def compensate(

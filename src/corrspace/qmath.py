@@ -3,7 +3,8 @@
 States are stored as flat amplitude vectors with the *first* label as the
 most significant bit.  All operations are pure: they return new objects and
 never mutate their inputs.  Equality of states is always judged up to a
-global phase via overlap modulus.
+global phase via overlap modulus.  Every built-in numeric cross-check of the
+library fails through ``require``, with one typed error.
 """
 
 from __future__ import annotations
@@ -352,3 +353,19 @@ def overlap_modulus(a: StateVector, b: StateVector) -> float:
     an, _ = a.normalized()
     bn, _ = b.normalized()
     return abs(an.overlap(bn))
+
+
+class InvariantViolation(AssertionError):
+    """A built-in numeric check failed; ``str()`` is its message alone."""
+
+    def __init__(self, check: str, residual: float, bound: float, message: str) -> None:
+        super().__init__(message)
+        self.check, self.residual, self.bound = check, residual, bound
+
+
+def require(check: str, residual: float | np.ndarray, bound: float, message: str) -> None:
+    """Raise ``InvariantViolation`` unless ``residual <= bound`` (for an array,
+    its largest entry); a NaN residual fails."""
+    worst = float(np.max(residual, initial=-np.inf))
+    if not worst <= bound:
+        raise InvariantViolation(check, worst, bound, message)

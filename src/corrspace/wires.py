@@ -170,8 +170,9 @@ def _frozen(state: StateVector) -> StateVector:
 
 def _cross_checked(state: StateVector, literal: StateVector, size: str) -> StateVector:
     """``state`` made read-only, once it matches its literal expansion."""
-    if qmath.overlap_modulus(state, literal) < 1.0 - 1e-12:
-        raise AssertionError(f"operational and literal {size}-qubit builds disagree")
+    # the bound is 1 - (1 - 1e-12) as rounded: the overlaps >= 1.0 - 1e-12 pass
+    qmath.require(f"{size}-qubit build", 1.0 - qmath.overlap_modulus(state, literal),
+                  1.0 - (1.0 - 1e-12), f"operational and literal {size}-qubit builds disagree")
     return _frozen(state)
 
 

@@ -13,6 +13,7 @@ import pytest
 
 import corrspace
 from corrspace import noise_tomo
+from corrspace import qmath as qm
 from corrspace.cli import (
     dumps15,
     format_float,
@@ -257,6 +258,18 @@ def test_protocol_deutsch_postselected(capsys):
     )
     assert (data["query_bit"], data["ancilla_bit"]) == (0, 1)
     assert data["success"] is True
+
+
+def test_failed_invariant_check_maps_to_exit_1(capsys, monkeypatch):
+    real_collapse = qm.collapse
+
+    def leaky(states, axis, kets, **kwargs):
+        probs, rest = real_collapse(states, axis, kets, **kwargs)
+        return probs * (1 + 1e-9), rest
+
+    monkeypatch.setattr(qm, "collapse", leaky)
+    code, out, err = run_cli(capsys, "protocol", "compensate", "--alpha", "pi/2", "--enumerate")
+    assert (code, out, err) == (1, "", "error: branch probabilities do not sum to 1\n")
 
 
 def test_protocol_deutsch_abort_maps_to_exit_1(capsys):

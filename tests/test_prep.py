@@ -5,6 +5,7 @@ from math import cos, pi, sin, sqrt
 import numpy as np
 import pytest
 
+from corrspace import prep
 from corrspace import qmath as qm
 from corrspace.prep import (
     balance_transmissions,
@@ -257,3 +258,22 @@ def test_preparation_generalizes_over_theta():
         assert abs(qm.overlap_modulus(s4, build_psi4(theta)) - 1.0) < 1e-10
         assert abs(qm.overlap_modulus(s6, build_psi6(theta)) - 1.0) < 1e-10
         assert 0.0 < p4 <= 1.0 and 0.0 < p6 <= 1.0
+
+
+def test_corrupted_pipeline_output_raises_invariant_violation(monkeypatch):
+    monkeypatch.setattr(prep, "weighting_transmissions", lambda theta: (1.0, 1.0))  # no weighting
+    for target in ("psi4", "psi6"):
+        with pytest.raises(qm.InvariantViolation) as err:
+            methods_pipeline(target, pi / 6)
+        exc = err.value
+        assert exc.check == "optical pipeline" and exc.bound == 1e-10
+        assert np.isfinite(exc.residual) and exc.residual > exc.bound
+        assert str(exc) == "optical pipeline output does not match the builder"
+
+
+def test_pipeline_check_fails_on_a_nan_overlap(monkeypatch):
+    build_psi4(0.5)  # the builder's own check runs before the overlap turns NaN
+    monkeypatch.setattr(qm, "overlap_modulus", lambda a, b: float("nan"))
+    with pytest.raises(AssertionError, match="^optical pipeline output does not match the builder$") as err:
+        methods_pipeline("psi4", 0.5)
+    assert err.value.check == "optical pipeline" and np.isnan(err.value.residual)

@@ -739,6 +739,72 @@ def test_frame_check_tolerance():
                 protocols._check_frames(want, outputs[:, 1 - x, z])
 
 
+def _assert_violation(exc, check, bound, message):
+    assert isinstance(exc, qm.InvariantViolation)
+    assert (exc.check, exc.bound, str(exc)) == (check, bound, message)
+    assert np.isfinite(exc.residual) and exc.residual > exc.bound
+
+
+FRAME_MESSAGE = "compensation branch output does not match its Pauli frame"
+SUM_MESSAGE = "branch probabilities do not sum to 1"
+
+
+def test_wrong_frame_raises_invariant_violation(monkeypatch):
+    outputs = protocols._frame_targets([1.1])
+    with pytest.raises(qm.InvariantViolation) as err:
+        protocols._check_frames(outputs[:, 0, 0], outputs[:, 1, 0])
+    _assert_violation(err.value, "compensation frame", np.nextafter(1e-10, 0.0), FRAME_MESSAGE)
+    real_frame = protocols._compensation_frame
+
+    def wrong_frame(bits, two_qubit):
+        frame, success = real_frame(bits, two_qubit)
+        return PauliFrame(frame.wires, (1 - frame.x[0],), frame.z), success
+
+    monkeypatch.setattr(protocols, "_compensation_frame", wrong_frame)
+    for run in (lambda: compensate(1.1, outcomes=(0, 0, 0)),  # a successful shot
+                lambda: noisy_success_curve([0.4, 1.1], "4-qubit", 1.0)):
+        with pytest.raises(qm.InvariantViolation) as err:
+            run()
+        _assert_violation(err.value, "compensation frame", np.nextafter(1e-10, 0.0), FRAME_MESSAGE)
+
+
+def test_branch_total_off_by_1e_9_raises_invariant_violation(monkeypatch):
+    with pytest.raises(qm.InvariantViolation) as err:
+        protocols._check_branch_sum(1.0 + 1e-9)
+    _assert_violation(err.value, "branch sum", 1e-11, SUM_MESSAGE)
+    real_collapse = qm.collapse
+    calls = []
+
+    def leaky_root(states, axis, kets, **kwargs):
+        probs, rest = real_collapse(states, axis, kets, **kwargs)
+        if not calls:
+            probs *= 1 + 1e-9  # every leaf below the root, so every total
+        calls.append(axis)
+        return probs, rest
+
+    monkeypatch.setattr(qm, "collapse", leaky_root)
+    for run in (lambda: enumerate_compensation(1.1),
+                lambda: noisy_success_curve([0.4, 1.1], "4-qubit", 0.9)):
+        calls.clear()
+        with pytest.raises(qm.InvariantViolation) as err:
+            run()
+        _assert_violation(err.value, "branch sum", 1e-11, SUM_MESSAGE)
+        assert abs(err.value.residual - 1e-9) < 1e-12
+
+
+def test_frame_check_stays_strict(monkeypatch):
+    # residuals of exactly 1e-10 fail at the bound this site hands to require
+    seen = []
+    monkeypatch.setattr(qm, "require", lambda *args: seen.append(args))
+    want = protocols._frame_targets([1.1])[:, 0, 0]
+    protocols._check_frames(want, want)
+    monkeypatch.undo()
+    ((check, _, bound, message),) = seen
+    with pytest.raises(qm.InvariantViolation):
+        qm.require(check, np.array([0.0, 1e-10]), bound, message)
+    qm.require(check, np.array([0.0, np.nextafter(1e-10, 0.0)]), bound, message)
+
+
 def test_enumeration_checks_every_successful_frame(monkeypatch):
     real_frame = protocols._compensation_frame
 

@@ -422,3 +422,21 @@ def test_mat_proportional(rng):
     assert mat_proportional((0.3 - 2j) * m, m)
     assert not mat_proportional(m + 0.5 * qm.Z, m)
     assert mat_proportional(np.zeros((2, 2)), np.zeros((2, 2)))
+
+
+# ---------------------------------------------------------------------------
+# Built-in invariant checks
+# ---------------------------------------------------------------------------
+
+def test_require_passes_up_to_its_bound_and_fails_closed():
+    qm.require("c", 1e-11, 1e-11, "m")  # equal to the bound passes
+    qm.require("c", np.array([-1.0, 0.0, 1e-11]), 1e-11, "m")
+    qm.require("c", np.array([]), 1e-11, "m")  # nothing to check
+    for residual, worst in ((2e-11, 2e-11), (np.array([0.0, 3e-11, 2e-11]), 3e-11),
+                            (float("nan"), None), (np.array([0.0, np.nan]), None)):
+        with pytest.raises(qm.InvariantViolation, match="^the message$") as err:
+            qm.require("the check", residual, 1e-11, "the message")
+        exc = err.value
+        assert isinstance(exc, AssertionError)
+        assert (exc.check, exc.bound, str(exc)) == ("the check", 1e-11, "the message")
+        assert exc.residual == worst if worst is not None else np.isnan(exc.residual)

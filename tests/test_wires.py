@@ -310,13 +310,20 @@ def test_cached_states_equal_a_fresh_build():
     assert w.build_psi6(theta).labels == w.PSI6_LABELS
 
 
+def _assert_build_violation(exc, size):
+    assert isinstance(exc, qm.InvariantViolation)
+    assert exc.check == f"{size}-qubit build" and exc.bound == 1.0 - (1.0 - 1e-12)
+    assert np.isfinite(exc.residual) and exc.residual > exc.bound
+
+
 def test_failed_psi4_cross_check_is_not_cached(monkeypatch):
     theta = 0.5183  # an angle no other test builds
     wrong = qm.StateVector(("1", "2", "3", "4"), np.eye(16)[0])
     monkeypatch.setattr(w, "psi4_explicit", lambda th: (wrong, 1.0))
     w._psi4.cache_clear()
-    with pytest.raises(AssertionError, match="^operational and literal four-qubit builds disagree$"):
+    with pytest.raises(AssertionError, match="^operational and literal four-qubit builds disagree$") as err:
         w.build_psi4(theta)
+    _assert_build_violation(err.value, "four")
     monkeypatch.undo()
     state = w.build_psi4(theta)
     literal, _ = w.psi4_explicit(theta)
@@ -327,12 +334,36 @@ def test_failed_psi6_cross_check_is_not_cached(monkeypatch):
     theta = 0.5171  # an angle no other test builds
     wrong = qm.StateVector(w.PSI6_LABELS, np.eye(64)[0])
     monkeypatch.setattr(w, "psi6_explicit", lambda th: (wrong, 1.0))
-    with pytest.raises(AssertionError):
+    w._psi6.cache_clear()
+    with pytest.raises(AssertionError, match="^operational and literal six-qubit builds disagree$") as err:
         w.build_psi6(theta)
+    _assert_build_violation(err.value, "six")
     monkeypatch.undo()
     state = w.build_psi6(theta)
     literal, _ = w.psi6_explicit(theta)
     assert qm.overlap_modulus(state, literal) > 1 - 1e-12
+
+
+def test_build_check_fails_on_a_nan_overlap(monkeypatch):
+    w._psi4.cache_clear()
+    monkeypatch.setattr(qm, "overlap_modulus", lambda a, b: float("nan"))
+    with pytest.raises(AssertionError, match="^operational and literal four-qubit builds disagree$") as err:
+        w.build_psi4(0.41)
+    assert err.value.check == "four-qubit build" and np.isnan(err.value.residual)
+
+
+def test_build_check_keeps_its_boundary(monkeypatch):
+    # exactly the overlaps of at least 1.0 - 1e-12 (as rounded) pass
+    edge = 1.0 - 1e-12
+    state, _ = w.psi4_explicit(0.3)
+    for overlap, passes in ((edge, True), (np.nextafter(edge, 0.0), False)):
+        monkeypatch.setattr(qm, "overlap_modulus", lambda a, b: float(overlap))
+        fresh = qm.StateVector(state.labels, state.amps.copy())
+        if passes:
+            assert w._cross_checked(fresh, state, "four") is fresh
+        else:
+            with pytest.raises(qm.InvariantViolation, match="^operational and literal four-qubit builds disagree$"):
+                w._cross_checked(fresh, state, "four")
 
 
 @pytest.mark.parametrize("builder", NAMED_BUILDERS)
