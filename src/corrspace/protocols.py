@@ -497,8 +497,7 @@ def _check_frames(amps: np.ndarray, expected: np.ndarray) -> None:
     phase: | |<a|e>| / (|a| |e|) - 1 | < 1e-10 for every row."""
     overlap = np.abs((amps.conj() * expected).sum(axis=1))
     norms = np.sqrt((np.abs(amps) ** 2).sum(axis=1) * (np.abs(expected) ** 2).sum(axis=1))
-    # the bound is the float just below 1e-10, so the check stays strict
-    qm.require("compensation frame", np.abs(overlap / norms - 1.0), 9.999999999999999e-11,
+    qm.require("compensation frame", np.abs(overlap / norms - 1.0), np.nextafter(1e-10, 0.0),
                "compensation branch output does not match its Pauli frame")
 
 
