@@ -77,8 +77,8 @@ _FRAME_OUTPUTS = _read_only(
 )
 
 
-def _single_frame(x: int = 0, z: int = 0, wire: str = "out") -> PauliFrame:
-    return PauliFrame((wire,), (x,), (z,))
+def _single_frame(x: int = 0, z: int = 0) -> PauliFrame:
+    return PauliFrame(("out",), (x,), (z,))
 
 
 @dataclass(frozen=True)
@@ -160,32 +160,30 @@ class Program:
     """An adaptive single-qubit measurement program on a resource state.
 
     ``next_step(bits)`` names the (qubit, basis) measured after the outcome
-    bits seen so far, or None once the program is done; it may raise
+    bits seen so far, or None once the branch is done; it may raise
     ``ProtocolAbort``.  ``finish(records, state)`` builds the result from
-    the outcome records and the collapsed state.  Every branch makes
-    ``n_steps`` measurements.
+    the outcome records and the collapsed state.
     """
 
     state: State
-    n_steps: int
     next_step: Callable[[tuple[int, ...]], Step | None]
     finish: Callable[[tuple[OutcomeRecord, ...], State], Any]
 
     def run(self, *, outcomes: Sequence[int] | None = None,
             rng: np.random.Generator | None = None) -> Any:
-        """One branch: post-select ``outcomes`` or sample every step with ``rng``."""
+        """One branch: post-select exactly its ``outcomes``, or sample every step with ``rng``."""
         if (outcomes is None) == (rng is None):
             raise ValueError("provide exactly one of outcomes= or rng=")
-        if outcomes is not None:
-            outcomes = tuple(outcomes)
-            if len(outcomes) != self.n_steps:
-                raise ValueError(f"expected {self.n_steps} outcomes, got {len(outcomes)}")
         state, records, bits = self.state, [], ()
         while (step := self.next_step(bits)) is not None:
+            if outcomes is not None and len(bits) == len(outcomes):
+                raise ValueError(f"branch {bits} needs more than the {len(outcomes)} outcomes given")
             want = None if outcomes is None else outcomes[len(bits)]
             rec, state = measure(state, *step, outcome=want, rng=rng)
             records.append(rec)
             bits += (rec.outcome,)
+        if outcomes is not None and len(bits) < len(outcomes):
+            raise ValueError(f"branch {bits} ends before the {len(outcomes)} outcomes given")
         return self.finish(tuple(records), state)
 
     def branches(self) -> tuple[Any, ...]:
@@ -372,7 +370,7 @@ def rotate_sequence(
         success = all(r.outcome == 0 for r in records)
         return ProtocolTranscript(records, _single_frame(), logical, state, success)
 
-    return Program(build_psi4(theta), 3, next_step, finish).run(outcomes=outcomes, rng=rng)
+    return Program(build_psi4(theta), next_step, finish).run(outcomes=outcomes, rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +460,7 @@ def _compensation_program(
             _check_frames(state.amps[None], outputs[None, frame.x[0], frame.z[0]])
         return ProtocolTranscript(records, frame, logical, state, success, notes)
 
-    return Program(state, 1 if two_qubit else 3, next_step, finish)
+    return Program(state, next_step, finish)
 
 
 def _compensation_schedule(alphas: Sequence[float], two_qubit: bool, theta: float) -> Schedule:
@@ -643,7 +641,7 @@ def cz_gate_protocol(
         logical = qm.kron(qm.HAD, qm.I2) @ state.amps if _is_pure(state) else None
         return ProtocolTranscript(records, frame, logical, state, entangling, notes)
 
-    return Program(build_psi6(theta), 4, next_step, finish).run(outcomes=outcomes, rng=rng)
+    return Program(build_psi6(theta), next_step, finish).run(outcomes=outcomes, rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -733,4 +731,4 @@ def deutsch(
         frame = PauliFrame(("1p", "3p"), (0, 0), (0, 0))
         return query, ancilla, ProtocolTranscript(records, frame, None, state, success, notes)
 
-    return Program(build_psi6(theta), 4, next_step, finish).run(outcomes=outcomes, rng=rng)
+    return Program(build_psi6(theta), next_step, finish).run(outcomes=outcomes, rng=rng)

@@ -1,6 +1,5 @@
 """Measurement protocols: rotations, compensation, entangling gate, programs."""
 
-import dataclasses
 import json
 from math import atan, cos, pi, sin, sqrt
 
@@ -64,10 +63,10 @@ def _two_step_program():
             return "a", pauli_basis("Z")
         return "b", pauli_basis("X" if bits[0] == 0 else "Z")
 
-    return Program(state, 2, next_step, lambda records, state: records)
+    return Program(state, next_step, lambda records, state: records)
 
 
-def test_program_run_modes_and_validation():
+def test_program_run_modes_and_validation(collapse_stacks):
     prog = _two_step_program()
     records = prog.run(outcomes=(0, 0))
     assert [(r.qubit, r.basis.name, r.outcome) for r in records] == [
@@ -80,8 +79,23 @@ def test_program_run_modes_and_validation():
         prog.run()
     with pytest.raises(ValueError, match="exactly one"):
         prog.run(outcomes=(0, 0), rng=np.random.default_rng(1))
-    with pytest.raises(ValueError, match="expected 2 outcomes"):
+    # the outcomes must be exactly one branch: a step past them collapses
+    # nothing, and a branch that ends early never reaches finish
+    collapse_stacks.clear()
+    with pytest.raises(ValueError, match=r"^branch \(0,\) needs more than the 1 outcomes given$"):
         prog.run(outcomes=(0,))
+    assert collapse_stacks == [1]
+    collapse_stacks.clear()
+    with pytest.raises(ValueError, match=r"^branch \(1, 0\) needs more than the 2 outcomes given$"):
+        compensate(0.8, outcomes=(1, 0))
+    assert collapse_stacks == [1, 1]
+    finished = []
+    prog = Program(prog.state, prog.next_step, lambda records, state: finished.append(records))
+    with pytest.raises(ValueError, match=r"^branch \(0, 0\) ends before the 3 outcomes given$"):
+        prog.run(outcomes=(0, 0, 1))
+    with pytest.raises(ValueError, match=r"^branch \(0,\) ends before the 2 outcomes given$"):
+        compensate(0.8, "2-qubit", outcomes=(0, 1))
+    assert finished == []
 
 
 def test_program_branches_skip_only_zero_probability_children():
@@ -94,7 +108,7 @@ def test_program_branches_propagate_aborts():
     def next_step(bits):
         raise ProtocolAbort("no step")
 
-    prog = Program(build_psi4(), 1, next_step, lambda records, state: records)
+    prog = Program(build_psi4(), next_step, lambda records, state: records)
     with pytest.raises(ProtocolAbort):
         prog.branches()
 
@@ -162,7 +176,7 @@ def _one_qubit_program(letter):
     def next_step(bits):
         return None if bits else ("a", pauli_basis(letter))
 
-    return Program(state, 1, next_step, lambda records, state: records)
+    return Program(state, next_step, lambda records, state: records)
 
 
 def test_walker_skips_a_zero_probability_child_per_program():
@@ -217,7 +231,7 @@ def test_walker_walks_one_level_at_a_time(collapse_stacks, rng):
         return step
 
     for states in (pure, tuple(s.to_density() for s in pure)):
-        programs = [Program(s, 0, next_step(g), lambda records, state: (records, state))
+        programs = [Program(s, next_step(g), lambda records, state: (records, state))
                     for g, s in enumerate(states)]
         calls = []
 
@@ -237,8 +251,6 @@ def test_walker_walks_one_level_at_a_time(collapse_stacks, rng):
         assert calls == [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1), (1, 0, 0), (1, 0, 1)]
         for leaf in leaves:
             for g, program in enumerate(programs):
-                # each leaf is a branch of len(bits) steps of program g
-                program = dataclasses.replace(program, n_steps=len(leaf.bits))
                 if g not in leaf.active:
                     with pytest.raises(ZeroProbabilityBranch):
                         program.run(outcomes=leaf.bits)
@@ -253,6 +265,11 @@ def test_walker_walks_one_level_at_a_time(collapse_stacks, rng):
                     assert got.amps.tobytes() == state.amps.tobytes()
                 else:
                     assert got.mat.tobytes() == state.mat.tobytes()
+        # Program.branches is the stack of one: each program's leaves end at
+        # their own depths, and run replays every one of them above
+        for g, program in enumerate(programs):
+            assert [tuple(r.outcome for r in records) for records, _ in program.branches()] == [
+                leaf.bits for leaf in leaves if g in leaf.active]
 
 
 def test_grid_curve_has_the_bits_of_per_angle_enumeration():
