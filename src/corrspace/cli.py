@@ -36,7 +36,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import analysis, noise_tomo, protocols, qmath as qm
-from .wires import PSI6_LABELS, build_psi4, build_psi6, lambda34
+from .wires import build_psi4, build_psi6, lambda34
 
 SCHEMA = "corrspace/1"
 
@@ -485,6 +485,8 @@ def _cmd_tomo_reconstruct(args) -> dict:
         raise CliError("--mc-runs must be 0 (no error bar) or at least 2")
     if args.seed is not None and not args.mc_runs:
         raise CliError("--seed needs --mc-runs (it seeds the bootstrap)")
+    if args.mc_runs and args.target is None:
+        raise CliError("--mc-runs requires --target")
     counts = _load_counts(args.counts)
     target = None
     if args.target is not None:
@@ -497,8 +499,6 @@ def _cmd_tomo_reconstruct(args) -> dict:
     monte_carlo = None
     seed = None
     if args.mc_runs:
-        if target is None:
-            raise CliError("--mc-runs requires --target")
         seed = args.seed if args.seed is not None else _fresh_seed()
         mean, sigma = noise_tomo.monte_carlo_error(
             counts, target, runs=args.mc_runs, seed=seed,
@@ -577,10 +577,9 @@ def _cmd_curve_fig2(args) -> dict | str:
 # Parser assembly
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, *, theta: bool = True) -> None:
-    if theta:
-        p.add_argument("--theta", type=parse_angle, default=pi / 6,
-                       help="wire weighting angle (default pi/6)")
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--theta", type=parse_angle, default=pi / 6,
+                   help="wire weighting angle (default pi/6)")
     p.add_argument("--out", metavar="FILE", default=None,
                    help="write output to FILE instead of stdout")
 

@@ -5,9 +5,14 @@ rotations (one basis, or the kets of many angles as one stack), the Pauli
 bases, and Born-rule collapse (post-selected or sampled) on pure and mixed
 states.
 
+A basis's kets have one format: a read-only (2, 2) complex array whose row
+k is the ket of outcome k.  A ``MeasurementBasis`` holds one as ``kets``,
+and a (G, 2, 2) stack holds one per row; ``_check_orthonormal`` checks
+both.
+
 Bases are shared, like the named resource states of ``wires``: each
-(zeta, theta) pair gets one frozen ``basis_B`` basis with read-only kets,
-and the last 1,024 pairs used are kept.  The key tells -0.0 from 0.0:
+(zeta, theta) pair gets one frozen ``basis_B`` basis, and the last 1,024
+pairs used are kept.  The key tells -0.0 from 0.0:
 B(-0) and B(0) differ in name.  Stacks are shared the same way: each
 (zetas, theta) pair gets one read-only ``basis_B_stack`` array, and the
 last 64 pairs used are kept.
@@ -16,7 +21,7 @@ last 64 pairs used are kept.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import copysign, sqrt
 from typing import Sequence
 
@@ -44,30 +49,30 @@ class ZeroProbabilityBranch(ValueError):
 
 @dataclass(frozen=True)
 class MeasurementBasis:
-    """An orthonormal single-qubit basis; outcome 0 selects ``ket0``.
+    """An orthonormal single-qubit basis; outcome k selects row k of ``kets``.
 
-    The kets are stored as complex 2-vectors.  Construction checks their
-    shape, that each norm is within 1e-12 of 1 and that their overlap is
-    within 1e-12 of 0; the checks run in Python scalar arithmetic on the
-    kets' entries.
+    ``kets`` is the basis's own read-only (2, 2) complex copy of the two
+    kets, laid out as a row of ``basis_B_stack``; ``ket0`` and ``ket1`` are
+    views of its rows.  Construction checks the kets' shape, then runs
+    ``_check_orthonormal`` on them.
     """
 
     ket0: np.ndarray
     ket1: np.ndarray
     name: str = ""
+    kets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         k0 = np.asarray(self.ket0, dtype=complex).reshape(-1)
         k1 = np.asarray(self.ket1, dtype=complex).reshape(-1)
-        object.__setattr__(self, "ket0", k0)
-        object.__setattr__(self, "ket1", k1)
         if k0.shape != (2,) or k1.shape != (2,):
             raise ValueError("basis kets must be 2-vectors")
-        (a0, a1), (b0, b1) = k0.tolist(), k1.tolist()
-        if not (abs(_norm(a0, a1) - 1) <= 1e-12 and abs(_norm(b0, b1) - 1) <= 1e-12):
-            raise ValueError("basis kets must be normalized")
-        if not abs(a0.conjugate() * b0 + a1.conjugate() * b1) <= 1e-12:
-            raise ValueError("basis kets must be orthogonal")
+        kets = np.array((k0, k1))  # a copy: later edits of the caller's arrays do not reach it
+        _check_orthonormal(kets[None])
+        kets.setflags(write=False)
+        object.__setattr__(self, "kets", kets)
+        object.__setattr__(self, "ket0", kets[0])
+        object.__setattr__(self, "ket1", kets[1])
 
 
 @dataclass(frozen=True)
@@ -98,7 +103,7 @@ def basis_B(zeta: float, theta: float = np.pi / 6) -> MeasurementBasis:
     1e-12 in modulus is real positive.  Both steps run in Python float
     arithmetic with the rounding of numpy's ``np.linalg.norm``, complex
     division and complex multiplication, so the kets have the bits of that
-    numpy construction.  The kets are read-only.
+    numpy construction.
 
     Each (zeta, theta) pair gets one shared basis: the first call builds
     and checks it, later calls return the same object, and the last 1,024
@@ -112,9 +117,8 @@ def basis_B(zeta: float, theta: float = np.pi / 6) -> MeasurementBasis:
 @functools.lru_cache(maxsize=_SHARED_BASES)
 def _shared_basis_B(zeta: float, theta: float, zeta_sign: float) -> MeasurementBasis:
     _check_theta(theta)
-    kets = np.array(_b_kets(zeta, float(np.cos(theta)), float(np.sin(theta))))
-    kets.setflags(write=False)  # rows and their views are read-only too
-    return MeasurementBasis(kets[0], kets[1], name=f"B({zeta:.12g})")
+    ket0, ket1 = _b_kets(zeta, float(np.cos(theta)), float(np.sin(theta)))
+    return MeasurementBasis(ket0, ket1, name=f"B({zeta:.12g})")
 
 
 def basis_B_stack(zetas: Sequence[float], theta: float = np.pi / 6) -> np.ndarray:
@@ -122,8 +126,8 @@ def basis_B_stack(zetas: Sequence[float], theta: float = np.pi / 6) -> np.ndarra
     (G, 2, 2) array: row g holds ket0 and ket1 of B(zetas[g]).
 
     Theta is checked once; each angle runs ``basis_B``'s arithmetic, so
-    every ket has its bits.  ``MeasurementBasis``'s norm and orthogonality
-    checks run once over the whole stack.
+    row g is byte for byte ``basis_B(zetas[g], theta).kets``.  The check
+    of every basis, ``_check_orthonormal``, runs once over the whole stack.
 
     Each (zetas, theta) pair gets one shared stack: the first call builds
     and checks it, later calls with the same angles return the same array,
@@ -161,14 +165,16 @@ def _b_kets(
 
 
 def _check_orthonormal(kets: np.ndarray) -> None:
-    """``MeasurementBasis``'s checks over a (G, 2, 2) stack of ket pairs."""
-    re, im = kets.real, kets.imag
-    norms = np.sqrt((re[..., 0] * re[..., 0] + re[..., 1] * re[..., 1])
-                    + (im[..., 0] * im[..., 0] + im[..., 1] * im[..., 1]))
-    if not np.all(np.abs(norms - 1) <= 1e-12):
-        raise ValueError("basis kets must be normalized")
-    if not np.all(np.abs((kets[:, 0].conj() * kets[:, 1]).sum(axis=1)) <= 1e-12):
-        raise ValueError("basis kets must be orthogonal")
+    """The one check of every basis and stack, over (G, 2, 2) ket pairs:
+    each norm within 1e-12 of 1, then each overlap within 1e-12 of 0, in
+    Python scalar arithmetic on the kets' entries."""
+    pairs = kets.tolist()
+    for (a0, a1), (b0, b1) in pairs:
+        if not (abs(_norm(a0, a1) - 1) <= 1e-12 and abs(_norm(b0, b1) - 1) <= 1e-12):
+            raise ValueError("basis kets must be normalized")
+    for (a0, a1), (b0, b1) in pairs:
+        if not abs(a0.conjugate() * b0 + a1.conjugate() * b1) <= 1e-12:
+            raise ValueError("basis kets must be orthogonal")
 
 
 def _norm(a: complex, b: complex) -> float:
@@ -203,7 +209,7 @@ def _unit_rephased(re0: float, im0: float, re1: float, im1: float) -> tuple[comp
 def pauli_basis(letter: str) -> MeasurementBasis:
     """Eigenbasis of a Pauli operator; outcome 0 is the +1 eigenstate.
 
-    The three bases are built once and shared, with read-only kets.
+    The three bases are built once and shared.
     """
     return _pauli_basis(letter)
 
@@ -219,10 +225,7 @@ def _pauli_basis(letter: str) -> MeasurementBasis:
         k0, k1 = kets[letter]
     except KeyError:
         raise ValueError(f"unknown Pauli letter {letter!r}") from None
-    basis = MeasurementBasis(qm.ket(k0), qm.ket(k1), name=letter)
-    basis.ket0.setflags(write=False)
-    basis.ket1.setflags(write=False)
-    return basis
+    return MeasurementBasis(qm.ket(k0), qm.ket(k1), name=letter)
 
 
 def measure(
@@ -241,8 +244,8 @@ def measure(
     probability below ``ZERO_PROBABILITY`` raises ``ZeroProbabilityBranch``.
 
     Post-selection projects only onto the requested outcome's ket.
-    Sampling projects onto ``ket0`` to draw, and onto ``ket1`` as well only
-    when outcome 1 is drawn.  This is the one-branch path of
+    Sampling projects onto ``kets[0]`` to draw, and onto ``kets[1]`` as
+    well only when outcome 1 is drawn.  This is the one-branch path of
     ``Program.run``; whole outcome trees are walked by
     ``protocols.walk_branches``, which collapses a stack of states per tree
     level with ``qmath.collapse`` and never calls ``measure``.
@@ -250,15 +253,15 @@ def measure(
     if (outcome is None) == (rng is None):
         raise ValueError("provide exactly one of outcome= or rng=")
     if outcome is None:
-        prob, rest = state.project(qubit, basis.ket0)
+        prob, rest = state.project(qubit, basis.kets[0])
         chosen = 0 if rng.random() < prob else 1
         if chosen == 1:
-            prob, rest = state.project(qubit, basis.ket1)
+            prob, rest = state.project(qubit, basis.kets[1])
     else:
         chosen = int(outcome)
         if chosen not in (0, 1):
             raise ValueError("outcome must be 0 or 1")
-        prob, rest = state.project(qubit, basis.ket1 if chosen else basis.ket0)
+        prob, rest = state.project(qubit, basis.kets[chosen])
     if prob < ZERO_PROBABILITY:
         raise ZeroProbabilityBranch(
             f"outcome {chosen} on qubit {qubit!r} has zero probability"

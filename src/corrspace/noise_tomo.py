@@ -62,22 +62,13 @@ def product_settings(n_qubits: int) -> tuple[str, ...]:
     return tuple("".join(p) for p in itertools.product(_LETTERS, repeat=n_qubits))
 
 
-@functools.lru_cache(maxsize=None)
-def _ket_pair(letter: str) -> np.ndarray:
-    """Read-only (2, 2) array: row 0 the +1 and row 1 the -1 eigenket."""
-    b = pauli_basis(letter)
-    pair = np.stack([b.ket0, b.ket1])
-    pair.setflags(write=False)
-    return pair
-
-
 def setting_kets(setting: str) -> np.ndarray:
     """(2^n, 2^n) array whose row o is the product ket of outcome cell o.
 
     Bit k of the cell index (MSB first, matching the setting string) selects
     eigenstate 0 (+1) or 1 (-1) of that qubit's letter.
     """
-    pairs = [_ket_pair(letter) for letter in setting]
+    pairs = [pauli_basis(letter).kets for letter in setting]
     out = pairs[0].copy()
     for pair in pairs[1:]:
         # kron over both the outcome index and the amplitude index
@@ -256,7 +247,7 @@ def _projector_block(k: int) -> np.ndarray:
     M[a, (I, J)] rho[I, J], and sum_a w_a |k_a><k_a| is M^H w.
     """
     kets = np.ones((1, 1), dtype=complex)
-    single = np.concatenate([_ket_pair(letter) for letter in _LETTERS])
+    single = np.concatenate([pauli_basis(letter).kets for letter in _LETTERS])
     for _ in range(k):
         kets = np.einsum("ai,bj->abij", kets, single).reshape(6 * len(kets), -1)
     m = np.einsum("ai,aj->aij", np.conj(kets), kets).reshape(6**k, 4**k)

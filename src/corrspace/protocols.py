@@ -204,7 +204,7 @@ class Program:
             if step is None:
                 return None
             qubit, basis = step
-            return qubit, _read_only(np.array([[basis.ket0, basis.ket1]]))
+            return qubit, basis.kets[None]
 
         return tuple(
             self.finish(tuple(
@@ -379,7 +379,6 @@ def rotate_sequence(
 
 _RESOURCES = ("2-qubit", "4-qubit")
 _Z_BASIS = pauli_basis("Z")
-_Z_KETS = _read_only(np.array([_Z_BASIS.ket0, _Z_BASIS.ket1]))
 
 
 def _resource_state(resource: str, theta: float) -> qm.StateVector:
@@ -475,7 +474,7 @@ def _compensation_schedule(alphas: Sequence[float], two_qubit: bool, theta: floa
             return None
         qubit, setting = step
         if setting is None:
-            return qubit, np.broadcast_to(_Z_KETS, (len(active), 2, 2))
+            return qubit, np.broadcast_to(_Z_BASIS.kets, (len(active), 2, 2))
         return qubit, basis_B_stack([zeta(setting, g) for g in active], theta)
 
     return schedule

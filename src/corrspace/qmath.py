@@ -9,7 +9,7 @@ library fails through ``require``, with one typed error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 import numpy as np

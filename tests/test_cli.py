@@ -338,6 +338,21 @@ def test_tomo_reconstruct_mc_requires_target(capsys, tmp_path):
     assert "--target" in err
 
 
+def test_tomo_reconstruct_mc_without_target_is_refused_before_any_work(
+    capsys, monkeypatch, tmp_path
+):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the fit ran before the usage check")
+
+    monkeypatch.setattr(noise_tomo, "ml_reconstruct", no_fit)
+    code, out, err = run_cli(
+        capsys,
+        "tomo", "reconstruct", "--counts", str(tmp_path / "missing.json"), "--mc-runs", "3",
+    )
+    assert (code, out) == (2, "")
+    assert "--mc-runs requires --target" in err
+
+
 @pytest.mark.parametrize(
     "flag, value, message",
     (

@@ -111,6 +111,8 @@ def test_angle_basis_stack_has_the_bits_of_basis_B():
         want = np.array([[b.ket0, b.ket1] for b in (meas.basis_B(z, theta) for z in zetas)])
         assert stack.shape == (len(zetas), 2, 2)
         assert stack.tobytes() == want.tobytes(), theta
+        assert all(stack[g].tobytes() == meas.basis_B(z, theta).kets.tobytes()
+                   for g, z in enumerate(zetas)), theta
 
 
 def test_angle_basis_stack_is_read_only_and_checks_theta():
@@ -242,6 +244,22 @@ def test_measurement_basis_validation():
         meas.MeasurementBasis(qm.ket("0"), qm.ket("0"))  # not orthogonal
     with pytest.raises(ValueError):
         meas.MeasurementBasis(np.ones(3) / sqrt(3), np.ones(3) / sqrt(3))
+
+
+def test_measurement_basis_owns_read_only_kets():
+    k0, k1 = np.array([1.0, 0.0]), np.array([0.0, 1j])
+    b = meas.MeasurementBasis(k0, k1, name="own")
+    k0[:] = 1.0
+    k1[:] = 0.0
+    assert b.kets.shape == (2, 2) and b.kets.dtype == complex
+    assert b.kets.tolist() == [[1, 0], [0, 1j]]
+    assert np.shares_memory(b.ket0, b.kets[0]) and np.shares_memory(b.ket1, b.kets[1])
+    assert b.ket0.tolist() == [1, 0] and b.ket1.tolist() == [0, 1j]
+    record, _ = meas.measure(qm.StateVector(("a",), qm.ket("+")), "a", b, outcome=0)
+    assert abs(record.probability - 0.5) < TOL
+    for view in (b.kets, b.ket0, b.ket1):
+        with pytest.raises(ValueError):
+            view[0] = 0.5
 
 
 # ---------------------------------------------------------------------------
