@@ -12,6 +12,11 @@ format: the library's results are plain data, and the payload functions
 below read their fields.  Each command returns its payload body (or CSV
 text); ``main`` puts the ``schema``/``command`` header in front of a body.
 
+``main`` parses a command line that starts with a known (group, action)
+pair, such as ``curve fig2``, with that command's own parser alone, and any
+other line with the whole parser (``_parse_argv``).  Either way it gets the
+namespace, and prints the usage, help and error messages, of a full parse.
+
 Output goes to stdout, or with ``--out FILE`` to FILE, which is
 overwritten in place and cut to the new length (``_write_output``).
 
@@ -131,11 +136,26 @@ def format_float(x: float) -> str:
     return format(f, ".15g")
 
 
+# What ``json.dumps(text)`` calls for a str; keys and strings skip its dispatch.
+_encode_str = json.encoder.encode_basestring_ascii
+
+
 def _emit(obj: Any, out: list[str], indent: int, inline: bool) -> None:
-    pad = "  " * indent
-    if obj is None:
+    # The payloads are mostly plain floats, strings, ints and bools, so their
+    # exact types are tested first; the ladder below takes numpy scalars,
+    # arrays, complex values and subclasses.
+    kind = type(obj)
+    if kind is float:
+        out.append(format_float(obj))
+    elif kind is str:
+        out.append(_encode_str(obj))
+    elif kind is int:
+        out.append(str(obj))
+    elif kind is bool:
+        out.append("true" if obj else "false")
+    elif obj is None:
         out.append("null")
-    elif isinstance(obj, bool):
+    elif isinstance(obj, np.bool_):
         out.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
@@ -144,29 +164,30 @@ def _emit(obj: Any, out: list[str], indent: int, inline: bool) -> None:
     elif isinstance(obj, (complex, np.complexfloating)):
         _emit([obj.real, obj.imag], out, indent, True)
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(_encode_str(obj))
     elif isinstance(obj, np.ndarray):
         _emit(obj.tolist(), out, indent, inline)
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
+        pad = "  " * indent
         out.append("{\n")
-        items = list(obj.items())
-        for i, (k, v) in enumerate(items):
+        last = len(obj) - 1
+        for i, (k, v) in enumerate(obj.items()):
             if not isinstance(k, str):
                 raise TypeError(f"non-string JSON key {k!r}")
-            out.append(pad + "  " + json.dumps(k) + ": ")
+            out.append(pad + "  " + _encode_str(k) + ": ")
             _emit(v, out, indent + 1, False)
-            out.append(",\n" if i < len(items) - 1 else "\n")
+            out.append(",\n" if i < last else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
         # lists render inline (amplitude vectors and matrices stay compact)
         out.append("[")
         for i, v in enumerate(obj):
-            _emit(v, out, indent, True)
-            if i < len(obj) - 1:
+            if i:
                 out.append(", ")
+            _emit(v, out, indent, True)
         out.append("]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
@@ -180,15 +201,14 @@ def dumps15(payload: dict) -> str:
 
 
 def render_csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+    """Comma-separated rows under ``header``: floats as in JSON, the rest by ``str``."""
     lines = [",".join(header)]
     for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, (float, np.floating)):
-                cells.append(format_float(v))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
+        lines.append(",".join(
+            format_float(v) if type(v) is float or isinstance(v, (float, np.floating))
+            else str(v)
+            for v in row
+        ))
     return "\n".join(lines) + "\n"
 
 
@@ -593,65 +613,80 @@ def _add_branch_options(p: argparse.ArgumentParser, n: int | str) -> None:
                    help="sample outcomes with this RNG seed")
 
 
-def build_parser() -> argparse.ArgumentParser:
+#: Each command's own parser, under its (group, action) pair.
+_CommandParsers = dict[tuple[str, str], argparse.ArgumentParser]
+
+
+def build_parser(leaves: _CommandParsers | None = None) -> argparse.ArgumentParser:
+    """The ``corrspace`` parser: one subparser per (group, action) command.
+
+    If ``leaves`` is given, each command's own parser is stored in it under
+    its (group, action) pair as the command is added.
+    """
+    if leaves is None:
+        leaves = {}
     parser = argparse.ArgumentParser(
         prog="corrspace",
         description="Correlation-space MBQC simulator and analysis toolkit.",
     )
     groups = parser.add_subparsers(dest="group", required=True)
 
+    def group(name: str, help: str):
+        actions = groups.add_parser(name, help=help).add_subparsers(
+            dest="action", required=True
+        )
+
+        def command(action: str, help: str, func) -> argparse.ArgumentParser:
+            p = actions.add_parser(action, help=help)
+            p.set_defaults(func=func)
+            leaves[name, action] = p
+            return p
+
+        return command
+
     # state ----------------------------------------------------------------
-    state = groups.add_parser("state", help="build or analyze resource states")
-    state_sub = state.add_subparsers(dest="action", required=True)
+    state = group("state", "build or analyze resource states")
 
-    p = state_sub.add_parser("build", help="emit a resource state's amplitudes")
+    p = state("build", "emit a resource state's amplitudes", _cmd_state_build)
     p.add_argument("--state", choices=sorted(_STATE_BUILDERS), required=True)
     _add_common(p)
-    p.set_defaults(func=_cmd_state_build)
 
-    p = state_sub.add_parser("analyze", help="correlations and entropies")
+    p = state("analyze", "correlations and entropies", _cmd_state_analyze)
     p.add_argument("--state", choices=sorted(_STATE_BUILDERS), required=True)
     _add_common(p)
-    p.set_defaults(func=_cmd_state_analyze)
 
     # protocol -------------------------------------------------------------
-    proto = groups.add_parser("protocol", help="run measurement protocols")
-    proto_sub = proto.add_subparsers(dest="action", required=True)
+    proto = group("protocol", "run measurement protocols")
 
-    p = proto_sub.add_parser("rotate", help="three-angle rotation sequence")
+    p = proto("rotate", "three-angle rotation sequence", _cmd_protocol_rotate)
     p.add_argument("--alpha", type=parse_angle, required=True)
     p.add_argument("--beta", type=parse_angle, required=True)
     p.add_argument("--gamma", type=parse_angle, required=True)
     _add_branch_options(p, 3)
     _add_common(p)
-    p.set_defaults(func=_cmd_protocol_rotate)
 
-    p = proto_sub.add_parser("compensate", help="trial-until-success rotation")
+    p = proto("compensate", "trial-until-success rotation", _cmd_protocol_compensate)
     p.add_argument("--alpha", type=parse_angle, required=True)
     p.add_argument("--resource", type=int, choices=(2, 4), default=4)
     p.add_argument("--enumerate", action="store_true",
                    help="enumerate all branches instead of running one")
     _add_branch_options(p, "1 (--resource 2) or 3 (--resource 4)")
     _add_common(p)
-    p.set_defaults(func=_cmd_protocol_compensate)
 
-    p = proto_sub.add_parser("cz", help="two-wire entangling gate")
+    p = proto("cz", "two-wire entangling gate", _cmd_protocol_cz)
     p.add_argument("--alpha", type=parse_angle, required=True)
     _add_branch_options(p, 4)
     _add_common(p)
-    p.set_defaults(func=_cmd_protocol_cz)
 
-    p = proto_sub.add_parser("deutsch", help="constant/balanced discrimination")
+    p = proto("deutsch", "constant/balanced discrimination", _cmd_protocol_deutsch)
     p.add_argument("--function", choices=("constant", "balanced"), required=True)
     _add_branch_options(p, 4)
     _add_common(p)
-    p.set_defaults(func=_cmd_protocol_deutsch)
 
     # tomo -----------------------------------------------------------------
-    tomo = groups.add_parser("tomo", help="tomography data and reconstruction")
-    tomo_sub = tomo.add_subparsers(dest="action", required=True)
+    tomo = group("tomo", "tomography data and reconstruction")
 
-    p = tomo_sub.add_parser("simulate", help="sample synthetic counts")
+    p = tomo("simulate", "sample synthetic counts", _cmd_tomo_simulate)
     p.add_argument("--state", choices=sorted(_STATE_BUILDERS), required=True)
     p.add_argument("--fidelity", type=float, default=1.0,
                    help="white-noise fidelity of the prepared state")
@@ -661,9 +696,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_int_at_least(0), default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(p)
-    p.set_defaults(func=_cmd_tomo_simulate)
 
-    p = tomo_sub.add_parser("reconstruct", help="maximum-likelihood state fit")
+    p = tomo("reconstruct", "maximum-likelihood state fit", _cmd_tomo_reconstruct)
     p.add_argument("--counts", metavar="FILE", required=True,
                    help="counts JSON from 'tomo simulate'")
     p.add_argument("--target", choices=sorted(_STATE_BUILDERS), default=None,
@@ -676,13 +710,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full-matrix", action="store_true",
                    help="include the reconstructed density matrix")
     _add_common(p)
-    p.set_defaults(func=_cmd_tomo_reconstruct)
 
     # witness --------------------------------------------------------------
-    wit = groups.add_parser("witness", help="local-setting fidelity estimation")
-    wit_sub = wit.add_subparsers(dest="action", required=True)
+    wit = group("witness", "local-setting fidelity estimation")
 
-    p = wit_sub.add_parser("fidelity", help="36-setting fidelity of psi6")
+    p = wit("fidelity", "36-setting fidelity of psi6", _cmd_witness_fidelity)
     p.add_argument("--fidelity", type=float, default=1.0,
                    help="white-noise fidelity of the measured state")
     p.add_argument("--corrected", action="store_true",
@@ -691,36 +723,67 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shots per setting (0 = exact expectations)")
     p.add_argument("--seed", type=_int_at_least(0), default=None)
     _add_common(p)
-    p.set_defaults(func=_cmd_witness_fidelity)
 
     # curve ----------------------------------------------------------------
-    curve = groups.add_parser("curve", help="theory curves")
-    curve_sub = curve.add_subparsers(dest="action", required=True)
+    curve = group("curve", "theory curves")
 
-    p = curve_sub.add_parser("fig2", help="compensated success vs alpha")
+    p = curve("fig2", "compensated success vs alpha", _cmd_curve_fig2)
     p.add_argument("--resource", type=int, choices=(2, 4), required=True)
     p.add_argument("--fidelity", type=float, default=1.0)
     p.add_argument("--grid", type=int, default=25)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_common(p)
-    p.set_defaults(func=_cmd_curve_fig2)
 
     return parser
 
 
 @functools.lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built once per process.
+def _commands() -> tuple[argparse.ArgumentParser, _CommandParsers]:
+    """The parser ``main`` uses and each (group, action) command's parser
+    within it, built once per process.
 
-    Parsing reads it and writes only the namespace it returns, so one
+    Parsing reads them and writes only the namespace it returns, so one
     parser serves every call.
     """
-    return build_parser()
+    leaves: _CommandParsers = {}
+    return build_parser(leaves), leaves
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The whole ``corrspace`` parser of ``_commands()``.
+
+    ``main`` parses a line that starts with a known (group, action) pair
+    with that command's parser alone (``_parse_argv``), and every other
+    line with this one.  A usage, help or error message is always printed
+    by this parser or by that same command parser, as a full parse would
+    print it.
+    """
+    return _commands()[0]
+
+
+def _parse_argv(argv: list[str]) -> argparse.Namespace:
+    """``_parser().parse_args(argv)``, mostly without its top two levels.
+
+    A full parse hands everything after a known (group, action) pair to
+    that command's parser unchanged and only adds ``group`` and ``action``
+    to what it returns, so such a line is parsed by the command's parser
+    alone.  A line that does not start with such a pair, or that leaves
+    arguments over, goes through the whole parser, which reports them.
+    """
+    parser, leaves = _commands()
+    leaf = leaves.get(tuple(argv[:2]))
+    if leaf is not None:
+        args, extras = leaf.parse_known_args(argv[2:])
+        if not extras:
+            args.group, args.action = argv[0], argv[1]
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command; ``argv`` defaults to ``sys.argv[1:]``.  Returns the exit code."""
     try:
-        args = _parser().parse_args(argv)
+        args = _parse_argv(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -47,7 +47,7 @@ class ZeroProbabilityBranch(ValueError):
     """The requested (or sampled) outcome has numerically zero probability."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementBasis:
     """An orthonormal single-qubit basis; outcome k selects row k of ``kets``.
 
@@ -55,12 +55,16 @@ class MeasurementBasis:
     kets, laid out as a row of ``basis_B_stack``; ``ket0`` and ``ket1`` are
     views of its rows.  Construction checks the kets' shape, then runs
     ``_check_orthonormal`` on them.
+
+    A basis equals and hashes as itself alone (object identity), so bases
+    can key a dict; the shared ``basis_B`` and ``pauli_basis`` bases make
+    equal arguments give the same object.
     """
 
     ket0: np.ndarray
     ket1: np.ndarray
     name: str = ""
-    kets: np.ndarray = field(init=False, repr=False, compare=False)
+    kets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         k0 = np.asarray(self.ket0, dtype=complex).reshape(-1)

@@ -15,6 +15,8 @@ import corrspace
 from corrspace import noise_tomo
 from corrspace import qmath as qm
 from corrspace.cli import (
+    _parse_argv,
+    _parser,
     dumps15,
     format_float,
     main,
@@ -101,6 +103,94 @@ def test_dumps15_layout():
 def test_render_csv():
     text = render_csv(("x", "y"), [(0, 0.5), (1, 1 / 3)])
     assert text == "x,y\n0,0.5\n1,0.333333333333333\n"
+
+
+class Real(float):
+    pass
+
+
+class Count(int):
+    pass
+
+
+class Text(str):
+    pass
+
+
+# (value, its JSON rendering under key "v", its CSV cell), recorded with the
+# isinstance-only renderer that the exact-type fast path replaced
+SCALARS = (
+    (0.1, "0.1", "0.1"),
+    (1 / 3, "0.333333333333333", "0.333333333333333"),
+    (-0.0, "0", "0"),
+    (1e300, "1e+300", "1e+300"),
+    (5e-324, "4.94065645841247e-324", "4.94065645841247e-324"),
+    (np.float64(2 / 3), "0.666666666666667", "0.666666666666667"),
+    (np.float32(0.1), "0.100000001490116", "0.100000001490116"),
+    (7, "7", "7"),
+    (-12, "-12", "-12"),
+    (2**70, "1180591620717411303424", "1180591620717411303424"),
+    (np.int64(-5), "-5", "-5"),
+    (True, "true", "True"),
+    (False, "false", "False"),
+    (None, "null", "None"),
+    (complex(0.5, -0.0), "[0.5, 0]", None),
+    (np.complex128(1 / 3 + 2j), "[0.333333333333333, 2]", None),
+    ('say "hé" \\ ok\n', r'"say \"h\u00e9\" \\ ok\n"', None),
+    ({}, "{}", None),
+    ([], "[]", None),
+    (((0.0, 0.5), (pi, 1.0)), "[[0, 0.5], [3.14159265358979, 1]]", None),
+    (np.array([[1.0, -0.0], [0.25, 3]]), "[[1, 0], [0.25, 3]]", None),
+    (Real(1 / 3), "0.333333333333333", "0.333333333333333"),
+    (Count(3), "3", "3"),
+    (Text("é"), r'"\u00e9"', "é"),
+)
+
+
+@pytest.mark.parametrize("value, text, cell", SCALARS)
+def test_scalar_rendering(value, text, cell):
+    assert dumps15({"v": value}) == '{\n  "v": ' + text + "\n}\n"
+    if cell is not None:
+        assert render_csv(("v",), [(value,)]) == "v\n" + cell + "\n"
+
+
+def test_nested_rendering():
+    payload = {"a": [1, [2.5, {"b": None}], (True, "x")], "c": {"d": {}}}
+    assert dumps15({"v": payload}) == (
+        '{\n  "v": {\n    "a": [1, [2.5, {\n      "b": null\n    }], [true, "x"]],\n'
+        '    "c": {\n      "d": {}\n    }\n  }\n}\n'
+    )
+    rows = [(0.1, -0.0, np.float64(1 / 3)), (7, np.int64(3), "s"),
+            (True, None, np.float32(0.1))]
+    assert render_csv(("a", "b", "c"), rows) == (
+        "a,b,c\n0.1,0,0.333333333333333\n7,3,s\nTrue,None,0.100000001490116\n"
+    )
+
+
+def test_numpy_bools_render_as_json_bools():
+    # a numpy comparison in a payload prints like the Python bool
+    assert dumps15({"t": np.True_, "f": np.bool_(False)}) == (
+        '{\n  "t": true,\n  "f": false\n}\n'
+    )
+    assert dumps15({"v": [np.float64(1.0) > 0]}) == '{\n  "v": [true]\n}\n'
+
+
+@pytest.mark.parametrize("payload, error", (
+    ({"v": float("nan")}, ValueError),
+    ({"v": np.inf}, ValueError),
+    ({"v": [np.float64("-inf")]}, ValueError),
+    ({1: 2}, TypeError),
+    ({"v": {None: 2}}, TypeError),
+    ({"v": object()}, TypeError),
+))
+def test_unrenderable_payloads_raise(payload, error):
+    with pytest.raises(error):
+        dumps15(payload)
+
+
+def test_csv_rejects_non_finite_floats():
+    with pytest.raises(ValueError):
+        render_csv(("v",), [(float("nan"),)])
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +753,33 @@ def test_unknown_command_maps_to_exit_2(capsys):
     assert code == 2
 
 
+# Edge command lines for the parse paths of main(), with their exit codes:
+# unknown, abbreviated, repeated and missing options, leftovers, `--`,
+# negative angles, help, and lines that name no command.
+EDGE_LINES = (
+    ("curve fig2 --resource 2 --grid 3 --bogus", 2),
+    ("curve fig2 --res 4 --grid 3", 0),
+    ("curve fig2 -h", 0),
+    ("curve fig2", 2),
+    ("curve fig2 --resource 2 --grid 3 extra", 2),
+    ("curve fig2 --resource 2 --grid 3 -- x", 2),
+    ("curve fig2 --resource 2 --grid 3 --", 2),
+    ("protocol rotate --alpha 0 --beta 0 --gamma -pi/2 --postselect-zeros", 2),
+    ("protocol rotate --alpha 0 --beta 0 --gamma 0 --theta=-pi/2 --postselect-zeros", 1),
+    ("protocol rotate --alpha 0.3 --beta 0.7 --gamma=-pi/2 --postselect-zeros", 0),
+    ("curve fig2 --resource 2 --resource 4 --grid 3", 0),
+    ("curve fig2 --resource 2 --grid 3 --theta", 2),
+    ("curve fig3", 2),
+    ("curve", 2),
+    ("curve fig2 --resource 2 --grid 3 -hx", 2),
+    ("protocol compensate --alpha pi/2 --enum --he", 0),
+    ("protocol compensate --alpha -1.5 --resource 2 --enumerate", 0),
+    ("protocol deutsch --function balanced --seed 6 extra more", 2),
+    ("curve -- fig2 --resource 2", 2),
+    ("", 2),
+)
+
+
 def test_parser_carries_nothing_between_calls(capsys, monkeypatch):
     # main() parses with one parser per process; each call must print what a
     # fresh process prints, whatever the calls before it parsed
@@ -680,13 +797,34 @@ def test_parser_carries_nothing_between_calls(capsys, monkeypatch):
         ("protocol compensate --alpha 0 --resource 2 --postselect-zeros", 0),
         ("protocol compensate --alpha -0 --resource 2 --postselect-zeros", 0),
     )
-    for args, code in calls:
+    for args, code in (*calls, *EDGE_LINES):
         fresh = subprocess.run(
             [sys.executable, "-m", "corrspace.cli", *args.split()],
             capture_output=True, text=True, env=env, check=False,
         )
-        assert run_cli(capsys, *args.split()) == (code, fresh.stdout, fresh.stderr)
-        assert fresh.returncode == code
+        assert run_cli(capsys, *args.split()) == (code, fresh.stdout, fresh.stderr), args
+        assert fresh.returncode == code, args
+
+
+def test_command_parser_gives_the_full_parse_of_every_golden_command():
+    for command in commands():
+        argv = command.split()
+        assert vars(_parse_argv(argv)) == vars(_parser().parse_args(argv)), command
+
+
+def test_main_reads_sys_argv_by_default(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["corrspace", "curve", "fig2", "--resource", "2",
+                                      "--grid", "3", "--bogus"])
+    assert main() == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("corrspace: error: unrecognized arguments: --bogus\n")
+    monkeypatch.setattr(sys, "argv", ["corrspace", "curve", "fig2", "--resource", "2",
+                                      "--grid", "3"])
+    assert main() == 0
+    out = capsys.readouterr().out
+    assert out.startswith("alpha,p_success\n")
+    assert run_cli(capsys, "curve", "fig2", "--resource", "2", "--grid", "3") == (0, out, "")
 
 
 def test_cli_import_loads_neither_secrets_nor_hashlib():

@@ -262,6 +262,19 @@ def test_measurement_basis_owns_read_only_kets():
             view[0] = 0.5
 
 
+def test_measurement_basis_equality_is_identity():
+    b = meas.basis_B(0.1)
+    assert b == meas.basis_B(0.1)  # the shared basis of (0.1, pi/6)
+    assert b != meas.basis_B(0.2) and not b == meas.basis_B(0.2)
+    assert b != meas.MeasurementBasis(b.ket0, b.ket1, b.name)  # same kets, new object
+    assert hash(b) == hash(meas.basis_B(0.1))
+    assert {b: 1, meas.basis_B(0.2): 2}[meas.basis_B(0.1)] == 1
+    first = meas.OutcomeRecord("a", b, 0, 0.5)
+    assert first == meas.OutcomeRecord("a", meas.basis_B(0.1), 0, 0.5)
+    assert first != meas.OutcomeRecord("a", meas.basis_B(0.2), 0, 0.5)
+    assert len({first, meas.OutcomeRecord("a", b, 0, 0.5)}) == 1
+
+
 # ---------------------------------------------------------------------------
 # Induced correlation-space operators
 # ---------------------------------------------------------------------------
