@@ -16,6 +16,7 @@ text); ``main`` puts the ``schema``/``command`` header in front of a body.
 pair, such as ``curve fig2``, with that command's own parser alone, and any
 other line with the whole parser (``_parse_argv``).  Either way it gets the
 namespace, and prints the usage, help and error messages, of a full parse.
+``build_parser`` builds both kinds of parser once per process.
 
 Output goes to stdout, or with ``--out FILE`` to FILE, which is
 overwritten in place and cut to the new length (``_write_output``).
@@ -141,30 +142,19 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 
 def _emit(obj: Any, out: list[str], indent: int, inline: bool) -> None:
-    # The payloads are mostly plain floats, strings, ints and bools, so their
-    # exact types are tested first; the ladder below takes numpy scalars,
-    # arrays, complex values and subclasses.
-    kind = type(obj)
-    if kind is float:
+    # the common payload types come first; bool before int, its superclass
+    if isinstance(obj, (float, np.floating)):
         out.append(format_float(obj))
-    elif kind is str:
+    elif isinstance(obj, str):
         out.append(_encode_str(obj))
-    elif kind is int:
-        out.append(str(obj))
-    elif kind is bool:
-        out.append("true" if obj else "false")
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, np.bool_):
+    elif isinstance(obj, (bool, np.bool_)):
         out.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(obj))
+    elif obj is None:
+        out.append("null")
     elif isinstance(obj, (complex, np.complexfloating)):
         _emit([obj.real, obj.imag], out, indent, True)
-    elif isinstance(obj, str):
-        out.append(_encode_str(obj))
     elif isinstance(obj, np.ndarray):
         _emit(obj.tolist(), out, indent, inline)
     elif isinstance(obj, dict):
@@ -204,11 +194,13 @@ def render_csv(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     """Comma-separated rows under ``header``: floats as in JSON, the rest by ``str``."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(
-            format_float(v) if type(v) is float or isinstance(v, (float, np.floating))
-            else str(v)
-            for v in row
-        ))
+        cells = []
+        for v in row:
+            if isinstance(v, (float, np.floating)):
+                cells.append(format_float(v))
+            else:
+                cells.append(str(v))
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
@@ -617,14 +609,19 @@ def _add_branch_options(p: argparse.ArgumentParser, n: int | str) -> None:
 _CommandParsers = dict[tuple[str, str], argparse.ArgumentParser]
 
 
-def build_parser(leaves: _CommandParsers | None = None) -> argparse.ArgumentParser:
-    """The ``corrspace`` parser: one subparser per (group, action) command.
+@functools.lru_cache(maxsize=1)
+def build_parser() -> tuple[argparse.ArgumentParser, _CommandParsers]:
+    """The ``corrspace`` parser, and each (group, action) command's own
+    parser within it, built once per process.
 
-    If ``leaves`` is given, each command's own parser is stored in it under
-    its (group, action) pair as the command is added.
+    ``main`` parses a line that starts with a known (group, action) pair
+    with that command's parser alone, and every other line with the whole
+    parser (``_parse_argv``); a usage, help or error message is always
+    printed by one of them, as a full parse would print it.  Parsing reads
+    the parsers and writes only the namespace it returns, so they serve
+    every call.
     """
-    if leaves is None:
-        leaves = {}
+    leaves: _CommandParsers = {}
     parser = argparse.ArgumentParser(
         prog="corrspace",
         description="Correlation-space MBQC simulator and analysis toolkit.",
@@ -734,35 +731,11 @@ def build_parser(leaves: _CommandParsers | None = None) -> argparse.ArgumentPars
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     _add_common(p)
 
-    return parser
-
-
-@functools.lru_cache(maxsize=1)
-def _commands() -> tuple[argparse.ArgumentParser, _CommandParsers]:
-    """The parser ``main`` uses and each (group, action) command's parser
-    within it, built once per process.
-
-    Parsing reads them and writes only the namespace it returns, so one
-    parser serves every call.
-    """
-    leaves: _CommandParsers = {}
-    return build_parser(leaves), leaves
-
-
-def _parser() -> argparse.ArgumentParser:
-    """The whole ``corrspace`` parser of ``_commands()``.
-
-    ``main`` parses a line that starts with a known (group, action) pair
-    with that command's parser alone (``_parse_argv``), and every other
-    line with this one.  A usage, help or error message is always printed
-    by this parser or by that same command parser, as a full parse would
-    print it.
-    """
-    return _commands()[0]
+    return parser, leaves
 
 
 def _parse_argv(argv: list[str]) -> argparse.Namespace:
-    """``_parser().parse_args(argv)``, mostly without its top two levels.
+    """``build_parser()[0].parse_args(argv)``, mostly without its top two levels.
 
     A full parse hands everything after a known (group, action) pair to
     that command's parser unchanged and only adds ``group`` and ``action``
@@ -770,7 +743,7 @@ def _parse_argv(argv: list[str]) -> argparse.Namespace:
     alone.  A line that does not start with such a pair, or that leaves
     arguments over, goes through the whole parser, which reports them.
     """
-    parser, leaves = _commands()
+    parser, leaves = build_parser()
     leaf = leaves.get(tuple(argv[:2]))
     if leaf is not None:
         args, extras = leaf.parse_known_args(argv[2:])

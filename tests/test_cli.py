@@ -16,7 +16,7 @@ from corrspace import noise_tomo
 from corrspace import qmath as qm
 from corrspace.cli import (
     _parse_argv,
-    _parser,
+    build_parser,
     dumps15,
     format_float,
     main,
@@ -807,9 +807,31 @@ def test_parser_carries_nothing_between_calls(capsys, monkeypatch):
 
 
 def test_command_parser_gives_the_full_parse_of_every_golden_command():
+    parser = build_parser()[0]
     for command in commands():
         argv = command.split()
-        assert vars(_parse_argv(argv)) == vars(_parser().parse_args(argv)), command
+        assert vars(_parse_argv(argv)) == vars(parser.parse_args(argv)), command
+
+
+def _parse_outcome(capsys, parse, argv):
+    """(exit code or None, stdout, stderr, vars or None) of one parse call."""
+    try:
+        args = parse(argv)
+    except SystemExit as exc:
+        code, args = exc.code, None
+    else:
+        code = None
+    out, err = capsys.readouterr()
+    return code, out, err, None if args is None else vars(args)
+
+
+@pytest.mark.parametrize("line", [line for line, _ in EDGE_LINES])
+def test_command_parser_gives_the_full_parse_of_every_edge_line(capsys, monkeypatch, line):
+    # the same exit, messages and namespace as the whole parser, line by line
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = line.split()
+    full = _parse_outcome(capsys, build_parser()[0].parse_args, argv)
+    assert _parse_outcome(capsys, _parse_argv, argv) == full
 
 
 def test_main_reads_sys_argv_by_default(capsys, monkeypatch):
