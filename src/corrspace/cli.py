@@ -332,7 +332,19 @@ def _resolve_mode(args, n_steps: int):
     return None, np.random.default_rng(seed), seed, "sampled"
 
 
+def _check_fidelity(fidelity: float, n_qubits: int) -> None:
+    """``--fidelity`` must lie in (1/2^n, 1], the range ``white_noise`` mixes
+    an n-qubit state to; any other value, NaN included, is a usage error."""
+    floor = 1.0 / 2**n_qubits
+    if not floor < fidelity <= 1.0:
+        raise CliError(
+            f"--fidelity must lie in ({floor:.6g}, 1] for the {n_qubits}-qubit state, "
+            f"got {fidelity!r}"
+        )
+
+
 def _noisy_state(pure: qm.StateVector, fidelity: float):
+    _check_fidelity(fidelity, pure.n_qubits)
     if fidelity == 1.0:
         return pure
     return noise_tomo.white_noise(pure, fidelity)
@@ -569,6 +581,7 @@ def _cmd_witness_fidelity(args) -> dict:
 def _cmd_curve_fig2(args) -> dict | str:
     if args.grid < 2:
         raise CliError("--grid must be at least 2")
+    _check_fidelity(args.fidelity, args.resource)
     resource = f"{args.resource}-qubit"
     alphas = np.linspace(0.0, pi, args.grid)
     points = protocols.noisy_success_curve(

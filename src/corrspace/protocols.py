@@ -17,8 +17,9 @@ resource states; closed-form results are used only as oracles in the tests.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from math import atan2, cos, pi, sin
+from math import atan2, cos, pi, prod, sin
 from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -45,9 +46,19 @@ class ProtocolAbort(RuntimeError):
     """A branch on which the program cannot proceed (not a silent failure)."""
 
 
+#: (wires, x, z) triples whose shared ``PauliFrame`` is kept (least recently
+#: used go); the protocols here use 6.
+_SHARED_FRAMES = 64
+
+
 @dataclass(frozen=True)
 class PauliFrame:
-    """Byproduct X^x Z^z exponents per logical wire."""
+    """Byproduct X^x Z^z exponents per logical wire.
+
+    The protocols' frames are shared frozen objects: ``_shared_frame``
+    builds and checks each (wires, x, z) triple once and returns the same
+    frame for it after that, so equal frames are one object.
+    """
 
     wires: tuple[str, ...]
     x: tuple[int, ...]
@@ -77,14 +88,23 @@ _FRAME_OUTPUTS = _read_only(
 )
 
 
+@functools.lru_cache(maxsize=_SHARED_FRAMES)
+def _shared_frame(wires: tuple[str, ...], x: tuple[int, ...], z: tuple[int, ...]) -> PauliFrame:
+    return PauliFrame(wires, x, z)
+
+
 def _single_frame(x: int = 0, z: int = 0) -> PauliFrame:
-    return PauliFrame(("out",), (x,), (z,))
+    return _shared_frame(("out",), (x,), (z,))
 
 
 @dataclass(frozen=True)
 class ProtocolTranscript:
-    """Full record of one protocol branch; its probability is the product
-    of its steps'."""
+    """Full record of one protocol branch.
+
+    ``total_probability`` is the product of the steps' probabilities,
+    multiplied left to right in step order (``math.prod``).  ``frame`` is a
+    shared frozen ``PauliFrame``.
+    """
 
     outcomes: tuple[OutcomeRecord, ...]
     frame: PauliFrame
@@ -102,7 +122,7 @@ class ProtocolTranscript:
                 self, "logical_out", np.asarray(self.logical_out, dtype=complex)
             )
         object.__setattr__(
-            self, "total_probability", float(np.prod([r.probability for r in self.outcomes]))
+            self, "total_probability", float(prod([r.probability for r in self.outcomes]))
         )
 
     @property
@@ -430,7 +450,8 @@ def _compensation_program(
     """The compensated rotation (see ``compensate``) as a program.
 
     On a pure state every successful branch is checked against its frame's
-    expected output.
+    expected output; the first such branch builds the frame targets, once
+    per program.
     """
     if state is None:
         state = _resource_state(resource, theta)
@@ -438,7 +459,7 @@ def _compensation_program(
         raise ValueError(f"unknown resource {resource!r}; expected one of {_RESOURCES}")
     two_qubit = resource == "2-qubit"
     zeta = _compensation_zeta((alpha,), theta)
-    outputs = _frame_targets((alpha,))[0] if _is_pure(state) else None
+    outputs = None
 
     def next_step(bits):
         step = _compensation_step(bits, two_qubit)
@@ -448,6 +469,7 @@ def _compensation_program(
         return qubit, _Z_BASIS if setting is None else basis_B(zeta(setting, 0), theta)
 
     def finish(records, state):
+        nonlocal outputs
         bits = tuple(r.outcome for r in records)
         frame, success = _compensation_frame(bits, two_qubit)
         notes = ()
@@ -456,6 +478,8 @@ def _compensation_program(
             notes = (("compensation_angle", f"{zeta(setting, 0):.15g}"),)
         logical = qm.HAD @ state.amps if _is_pure(state) else None
         if logical is not None and success:
+            if outputs is None:
+                outputs = _frame_targets((alpha,))[0]
             _check_frames(state.amps[None], outputs[None, frame.x[0], frame.z[0]])
         return ProtocolTranscript(records, frame, logical, state, success, notes)
 
@@ -489,12 +513,16 @@ def _compensation_frame(bits: tuple[int, ...], two_qubit: bool) -> tuple[PauliFr
     return _single_frame(z=bits[1]), bits[2] == 0
 
 
+# ``_check_frames`` passes a residual below 1e-10 alone: the largest float under it.
+_FRAME_BOUND = float(np.nextafter(1e-10, 0.0))
+
+
 def _check_frames(amps: np.ndarray, expected: np.ndarray) -> None:
     """Successful branch outputs (G, 2) must equal ``expected`` (G, 2) up to
     phase: | |<a|e>| / (|a| |e|) - 1 | < 1e-10 for every row."""
     overlap = np.abs((amps.conj() * expected).sum(axis=1))
     norms = np.sqrt((np.abs(amps) ** 2).sum(axis=1) * (np.abs(expected) ** 2).sum(axis=1))
-    qm.require("compensation frame", np.abs(overlap / norms - 1.0), np.nextafter(1e-10, 0.0),
+    qm.require("compensation frame", np.abs(overlap / norms - 1.0), _FRAME_BOUND,
                "compensation branch output does not match its Pauli frame")
 
 
@@ -635,7 +663,7 @@ def cz_gate_protocol(
         if not entangling:
             notes.append(("decoupled", "qubit 4 measured computationally"))
         z = r4 if entangling else 0
-        frame = PauliFrame(("1p", "3p"), (0, 0), (z, z))
+        frame = _shared_frame(("1p", "3p"), (0, 0), (z, z))
         # Invert the readout maps: site 1p reads H*v, site 3p reads v.
         logical = qm.kron(qm.HAD, qm.I2) @ state.amps if _is_pure(state) else None
         return ProtocolTranscript(records, frame, logical, state, entangling, notes)
@@ -727,7 +755,7 @@ def deutsch(
         if not in_scope:
             notes.append(("relabel_scope", "r2/r3 nonzero: outside the relabeling map"))
         success = in_scope and (query, ancilla) == _TARGET_BITS[function]
-        frame = PauliFrame(("1p", "3p"), (0, 0), (0, 0))
+        frame = _shared_frame(("1p", "3p"), (0, 0), (0, 0))
         return query, ancilla, ProtocolTranscript(records, frame, None, state, success, notes)
 
     return Program(build_psi6(theta), next_step, finish).run(outcomes=outcomes, rng=rng)

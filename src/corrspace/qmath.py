@@ -10,6 +10,7 @@ library fails through ``require``, with one typed error.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -180,7 +181,10 @@ class StateVector:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        """sqrt(re . re + im . im) over the amplitudes: the sum, and so the
+        bits, of ``np.linalg.norm`` on a complex vector, without its dispatch."""
+        re, im = self.amps.real, self.amps.imag
+        return sqrt(re.dot(re) + im.dot(im))
 
     def normalized(self) -> tuple["StateVector", float]:
         """Return (unit-norm state, discarded raw norm)."""

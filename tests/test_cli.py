@@ -564,11 +564,37 @@ def test_witness_exact_literal_value(capsys):
     assert abs(data["report"]["residual_maxabs"] - 9 * sqrt(3) / 64) < TOL
 
 
-def test_witness_bad_fidelity_maps_to_exit_1(capsys):
-    code, _, err = run_cli(
-        capsys, "witness", "fidelity", "--fidelity", "0.005"
-    )
-    assert code == 1
+@pytest.mark.parametrize("line, floor, n", [
+    ("witness fidelity --fidelity 0.005", "0.015625", 6),
+    ("witness fidelity --fidelity nan", "0.015625", 6),
+    ("witness fidelity --fidelity inf", "0.015625", 6),
+    ("witness fidelity --fidelity 2", "0.015625", 6),
+    ("tomo simulate --state psi4 --fidelity 0.0625", "0.0625", 4),
+    ("tomo simulate --state lambda34 --fidelity=-inf", "0.25", 2),
+    ("tomo simulate --state psi6 --fidelity 1.0000001 --format csv", "0.015625", 6),
+    ("curve fig2 --resource 2 --grid 3 --fidelity nan", "0.25", 2),
+    ("curve fig2 --resource 2 --grid 3 --fidelity inf", "0.25", 2),
+    ("curve fig2 --resource 2 --grid 3 --fidelity 2", "0.25", 2),
+    ("curve fig2 --resource 2 --grid 3 --fidelity 0.2", "0.25", 2),
+    ("curve fig2 --resource 2 --grid 3 --fidelity 0.25", "0.25", 2),
+    ("curve fig2 --resource 4 --grid 3 --fidelity 0.0625 --format json", "0.0625", 4),
+])
+def test_bad_fidelity_is_a_usage_error(capsys, line, floor, n):
+    # the state's 1/2^n floor, a value above 1 and a non-finite value are
+    # refused at the boundary, before the library sees them
+    code, out, err = run_cli(capsys, *line.split())
+    value = line.split("--fidelity")[1].split()[0].lstrip("=")
+    assert (code, out) == (2, "")
+    assert err == (f"usage error: --fidelity must lie in ({floor}, 1] for the {n}-qubit state, "
+                   f"got {float(value)!r}\n")
+
+
+def test_fidelity_range_ends_are_accepted(capsys):
+    for line in ("curve fig2 --resource 2 --grid 3 --fidelity 0.2500001",
+                 "curve fig2 --resource 2 --grid 3 --fidelity 1",
+                 "witness fidelity --fidelity 0.0156251"):
+        code, _, err = run_cli(capsys, *line.split())
+        assert (code, err) == (0, ""), line
 
 
 def test_witness_fidelity_reads_only_the_projector_rows_it_uses(capsys, monkeypatch):

@@ -541,9 +541,16 @@ def shot_digest() -> str:
     return h.hexdigest()
 
 
+#: ``shot_digest`` recorded before a shot's frames, total and norm moved to
+#: plain scalars (Python 3.11.7, numpy 2.4.6); a change that keeps every
+#: shot's bits keeps it.
+SHOT_DIGEST = "1b0f008336fa3185507cbac15148fcd2113900f18a5596ad61e516f90583c03f"
+
+
 def test_shared_bases_leave_every_shot_unchanged(monkeypatch):
     meas._shared_basis_B.cache_clear()
     cleared = shot_digest()
+    assert cleared == SHOT_DIGEST
     assert shot_digest() == cleared  # every basis now comes from the memo
     monkeypatch.setattr(meas, "_shared_basis_B", meas._shared_basis_B.__wrapped__)
     assert shot_digest() == cleared  # a basis built on every call

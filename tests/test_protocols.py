@@ -1,5 +1,6 @@
 """Measurement protocols: rotations, compensation, entangling gate, programs."""
 
+import dataclasses
 import json
 from math import atan, cos, pi, sin, sqrt
 
@@ -846,6 +847,106 @@ def test_transcript_probability_consistency_enforced():
     assert tr.total_probability == float(np.prod([r.probability for r in tr.outcomes]))
     with pytest.raises(TypeError):
         ProtocolTranscript(tr.outcomes, tr.frame, None, None, True, total_probability=0.5)
+
+
+def _sampled_transcripts(seeds=range(40)):
+    """Transcripts of Born-sampled shots of every protocol, both Deutsch kinds
+    and a mixed resource included; aborted Deutsch shots give none."""
+    noisy = white_noise(build_psi4(pi / 6), 0.8)
+    out = []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        alpha = float(rng.uniform(-pi, pi))
+        out += [compensate(alpha, "4-qubit", rng=rng), compensate(alpha, "2-qubit", rng=rng),
+                compensate(alpha, rng=rng, state=noisy),
+                rotate_sequence(alpha, 0.4, -1.2, rng=rng), cz_gate_protocol(alpha, rng=rng)]
+        for function in ("constant", "balanced"):
+            try:
+                out.append(deutsch(function, rng=rng)[2])
+            except ProtocolAbort:
+                pass
+    return out
+
+
+def test_total_probability_is_the_step_order_product():
+    transcripts = _sampled_transcripts()
+    for resource in ("2-qubit", "4-qubit"):
+        for alpha in (0.0, 1.1, 2 * pi / 3, -2.5):
+            transcripts += enumerate_compensation(alpha, resource)[1]
+            transcripts += enumerate_compensation(
+                alpha, resource, state=white_noise(_pure(resource), 0.9))[1]
+    for tr in transcripts:
+        product = 1.0
+        for rec in tr.outcomes:
+            product *= rec.probability
+        assert type(tr.total_probability) is float
+        assert tr.total_probability == product
+        assert tr.total_probability == float(np.prod([r.probability for r in tr.outcomes]))
+    empty = ProtocolTranscript((), PauliFrame((), (), ()), None, None, False)
+    assert type(empty.total_probability) is float and empty.total_probability == 1.0
+
+
+def test_protocol_frames_are_shared_frozen_objects():
+    transcripts = _sampled_transcripts(range(20))
+    for resource in ("2-qubit", "4-qubit"):
+        transcripts += enumerate_compensation(1.1, resource)[1]
+    transcripts += [cz_gate_protocol(0.7, outcomes=(0, 0, 0, r4)) for r4 in (0, 1)]
+    shared = {}
+    for tr in transcripts:
+        key = (tr.frame.wires, tr.frame.x, tr.frame.z)
+        assert shared.setdefault(key, tr.frame) is tr.frame, key
+    assert len(shared) == 6  # four single-wire frames, two on (1p, 3p)
+    assert protocols._single_frame() is protocols._single_frame(0, 0)
+    assert protocols._single_frame(z=1) is protocols._single_frame(0, 1)
+    frame = protocols._single_frame(1, 1)
+    assert frame == PauliFrame(("out",), (1,), (1,))
+    for name, value in (("x", (0,)), ("z", (0,)), ("wires", ("w",))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(frame, name, value)
+    assert (frame.wires, frame.x, frame.z) == (("out",), (1,), (1,))
+
+
+@pytest.fixture
+def frame_work(monkeypatch):
+    """Calls of ``_frame_targets`` and ``_check_frames``, by name."""
+    calls = {"targets": 0, "checks": 0}
+    targets, checks = protocols._frame_targets, protocols._check_frames
+
+    def counted_targets(alphas):
+        calls["targets"] += 1
+        return targets(alphas)
+
+    def counted_checks(amps, expected):
+        calls["checks"] += 1
+        return checks(amps, expected)
+
+    monkeypatch.setattr(protocols, "_frame_targets", counted_targets)
+    monkeypatch.setattr(protocols, "_check_frames", counted_checks)
+    return calls
+
+
+def test_frame_targets_are_built_once_per_program_and_only_when_checked(frame_work):
+    program = protocols._compensation_program(1.1, "4-qubit", pi / 6, None)
+    assert frame_work == {"targets": 0, "checks": 0}  # nothing before a branch ends
+    leaves = program.branches()
+    wins = sum(tr.success for tr in leaves)
+    assert wins == 6 and frame_work == {"targets": 1, "checks": wins}
+    for bits in ((0, 0, 0), (0, 1, 1), (1, 0, 0)):
+        assert program.run(outcomes=bits).success
+    assert frame_work == {"targets": 1, "checks": wins + 3}
+    seen = set()
+    for seed in range(60):
+        for resource in ("2-qubit", "4-qubit"):
+            frame_work.update(targets=0, checks=0)
+            tr = compensate(1.1, resource, rng=np.random.default_rng(seed))
+            seen.add(tr.success)
+            assert frame_work == ({"targets": 1, "checks": 1} if tr.success
+                                  else {"targets": 0, "checks": 0}), (seed, resource)
+    assert seen == {True, False}
+    frame_work.update(targets=0, checks=0)
+    for bits in ((0, 0, 0), (0, 1, 1), (1, 1, 1)):  # a mixed resource checks no frame
+        compensate(1.1, outcomes=bits, state=white_noise(build_psi4(pi / 6), 0.9))
+    assert frame_work == {"targets": 0, "checks": 0}
 
 
 def test_transcript_json_shape():

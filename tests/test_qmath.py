@@ -311,6 +311,23 @@ def test_pure_collapse_has_the_bits_of_per_item_vdot_and_norm(rng):
                     assert np.array_equal(unit[i], r / np.linalg.norm(r))
 
 
+def test_norm_has_the_bits_of_np_linalg_norm(rng):
+    for n in range(1, 7):
+        labels = tuple("abcdef"[:n])
+        for k in range(40):
+            amps = rand_state(labels, rng).amps * rng.uniform(0.01, 100.0)
+            if k == 0:
+                amps = amps.real + 0j  # signed zeros in the imaginary parts
+            elif k == 1:
+                amps[::2] = 0.0
+            state = qm.StateVector(labels, amps)
+            assert type(state.norm) is float
+            assert state.norm == float(np.linalg.norm(state.amps))
+            unit, norm = state.normalized()
+            assert norm == state.norm
+            assert np.array_equal(unit.amps, state.amps / np.linalg.norm(state.amps))
+
+
 def test_collapse_leaves_a_zero_state_undivided():
     stack = np.stack([qm.ket("0"), qm.ket("+")])
     probs, unit = qm.collapse(stack, 0, np.stack([qm.ket("1"), qm.ket("1")]), normalize=True)
