@@ -247,28 +247,42 @@ def measure(
     register and the remaining state is renormalized.  An outcome of
     probability below ``ZERO_PROBABILITY`` raises ``ZeroProbabilityBranch``.
 
-    Post-selection projects only onto the requested outcome's ket.
-    Sampling projects onto ``kets[0]`` to draw, and onto ``kets[1]`` as
-    well only when outcome 1 is drawn.  This is the one-branch path of
-    ``Program.run``; whole outcome trees are walked by
+    Each drawn outcome costs one unnormalized ``qmath.collapse`` of the
+    stack of one: post-selection collapses onto the requested outcome's
+    ket; sampling collapses onto ``kets[0]`` to draw, and onto ``kets[1]``
+    as well only when outcome 1 is drawn.  The kept collapse is then
+    divided once, by its norm sqrt(re . re + im . im) (pure) or by its real
+    trace, which is the probability (mixed); this gives the bits of
+    ``project`` followed by ``normalized()``.  This is the one-branch path
+    of ``Program.run``; whole outcome trees are walked by
     ``protocols.walk_branches``, which collapses a stack of states per tree
-    level with ``qmath.collapse`` and never calls ``measure``.
+    level and never calls ``measure``.
     """
     if (outcome is None) == (rng is None):
         raise ValueError("provide exactly one of outcome= or rng=")
-    if outcome is None:
-        prob, rest = state.project(qubit, basis.kets[0])
-        chosen = 0 if rng.random() < prob else 1
+    chosen = None if outcome is None else int(outcome)
+    if chosen not in (None, 0, 1):
+        raise ValueError("outcome must be 0 or 1")
+    pure = isinstance(state, qm.StateVector)
+    data = (state.amps if pure else state.mat)[None]
+    axis = qm._index_of(state.labels, qubit)
+    kets = basis.kets
+    if chosen is None:
+        probs, rest = qm.collapse(data, axis, kets[0:1])
+        chosen = 0 if rng.random() < probs[0] else 1
         if chosen == 1:
-            prob, rest = state.project(qubit, basis.kets[1])
+            probs, rest = qm.collapse(data, axis, kets[1:2])
     else:
-        chosen = int(outcome)
-        if chosen not in (0, 1):
-            raise ValueError("outcome must be 0 or 1")
-        prob, rest = state.project(qubit, basis.kets[chosen])
+        probs, rest = qm.collapse(data, axis, kets[chosen:chosen + 1])
+    prob = float(probs[0])
     if prob < ZERO_PROBABILITY:
         raise ZeroProbabilityBranch(
             f"outcome {chosen} on qubit {qubit!r} has zero probability"
         )
-    collapsed, _ = rest.normalized()
+    labels, rest = qm._without(state.labels, qubit), rest[0]
+    if pure:
+        re, im = rest.real, rest.imag
+        collapsed = qm.StateVector(labels, rest / sqrt(re.dot(re) + im.dot(im)))
+    else:
+        collapsed = qm.DensityMatrix(labels, rest / prob)
     return OutcomeRecord(qubit, basis, chosen, prob), collapsed

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from math import atan2, cos, pi, prod, sin
+from math import atan2, cos, hypot, pi, prod, sin
 from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -519,10 +519,20 @@ _FRAME_BOUND = float(np.nextafter(1e-10, 0.0))
 
 def _check_frames(amps: np.ndarray, expected: np.ndarray) -> None:
     """Successful branch outputs (G, 2) must equal ``expected`` (G, 2) up to
-    phase: | |<a|e>| / (|a| |e|) - 1 | < 1e-10 for every row."""
-    overlap = np.abs((amps.conj() * expected).sum(axis=1))
-    norms = np.sqrt((np.abs(amps) ** 2).sum(axis=1) * (np.abs(expected) ** 2).sum(axis=1))
-    qm.require("compensation frame", np.abs(overlap / norms - 1.0), _FRAME_BOUND,
+    phase: | |<a|e>| / (|a| |e|) - 1 | < 1e-10 for every row.
+
+    One row, as a sampled or post-selected shot checks, is computed in
+    Python complex scalars; a stack of rows, as the curve checks, in NumPy.
+    """
+    if len(amps) == 1:
+        (a0, a1), (e0, e1) = amps[0].tolist(), expected[0].tolist()
+        overlap = abs(a0.conjugate() * e0 + a1.conjugate() * e1)
+        residual = abs(overlap / (hypot(abs(a0), abs(a1)) * hypot(abs(e0), abs(e1))) - 1.0)
+    else:
+        overlap = np.abs((amps.conj() * expected).sum(axis=1))
+        norms = np.sqrt((np.abs(amps) ** 2).sum(axis=1) * (np.abs(expected) ** 2).sum(axis=1))
+        residual = np.abs(overlap / norms - 1.0)
+    qm.require("compensation frame", residual, _FRAME_BOUND,
                "compensation branch output does not match its Pauli frame")
 
 
@@ -627,6 +637,10 @@ def noisy_success_curve(
 # Entangling-gate program
 # ---------------------------------------------------------------------------
 
+# Inverts the entangling gate's readout maps: site 1p reads H v, site 3p reads v.
+_CZ_READOUT_INVERSE = _read_only(qm.kron(qm.HAD, qm.I2))
+
+
 def cz_gate_protocol(
     alpha: float,
     *,
@@ -664,8 +678,7 @@ def cz_gate_protocol(
             notes.append(("decoupled", "qubit 4 measured computationally"))
         z = r4 if entangling else 0
         frame = _shared_frame(("1p", "3p"), (0, 0), (z, z))
-        # Invert the readout maps: site 1p reads H*v, site 3p reads v.
-        logical = qm.kron(qm.HAD, qm.I2) @ state.amps if _is_pure(state) else None
+        logical = _CZ_READOUT_INVERSE @ state.amps if _is_pure(state) else None
         return ProtocolTranscript(records, frame, logical, state, entangling, notes)
 
     return Program(build_psi6(theta), next_step, finish).run(outcomes=outcomes, rng=rng)

@@ -105,6 +105,11 @@ def collapse(
     has the bits of ``np.tensordot``.  Pure probabilities and norms are
     stacked dots (``_row_dots``) with the bits of per-item ``np.vdot`` and
     ``np.linalg.norm``.
+
+    The one Born step of the library: ``measurement.measure`` (a sampled or
+    post-selected step of ``Program.run``) calls it unnormalized on a stack
+    of one, ``protocols.walk_branches`` normalized on a whole tree level,
+    and the ``project`` methods on a stack of one.
     """
     g = states.shape[0]
     pure = states.ndim == 2
@@ -239,6 +244,11 @@ class StateVector:
 
         Returns (probability, unnormalized collapsed state with the qubit
         removed from the register).
+
+        Not on the shot path: ``measurement.measure`` calls ``collapse``
+        itself.  Kept as public API and as the tests' oracle for
+        ``measure`` until the benchmark's tracer (``perfbench/spans.py``)
+        stops naming it; then both ``project`` methods go.
         """
         probs, rest = _project_one(self, qubit, onto)
         return float(probs[0]), StateVector(_without(self.labels, qubit), rest[0])
@@ -290,7 +300,11 @@ class DensityMatrix:
         return DensityMatrix(tuple(new_labels), mat)
 
     def project(self, qubit: str, onto: np.ndarray | str) -> tuple[float, "DensityMatrix"]:
-        """Collapse one qubit onto a ket: (probability, unnormalized rest)."""
+        """Collapse one qubit onto a ket: (probability, unnormalized rest).
+
+        Not on the shot path; kept for the reasons ``StateVector.project``
+        gives.
+        """
         probs, rest = _project_one(self, qubit, onto)
         return float(probs[0]), DensityMatrix(_without(self.labels, qubit), rest[0])
 
@@ -369,7 +383,8 @@ class InvariantViolation(AssertionError):
 
 def require(check: str, residual: float | np.ndarray, bound: float, message: str) -> None:
     """Raise ``InvariantViolation`` unless ``residual <= bound`` (for an array,
-    its largest entry); a NaN residual fails."""
-    worst = float(np.max(residual, initial=-np.inf))
+    its largest entry); a NaN residual fails.  A Python float is compared as
+    it is, without a NumPy reduction."""
+    worst = residual if type(residual) is float else float(np.max(residual, initial=-np.inf))
     if not worst <= bound:
         raise InvariantViolation(check, worst, bound, message)

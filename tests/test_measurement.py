@@ -17,8 +17,8 @@ from corrspace.protocols import (
 )
 from corrspace.wires import a_site, b_site, b_site_rotated, build_psi4
 from helpers import (
-    basis_u, induced_operator, mat_proportional, numpy_basis_B, rand_state, rand_unitary,
-    rz, su2_decompose, vec_equal_up_to_phase,
+    basis_u, induced_operator, mat_proportional, numpy_basis_B, rand_density, rand_state,
+    rand_unitary, rz, su2_decompose, vec_equal_up_to_phase,
 )
 
 TOL = 1e-12
@@ -403,24 +403,69 @@ def project_calls(monkeypatch):
     return calls
 
 
-def test_postselected_measure_projects_once(rng, project_calls):
+def test_postselected_measure_projects_once(rng, collapse_stacks):
     st = rand_state(("a", "b"), rng)
     for state in (st, st.to_density()):
         for outcome in (0, 1):
-            project_calls.clear()
+            collapse_stacks.clear()
             meas.measure(state, "b", meas.basis_B(0.9, 0.5), outcome=outcome)
-            assert project_calls == ["b"]
+            assert collapse_stacks == [1]
 
 
-def test_sampled_measure_projects_again_only_for_outcome_1(rng, project_calls):
+def test_sampled_measure_projects_again_only_for_outcome_1(rng, collapse_stacks):
     st = rand_state(("a", "b"), rng)
     gen = np.random.default_rng(5)
     seen = set()
     for state in (st, st.to_density()) * 10:
-        project_calls.clear()
+        collapse_stacks.clear()
         rec, _ = meas.measure(state, "a", meas.pauli_basis("X"), rng=gen)
-        assert project_calls == ["a"] * (1 + rec.outcome)
+        assert collapse_stacks == [1] * (1 + rec.outcome)
         seen.add(rec.outcome)
+    assert seen == {0, 1}
+
+
+def project_then_normalize(state, qubit, basis, outcome=None, rng=None):
+    """A measured step through the ``project`` methods and ``normalized()``:
+    project onto kets[0] to draw, onto kets[1] again when 1 is drawn."""
+    if outcome is None:
+        prob, rest = state.project(qubit, basis.kets[0])
+        outcome = 0 if rng.random() < prob else 1
+        if outcome == 1:
+            prob, rest = state.project(qubit, basis.kets[1])
+    else:
+        prob, rest = state.project(qubit, basis.kets[outcome])
+    return outcome, prob, rest.normalized()[0]
+
+
+def state_bytes(state) -> bytes:
+    return (state.amps if isinstance(state, qm.StateVector) else state.mat).tobytes()
+
+
+def test_measure_has_the_bits_of_project_then_normalized(project_calls):
+    gen = np.random.default_rng(31)
+    labels = ("a", "b", "c")
+    bases = (meas.basis_B(0.9, 0.5), meas.pauli_basis("X"), meas.basis_B(-2.3),
+             meas.pauli_basis("Y"))
+    seen = set()
+    for k in range(10):
+        basis = bases[k % len(bases)]
+        for state in (rand_state(labels, gen), rand_density(labels, gen)):
+            for qubit in labels:
+                runs = [({"outcome": o}, {"outcome": o}) for o in (0, 1)]
+                runs += [({"rng": np.random.default_rng(s)}, {"rng": np.random.default_rng(s)})
+                         for s in range(4)]
+                for given, oracle in runs:
+                    project_calls.clear()
+                    rec, out = meas.measure(state, qubit, basis, **given)
+                    assert project_calls == []
+                    outcome, prob, want = project_then_normalize(state, qubit, basis, **oracle)
+                    assert rec.outcome == outcome and type(rec.probability) is float
+                    assert np.float64(rec.probability).tobytes() == np.float64(prob).tobytes()
+                    assert type(out) is type(want) and out.labels == want.labels
+                    assert state_bytes(out) == state_bytes(want)
+                    if "rng" in given:  # one draw each, so the generators stay in step
+                        assert given["rng"].random() == oracle["rng"].random()
+                        seen.add(outcome)
     assert seen == {0, 1}
 
 

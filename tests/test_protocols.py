@@ -823,6 +823,36 @@ def test_frame_check_stays_strict(monkeypatch):
     qm.require(check, np.array([0.0, np.nextafter(1e-10, 0.0)]), bound, message)
 
 
+def _frame_passes(amps, expected) -> bool:
+    try:
+        protocols._check_frames(amps, expected)
+    except qm.InvariantViolation:
+        return False
+    return True
+
+
+def test_one_row_frame_check_decides_as_the_array_path():
+    # one row takes the scalar branch; the same row twice takes the array path
+    alphas = np.linspace(-pi, pi, 201)
+    targets = protocols._frame_targets(alphas)
+    verdicts = []
+    for resource in ("2-qubit", "4-qubit"):
+        for g, alpha in enumerate(alphas):
+            for tr in enumerate_compensation(alpha, resource)[1]:
+                if not tr.success:
+                    continue
+                amps = tr.physical_out.amps
+                for x in (0, 1):
+                    for z in (0, 1):
+                        want = targets[g, x, z]
+                        one = _frame_passes(amps[None], want[None])
+                        assert one == _frame_passes(np.stack([amps, amps]), np.stack([want, want]))
+                        if (x, z) == (tr.frame.x[0], tr.frame.z[0]):
+                            assert one
+                        verdicts.append(one)
+    assert set(verdicts) == {True, False}
+
+
 def test_enumeration_checks_every_successful_frame(monkeypatch):
     real_frame = protocols._compensation_frame
 

@@ -457,3 +457,21 @@ def test_require_passes_up_to_its_bound_and_fails_closed():
         assert isinstance(exc, AssertionError)
         assert (exc.check, exc.bound, str(exc)) == ("the check", 1e-11, "the message")
         assert exc.residual == worst if worst is not None else np.isnan(exc.residual)
+
+
+def test_require_on_a_float_decides_as_on_an_array():
+    bound = 1e-11
+    cases = ((float("nan"), False), (float("inf"), False), (float("-inf"), True), (bound, True),
+             (float(np.nextafter(bound, 1.0)), False), (np.float64(bound), True),
+             (np.float64(2e-11), False), (np.float64(np.nan), False))
+    for residual, passes in cases:
+        outcomes = []
+        for given in (residual, np.array([residual])):
+            try:
+                qm.require("c", given, bound, "m")
+                outcomes.append(None)
+            except qm.InvariantViolation as exc:
+                assert type(exc.residual) is float
+                outcomes.append(repr(exc.residual))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0] is None) == passes
