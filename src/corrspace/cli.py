@@ -288,8 +288,8 @@ def fit_payload(result: noise_tomo.ReconstructionResult, full_matrix: bool) -> d
     payload = {"labels": result.rho.labels}
     if full_matrix:
         payload["rho"] = result.rho.mat
-    for name in ("log_likelihood", "iterations", "likelihood_gap_bound",
-                 "fidelity_to_target", "fidelity_sigma", "informationally_complete"):
+    for name in ("log_likelihood", "iterations", "likelihood_gap_bound", "stop",
+                 "fidelity_to_target", "informationally_complete"):
         payload[name] = getattr(result, name)
     return payload
 

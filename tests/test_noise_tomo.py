@@ -548,8 +548,23 @@ def test_fit_matches_converged_dense_reference_fit(name, shots, mode):
 # gap bound) for the cold fit, then the same for a fit started from the cold
 # rho plus I/2.  Recorded with the projector conjugates and the observed
 # cells computed inside every iteration; computing them once per fit must
-# not move a single rounding.
+# not move a single rounding.  Every fit here stops on its 1-nat certificate.
 FROZEN_FITS = (
+    (("psi4", 0.9, 2000, "multinomial", 21),
+     ("fa9ce896f2c2babdf437d7b6402e7cea30795396306c36615bde70ab492ae4f9",
+      "-0x1.81bf182480595p+18", 80, "0x1.ddab93e724c60p-1"),
+     ("4a2a1c0be57f99a0b59288131605f944d76006992ebc9bc058a1783442aa7fd0",
+      "-0x1.81bf18257aaeap+18", 72, "0x1.b170046ebe7e0p-1")),
+    (("lambda34", 0.7, 200, "poisson", 5),
+     ("1408c2a61433aaa782ab48bc220a6aaf8eee27413ba425796749ab51a82a01ae",
+      "0x1.554694f9e0e1dp+12", 8, "0x1.5d5965456397cp-2"),
+     ("9dd467df955189c59e7bf863f472c888a50336e7e164eb33dc887d2bc33256ea",
+      "0x1.554695132db6fp+12", 8, "0x1.c4db99c6cb014p-2")),
+)
+
+# The same fits with gap_tol=0, which stop on their gain as every fit did
+# before the certificate stop; pinned before that stop existed.
+UNCERTIFIED_FITS = (
     (("psi4", 0.9, 2000, "multinomial", 21),
      ("c92d2df91e78955ce35b9d6cbb08ba2194cc3222b4c0bb50f7f21380e47c35ca",
       "-0x1.81bf182409a56p+18", 111, "0x1.eb6e96fcf2000p-9"),
@@ -563,8 +578,8 @@ FROZEN_FITS = (
 )
 
 
-@pytest.mark.parametrize("case, cold, warm", FROZEN_FITS)
-def test_seeded_fit_is_bit_identical_to_its_frozen_copy(case, cold, warm):
+def _frozen_fits(case, gap_tol):
+    """The pinned summary of a seeded cold fit and of its warm-started fit."""
     name, fidelity, shots, mode, seed = case
     target = build_psi4() if name == "psi4" else lambda34()
     table = simulate_counts(white_noise(target, fidelity), shots=shots, seed=seed, mode=mode)
@@ -574,10 +589,19 @@ def test_seeded_fit_is_bit_identical_to_its_frozen_copy(case, cold, warm):
                 res.log_likelihood.hex(), res.iterations,
                 res.likelihood_gap_bound.hex())
 
-    res = ml_reconstruct(table)
-    assert frozen(res) == cold
+    res = ml_reconstruct(table, gap_tol=gap_tol)
     init = res.rho.mat + np.eye(len(res.rho.mat)) / 2
-    assert frozen(ml_reconstruct(table, init=init)) == warm
+    return frozen(res), frozen(ml_reconstruct(table, gap_tol=gap_tol, init=init))
+
+
+@pytest.mark.parametrize("case, cold, warm", FROZEN_FITS)
+def test_seeded_fit_is_bit_identical_to_its_frozen_copy(case, cold, warm):
+    assert _frozen_fits(case, 1.0) == (cold, warm)
+
+
+@pytest.mark.parametrize("case, cold, warm", UNCERTIFIED_FITS)
+def test_seeded_fit_without_certificate_is_its_older_frozen_copy(case, cold, warm):
+    assert _frozen_fits(case, 0.0) == (cold, warm)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -662,6 +686,15 @@ def test_reconstruct_rejects_bad_tol(tol):
         ml_reconstruct(table, tol=tol)
 
 
+@pytest.mark.parametrize("gap_tol", (-1.0, float("nan"), float("inf"), float("-inf")))
+def test_reconstruct_and_bootstrap_reject_bad_gap_tol(gap_tol):
+    table = simulate_counts(lambda34(), shots=100, seed=3)
+    with pytest.raises(ValueError, match="^gap_tol must be finite and >= 0$"):
+        ml_reconstruct(table, gap_tol=gap_tol)
+    with pytest.raises(ValueError, match="^gap_tol must be finite and >= 0$"):
+        monte_carlo_error(table, lambda34(), runs=2, seed=0, gap_tol=gap_tol)
+
+
 @pytest.mark.parametrize(
     "init, match",
     (
@@ -736,12 +769,45 @@ def test_likelihood_gap_bound_is_a_certificate():
     assert payload["likelihood_gap_bound"] == best.likelihood_gap_bound
 
 
+@pytest.mark.parametrize(
+    "kwargs, stop",
+    (({}, "certificate"), ({"tol": 1e3}, "gain"),
+     ({"tol": 0.0, "gap_tol": 0.0}, "rounding floor"), ({"max_iters": 3}, "max_iters")),
+)
+def test_fit_names_its_stop(kwargs, stop):
+    res = ml_reconstruct(_small_table(), **kwargs)
+    assert res.stop == stop
+    payload = fit_payload(res, full_matrix=False)
+    assert payload["stop"] == stop
+    keys = list(payload)
+    assert keys.index("stop") == keys.index("likelihood_gap_bound") + 1
+
+
+@pytest.mark.parametrize("name", ("psi4", "lambda34"))
+@pytest.mark.parametrize("mode", ("multinomial", "poisson"))
+@pytest.mark.parametrize("seed", (60, 61))
+def test_certified_fit_is_the_uncertified_fit_cut_at_its_iteration(name, mode, seed):
+    target = build_psi4() if name == "psi4" else lambda34()
+    table = simulate_counts(white_noise(target, 0.9), shots=2000, seed=seed, mode=mode)
+    cold = ml_reconstruct(table)
+    warm_init = cold.rho.mat + np.eye(len(cold.rho.mat)) / 2
+    for init in (None, warm_init):
+        res = ml_reconstruct(table, init=init)
+        assert res.stop == "certificate"
+        assert 0.0 <= res.likelihood_gap_bound <= 1.0
+        # gap_tol=0 asks for the exact maximum, so this fit runs to its cap
+        cut = ml_reconstruct(table, max_iters=res.iterations, gap_tol=0.0, init=init)
+        assert cut.stop == "max_iters"
+        assert res.rho.mat.tobytes() == cut.rho.mat.tobytes()
+        assert res.log_likelihood == cut.log_likelihood
+
+
 @pytest.mark.parametrize("mode", ("multinomial", "poisson"))
 def test_likelihood_gap_bound_shrinks_with_iterations_on_psi4(mode):
     target = build_psi4()
     table = simulate_counts(target, shots=2000, seed=24, mode=mode)
     total = table.counts.sum()
-    short = ml_reconstruct(table, target, max_iters=50)
+    short = ml_reconstruct(table, target, max_iters=30)
     long = ml_reconstruct(table, target, max_iters=1000)
     assert short.likelihood_gap_bound >= -1e-9 * total
     assert long.likelihood_gap_bound >= -1e-9 * total
@@ -798,9 +864,9 @@ def fits(monkeypatch):
     inits = []
     fit = noise_tomo._fit
 
-    def counting_fit(counts, max_iters, tol, init):
+    def counting_fit(counts, max_iters, tol, gap_tol, init):
         inits.append(init)
-        return fit(counts, max_iters, tol, init)
+        return fit(counts, max_iters, tol, gap_tol, init)
 
     monkeypatch.setattr(noise_tomo, "_fit", counting_fit)
     return inits
@@ -822,8 +888,8 @@ def test_monte_carlo_error_reuses_the_callers_fit(fits, monkeypatch):
 
 
 def test_bootstrap_makes_one_cold_fit_fewer_projections(monkeypatch):
-    # When monte_carlo_error fitted the table again, this job made 685
-    # projections; one cold fit makes 194 of them.
+    # When monte_carlo_error fitted the table again, this job made 572
+    # projections; one cold fit makes 178 of them.
     monkeypatch.setattr(noise_tomo, "_last_cold_fit", None)
     calls = []
     project = noise_tomo._density_projection
@@ -838,7 +904,7 @@ def test_bootstrap_makes_one_cold_fit_fewer_projections(monkeypatch):
     ml_reconstruct(table, psi4)
     cold = len(calls)
     monte_carlo_error(table, psi4, runs=2, seed=42)
-    assert (cold, len(calls)) == (194, 685 - 194)
+    assert (cold, len(calls)) == (178, 572 - 178)
 
 
 # ---------------------------------------------------------------------------
@@ -852,7 +918,7 @@ def _small_table():
 def _same_fit(a, b):
     return (a.rho.labels == b.rho.labels and np.array_equal(a.rho.mat, b.rho.mat)
             and a.log_likelihood == b.log_likelihood and a.iterations == b.iterations
-            and a.likelihood_gap_bound == b.likelihood_gap_bound)
+            and a.likelihood_gap_bound == b.likelihood_gap_bound and a.stop == b.stop)
 
 
 def test_kept_fit_is_the_fit_of_the_edited_table(fits):
@@ -863,21 +929,23 @@ def test_kept_fit_is_the_fit_of_the_edited_table(fits):
     assert len(fits) == 2
     assert edited.log_likelihood != first.log_likelihood
     fresh = CountsTable(table.labels, table.settings, table.counts.copy(), table.shots)
-    assert _same_fit(edited, noise_tomo._fit(fresh, 10_000, 1e-9, None))
+    assert _same_fit(edited, noise_tomo._fit(fresh, 10_000, 1e-9, 1.0, None))
 
 
 @pytest.mark.parametrize(
     "variant",
-    ("max_iters", "tol", "mode", "shots", "settings", "labels"),
+    ("max_iters", "tol", "gap_tol", "mode", "shots", "settings", "labels"),
 )
 def test_kept_fit_is_not_reused_for_another_table_or_stop_rule(fits, variant):
     table = _small_table()
-    kwargs = {"max_iters": 10_000, "tol": 1e-9}
+    kwargs = {"max_iters": 10_000, "tol": 1e-9, "gap_tol": 1.0}
     other, other_kwargs = table, dict(kwargs)
     if variant == "max_iters":
         other_kwargs["max_iters"] = 7
     elif variant == "tol":
         other_kwargs["tol"] = 1e-3
+    elif variant == "gap_tol":
+        other_kwargs["gap_tol"] = 0.0
     elif variant == "mode":
         other = CountsTable(table.labels, table.settings, table.counts, table.shots,
                             mode="poisson")
@@ -895,10 +963,10 @@ def test_kept_fit_is_not_reused_for_another_table_or_stop_rule(fits, variant):
     res = ml_reconstruct(other, **other_kwargs)
     again = ml_reconstruct(table, **kwargs)
     assert len(fits) == 3
-    assert _same_fit(res, noise_tomo._fit(other, other_kwargs["max_iters"],
-                                          other_kwargs["tol"], None))
-    assert _same_fit(again, noise_tomo._fit(table, kwargs["max_iters"],
-                                            kwargs["tol"], None))
+    assert _same_fit(res, noise_tomo._fit(other, other_kwargs["max_iters"], other_kwargs["tol"],
+                                          other_kwargs["gap_tol"], None))
+    assert _same_fit(again, noise_tomo._fit(table, kwargs["max_iters"], kwargs["tol"],
+                                            kwargs["gap_tol"], None))
 
 
 def test_fits_with_init_always_run(fits):
@@ -946,4 +1014,6 @@ def test_kept_fit_still_checks_the_target_and_stop_rule(fits):
         ml_reconstruct(table, build_psi4())
     with pytest.raises(ValueError, match="max_iters"):
         ml_reconstruct(table, max_iters=0)
+    with pytest.raises(ValueError, match="gap_tol"):
+        ml_reconstruct(table, gap_tol=-1.0)
     assert len(fits) == 1

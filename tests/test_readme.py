@@ -45,4 +45,4 @@ def test_readme_quick_tour_states_true_values():
         else:
             assert got == want, (comment, got)
         checked.append(comment.strip())
-    assert checked == ["0.375", "0.9375", '("1p", "3p")', "1.0", "prob == 8/81"]
+    assert checked == ["0.375", "0.9375", '("1p", "3p")', "1.0", '"certificate"', "prob == 8/81"]
