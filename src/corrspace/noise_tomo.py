@@ -271,6 +271,8 @@ def _halves(n: int) -> tuple[int, int]:
 
 
 _P_FLOOR = 1e-300
+# A fit stops once its likelihood-gap certificate is at most this many nats.
+_GAP_TOL = 1.0
 
 
 def _projector_probs(rho: np.ndarray, head: np.ndarray, tail: np.ndarray) -> np.ndarray:
@@ -401,7 +403,6 @@ def ml_reconstruct(
     *,
     max_iters: int = 10_000,
     tol: float = 1e-9,
-    gap_tol: float = 1.0,
     init: np.ndarray | None = None,
 ) -> ReconstructionResult:
     """Maximum-likelihood density matrix from outcome counts.
@@ -433,40 +434,36 @@ def ml_reconstruct(
     "certificate": on every 4th iteration the accepted iterate's bound
     N (lambda_max(R) - 1) on its distance to the maximum log-likelihood
     (Glancy, Knill & Girard, NJP 14, 095017, 2012), in absolute nats, is at
-    most ``gap_tol`` (default 1 nat).  "gain": an accepted step gains less
-    than ``tol``.  "rounding floor": a plain step from the current iterate
+    most 1 nat (``_GAP_TOL``).  "gain": an accepted step gains less than
+    ``tol``.  "rounding floor": a plain step from the current iterate
     gains nothing.  "max_iters": ``max_iters`` iterations ran.  The stop
     rule never changes an iterate, so a fit that stops at iteration m is
     the fit capped at ``max_iters=m``.  The final matrix is projected once
     more (an eigenvalue clip at 0 with renormalization, which moves it only
     by rounding), and its own ``likelihood_gap_bound`` is reported; after a
     "certificate" stop it differs from the checked bound only by rounding.
-    ``gap_tol`` must be finite and >= 0.  ``init`` (default maximally
-    mixed) is any PSD matrix with positive trace, normalized here; it need
-    not be full rank, but must give every observed cell a nonzero
-    probability.
+    ``init`` (default maximally mixed) is any PSD matrix with positive
+    trace, normalized here; it need not be full rank, but must give every
+    observed cell a nonzero probability.
 
     The result is ``informationally_complete`` when the table holds all 3^n
     settings (see ``ReconstructionResult``); no rank is computed.
 
     A fit from the maximally mixed state is computed once per counts table:
-    the last one is kept, keyed by the table's content, ``max_iters``,
-    ``tol`` and ``gap_tol``, so fitting the same table again (as
-    ``monte_carlo_error`` does after its caller) reuses it.  Each call
-    computes ``fidelity_to_target`` for its own target.  The reused ``rho``
-    is shared and read-only: copy ``result.rho.mat`` before editing it.
-    Fits with ``init`` always run.
+    the last one is kept, keyed by the table's content, ``max_iters`` and
+    ``tol``, so fitting the same table again (as ``monte_carlo_error`` does
+    after its caller) reuses it.  Each call computes ``fidelity_to_target``
+    for its own target.  The reused ``rho`` is shared and read-only: copy
+    ``result.rho.mat`` before editing it.  Fits with ``init`` always run.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError("tol must be finite and >= 0")
-    if not (np.isfinite(gap_tol) and gap_tol >= 0):
-        raise ValueError("gap_tol must be finite and >= 0")
     if init is None:
-        fit = _cold_fit(counts, max_iters, tol, gap_tol)
+        fit = _cold_fit(counts, max_iters, tol)
     else:
-        fit = _fit(counts, max_iters, tol, gap_tol, init)
+        fit = _fit(counts, max_iters, tol, init)
     if target is None:
         return fit
     return replace(fit, fidelity_to_target=qm.fidelity(fit.rho, target))
@@ -475,9 +472,7 @@ def ml_reconstruct(
 _last_cold_fit: tuple[tuple, ReconstructionResult] | None = None
 
 
-def _cold_fit(
-    counts: CountsTable, max_iters: int, tol: float, gap_tol: float
-) -> ReconstructionResult:
+def _cold_fit(counts: CountsTable, max_iters: int, tol: float) -> ReconstructionResult:
     """``_fit`` from the maximally mixed state, kept for the last table.
 
     The key is the table's content, never its identity: a counts array can
@@ -485,15 +480,14 @@ def _cold_fit(
     """
     global _last_cold_fit
     key = (counts.labels, counts.settings, counts.counts.tobytes(), counts.shots,
-           counts.mode, max_iters, tol, gap_tol)
+           counts.mode, max_iters, tol)
     if _last_cold_fit is None or _last_cold_fit[0] != key:
-        _last_cold_fit = key, _fit(counts, max_iters, tol, gap_tol, None)
+        _last_cold_fit = key, _fit(counts, max_iters, tol, None)
     return _last_cold_fit[1]
 
 
 def _fit(
-    counts: CountsTable, max_iters: int, tol: float, gap_tol: float,
-    init: np.ndarray | None,
+    counts: CountsTable, max_iters: int, tol: float, init: np.ndarray | None
 ) -> ReconstructionResult:
     """The fit of ``ml_reconstruct``, with no target and a read-only rho."""
     n = counts.n_qubits
@@ -565,7 +559,7 @@ def _fit(
             break
         # The certificate costs an R operator and an eigvalsh, so it is
         # checked on every 4th iterate only.
-        if iters % 4 == 0 and gap_bound(p) <= gap_tol:
+        if iters % 4 == 0 and gap_bound(p) <= _GAP_TOL:
             stop = "certificate"
             break
     else:
@@ -594,7 +588,6 @@ def monte_carlo_error(
     *,
     max_iters: int = 10_000,
     tol: float = 1e-9,
-    gap_tol: float = 1.0,
 ) -> tuple[float, float]:
     """Poisson-resampled repetition of the whole reconstruction.
 
@@ -605,12 +598,12 @@ def monte_carlo_error(
     the point estimate, which leaves each run's optimum unchanged and
     shortens its fit.  The point estimate is ``ml_reconstruct`` of
     ``counts``: when the caller has just fitted the same table with the
-    same ``max_iters``, ``tol`` and ``gap_tol``, that fit and its shared,
-    read-only ``rho`` are reused, so only the runs are fitted here.
+    same ``max_iters`` and ``tol``, that fit and its shared, read-only
+    ``rho`` are reused, so only the runs are fitted here.
     """
     if runs < 2:
         raise ValueError("runs must be >= 2")
-    base = ml_reconstruct(counts, max_iters=max_iters, tol=tol, gap_tol=gap_tol)
+    base = ml_reconstruct(counts, max_iters=max_iters, tol=tol)
     children = np.random.SeedSequence(seed).spawn(runs)
     fids = np.empty(runs)
     for i, child in enumerate(children):
@@ -623,8 +616,7 @@ def monte_carlo_error(
             mode="poisson",
         )
         res = ml_reconstruct(
-            resampled, target, max_iters=max_iters, tol=tol, gap_tol=gap_tol,
-            init=base.rho.mat,
+            resampled, target, max_iters=max_iters, tol=tol, init=base.rho.mat
         )
         fids[i] = res.fidelity_to_target
     return float(fids.mean()), float(fids.std(ddof=1))

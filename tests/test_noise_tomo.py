@@ -562,8 +562,8 @@ FROZEN_FITS = (
       "0x1.554695132db6fp+12", 8, "0x1.c4db99c6cb014p-2")),
 )
 
-# The same fits with gap_tol=0, which stop on their gain as every fit did
-# before the certificate stop; pinned before that stop existed.
+# The same fits with the certificate off, which stop on their gain as every
+# fit did before the certificate stop; pinned before that stop existed.
 UNCERTIFIED_FITS = (
     (("psi4", 0.9, 2000, "multinomial", 21),
      ("c92d2df91e78955ce35b9d6cbb08ba2194cc3222b4c0bb50f7f21380e47c35ca",
@@ -578,7 +578,7 @@ UNCERTIFIED_FITS = (
 )
 
 
-def _frozen_fits(case, gap_tol):
+def _frozen_fits(case):
     """The pinned summary of a seeded cold fit and of its warm-started fit."""
     name, fidelity, shots, mode, seed = case
     target = build_psi4() if name == "psi4" else lambda34()
@@ -589,19 +589,26 @@ def _frozen_fits(case, gap_tol):
                 res.log_likelihood.hex(), res.iterations,
                 res.likelihood_gap_bound.hex())
 
-    res = ml_reconstruct(table, gap_tol=gap_tol)
+    res = ml_reconstruct(table)
     init = res.rho.mat + np.eye(len(res.rho.mat)) / 2
-    return frozen(res), frozen(ml_reconstruct(table, gap_tol=gap_tol, init=init))
+    return frozen(res), frozen(ml_reconstruct(table, init=init))
+
+
+@pytest.fixture
+def uncertified(monkeypatch):
+    """Turn the certificate stop off, with no kept fit from before."""
+    monkeypatch.setattr(noise_tomo, "_GAP_TOL", 0.0)
+    monkeypatch.setattr(noise_tomo, "_last_cold_fit", None)
 
 
 @pytest.mark.parametrize("case, cold, warm", FROZEN_FITS)
 def test_seeded_fit_is_bit_identical_to_its_frozen_copy(case, cold, warm):
-    assert _frozen_fits(case, 1.0) == (cold, warm)
+    assert _frozen_fits(case) == (cold, warm)
 
 
 @pytest.mark.parametrize("case, cold, warm", UNCERTIFIED_FITS)
-def test_seeded_fit_without_certificate_is_its_older_frozen_copy(case, cold, warm):
-    assert _frozen_fits(case, 0.0) == (cold, warm)
+def test_seeded_fit_without_certificate_is_its_older_frozen_copy(case, cold, warm, uncertified):
+    assert _frozen_fits(case) == (cold, warm)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -649,7 +656,7 @@ def test_psi4_100k_fits_converge_before_the_cap(seed, weight):
     (("psi4", 1.0, 2000, "multinomial"), ("psi4", 1.0, 100_000, "poisson"),
      ("lambda34", 0.9, 20_000, "poisson")),
 )
-def test_accepted_iterates_never_lower_the_likelihood(name, fidelity, shots, mode):
+def test_accepted_iterates_never_lower_the_likelihood(name, fidelity, shots, mode, uncertified):
     target = build_psi4() if name == "psi4" else lambda34()
     table = simulate_counts(
         white_noise(target, fidelity), shots=shots, seed=25, mode=mode
@@ -684,15 +691,6 @@ def test_reconstruct_rejects_bad_tol(tol):
     table = simulate_counts(lambda34(), shots=100, seed=3)
     with pytest.raises(ValueError, match="tol"):
         ml_reconstruct(table, tol=tol)
-
-
-@pytest.mark.parametrize("gap_tol", (-1.0, float("nan"), float("inf"), float("-inf")))
-def test_reconstruct_and_bootstrap_reject_bad_gap_tol(gap_tol):
-    table = simulate_counts(lambda34(), shots=100, seed=3)
-    with pytest.raises(ValueError, match="^gap_tol must be finite and >= 0$"):
-        ml_reconstruct(table, gap_tol=gap_tol)
-    with pytest.raises(ValueError, match="^gap_tol must be finite and >= 0$"):
-        monte_carlo_error(table, lambda34(), runs=2, seed=0, gap_tol=gap_tol)
 
 
 @pytest.mark.parametrize(
@@ -754,7 +752,7 @@ def test_reconstruct_rejects_a_table_with_no_settings():
         ml_reconstruct(table)
 
 
-def test_likelihood_gap_bound_is_a_certificate():
+def test_likelihood_gap_bound_is_a_certificate(uncertified):
     target = lambda34()
     table = simulate_counts(white_noise(target, 0.9), shots=20_000, seed=23)
     total = table.counts.sum()
@@ -772,9 +770,13 @@ def test_likelihood_gap_bound_is_a_certificate():
 @pytest.mark.parametrize(
     "kwargs, stop",
     (({}, "certificate"), ({"tol": 1e3}, "gain"),
-     ({"tol": 0.0, "gap_tol": 0.0}, "rounding floor"), ({"max_iters": 3}, "max_iters")),
+     ({"tol": 0.0}, "rounding floor"), ({"max_iters": 3}, "max_iters")),
 )
-def test_fit_names_its_stop(kwargs, stop):
+def test_fit_names_its_stop(kwargs, stop, monkeypatch):
+    monkeypatch.setattr(noise_tomo, "_last_cold_fit", None)
+    if stop == "rounding floor":
+        # with tol=0 and the certificate off, only the floor ends this fit
+        monkeypatch.setattr(noise_tomo, "_GAP_TOL", 0.0)
     res = ml_reconstruct(_small_table(), **kwargs)
     assert res.stop == stop
     payload = fit_payload(res, full_matrix=False)
@@ -786,17 +788,21 @@ def test_fit_names_its_stop(kwargs, stop):
 @pytest.mark.parametrize("name", ("psi4", "lambda34"))
 @pytest.mark.parametrize("mode", ("multinomial", "poisson"))
 @pytest.mark.parametrize("seed", (60, 61))
-def test_certified_fit_is_the_uncertified_fit_cut_at_its_iteration(name, mode, seed):
+def test_certified_fit_is_the_uncertified_fit_cut_at_its_iteration(
+    name, mode, seed, monkeypatch
+):
     target = build_psi4() if name == "psi4" else lambda34()
     table = simulate_counts(white_noise(target, 0.9), shots=2000, seed=seed, mode=mode)
     cold = ml_reconstruct(table)
     warm_init = cold.rho.mat + np.eye(len(cold.rho.mat)) / 2
-    for init in (None, warm_init):
-        res = ml_reconstruct(table, init=init)
+    fits = [(init, ml_reconstruct(table, init=init)) for init in (None, warm_init)]
+    # with the certificate off, each fit cut at its iteration runs to its cap
+    monkeypatch.setattr(noise_tomo, "_GAP_TOL", 0.0)
+    monkeypatch.setattr(noise_tomo, "_last_cold_fit", None)
+    for init, res in fits:
         assert res.stop == "certificate"
         assert 0.0 <= res.likelihood_gap_bound <= 1.0
-        # gap_tol=0 asks for the exact maximum, so this fit runs to its cap
-        cut = ml_reconstruct(table, max_iters=res.iterations, gap_tol=0.0, init=init)
+        cut = ml_reconstruct(table, max_iters=res.iterations, init=init)
         assert cut.stop == "max_iters"
         assert res.rho.mat.tobytes() == cut.rho.mat.tobytes()
         assert res.log_likelihood == cut.log_likelihood
@@ -864,9 +870,9 @@ def fits(monkeypatch):
     inits = []
     fit = noise_tomo._fit
 
-    def counting_fit(counts, max_iters, tol, gap_tol, init):
+    def counting_fit(counts, max_iters, tol, init):
         inits.append(init)
-        return fit(counts, max_iters, tol, gap_tol, init)
+        return fit(counts, max_iters, tol, init)
 
     monkeypatch.setattr(noise_tomo, "_fit", counting_fit)
     return inits
@@ -929,23 +935,21 @@ def test_kept_fit_is_the_fit_of_the_edited_table(fits):
     assert len(fits) == 2
     assert edited.log_likelihood != first.log_likelihood
     fresh = CountsTable(table.labels, table.settings, table.counts.copy(), table.shots)
-    assert _same_fit(edited, noise_tomo._fit(fresh, 10_000, 1e-9, 1.0, None))
+    assert _same_fit(edited, noise_tomo._fit(fresh, 10_000, 1e-9, None))
 
 
 @pytest.mark.parametrize(
     "variant",
-    ("max_iters", "tol", "gap_tol", "mode", "shots", "settings", "labels"),
+    ("max_iters", "tol", "mode", "shots", "settings", "labels"),
 )
 def test_kept_fit_is_not_reused_for_another_table_or_stop_rule(fits, variant):
     table = _small_table()
-    kwargs = {"max_iters": 10_000, "tol": 1e-9, "gap_tol": 1.0}
+    kwargs = {"max_iters": 10_000, "tol": 1e-9}
     other, other_kwargs = table, dict(kwargs)
     if variant == "max_iters":
         other_kwargs["max_iters"] = 7
     elif variant == "tol":
         other_kwargs["tol"] = 1e-3
-    elif variant == "gap_tol":
-        other_kwargs["gap_tol"] = 0.0
     elif variant == "mode":
         other = CountsTable(table.labels, table.settings, table.counts, table.shots,
                             mode="poisson")
@@ -963,10 +967,10 @@ def test_kept_fit_is_not_reused_for_another_table_or_stop_rule(fits, variant):
     res = ml_reconstruct(other, **other_kwargs)
     again = ml_reconstruct(table, **kwargs)
     assert len(fits) == 3
-    assert _same_fit(res, noise_tomo._fit(other, other_kwargs["max_iters"], other_kwargs["tol"],
-                                          other_kwargs["gap_tol"], None))
-    assert _same_fit(again, noise_tomo._fit(table, kwargs["max_iters"], kwargs["tol"],
-                                            kwargs["gap_tol"], None))
+    assert _same_fit(res, noise_tomo._fit(other, other_kwargs["max_iters"],
+                                          other_kwargs["tol"], None))
+    assert _same_fit(again, noise_tomo._fit(table, kwargs["max_iters"],
+                                            kwargs["tol"], None))
 
 
 def test_fits_with_init_always_run(fits):
@@ -1014,6 +1018,4 @@ def test_kept_fit_still_checks_the_target_and_stop_rule(fits):
         ml_reconstruct(table, build_psi4())
     with pytest.raises(ValueError, match="max_iters"):
         ml_reconstruct(table, max_iters=0)
-    with pytest.raises(ValueError, match="gap_tol"):
-        ml_reconstruct(table, gap_tol=-1.0)
     assert len(fits) == 1
