@@ -250,7 +250,10 @@ def measure(
     Each drawn outcome costs one unnormalized ``qmath.collapse`` of the
     stack of one: post-selection collapses onto the requested outcome's
     ket; sampling collapses onto ``kets[0]`` to draw, and onto ``kets[1]``
-    as well only when outcome 1 is drawn.  The kept collapse is then
+    as well only when outcome 1 is drawn.  A stack of one is contracted
+    with one ``np.dot`` per side of the state and its probability taken
+    with ``np.vdot`` or a 2-D trace, which gives the bits of the same item
+    inside a larger stack.  The kept collapse is then
     divided once, by its norm sqrt(re . re + im . im) (pure) or by its real
     trace, which is the probability (mixed); this gives the bits of
     ``project`` followed by ``normalized()``.  This is the one-branch path

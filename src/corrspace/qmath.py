@@ -95,25 +95,30 @@ def collapse(
     """Project qubit ``axis`` of a stack of G states onto G kets.
 
     ``states`` holds G amplitude vectors (G, 2^n) or G density matrices
-    (G, d, d) on one register; ``kets`` is (G, 2).  Returns the G Born
-    probabilities and the G collapsed states with the qubit removed:
-    unnormalized, or with ``normalize`` divided by their norm (pure) or
-    trace (mixed).  A zero norm or trace is left undivided.
+    (G, 2^n, 2^n) on one register of n >= 1 qubits; ``kets`` is (G, 2) and
+    ``axis`` lies in [0, n).  Any other shape or axis raises ``ValueError``.
+    Returns the G Born probabilities and the G collapsed states with the
+    qubit removed: unnormalized, or with ``normalize`` divided by their
+    norm (pure) or trace (mixed).  A zero norm or trace is left undivided.
 
-    Each side of the state is contracted with one ``np.matmul`` of the
-    (G, 1, 2) rows with the state regrouped as (G, 2, rest); per item it
-    has the bits of ``np.tensordot``.  Pure probabilities and norms are
-    stacked dots (``_row_dots``) with the bits of per-item ``np.vdot`` and
-    ``np.linalg.norm``.
+    A stack of two or more contracts each side of the state with one
+    ``np.matmul`` of the (G, 1, 2) rows with the state regrouped as
+    (G, 2, rest); per item it has the bits of ``np.tensordot``.  Pure
+    probabilities and norms are stacked dots (``_row_dots``) with the bits
+    of per-item ``np.vdot`` and ``np.linalg.norm``.  A stack of one takes
+    those per-item BLAS calls directly (``_collapse_one``): the state
+    regrouped as (2, rest), one ``np.dot`` per side, ``np.vdot`` or a 2-D
+    ``np.trace`` for the probability.  So it has the bits of the same item
+    inside a larger stack.
 
     The one Born step of the library: ``measurement.measure`` (a sampled or
     post-selected step of ``Program.run``) calls it unnormalized on a stack
     of one, ``protocols.walk_branches`` normalized on a whole tree level,
     and the ``project`` methods on a stack of one.
     """
-    g = states.shape[0]
-    pure = states.ndim == 2
-    n = states.shape[1].bit_length() - 1
+    g, n, pure = _check_collapse(states, axis, kets)
+    if g == 1:
+        return _collapse_one(states[0], axis, kets[0], n, pure, normalize)
     t = states.reshape((g,) + (2,) * (n if pure else 2 * n))
     t = _contract_front(np.conj(kets), t, axis)
     if pure:
@@ -133,13 +138,59 @@ def collapse(
     return probs, rest / scale.reshape((g,) + (1,) * (rest.ndim - 1))
 
 
+def _check_collapse(states: np.ndarray, axis: int, kets: np.ndarray) -> tuple[int, int, bool]:
+    """(G, n, pure) of valid ``collapse`` arguments; ``ValueError`` otherwise."""
+    shape = states.shape
+    n = shape[1].bit_length() - 1 if len(shape) in (2, 3) else 0
+    if n < 1 or shape[1] != 1 << n or shape[2:] not in ((), shape[1:2]):
+        raise ValueError(f"states must be (G, 2^n) or (G, 2^n, 2^n) with n >= 1, got {shape}")
+    g = shape[0]
+    if kets.shape != (g, 2):
+        raise ValueError(f"kets must be ({g}, 2) for {g} states, got {kets.shape}")
+    if not 0 <= axis < n:
+        raise ValueError(f"axis must lie in [0, {n}) for {n}-qubit states, got {axis}")
+    return g, n, len(shape) == 2
+
+
+def _collapse_one(
+    state: np.ndarray, axis: int, ket: np.ndarray, n: int, pure: bool, normalize: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """``collapse`` of one state onto one ket, as a stack of one.
+
+    The per-item BLAS calls of the stacked path without its stack
+    machinery: ``np.dot`` of the ket with the state regrouped as (2, rest),
+    ``np.vdot`` for a pure probability, ``ndarray.dot`` for a pure norm and
+    a 2-D ``np.trace`` for a mixed one.
+    """
+    rest = np.dot(np.conj(ket), _front(state, axis))
+    if pure:
+        prob = np.vdot(rest, rest).real
+        if normalize:
+            re, im = rest.real, rest.imag
+            scale = np.sqrt(re.dot(re) + im.dot(im))
+    else:
+        rest = np.dot(ket, _front(rest, n - 1 + axis)).reshape(2 ** (n - 1), -1)
+        prob = np.trace(rest).real
+        scale = prob
+    if normalize and scale != 0.0:
+        rest = rest / scale
+    return prob.reshape(1), rest[np.newaxis]
+
+
+def _front(t: np.ndarray, axis: int) -> np.ndarray:
+    """Qubit ``axis`` of the flattened qubit tensor ``t`` as the rows of a
+    (2, rest) matrix, the other qubits in order along the columns."""
+    return t.reshape(1 << axis, 2, -1).transpose(1, 0, 2).reshape(2, -1)
+
+
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Inner products a[g] . b[g] of two (G, m) stacks, without conjugation.
 
     One stacked ``np.matmul`` of (1, m) rows with (m, 1) columns: each item
     is the BLAS dot that ``np.vdot`` and ``ndarray.dot`` take, so the items
     have the bits of ``np.vdot(r, r)`` (with ``a`` = conj(r)) and of the
-    ``np.linalg.norm`` sums.
+    ``np.linalg.norm`` sums.  Only stacks of two or more come here; the
+    stack of one of ``collapse`` calls those two dots itself.
     """
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 

@@ -806,7 +806,49 @@ EDGE_LINES = (
 )
 
 
-def test_parser_carries_nothing_between_calls(capsys, monkeypatch):
+# Runs each argv of a JSON list on stdin in its own fork of one process that
+# has imported corrspace.cli and called nothing, so each starts from the state
+# a fresh `python -m corrspace.cli` starts from without importing numpy and
+# corrspace again.  Fork i writes its stdout and stderr to i.out and i.err in
+# the directory argv[1]; the exit codes come back as a JSON list on stdout.
+_FORKED_CLI = """
+import json, os, sys
+from corrspace.cli import main
+
+codes = []
+for i, argv in enumerate(json.load(sys.stdin)):
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            for fd, stream in ((1, "out"), (2, "err")):
+                path = os.path.join(sys.argv[1], f"{i}.{stream}")
+                os.dup2(os.open(path, os.O_WRONLY | os.O_CREAT, 0o600), fd)
+            code = main(argv)
+        finally:
+            sys.stdout.flush()
+            sys.stderr.flush()
+            os._exit(code)
+    codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+json.dump(codes, sys.stdout)
+"""
+
+
+def _forked_cli_runs(lines, env, out_dir):
+    """(exit code, stdout, stderr) of each command line, as a fresh process
+    gives them, from forks of one helper process."""
+    helper = subprocess.run(
+        [sys.executable, "-c", _FORKED_CLI, str(out_dir)],
+        input=json.dumps([line.split() for line in lines]),
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return [
+        (code, (out_dir / f"{i}.out").read_text(), (out_dir / f"{i}.err").read_text())
+        for i, code in enumerate(json.loads(helper.stdout))
+    ]
+
+
+def test_parser_carries_nothing_between_calls(capsys, monkeypatch, tmp_path):
     # main() parses with one parser per process; each call must print what a
     # fresh process prints, whatever the calls before it parsed
     monkeypatch.setenv("COLUMNS", "80")  # --help wraps at the terminal width
@@ -823,13 +865,21 @@ def test_parser_carries_nothing_between_calls(capsys, monkeypatch):
         ("protocol compensate --alpha 0 --resource 2 --postselect-zeros", 0),
         ("protocol compensate --alpha -0 --resource 2 --postselect-zeros", 0),
     )
-    for args, code in (*calls, *EDGE_LINES):
-        fresh = subprocess.run(
+    lines = (*calls, *EDGE_LINES)
+    # these lines run through the real entry point, the rest in forks
+    entry = (pinned, "--help", "")
+    fresh = {}
+    for args in entry:
+        run = subprocess.run(
             [sys.executable, "-m", "corrspace.cli", *args.split()],
             capture_output=True, text=True, env=env, check=False,
         )
-        assert run_cli(capsys, *args.split()) == (code, fresh.stdout, fresh.stderr), args
-        assert fresh.returncode == code, args
+        fresh[args] = (run.returncode, run.stdout, run.stderr)
+    forked = [args for args, _ in lines if args not in entry]
+    fresh.update(zip(forked, _forked_cli_runs(forked, env, tmp_path)))
+    for args, code in lines:
+        assert run_cli(capsys, *args.split()) == fresh[args], args
+        assert fresh[args][0] == code, args
 
 
 def test_command_parser_gives_the_full_parse_of_every_golden_command():

@@ -114,6 +114,37 @@ def test_program_branches_propagate_aborts():
         prog.branches()
 
 
+def test_measured_steps_never_reach_the_stacked_collapse(monkeypatch):
+    # a sampled or post-selected step collapses a stack of one with np.dot
+    # and np.vdot; only stacks of two or more take the matmul machinery
+    def stacked(*args):
+        raise AssertionError("stacked collapse machinery reached")
+
+    monkeypatch.setattr(qm, "_contract_front", stacked)
+    monkeypatch.setattr(qm, "_row_dots", stacked)
+    with pytest.raises(AssertionError, match="stacked collapse"):
+        enumerate_compensation(0.8, "4-qubit")
+    noisy = white_noise(build_psi4(pi / 6), 0.9)
+    runs = (
+        (lambda **kw: compensate(0.8, "2-qubit", **kw), (0,)),
+        (lambda **kw: compensate(0.8, **kw), (0, 0, 0)),
+        (lambda **kw: compensate(0.8, state=noisy, **kw), (0, 0, 0)),
+        (lambda **kw: rotate_sequence(0.3, 0.4, 0.5, **kw), (0, 0, 0)),
+        (lambda **kw: cz_gate_protocol(0.7, **kw), (0, 0, 0, 0)),
+        (lambda **kw: deutsch("constant", **kw)[2], (0, 0, 0, 0)),
+        (lambda **kw: deutsch("balanced", **kw)[2], (0, 0, 0, 0)),
+    )
+    rng = np.random.default_rng(5)
+    for run, zeros in runs:
+        assert run(outcomes=zeros).outcome_bits == zeros
+        for _ in range(8):
+            try:
+                bits = run(rng=rng).outcome_bits
+            except ProtocolAbort:  # balanced deutsch with r2 or r3 set
+                continue
+            assert run(outcomes=bits).outcome_bits == bits
+
+
 def test_enumeration_shares_prefixes(collapse_stacks, monkeypatch):
     _, branches = enumerate_compensation(0.8, "4-qubit")
     assert len(branches) == 8

@@ -311,6 +311,27 @@ def test_pure_collapse_has_the_bits_of_per_item_vdot_and_norm(rng):
                     assert np.array_equal(unit[i], r / np.linalg.norm(r))
 
 
+def test_collapse_of_one_has_the_bits_of_its_item_in_a_stack_of_three(rng):
+    # the stack of one takes np.dot, np.vdot and a 2-D trace, a larger stack
+    # np.matmul and _row_dots: both must give the same bytes
+    for n in range(1, 7):
+        labels = tuple("abcdef"[:n])
+        for make in (rand_state, rand_density):
+            for rep in range(6):
+                stack = np.stack([_data(make(labels, rng)) for _ in range(3)])
+                if rep == 0:
+                    stack[1] = stack[1].real  # signed zeros in the imaginary parts
+                kets = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+                for ax in range(n):
+                    for normalize in (False, True):
+                        probs, rest = qm.collapse(stack, ax, kets, normalize=normalize)
+                        for i in range(3):
+                            one = qm.collapse(stack[i:i + 1], ax, kets[i:i + 1], normalize=normalize)
+                            for got, want in zip(one, (probs[i:i + 1], rest[i:i + 1])):
+                                assert got.shape == want.shape and got.dtype == want.dtype
+                                assert got.tobytes() == want.tobytes()
+
+
 def test_norm_has_the_bits_of_np_linalg_norm(rng):
     for n in range(1, 7):
         labels = tuple("abcdef"[:n])
@@ -333,6 +354,34 @@ def test_collapse_leaves_a_zero_state_undivided():
     probs, unit = qm.collapse(stack, 0, np.stack([qm.ket("1"), qm.ket("1")]), normalize=True)
     assert probs[0] == 0.0 and np.array_equal(unit[0], [0])
     assert abs(probs[1] - 0.5) < TOL and np.allclose(unit[1], [1])
+    for data in (qm.ket("0"), np.diag([1.0 + 0j, 0.0])):  # stacks of one
+        probs, unit = qm.collapse(data[np.newaxis], 0, qm.ket("1")[np.newaxis], normalize=True)
+        assert probs.tolist() == [0.0] and not np.any(unit)
+
+
+@pytest.mark.parametrize("g", [1, 3])
+def test_collapse_rejects_kets_that_are_not_one_per_state(g):
+    states = np.ones((g, 4), dtype=complex)
+    for kets in (np.ones(2), np.ones((g + 1, 2)), np.ones((g, 3)), np.ones((g, 2, 1))):
+        with pytest.raises(ValueError, match=rf"^kets must be \({g}, 2\) for {g} states, got"):
+            qm.collapse(states, 0, kets.astype(complex))
+
+
+@pytest.mark.parametrize("g", [1, 3])
+def test_collapse_rejects_an_axis_outside_the_register(g):
+    kets = np.ones((g, 2), dtype=complex)
+    for states in (np.ones((g, 8), dtype=complex), np.ones((g, 8, 8), dtype=complex)):
+        for axis in (-1, 3, 7):
+            with pytest.raises(ValueError, match=rf"^axis must lie in \[0, 3\) for 3-qubit states, got {axis}$"):
+                qm.collapse(states, axis, kets)
+
+
+@pytest.mark.parametrize("g", [1, 3])
+def test_collapse_rejects_states_that_are_not_qubit_registers(g):
+    kets = np.ones((g, 2), dtype=complex)
+    for shape in ((g,), (g, 1), (g, 3), (g, 6), (g, 4, 2), (g, 4, 8), (g, 2, 2, 2)):
+        with pytest.raises(ValueError, match=r"^states must be \(G, 2\^n\) or \(G, 2\^n, 2\^n\) with n >= 1"):
+            qm.collapse(np.ones(shape, dtype=complex), 0, kets)
 
 
 def test_density_normalized():
