@@ -437,14 +437,49 @@ def fidelity_from_settings(
     equals Tr(rho * sum M_i) up to rounding (i.e. the target fidelity plus
     the decomposition residual's contribution).
 
-    The parity table (each word's term, parity signs over the cells and
-    real coefficient) depends only on (theta, variant), so it is built once
-    and shared read-only; the cells are checked on every call.  The
-    additions keep the order of a scalar loop over terms, words and cells,
-    so the estimate equals that loop's to the last bit and printed
-    estimates keep their bytes.
+    The 36 rows are stacked in one pass, gathered into a (cells, words)
+    array by the parity table, multiplied by its signs and summed over the
+    cells with one ``np.add.reduce(axis=0)``; the words' values are then
+    laid out as (word slot, term) and summed over the slots the same way.
+    A reduction over the leading axis of a C-contiguous array adds row
+    after row (numpy sums pairwise only along the contiguous axis), so each
+    sum runs in cell or word order.  The zero padding of short terms and
+    the missing leading 0.0 of a scalar loop can change only the sign of a
+    zero term, and the final sum over the terms starts from +0.0.  The
+    estimate therefore equals a scalar loop over terms, words and cells to
+    the last bit, and printed estimates keep their bytes.
+
+    A missing setting raises ``KeyError`` and a row that is not 64 cells
+    raises ``ValueError``, both naming the setting.
     """
-    terms = witness_terms(theta, corrected)
+    settings, gather, signs, coeffs, slots, slot_shape = _parity_table(
+        float(theta), bool(corrected)
+    )
+    try:
+        # get: a mapping's __missing__ must not stand in for an absent setting
+        stacked = np.array([cell_data.get(s) for s in settings], dtype=float)
+    except ValueError:  # ragged rows, or a missing setting among rows
+        stacked = None
+    if stacked is None or stacked.shape != (len(settings), 64):
+        stacked = _checked_rows(cell_data, witness_terms(theta, corrected))
+    cells = stacked.take(gather)
+    cells *= signs
+    by_slot = np.zeros(slot_shape)
+    np.put(by_slot, slots, np.add.reduce(cells, axis=0) * coeffs)
+    total = 0.0
+    for term in np.add.reduce(by_slot, axis=0).tolist():
+        total += term
+    if corrected:
+        total /= 2.0
+    return float(total)
+
+
+def _checked_rows(
+    cell_data: Mapping[str, Sequence[float]], terms: Sequence[WitnessTerm]
+) -> np.ndarray:
+    """The terms' cell rows stacked, scanned term by term: the first absent
+    setting raises ``KeyError`` and the first row not of shape (64,) raises
+    ``ValueError``."""
     rows = []
     for term in terms:
         if term.setting not in cell_data:
@@ -452,34 +487,33 @@ def fidelity_from_settings(
         if np.shape(cell_data[term.setting]) != (64,):
             raise ValueError(f"setting {term.setting}: expected 64 cells")
         rows.append(cell_data[term.setting])
-    word_term, signs, coeffs, ends = _parity_table(float(theta), bool(corrected))
-    cells = np.array(rows, dtype=float)[word_term]
-    # cumsum adds in sequence, as scalar loops do (np.sum adds pairwise)
-    values = (np.cumsum(signs * cells, axis=1)[:, -1] * coeffs).tolist()
-    total = 0.0
-    for start, end in zip((0, *ends), ends):
-        term = 0.0
-        for value in values[start:end]:
-            term += value
-        total += term
-    if corrected:
-        total /= 2.0
-    return float(total)
+    return np.array(rows, dtype=float)
 
 
 @functools.lru_cache(maxsize=8)
 def _parity_table(
     theta: float, corrected: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
-    """Per word of the terms, in order: its term index, its parity signs over
-    the 64 cells and its real coefficient (read-only arrays); then the word
-    index at which each term ends."""
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[int, int]]:
+    """What ``fidelity_from_settings`` needs besides the cells, built once
+    per (theta, variant); the arrays are read-only.
+
+    In order: each term's setting; the (64 cells, words) flat index into
+    the stacked (terms, 64) cells, whose column w reads the cells of word
+    w's term; the words' parity signs in that layout; the words' real
+    coefficients; each word's flat index into a (word slots, terms) array,
+    row k holding the k-th word of every term; and that array's shape.
+    """
     terms = witness_terms(theta, corrected)
     words = [w for t in terms for w in t.words]
-    word_term = np.repeat(np.arange(len(terms)), [len(t.words) for t in terms])
-    signs = _parity_signs(np.arange(64) & _bit_masks(words, "XYZ")[:, None])
+    sizes = [len(t.words) for t in terms]
+    word_term = np.repeat(np.arange(len(terms)), sizes)
+    cell = np.arange(64)[:, None]
+    gather = word_term * 64 + cell
+    signs = _parity_signs(cell & _bit_masks(words, "XYZ"))
     coeffs = np.array([w.coefficient.real for w in words])
-    for a in (word_term, signs, coeffs):
+    slot = np.concatenate([np.arange(size) for size in sizes])
+    slots = slot * len(terms) + word_term
+    for a in (gather, signs, coeffs, slots):
         a.setflags(write=False)
-    ends = tuple(itertools.accumulate(len(t.words) for t in terms))
-    return word_term, signs, coeffs, ends
+    settings = tuple(t.setting for t in terms)
+    return settings, gather, signs, coeffs, slots, (max(sizes), len(terms))

@@ -36,6 +36,11 @@ def white_noise(
     ``weight`` w directly or the desired ``fidelity_target``
     <psi|rho|psi> = w + (1 - w)/2^n, which must exceed the mixed floor
     1/2^n.
+
+    The matrix is built in place from one outer product, with the bytes of
+    the expression above: ``*= w`` is the same complex-by-scalar multiply,
+    ``+= 0.0`` adds the zero that the identity's off-diagonal adds (turning
+    a -0.0 into +0.0), and the diagonal then gains (1 - w) / 2^n.
     """
     if (fidelity_target is None) == (weight is None):
         raise ValueError("provide exactly one of fidelity_target or weight")
@@ -51,9 +56,10 @@ def white_noise(
     if not 0.0 <= weight <= 1.0:
         raise ValueError("mixing weight must lie in [0, 1]")
     psi, _ = state.normalized()
-    mat = weight * np.outer(psi.amps, np.conj(psi.amps)) + (1.0 - weight) * np.eye(
-        dim
-    ) / dim
+    mat = np.outer(psi.amps, np.conj(psi.amps))
+    mat *= weight
+    mat += 0.0
+    mat.reshape(-1)[:: dim + 1] += (1.0 - weight) / dim
     return qm.DensityMatrix(state.labels, mat)
 
 

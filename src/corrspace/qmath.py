@@ -367,10 +367,16 @@ State = Union[StateVector, DensityMatrix]
 def _project_one(
     state: State, qubit: str, onto: np.ndarray | str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``collapse`` of the stack of one: the state's own ``project``."""
+    """``collapse`` of the stack of one: the state's own ``project``.
+
+    ``onto`` is a ket name or a ket of shape (2,); any other shape raises
+    ``ValueError`` before it is made into the stack of one.
+    """
     vec = ket(onto) if isinstance(onto, str) else np.asarray(onto, dtype=complex)
+    if vec.shape != (2,):
+        raise ValueError(f"onto must be a ket name or of shape (2,), got {vec.shape}")
     data = state.amps if isinstance(state, StateVector) else state.mat
-    return collapse(data[np.newaxis], _index_of(state.labels, qubit), vec.reshape(1, 2))
+    return collapse(data[np.newaxis], _index_of(state.labels, qubit), vec[np.newaxis])
 
 
 def _without(labels: tuple[str, ...], qubit: str) -> tuple[str, ...]:

@@ -1,5 +1,6 @@
 """Correlations, entropies, and the 36-setting fidelity decomposition."""
 
+import collections
 import itertools
 import json
 from math import cos, pi, sin, sqrt
@@ -389,17 +390,53 @@ def test_fidelity_equals_parity_loop_reference_exactly(rng, theta, corrected):
         assert got == parity_loop_fidelity(cells, terms, corrected)
 
 
+@pytest.mark.parametrize("theta", [pi / 6, 0.3])
+@pytest.mark.parametrize("fidelity", [0.3, 0.73, 1.0])
+def test_fidelity_of_white_noise_cells_equals_parity_loop_exactly(theta, fidelity):
+    rho = white_noise(build_psi6(theta), fidelity)
+    settings = tuple(sorted({t.setting for t in witness_terms(theta)}))
+    table = simulate_counts(rho.reorder(WITNESS_ORDER), settings, shots=2000, seed=5)
+    for cells in (exact_setting_cells(rho), counts_to_cells(table)):
+        for corrected in (False, True):
+            terms = witness_terms(theta, corrected)
+            got = fidelity_from_settings(cells, theta=theta, corrected=corrected)
+            assert got == parity_loop_fidelity(cells, terms, corrected)
+
+
+def test_fidelity_of_zero_cells_is_positive_zero():
+    # zero parity sums of either sign add up to +0.0, as a scalar loop's do
+    settings = {t.setting for t in witness_terms()}
+    for zero in (0.0, -0.0):
+        cells = {s: np.full(64, zero) for s in settings}
+        for corrected in (False, True):
+            got = fidelity_from_settings(cells, corrected=corrected)
+            assert got == 0.0 and np.copysign(1.0, got) == 1.0
+
+
 def test_cell_input_validation():
     cells = exact_setting_cells(PSI6)
     fidelity_from_settings(cells)  # the checks must run on a warm parity table
     partial = {k: v for k, v in cells.items() if k != "ZZZZZZ"}
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="missing setting ZZZZZZ"):
         fidelity_from_settings(partial)
-    for n in (16, 63):
-        bad = dict(cells)
-        bad["ZZZZZZ"] = np.ones(n) / n
-        with pytest.raises(ValueError):
-            fidelity_from_settings(bad)
+    # a mapping that makes up missing values still lacks the setting
+    made_up = collections.defaultdict(lambda: np.ones(64) / 64, partial)
+    with pytest.raises(KeyError, match="missing setting ZZZZZZ"):
+        fidelity_from_settings(made_up)
+    assert "ZZZZZZ" not in made_up
+    order = [t.setting for t in witness_terms()]
+    bad_rows = [
+        {"ZZZZZZ": np.ones(16) / 16},
+        {"ZZZZZZ": np.ones(63) / 63},
+        {"ZZZZZZ": np.ones((64, 1)) / 64},
+        {order[-1]: np.ones(63) / 63, order[5]: np.ones(65) / 65},  # ragged rows
+        {s: np.ones(63) / 63 for s in cells},  # every row short, none ragged
+        {s: np.ones((64, 1)) / 64 for s in cells},
+    ]
+    for replaced in bad_rows:
+        first = min(replaced, key=order.index)
+        with pytest.raises(ValueError, match=f"^setting {first}: expected 64 cells$"):
+            fidelity_from_settings({**cells, **replaced})
 
 
 @pytest.mark.parametrize("theta", (0.0, pi / 2, float("nan")))

@@ -74,6 +74,39 @@ def test_white_noise_limits_and_validation():
         white_noise(pure, weight=1.5)
 
 
+def _white_noise_states():
+    """lambda34, psi4, psi6, a basis state for each n = 1..6 and a state for
+    each n with negative and exact-zero real and imaginary parts."""
+    rng = np.random.default_rng(34)
+    yield lambda34()
+    yield build_psi4()
+    yield build_psi6()
+    for n in range(1, 7):
+        labels = tuple(str(k + 1) for k in range(n))
+        basis = np.zeros(2**n)
+        basis[rng.integers(2**n)] = 1.0
+        yield qm.StateVector(labels, basis)
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        amps.real[::3] = 0.0
+        amps.imag[1::3] = -0.0
+        amps[0] = 1.0
+        yield qm.StateVector(labels, amps)
+
+
+def test_white_noise_has_the_bytes_of_the_mixture_expression():
+    for state in _white_noise_states():
+        psi, _ = state.normalized()
+        dim = 2**state.n_qubits
+        outer = np.outer(psi.amps, np.conj(psi.amps))
+        cases = [(w, {"weight": w}) for w in (0.0, 0.3, 0.712, 1.0)]
+        cases += [((dim * f - 1.0) / (dim - 1.0), {"fidelity_target": f}) for f in (0.73, 0.9, 1.0)]
+        for w, kwargs in cases:
+            want = w * outer + (1.0 - w) * np.eye(dim) / dim
+            got = white_noise(state, **kwargs)
+            assert got.labels == state.labels
+            assert got.mat.tobytes() == want.tobytes(), (state.labels, kwargs)
+
+
 # ---------------------------------------------------------------------------
 # Settings and outcome kets
 # ---------------------------------------------------------------------------

@@ -384,6 +384,19 @@ def test_collapse_rejects_states_that_are_not_qubit_registers(g):
             qm.collapse(np.ones(shape, dtype=complex), 0, kets)
 
 
+def test_project_rejects_an_onto_that_is_not_one_ket(rng):
+    st = rand_state(("a", "b"), rng)
+    for state in (st, st.to_density()):
+        for onto in (np.ones((2, 1)), np.ones((1, 2)), np.ones(3), np.ones(1), np.array(1.0)):
+            with pytest.raises(ValueError, match=r"^onto must be a ket name or of shape \(2,\), got ") as err:
+                state.project("a", onto)
+            assert str(err.value).endswith(f"got {onto.shape}")
+        with pytest.raises(ValueError, match="unknown ket name"):
+            state.project("a", "Q")
+        p, _ = state.project("a", [1, 0])  # a plain sequence of two amplitudes is a ket
+        assert p == state.project("a", "0")[0]
+
+
 def test_density_normalized():
     rho = qm.DensityMatrix(("a",), 2 * np.eye(2))
     unit, tr = rho.normalized()
