@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from math import copysign, sqrt
+from math import copysign, isfinite, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -159,7 +159,10 @@ def _shared_basis_B_stack(zetas: bytes, theta: float) -> np.ndarray:
 def _b_kets(
     zeta: float, c: float, s: float
 ) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
-    """ket0 and ket1 of B(zeta) for c = cos(theta), s = sin(theta)."""
+    """ket0 and ket1 of B(zeta) for c = cos(theta), s = sin(theta); a
+    non-finite zeta raises ``ValueError`` before any trig call."""
+    if not isfinite(zeta):
+        raise ValueError(f"basis angle zeta must be finite, got {zeta}")
     ch, sh = float(np.cos(zeta / 2)), float(np.sin(zeta / 2))
     lower0, lower1 = 1j * c * sh, -1j * s * ch
     return (
@@ -243,49 +246,75 @@ def measure(
     """Measure one qubit; return the outcome record and the collapsed state.
 
     Exactly one of ``outcome`` (post-selection) or ``rng`` (Born-rule
-    sampling) must be provided.  The measured qubit is removed from the
-    register and the remaining state is renormalized.  An outcome of
-    probability below ``ZERO_PROBABILITY`` raises ``ZeroProbabilityBranch``.
+    sampling) must be provided; ``outcome`` must be a Python or NumPy
+    integer equal to 0 or 1 (a bool counts).  The measured qubit is removed
+    from the register and the remaining state is renormalized.  An outcome
+    of probability below ``ZERO_PROBABILITY`` raises
+    ``ZeroProbabilityBranch``.
 
-    Each drawn outcome costs one unnormalized ``qmath.collapse`` of the
-    stack of one: post-selection collapses onto the requested outcome's
-    ket; sampling collapses onto ``kets[0]`` to draw, and onto ``kets[1]``
-    as well only when outcome 1 is drawn.  A stack of one is contracted
-    with one ``np.dot`` per side of the state and its probability taken
-    with ``np.vdot`` or a 2-D trace, which gives the bits of the same item
-    inside a larger stack.  The kept collapse is then
-    divided once, by its norm sqrt(re . re + im . im) (pure) or by its real
-    trace, which is the probability (mixed); this gives the bits of
-    ``project`` followed by ``normalized()``.  This is the one-branch path
-    of ``Program.run``; whole outcome trees are walked by
+    The public one-step API: a state-in, state-out wrapper over
+    ``_measured_step``, the step that ``Program.run`` loops over, so one
+    call has the bits of one ``Program.run`` step and draws from ``rng``
+    as that step does.  Whole outcome trees are walked by
     ``protocols.walk_branches``, which collapses a stack of states per tree
-    level and never calls ``measure``.
+    level and never calls either.
     """
     if (outcome is None) == (rng is None):
         raise ValueError("provide exactly one of outcome= or rng=")
-    chosen = None if outcome is None else int(outcome)
-    if chosen not in (None, 0, 1):
-        raise ValueError("outcome must be 0 or 1")
     pure = isinstance(state, qm.StateVector)
-    data = (state.amps if pure else state.mat)[None]
-    axis = qm._index_of(state.labels, qubit)
-    kets = basis.kets
-    if chosen is None:
-        probs, rest = qm.collapse(data, axis, kets[0:1])
-        chosen = 0 if rng.random() < probs[0] else 1
-        if chosen == 1:
-            probs, rest = qm.collapse(data, axis, kets[1:2])
+    record, labels, rest = _measured_step(
+        state.labels, state.amps if pure else state.mat, qubit, basis, outcome, rng
+    )
+    return record, (qm.StateVector if pure else qm.DensityMatrix)(labels, rest)
+
+
+def _measured_step(
+    labels: tuple[str, ...],
+    data: np.ndarray,
+    qubit: str,
+    basis: MeasurementBasis,
+    outcome: int | None,
+    rng: np.random.Generator | None,
+) -> tuple[OutcomeRecord, tuple[str, ...], np.ndarray]:
+    """The one measured step of a branch, on its raw arrays.
+
+    ``data`` is the amplitude vector (pure) or the matrix (mixed) of a
+    register ``labels`` as a ``StateVector`` or ``DensityMatrix`` holds it;
+    exactly one of ``outcome`` and ``rng`` is given.  Returns the outcome
+    record and the collapsed branch: its labels, without ``qubit``, and
+    its normalized array.  Only the outcome (here) and the qubit
+    (``qmath._index_of``) are checked; the state and the basis were checked
+    by their constructors.
+
+    Each drawn outcome costs one unnormalized ``qmath._collapse_one``, the
+    stack of one of ``qmath.collapse``: post-selection collapses onto the
+    requested outcome's ket; sampling collapses onto ``kets[0]``, draws
+    once with ``rng.random() < p0``, and collapses onto ``kets[1]`` as
+    well only when outcome 1 is drawn.  The kept collapse is then divided
+    once, by its norm sqrt(re . re + im . im) (pure) or by its real trace,
+    which is the probability (mixed); this gives the bits of ``project``
+    followed by ``normalized()``.
+    """
+    if outcome is not None and not (isinstance(outcome, (int, np.integer)) and outcome in (0, 1)):
+        raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
+    axis = qm._index_of(labels, qubit)
+    n, pure, kets = len(labels), data.ndim == 1, basis.kets
+    if outcome is None:
+        prob, rest = qm._collapse_one(data, axis, kets[0], n, pure, False)
+        outcome = 0 if rng.random() < prob else 1
+        if outcome == 1:
+            prob, rest = qm._collapse_one(data, axis, kets[1], n, pure, False)
     else:
-        probs, rest = qm.collapse(data, axis, kets[chosen:chosen + 1])
-    prob = float(probs[0])
+        outcome = int(outcome)
+        prob, rest = qm._collapse_one(data, axis, kets[outcome], n, pure, False)
+    prob = float(prob)
     if prob < ZERO_PROBABILITY:
         raise ZeroProbabilityBranch(
-            f"outcome {chosen} on qubit {qubit!r} has zero probability"
+            f"outcome {outcome} on qubit {qubit!r} has zero probability"
         )
-    labels, rest = qm._without(state.labels, qubit), rest[0]
     if pure:
         re, im = rest.real, rest.imag
-        collapsed = qm.StateVector(labels, rest / sqrt(re.dot(re) + im.dot(im)))
+        rest = rest / sqrt(re.dot(re) + im.dot(im))
     else:
-        collapsed = qm.DensityMatrix(labels, rest / prob)
-    return OutcomeRecord(qubit, basis, chosen, prob), collapsed
+        rest = rest / prob
+    return OutcomeRecord(qubit, basis, outcome, prob), labels[:axis] + labels[axis + 1:], rest

@@ -27,7 +27,7 @@ import numpy as np
 from . import qmath as qm
 from .qmath import State
 from .measurement import (
-    ZERO_PROBABILITY, MeasurementBasis, OutcomeRecord, basis_B, basis_B_stack, measure,
+    ZERO_PROBABILITY, MeasurementBasis, OutcomeRecord, _measured_step, basis_B, basis_B_stack,
     pauli_basis,
 )
 from .noise_tomo import white_noise
@@ -191,19 +191,31 @@ class Program:
 
     def run(self, *, outcomes: Sequence[int] | None = None,
             rng: np.random.Generator | None = None) -> Any:
-        """One branch: post-select exactly its ``outcomes``, or sample every step with ``rng``."""
+        """One branch: post-select exactly its ``outcomes``, or sample every step with ``rng``.
+
+        Each step is one ``measurement._measured_step`` on the branch's raw
+        labels and array, so it has the bits of one ``measure`` call and
+        draws from ``rng`` as that call does.  ``finish`` gets one
+        ``StateVector`` or ``DensityMatrix`` built at the end of the branch,
+        or the program's own state object when no step runs.  Each outcome
+        must be a Python or NumPy integer equal to 0 or 1.
+        """
         if (outcomes is None) == (rng is None):
             raise ValueError("provide exactly one of outcomes= or rng=")
         state, records, bits = self.state, [], ()
+        pure = isinstance(state, qm.StateVector)
+        labels, data = state.labels, state.amps if pure else state.mat
         while (step := self.next_step(bits)) is not None:
             if outcomes is not None and len(bits) == len(outcomes):
                 raise ValueError(f"branch {bits} needs more than the {len(outcomes)} outcomes given")
             want = None if outcomes is None else outcomes[len(bits)]
-            rec, state = measure(state, *step, outcome=want, rng=rng)
+            rec, labels, data = _measured_step(labels, data, *step, want, rng)
             records.append(rec)
             bits += (rec.outcome,)
         if outcomes is not None and len(bits) < len(outcomes):
             raise ValueError(f"branch {bits} ends before the {len(outcomes)} outcomes given")
+        if records:
+            state = (qm.StateVector if pure else qm.DensityMatrix)(labels, data)
         return self.finish(tuple(records), state)
 
     def branches(self) -> tuple[Any, ...]:

@@ -111,14 +111,18 @@ def collapse(
     ``np.trace`` for the probability.  So it has the bits of the same item
     inside a larger stack.
 
-    The one Born step of the library: ``measurement.measure`` (a sampled or
-    post-selected step of ``Program.run``) calls it unnormalized on a stack
-    of one, ``protocols.walk_branches`` normalized on a whole tree level,
-    and the ``project`` methods on a stack of one.
+    The one Born step of the library: ``protocols.walk_branches`` calls it
+    normalized on a whole tree level and the ``project`` methods on a stack
+    of one.  The measured step ``measurement._measured_step`` (each sampled
+    or post-selected step of ``Program.run``, and ``measure``) calls its
+    stack-of-one kernel ``_collapse_one`` unnormalized and directly, since
+    its arguments were checked where they entered; every check here stays
+    for the callers of ``collapse``.
     """
     g, n, pure = _check_collapse(states, axis, kets)
     if g == 1:
-        return _collapse_one(states[0], axis, kets[0], n, pure, normalize)
+        prob, rest = _collapse_one(states[0], axis, kets[0], n, pure, normalize)
+        return prob.reshape(1), rest[np.newaxis]
     t = states.reshape((g,) + (2,) * (n if pure else 2 * n))
     t = _contract_front(np.conj(kets), t, axis)
     if pure:
@@ -154,13 +158,16 @@ def _check_collapse(states: np.ndarray, axis: int, kets: np.ndarray) -> tuple[in
 
 def _collapse_one(
     state: np.ndarray, axis: int, ket: np.ndarray, n: int, pure: bool, normalize: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """``collapse`` of one state onto one ket, as a stack of one.
+) -> tuple[np.float64, np.ndarray]:
+    """``collapse`` of one state onto one ket, unstacked and unchecked: the
+    Born probability and the collapsed state, without the stack axis.
 
     The per-item BLAS calls of the stacked path without its stack
     machinery: ``np.dot`` of the ket with the state regrouped as (2, rest),
     ``np.vdot`` for a pure probability, ``ndarray.dot`` for a pure norm and
-    a 2-D ``np.trace`` for a mixed one.
+    a 2-D ``np.trace`` for a mixed one.  Its callers are ``collapse`` and
+    the measured step ``measurement._measured_step``, which pass arguments
+    their own constructors and ``_index_of`` have checked.
     """
     rest = np.dot(np.conj(ket), _front(state, axis))
     if pure:
@@ -174,7 +181,7 @@ def _collapse_one(
         scale = prob
     if normalize and scale != 0.0:
         rest = rest / scale
-    return prob.reshape(1), rest[np.newaxis]
+    return prob, rest
 
 
 def _front(t: np.ndarray, axis: int) -> np.ndarray:
@@ -296,10 +303,11 @@ class StateVector:
         Returns (probability, unnormalized collapsed state with the qubit
         removed from the register).
 
-        Not on the shot path: ``measurement.measure`` calls ``collapse``
-        itself.  Kept as public API and as the tests' oracle for
-        ``measure`` until the benchmark's tracer (``perfbench/spans.py``)
-        stops naming it; then both ``project`` methods go.
+        Not on the shot path: the measured step of ``measurement.measure``
+        and ``Program.run`` calls ``collapse``'s kernel itself.  Kept as
+        public API and as the tests' oracle for ``measure`` until the
+        benchmark's tracer (``perfbench/spans.py``) stops naming it; then
+        both ``project`` methods go.
         """
         probs, rest = _project_one(self, qubit, onto)
         return float(probs[0]), StateVector(_without(self.labels, qubit), rest[0])

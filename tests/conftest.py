@@ -22,3 +22,19 @@ def collapse_stacks(monkeypatch):
 
     monkeypatch.setattr(qm, "collapse", counting)
     return sizes
+
+
+@pytest.fixture
+def single_collapses(monkeypatch):
+    """A 1 for every collapse of one state onto one ket (``qmath._collapse_one``):
+    each measured step of ``measure`` or ``Program.run`` and each stack of one
+    passed to ``qmath.collapse``."""
+    sizes = []
+    real = qm._collapse_one
+
+    def counting(*args, **kwargs):
+        sizes.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(qm, "_collapse_one", counting)
+    return sizes

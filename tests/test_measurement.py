@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 from math import cos, pi, sin, sqrt
 
 import numpy as np
@@ -154,6 +155,25 @@ def test_angle_basis_stack_failures_are_not_kept():
     meas.basis_B_stack([0.1, 0.2])
     with pytest.raises(ValueError, match="1-D"):
         meas.basis_B_stack([[0.1], [0.2]])
+
+
+@pytest.mark.parametrize("zeta", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_basis_angle_is_named_before_any_trig_call(zeta):
+    message = rf"^basis angle zeta must be finite, got {zeta}$"
+    kept, stacks = meas._shared_basis_B.cache_info(), meas._shared_basis_B_stack.cache_info()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's invalid-value warnings from cos and sin
+        with pytest.raises(ValueError, match=message):
+            meas.basis_B(zeta)
+        with pytest.raises(ValueError, match=message):
+            meas.basis_B(zeta, 0.9)
+        with pytest.raises(ValueError, match=message):
+            meas.basis_B_stack([0.3, zeta, 0.5])
+        with pytest.raises(ValueError, match=message):
+            compensate(zeta, rng=np.random.default_rng(2))
+    # a failed build is not kept
+    assert meas._shared_basis_B.cache_info().currsize == kept.currsize
+    assert meas._shared_basis_B_stack.cache_info().currsize == stacks.currsize
 
 
 def test_shared_stacks_are_bounded():
@@ -403,23 +423,23 @@ def project_calls(monkeypatch):
     return calls
 
 
-def test_postselected_measure_projects_once(rng, collapse_stacks):
+def test_postselected_measure_projects_once(rng, single_collapses):
     st = rand_state(("a", "b"), rng)
     for state in (st, st.to_density()):
         for outcome in (0, 1):
-            collapse_stacks.clear()
+            single_collapses.clear()
             meas.measure(state, "b", meas.basis_B(0.9, 0.5), outcome=outcome)
-            assert collapse_stacks == [1]
+            assert single_collapses == [1]
 
 
-def test_sampled_measure_projects_again_only_for_outcome_1(rng, collapse_stacks):
+def test_sampled_measure_projects_again_only_for_outcome_1(rng, single_collapses):
     st = rand_state(("a", "b"), rng)
     gen = np.random.default_rng(5)
     seen = set()
     for state in (st, st.to_density()) * 10:
-        collapse_stacks.clear()
+        single_collapses.clear()
         rec, _ = meas.measure(state, "a", meas.pauli_basis("X"), rng=gen)
-        assert collapse_stacks == [1] * (1 + rec.outcome)
+        assert single_collapses == [1] * (1 + rec.outcome)
         seen.add(rec.outcome)
     assert seen == {0, 1}
 

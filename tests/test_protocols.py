@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 from math import atan, cos, pi, sin, sqrt
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from corrspace import protocols
 from corrspace import qmath as qm
 from corrspace.cli import dumps15, transcript_payload
-from corrspace.measurement import ZeroProbabilityBranch, pauli_basis
+from corrspace.measurement import ZeroProbabilityBranch, measure, pauli_basis
 from corrspace.noise_tomo import white_noise
 from corrspace.protocols import (
     COUPLER_THETA,
@@ -67,29 +68,39 @@ def _two_step_program():
     return Program(state, next_step, lambda records, state: records)
 
 
-def test_program_run_modes_and_validation(collapse_stacks):
+def test_program_run_modes_and_validation(single_collapses):
     prog = _two_step_program()
     records = prog.run(outcomes=(0, 0))
     assert [(r.qubit, r.basis.name, r.outcome) for r in records] == [
         ("a", "Z", 0), ("b", "X", 0)
     ]
     assert abs(records[1].probability - 1) < TOL
+    single_collapses.clear()
     sampled = prog.run(rng=np.random.default_rng(1))
     assert tuple(r.outcome for r in sampled) == (0, 0)
+    assert single_collapses == [1, 1]  # one collapse per step: both drew outcome 0
+    # a sampled step collapses again only when it draws outcome 1
+    gen, seen = np.random.default_rng(7), set()
+    for _ in range(20):
+        single_collapses.clear()
+        bits = compensate(0.8, "2-qubit", rng=gen).outcome_bits
+        seen.update(bits)
+        assert single_collapses == [1] * (len(bits) + sum(bits))
+    assert seen == {0, 1}
     with pytest.raises(ValueError, match="exactly one"):
         prog.run()
     with pytest.raises(ValueError, match="exactly one"):
         prog.run(outcomes=(0, 0), rng=np.random.default_rng(1))
     # the outcomes must be exactly one branch: a step past them collapses
     # nothing, and a branch that ends early never reaches finish
-    collapse_stacks.clear()
+    single_collapses.clear()
     with pytest.raises(ValueError, match=r"^branch \(0,\) needs more than the 1 outcomes given$"):
         prog.run(outcomes=(0,))
-    assert collapse_stacks == [1]
-    collapse_stacks.clear()
+    assert single_collapses == [1]
+    single_collapses.clear()
     with pytest.raises(ValueError, match=r"^branch \(1, 0\) needs more than the 2 outcomes given$"):
         compensate(0.8, outcomes=(1, 0))
-    assert collapse_stacks == [1, 1]
+    assert single_collapses == [1, 1]
     finished = []
     prog = Program(prog.state, prog.next_step, lambda records, state: finished.append(records))
     with pytest.raises(ValueError, match=r"^branch \(0, 0\) ends before the 3 outcomes given$"):
@@ -97,6 +108,168 @@ def test_program_run_modes_and_validation(collapse_stacks):
     with pytest.raises(ValueError, match=r"^branch \(0,\) ends before the 2 outcomes given$"):
         compensate(0.8, "2-qubit", outcomes=(0, 1))
     assert finished == []
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.7, -0.3, 1.0, "0", "011"])
+def test_outcomes_must_be_integers_0_or_1(bad):
+    # neither truncated (0.5 -> 0, 1.7 -> 1) nor read one character at a time
+    message = rf"^outcome must be 0 or 1, got {re.escape(repr(bad))}$"
+    state = build_psi4()
+    for st in (state, state.to_density()):
+        with pytest.raises(ValueError, match=message):
+            measure(st, "1", pauli_basis("Z"), outcome=bad)
+    prog = _two_step_program()
+    with pytest.raises(ValueError, match=message):
+        prog.run(outcomes=(bad, 0))
+    with pytest.raises(ValueError, match=message):
+        compensate(0.3, "4-qubit", outcomes=(bad, 0, 1))
+    with pytest.raises(ValueError, match=message):
+        prog.run(outcomes=(0, bad))
+    if isinstance(bad, str):  # a string of bits is not a sequence of outcomes
+        with pytest.raises(ValueError, match=r"^outcome must be 0 or 1, got '0'$"):
+            compensate(0.3, "4-qubit", outcomes=bad)
+
+
+def test_outcomes_may_be_any_integer_type():
+    want = compensate(0.3, "4-qubit", outcomes=(1, 0, 1))
+    for outcomes in ((True, False, True), np.array([1, 0, 1]), (np.uint8(1), np.int32(0), 1)):
+        got = compensate(0.3, "4-qubit", outcomes=outcomes)
+        assert_same_transcript(got, want)
+        assert all(type(r.outcome) is int for r in got.outcomes)
+
+
+def _recording(program):
+    """``program`` with a ``finish`` that returns its arguments."""
+    return Program(program.state, program.next_step, lambda records, state: (records, state))
+
+
+def _run_by_measure(program, outcomes=None, rng=None):
+    """The branch of ``program.run`` as a chain of ``measure`` calls."""
+    state, records, bits = program.state, [], ()
+    while (step := program.next_step(bits)) is not None:
+        want = None if outcomes is None else outcomes[len(bits)]
+        rec, state = measure(state, *step, outcome=want, rng=rng)
+        records.append(rec)
+        bits += (rec.outcome,)
+    return tuple(records), state
+
+
+def _ended(branch):
+    """(records, state, None) of ``branch()``, or ((), None, the error) when
+    an abort or a zero-probability outcome ends it."""
+    try:
+        records, state = branch()
+    except (ProtocolAbort, ZeroProbabilityBranch) as exc:
+        return (), None, (type(exc), str(exc))
+    return records, state, None
+
+
+def _assert_same_bits(got, want):
+    (got_records, got_state, got_error), (records, state, error) = got, want
+    assert got_error == error and len(got_records) == len(records)
+    for a, b in zip(got_records, records):
+        assert (a.qubit, a.outcome) == (b.qubit, b.outcome) and a.basis is b.basis
+        assert type(a.probability) is float and type(b.probability) is float
+        assert np.float64(a.probability).tobytes() == np.float64(b.probability).tobytes()
+    if error is None:
+        assert type(got_state) is type(state) and got_state.labels == state.labels
+        data = lambda st: st.amps if isinstance(st, qm.StateVector) else st.mat
+        assert data(got_state).tobytes() == data(state).tobytes()
+
+
+def _leaves(program, bits=()):
+    """Every leaf of the program's outcome tree, a ``ProtocolAbort`` from
+    ``next_step`` ending its branch; zero-probability leaves included."""
+    try:
+        step = program.next_step(bits)
+    except ProtocolAbort:
+        step = None
+    if step is None:
+        yield bits
+        return
+    for bit in (0, 1):
+        yield from _leaves(program, bits + (bit,))
+
+
+def _captured_program(run, monkeypatch):
+    """The ``Program`` that ``run`` (a protocol call) runs."""
+    captured = []
+    real = Program.run
+
+    def spy(self, **kwargs):
+        captured.append(self)
+        return real(self, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Program, "run", spy)
+        try:
+            run()
+        except ProtocolAbort:
+            pass
+    (program,) = captured
+    return program
+
+
+def test_program_run_has_the_bits_of_a_chain_of_measure_calls(monkeypatch):
+    noisy = white_noise(build_psi4(), 0.8)
+    runs = {
+        "compensate 2-qubit": lambda: compensate(0.8, "2-qubit", outcomes=(0,)),
+        "compensate 4-qubit": lambda: compensate(0.8, outcomes=(0, 0, 0)),
+        "compensate noisy": lambda: compensate(0.8, state=noisy, outcomes=(0, 0, 0)),
+        "rotate_sequence": lambda: rotate_sequence(0.3, -1.2, 2.5, outcomes=(0, 0, 0)),
+        "cz_gate": lambda: cz_gate_protocol(0.7, outcomes=(0, 0, 0, 0)),
+        "deutsch constant": lambda: deutsch("constant", outcomes=(0, 0, 0, 0)),
+        "deutsch balanced": lambda: deutsch("balanced", outcomes=(0, 0, 0, 0)),
+    }
+    aborted = set()
+    for name, run in runs.items():
+        program = _captured_program(run, monkeypatch)
+        seen = set()
+        for seed in range(50):
+            gen, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = _ended(lambda: _recording(program).run(rng=gen))
+            _assert_same_bits(got, _ended(lambda: _run_by_measure(program, rng=oracle)))
+            assert gen.random() == oracle.random()  # the generators stay in step
+            records, _, error = got
+            seen.update(r.outcome for r in records)
+            if error is not None:
+                aborted.add(name)
+        assert seen == {0, 1}, name
+        leaves = list(_leaves(program))
+        if name != "deutsch balanced":  # its branches() propagates the abort
+            branch_bits = {tuple(r.outcome for r in records)
+                           for records, _ in _recording(program).branches()}
+            assert branch_bits <= set(leaves), name
+        for bits in leaves:
+            _assert_same_bits(_ended(lambda: _recording(program).run(outcomes=bits)),
+                              _ended(lambda: _run_by_measure(program, outcomes=bits)))
+    assert aborted == {"deutsch balanced"}
+
+
+def test_program_run_builds_one_state_per_branch(monkeypatch):
+    built = []
+    for cls in (qm.StateVector, qm.DensityMatrix):
+        def counted(self, _real=cls.__post_init__):
+            built.append(type(self))
+            return _real(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    noisy = white_noise(build_psi4(), 0.8)
+    for state in (build_psi4(), noisy):
+        program = _captured_program(lambda: compensate(0.8, state=state, outcomes=(1, 0, 1)),
+                                    monkeypatch)
+        for kwargs in ({"outcomes": (1, 0, 1)}, {"rng": np.random.default_rng(3)}):
+            built.clear()
+            records, final = _recording(program).run(**kwargs)
+            assert len(records) == 3 and built == [type(state)]
+            assert type(final) is type(state) and final.n_qubits == state.n_qubits - 3
+    # a program with no step hands finish its own state object
+    for state in (build_psi4(), noisy):
+        program = Program(state, lambda bits: None, lambda records, st: (records, st))
+        for kwargs in ({"outcomes": ()}, {"rng": np.random.default_rng(3)}):
+            built.clear()
+            records, final = program.run(**kwargs)
+            assert records == () and final is state and built == []
 
 
 def test_program_branches_skip_only_zero_probability_children():
