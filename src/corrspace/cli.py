@@ -94,14 +94,12 @@ def parse_angle(text: str) -> float:
 
 
 def parse_bits(text: str) -> tuple[int, ...]:
-    """Comma-separated measurement outcomes, e.g. '0,1,0'."""
+    """Comma-separated measurement outcomes, e.g. '0,1,0'; each must parse
+    as an integer and pass ``qmath._bit``."""
     try:
-        bits = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"cannot parse outcomes {text!r}") from None
-    if any(b not in (0, 1) for b in bits):
-        raise argparse.ArgumentTypeError("outcomes must be 0 or 1")
-    return bits
+        return tuple(qm._bit(int(p), "outcome") for p in text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid outcomes {text!r}: {exc}") from None
 
 
 def _int_at_least(low: int):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from math import copysign, isfinite, sqrt
+from math import copysign, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +31,8 @@ from . import qmath as qm
 from .qmath import State
 from .wires import _check_theta
 
-# Outcomes less likely than this are not followed: ``measure`` raises
+# Outcomes less likely than this are not followed: the measured step
+# ``_measured_step`` (under both ``measure`` and ``Program.run``) raises
 # ``ZeroProbabilityBranch`` and the branch walker skips the child.
 ZERO_PROBABILITY = 1e-15
 
@@ -89,8 +90,9 @@ class OutcomeRecord:
     probability: float
 
     def __post_init__(self) -> None:
-        if self.outcome not in (0, 1):
-            raise ValueError("outcome must be 0 or 1")
+        outcome = qm._bit(self.outcome, "outcome")
+        if outcome is not self.outcome:  # a bool or NumPy integer is stored as int
+            object.__setattr__(self, "outcome", outcome)
         if not -1e-12 <= self.probability <= 1 + 1e-12:
             raise ValueError("probability out of [0, 1]")
 
@@ -161,8 +163,7 @@ def _b_kets(
 ) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
     """ket0 and ket1 of B(zeta) for c = cos(theta), s = sin(theta); a
     non-finite zeta raises ``ValueError`` before any trig call."""
-    if not isfinite(zeta):
-        raise ValueError(f"basis angle zeta must be finite, got {zeta}")
+    qm._angle(zeta, "basis angle zeta")
     ch, sh = float(np.cos(zeta / 2)), float(np.sin(zeta / 2))
     lower0, lower1 = 1j * c * sh, -1j * s * ch
     return (
@@ -282,12 +283,12 @@ def _measured_step(
     register ``labels`` as a ``StateVector`` or ``DensityMatrix`` holds it;
     exactly one of ``outcome`` and ``rng`` is given.  Returns the outcome
     record and the collapsed branch: its labels, without ``qubit``, and
-    its normalized array.  Only the outcome (here) and the qubit
-    (``qmath._index_of``) are checked; the state and the basis were checked
-    by their constructors.
+    its normalized array.  Only a requested outcome (``qmath._bit``) and
+    the qubit (``qmath._index_of``) are checked; the state and the basis
+    were checked by their constructors.
 
     Each drawn outcome costs one unnormalized ``qmath._collapse_one``, the
-    stack of one of ``qmath.collapse``: post-selection collapses onto the
+    unstacked kernel of ``qmath.collapse``: post-selection collapses onto the
     requested outcome's ket; sampling collapses onto ``kets[0]``, draws
     once with ``rng.random() < p0``, and collapses onto ``kets[1]`` as
     well only when outcome 1 is drawn.  The kept collapse is then divided
@@ -295,18 +296,16 @@ def _measured_step(
     which is the probability (mixed); this gives the bits of ``project``
     followed by ``normalized()``.
     """
-    if outcome is not None and not (isinstance(outcome, (int, np.integer)) and outcome in (0, 1)):
-        raise ValueError(f"outcome must be 0 or 1, got {outcome!r}")
     axis = qm._index_of(labels, qubit)
     n, pure, kets = len(labels), data.ndim == 1, basis.kets
     if outcome is None:
-        prob, rest = qm._collapse_one(data, axis, kets[0], n, pure, False)
+        prob, rest = qm._collapse_one(data, axis, kets[0], n, pure)
         outcome = 0 if rng.random() < prob else 1
         if outcome == 1:
-            prob, rest = qm._collapse_one(data, axis, kets[1], n, pure, False)
+            prob, rest = qm._collapse_one(data, axis, kets[1], n, pure)
     else:
-        outcome = int(outcome)
-        prob, rest = qm._collapse_one(data, axis, kets[outcome], n, pure, False)
+        outcome = qm._bit(outcome, "outcome")
+        prob, rest = qm._collapse_one(data, axis, kets[outcome], n, pure)
     prob = float(prob)
     if prob < ZERO_PROBABILITY:
         raise ZeroProbabilityBranch(

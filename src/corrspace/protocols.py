@@ -53,7 +53,7 @@ _SHARED_FRAMES = 64
 
 @dataclass(frozen=True)
 class PauliFrame:
-    """Byproduct X^x Z^z exponents per logical wire.
+    """Byproduct X^x Z^z exponents (``int`` 0 or 1) per logical wire.
 
     The protocols' frames are shared frozen objects: ``_shared_frame``
     builds and checks each (wires, x, z) triple once and returns the same
@@ -66,12 +66,10 @@ class PauliFrame:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "wires", tuple(self.wires))
-        object.__setattr__(self, "x", tuple(int(v) for v in self.x))
-        object.__setattr__(self, "z", tuple(int(v) for v in self.z))
+        object.__setattr__(self, "x", tuple(qm._bit(v, "frame exponent") for v in self.x))
+        object.__setattr__(self, "z", tuple(qm._bit(v, "frame exponent") for v in self.z))
         if not (len(self.wires) == len(self.x) == len(self.z)):
             raise ValueError("frame fields must have equal lengths")
-        if any(v not in (0, 1) for v in self.x + self.z):
-            raise ValueError("frame exponents must be 0 or 1")
 
 
 _FRAME_OPERATORS = {
@@ -144,6 +142,7 @@ def success_probability(alpha: float, theta: float = pi / 6) -> tuple[float, flo
     such angles raise the degenerate-angle ``ValueError``.
     """
     _check_theta(theta)
+    qm._angle(alpha, "alpha")
     s2 = sin(2 * theta) ** 2
     denominator = 2.0 * (1.0 - cos(2 * theta) * cos(alpha))
     p_s = s2 / denominator if denominator > 0.0 else float("inf")
@@ -161,6 +160,7 @@ def wrong_angle(alpha: float, theta: float = pi / 6) -> float:
     The branch is folded into (-pi, pi]; alpha = 0 maps to pi (the cot limit).
     """
     _check_theta(theta)
+    qm._angle(alpha, "alpha")
     a = 2.0 * atan2(
         -(sin(theta) ** 2) * cos(alpha / 2.0), (cos(theta) ** 2) * sin(alpha / 2.0)
     )
@@ -409,16 +409,14 @@ def rotate_sequence(
 # Compensated rotation
 # ---------------------------------------------------------------------------
 
-_RESOURCES = ("2-qubit", "4-qubit")
+_RESOURCES = {"2-qubit": lambda34, "4-qubit": build_psi4}
 _Z_BASIS = pauli_basis("Z")
 
 
-def _resource_state(resource: str, theta: float) -> qm.StateVector:
-    if resource == "2-qubit":
-        return lambda34(theta)
-    if resource == "4-qubit":
-        return build_psi4(theta)
-    raise ValueError(f"unknown resource {resource!r}; expected one of {_RESOURCES}")
+def _resource_builder(resource: str) -> Callable[[float], qm.StateVector]:
+    if resource not in _RESOURCES:
+        raise ValueError(f"unknown resource {resource!r}; expected one of {tuple(_RESOURCES)}")
+    return _RESOURCES[resource]
 
 
 def _compensation_step(bits: tuple[int, ...], two_qubit: bool) -> tuple[str, float | None] | None:
@@ -465,10 +463,9 @@ def _compensation_program(
     expected output; the first such branch builds the frame targets, once
     per program.
     """
+    build = _resource_builder(resource)
     if state is None:
-        state = _resource_state(resource, theta)
-    elif resource not in _RESOURCES:
-        raise ValueError(f"unknown resource {resource!r}; expected one of {_RESOURCES}")
+        state = build(theta)
     two_qubit = resource == "2-qubit"
     zeta = _compensation_zeta((alpha,), theta)
     outputs = None
@@ -620,7 +617,7 @@ def noisy_success_curve(
     probabilities in step order.  Every angle's branches must sum to 1, and
     on a pure resource every successful leaf must match its Pauli frame.
     """
-    pure = _resource_state(resource, theta)
+    pure = _resource_builder(resource)(theta)
     state: State = pure if fidelity == 1.0 else white_noise(pure, fidelity)
     alphas = [float(a) for a in alpha_grid]
     two_qubit = resource == "2-qubit"
@@ -719,9 +716,7 @@ def deutsch_relabel(
     """
     if function not in _FUNCTIONS:
         raise ValueError(f"unknown function {function!r}; expected one of {_FUNCTIONS}")
-    q, a, r1, r4 = (int(b) for b in (*raw_bits, r1, r4))
-    if q not in (0, 1) or a not in (0, 1) or r1 not in (0, 1) or r4 not in (0, 1):
-        raise ValueError("bits must be 0 or 1")
+    q, a, r1, r4 = (qm._bit(b, "bit") for b in (*raw_bits, r1, r4))
     if function == "constant":
         return q, a ^ r1
     return q ^ r1 ^ r4, a ^ r1

@@ -10,7 +10,7 @@ library fails through ``require``, with one typed error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, sqrt
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -89,6 +89,33 @@ def _index_of(labels: Sequence[str], qubit: str) -> int:
         raise KeyError(f"unknown qubit label {qubit!r}") from None
 
 
+def _permutation(labels: Sequence[str], new_labels: Sequence[str]) -> list[int]:
+    """The axis in ``labels`` of each of ``new_labels``, which must be the same labels."""
+    if set(new_labels) != set(labels) or len(new_labels) != len(labels):
+        raise ValueError("reorder must use exactly the existing labels")
+    return [_index_of(labels, q) for q in new_labels]
+
+
+#: The types ``_bit`` accepts, built once: building them per call doubled its cost.
+_BIT_TYPES = (int, np.integer, np.bool_)
+
+
+def _bit(value, what: str) -> int:
+    """The one bit check: ``value`` as an ``int`` if it is a Python or NumPy
+    integer or bool equal to 0 or 1, else ``ValueError``."""
+    if value.__class__ is int and (value == 0 or value == 1):  # a plain int: every shot's case
+        return value
+    if isinstance(value, _BIT_TYPES) and value in (0, 1):
+        return int(value)
+    raise ValueError(f"{what} must be 0 or 1, got {value!r}")
+
+
+def _angle(value: float, what: str) -> None:
+    """The one finiteness check of an input angle, else ``ValueError``."""
+    if not isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value}")
+
+
 def collapse(
     states: np.ndarray, axis: int, kets: np.ndarray, *, normalize: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -101,28 +128,22 @@ def collapse(
     qubit removed: unnormalized, or with ``normalize`` divided by their
     norm (pure) or trace (mixed).  A zero norm or trace is left undivided.
 
-    A stack of two or more contracts each side of the state with one
-    ``np.matmul`` of the (G, 1, 2) rows with the state regrouped as
-    (G, 2, rest); per item it has the bits of ``np.tensordot``.  Pure
-    probabilities and norms are stacked dots (``_row_dots``) with the bits
-    of per-item ``np.vdot`` and ``np.linalg.norm``.  A stack of one takes
-    those per-item BLAS calls directly (``_collapse_one``): the state
-    regrouped as (2, rest), one ``np.dot`` per side, ``np.vdot`` or a 2-D
-    ``np.trace`` for the probability.  So it has the bits of the same item
-    inside a larger stack.
+    Each side of the state is contracted with one ``np.matmul`` of the
+    (G, 1, 2) rows with the state regrouped as (G, 2, rest); per item it
+    has the bits of ``np.tensordot``.  Pure probabilities and norms are
+    stacked dots (``_row_dots``) with the bits of per-item ``np.vdot`` and
+    ``np.linalg.norm``.
 
     The one Born step of the library: ``protocols.walk_branches`` calls it
-    normalized on a whole tree level and the ``project`` methods on a stack
-    of one.  The measured step ``measurement._measured_step`` (each sampled
-    or post-selected step of ``Program.run``, and ``measure``) calls its
-    stack-of-one kernel ``_collapse_one`` unnormalized and directly, since
-    its arguments were checked where they entered; every check here stays
-    for the callers of ``collapse``.
+    normalized on a whole tree level (a stack of two or more: both outcomes
+    of every node) and the ``project`` methods on a stack of one.  The
+    measured step ``measurement._measured_step`` (each sampled or
+    post-selected step of ``Program.run``, and ``measure``) calls the
+    unstacked kernel ``_collapse_one`` unnormalized and directly, since its
+    arguments were checked where they entered; every check here stays for
+    the callers of ``collapse``.
     """
     g, n, pure = _check_collapse(states, axis, kets)
-    if g == 1:
-        prob, rest = _collapse_one(states[0], axis, kets[0], n, pure, normalize)
-        return prob.reshape(1), rest[np.newaxis]
     t = states.reshape((g,) + (2,) * (n if pure else 2 * n))
     t = _contract_front(np.conj(kets), t, axis)
     if pure:
@@ -157,31 +178,23 @@ def _check_collapse(states: np.ndarray, axis: int, kets: np.ndarray) -> tuple[in
 
 
 def _collapse_one(
-    state: np.ndarray, axis: int, ket: np.ndarray, n: int, pure: bool, normalize: bool
+    state: np.ndarray, axis: int, ket: np.ndarray, n: int, pure: bool
 ) -> tuple[np.float64, np.ndarray]:
-    """``collapse`` of one state onto one ket, unstacked and unchecked: the
+    """Unnormalized ``collapse`` of one state onto one ket, unchecked: the
     Born probability and the collapsed state, without the stack axis.
 
-    The per-item BLAS calls of the stacked path without its stack
-    machinery: ``np.dot`` of the ket with the state regrouped as (2, rest),
-    ``np.vdot`` for a pure probability, ``ndarray.dot`` for a pure norm and
-    a 2-D ``np.trace`` for a mixed one.  Its callers are ``collapse`` and
-    the measured step ``measurement._measured_step``, which pass arguments
-    their own constructors and ``_index_of`` have checked.
+    The per-item BLAS calls of ``collapse`` without its stack machinery:
+    ``np.dot`` of the ket with the state regrouped as (2, rest), then
+    ``np.vdot`` for a pure probability or a 2-D ``np.trace`` for a mixed
+    one, so it has the bits of the same item in a stack.  Its one caller is
+    the measured step ``measurement._measured_step``, which passes
+    arguments its own constructors and ``_index_of`` have checked.
     """
     rest = np.dot(np.conj(ket), _front(state, axis))
     if pure:
-        prob = np.vdot(rest, rest).real
-        if normalize:
-            re, im = rest.real, rest.imag
-            scale = np.sqrt(re.dot(re) + im.dot(im))
-    else:
-        rest = np.dot(ket, _front(rest, n - 1 + axis)).reshape(2 ** (n - 1), -1)
-        prob = np.trace(rest).real
-        scale = prob
-    if normalize and scale != 0.0:
-        rest = rest / scale
-    return prob, rest
+        return np.vdot(rest, rest).real, rest
+    rest = np.dot(ket, _front(rest, n - 1 + axis)).reshape(2 ** (n - 1), -1)
+    return np.trace(rest).real, rest
 
 
 def _front(t: np.ndarray, axis: int) -> np.ndarray:
@@ -196,8 +209,7 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     One stacked ``np.matmul`` of (1, m) rows with (m, 1) columns: each item
     is the BLAS dot that ``np.vdot`` and ``ndarray.dot`` take, so the items
     have the bits of ``np.vdot(r, r)`` (with ``a`` = conj(r)) and of the
-    ``np.linalg.norm`` sums.  Only stacks of two or more come here; the
-    stack of one of ``collapse`` calls those two dots itself.
+    ``np.linalg.norm`` sums, for a stack of one as for a larger stack.
     """
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
@@ -264,11 +276,8 @@ class StateVector:
 
     def reorder(self, new_labels: Sequence[str]) -> "StateVector":
         """Permute the register into ``new_labels`` order."""
-        if set(new_labels) != set(self.labels) or len(new_labels) != len(self.labels):
-            raise ValueError("reorder must use exactly the existing labels")
-        n = self.n_qubits
-        perm = [_index_of(self.labels, q) for q in new_labels]
-        amps = self.amps.reshape([2] * n).transpose(perm).reshape(-1)
+        perm = _permutation(self.labels, new_labels)
+        amps = self.amps.reshape([2] * self.n_qubits).transpose(perm).reshape(-1)
         return StateVector(tuple(new_labels), amps)
 
     # -- operators ---------------------------------------------------------
@@ -350,10 +359,8 @@ class DensityMatrix:
         return DensityMatrix(self.labels, self.mat / tr), tr
 
     def reorder(self, new_labels: Sequence[str]) -> "DensityMatrix":
-        if set(new_labels) != set(self.labels) or len(new_labels) != len(self.labels):
-            raise ValueError("reorder must use exactly the existing labels")
         n = self.n_qubits
-        perm = [_index_of(self.labels, q) for q in new_labels]
+        perm = _permutation(self.labels, new_labels)
         full_perm = perm + [p + n for p in perm]
         mat = self.mat.reshape([2] * (2 * n)).transpose(full_perm).reshape(2**n, 2**n)
         return DensityMatrix(tuple(new_labels), mat)
@@ -375,7 +382,8 @@ State = Union[StateVector, DensityMatrix]
 def _project_one(
     state: State, qubit: str, onto: np.ndarray | str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``collapse`` of the stack of one: the state's own ``project``.
+    """``collapse`` of the stack of one, through the same stacked kernel as
+    a tree level of ``walk_branches``: the state's own ``project``.
 
     ``onto`` is a ket name or a ket of shape (2,); any other shape raises
     ``ValueError`` before it is made into the stack of one.

@@ -45,8 +45,7 @@ RIGHT = _read_only(ket("0"))
 
 
 def _check_theta(theta: float) -> None:
-    if not isfinite(theta):
-        raise ValueError(f"degenerate wire angle: theta must be finite, got {theta}")
+    qmath._angle(theta, "degenerate wire angle: theta")
     if abs(sin(theta)) < 1e-9 or abs(cos(theta)) < 1e-9:
         raise ValueError("degenerate wire angle: sin(theta) and cos(theta) must be nonzero")
 

@@ -27,8 +27,7 @@ def collapse_stacks(monkeypatch):
 @pytest.fixture
 def single_collapses(monkeypatch):
     """A 1 for every collapse of one state onto one ket (``qmath._collapse_one``):
-    each measured step of ``measure`` or ``Program.run`` and each stack of one
-    passed to ``qmath.collapse``."""
+    each measured step of ``measure`` or ``Program.run``."""
     sizes = []
     real = qm._collapse_one
 

@@ -65,9 +65,9 @@ def test_parse_angle_forms():
 def test_parse_bits():
     assert parse_bits("0,1,0") == (0, 1, 0)
     assert parse_bits("1") == (1,)
-    with pytest.raises(argparse.ArgumentTypeError):
+    with pytest.raises(argparse.ArgumentTypeError, match=r"^invalid outcomes '0,2': outcome must be 0 or 1, got 2$"):
         parse_bits("0,2")
-    with pytest.raises(argparse.ArgumentTypeError):
+    with pytest.raises(argparse.ArgumentTypeError, match=r"^invalid outcomes 'zero': invalid literal"):
         parse_bits("zero")
 
 

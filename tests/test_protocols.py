@@ -11,7 +11,7 @@ import pytest
 from corrspace import protocols
 from corrspace import qmath as qm
 from corrspace.cli import dumps15, transcript_payload
-from corrspace.measurement import ZeroProbabilityBranch, measure, pauli_basis
+from corrspace.measurement import OutcomeRecord, ZeroProbabilityBranch, measure, pauli_basis
 from corrspace.noise_tomo import white_noise
 from corrspace.protocols import (
     COUPLER_THETA,
@@ -110,10 +110,11 @@ def test_program_run_modes_and_validation(single_collapses):
     assert finished == []
 
 
-@pytest.mark.parametrize("bad", [0.5, 1.7, -0.3, 1.0, "0", "011"])
+@pytest.mark.parametrize("bad", [0.5, 1.7, -0.3, 1.0, np.float64(1.0), 2, "0", "1", "011"])
 def test_outcomes_must_be_integers_0_or_1(bad):
     # neither truncated (0.5 -> 0, 1.7 -> 1) nor read one character at a time
-    message = rf"^outcome must be 0 or 1, got {re.escape(repr(bad))}$"
+    got = re.escape(repr(bad))
+    message = rf"^outcome must be 0 or 1, got {got}$"
     state = build_psi4()
     for st in (state, state.to_density()):
         with pytest.raises(ValueError, match=message):
@@ -126,8 +127,23 @@ def test_outcomes_must_be_integers_0_or_1(bad):
     with pytest.raises(ValueError, match=message):
         prog.run(outcomes=(0, bad))
     if isinstance(bad, str):  # a string of bits is not a sequence of outcomes
-        with pytest.raises(ValueError, match=r"^outcome must be 0 or 1, got '0'$"):
+        with pytest.raises(ValueError, match=rf"^outcome must be 0 or 1, got {bad[0]!r}$"):
             compensate(0.3, "4-qubit", outcomes=bad)
+    # records, frames and the relabeling map hold bits by the same rule
+    with pytest.raises(ValueError, match=message):
+        OutcomeRecord("1", pauli_basis("Z"), bad, 0.5)
+    for x, z in (((bad,), (0,)), ((0,), (bad,))):
+        with pytest.raises(ValueError, match=rf"^frame exponent must be 0 or 1, got {got}$"):
+            PauliFrame(("out",), x, z)
+    for args in (((bad, 0), 0, 1), ((0, bad), 0, 1), ((0, 0), bad, 1), ((0, 0), 0, bad)):
+        with pytest.raises(ValueError, match=rf"^bit must be 0 or 1, got {got}$"):
+            deutsch_relabel(*args, "balanced")
+
+
+def test_relabel_refuses_fractional_bits_before_truncating_them():
+    # int() would read (0.5, 1.9) and 0.7 as (0, 1) and 0, giving (1, 1)
+    with pytest.raises(ValueError, match=r"^bit must be 0 or 1, got 0\.5$"):
+        deutsch_relabel((0.5, 1.9), 0.7, 1, "balanced")
 
 
 def test_outcomes_may_be_any_integer_type():
@@ -136,6 +152,13 @@ def test_outcomes_may_be_any_integer_type():
         got = compensate(0.3, "4-qubit", outcomes=outcomes)
         assert_same_transcript(got, want)
         assert all(type(r.outcome) is int for r in got.outcomes)
+    # bools and NumPy integers are stored as int wherever a bit is held
+    for one, zero in ((True, False), (np.int64(1), np.int64(0)), (np.True_, np.uint8(0))):
+        rec = OutcomeRecord("1", pauli_basis("Z"), one, 0.5)
+        frame = PauliFrame(("out",), (one,), (zero,))
+        relabeled = deutsch_relabel((one, zero), zero, one, "balanced")
+        assert (rec.outcome, frame.x, frame.z, relabeled) == (1, (1,), (0,), (0, 0))
+        assert all(type(b) is int for b in (rec.outcome, *frame.x, *frame.z, *relabeled))
 
 
 def _recording(program):
@@ -627,6 +650,14 @@ def test_success_probability_formula(rng):
         assert p_t <= p_s + TOL  # uniform lower bound
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), float("-inf")])
+def test_analytic_formulas_name_a_non_finite_alpha(alpha):
+    # theta is fine here: the error names alpha, not a degenerate wire angle
+    for formula in (success_probability, wrong_angle):
+        with pytest.raises(ValueError, match=rf"^alpha must be finite, got {alpha}$"):
+            formula(alpha)
+
+
 def test_wrong_angle_identities():
     assert abs(wrong_angle(pi / 2) + 2 * atan(1 / 3)) < TOL
     assert abs(wrong_angle(pi)) < TOL
@@ -713,8 +744,13 @@ def test_successful_branches_realize_target_rotation():
 def test_compensate_resource_handling():
     tr = compensate(0.5, "2-qubit", outcomes=(0,))
     assert len(tr.outcomes) == 1 and tr.success
-    with pytest.raises(ValueError):
+    message = r"^unknown resource '3-qubit'; expected one of \('2-qubit', '4-qubit'\)$"
+    with pytest.raises(ValueError, match=message):
         compensate(0.5, "3-qubit", outcomes=(0,))
+    with pytest.raises(ValueError, match=message):
+        compensate(0.5, "3-qubit", outcomes=(0,), state=lambda34())
+    with pytest.raises(ValueError, match=message):
+        noisy_success_curve([0.5], "3-qubit")
     with pytest.raises(ValueError):
         compensate(0.5, "4-qubit", outcomes=(0, 0))  # wrong outcome count
     with pytest.raises(ValueError):

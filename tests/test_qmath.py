@@ -146,10 +146,10 @@ def test_reorder_roundtrip_and_amplitude_permutation(rng):
         bb = (idx >> 1) & 1
         bc = idx & 1
         assert re.amps[(bc << 2) | (ba << 1) | bb] == st.amps[idx]
-    with pytest.raises(ValueError):
-        st.reorder(("a", "b"))
-    with pytest.raises(ValueError):
-        st.reorder(("a", "b", "z"))
+    for state in (st, st.to_density()):
+        for labels in (("a", "b"), ("a", "b", "z"), ("a", "b", "c", "c")):
+            with pytest.raises(ValueError, match="^reorder must use exactly the existing labels$"):
+                state.reorder(labels)
 
 
 def test_apply_matches_embedding(rng):
