@@ -13,7 +13,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -300,12 +300,16 @@ def _projector_probs(rho: np.ndarray, head: np.ndarray, tail: np.ndarray) -> np.
     return probs.real.reshape(-1)
 
 
-def _projector_operator(w: np.ndarray, n: int) -> np.ndarray:
-    """R = sum_a w_a P_a over the 6^n product projectors: M_h^H W conj(M_t)."""
+def _projector_operator(n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The map w -> R = sum_a w_a P_a over the 6^n product projectors,
+    M_h^H W conj(M_t).  It reads its blocks and shapes once, when made."""
     h, t = _halves(n)
-    blocks = _conj_projector_block(h).T @ w.reshape(6**h, 6**t) @ _conj_projector_block(t)
-    r = blocks.reshape(2**h, 2**h, 2**t, 2**t).transpose(0, 2, 1, 3)
-    return r.reshape(2**n, 2**n)
+    head, tail = _conj_projector_block(h).T, _conj_projector_block(t)
+    grid, blocks, dim = (6**h, 6**t), (2**h, 2**h, 2**t, 2**t), (2**n, 2**n)
+
+    def operator(w: np.ndarray) -> np.ndarray:
+        return (head @ w.reshape(grid) @ tail).reshape(blocks).transpose(0, 2, 1, 3).reshape(dim)
+    return operator
 
 
 def _density_projection(h: np.ndarray) -> np.ndarray:
@@ -316,14 +320,18 @@ def _density_projection(h: np.ndarray) -> np.ndarray:
     makes them sum to 1.  With u the eigenvalues in descending order, the
     test j u_j > u_1 + ... + u_j - 1 holds exactly for the first k of them
     (always for j = 1, which rounding can hide when u_1 is huge), and
-    tau = (u_1 + ... + u_k - 1) / k.  The shift is measured from u_k,
-    v - tau = (v - u_k) + (1 - sum_{j<=k} (u_j - u_k)) / k, so that no huge
-    u_1 cancels against the 1.  Only the lower triangle of h is read.
+    tau = (u_1 + ... + u_k - 1) / k.  One loop counts the j that pass; its
+    running sum adds in order, as ``np.cumsum`` does.  The shift is measured
+    from u_k, v - tau = (v - u_k) + (1 - sum_{j<=k} (u_j - u_k)) / k, so that
+    no huge u_1 cancels against the 1.  Only the lower triangle of h is read.
     """
     vals, vecs = np.linalg.eigh(h)
     top = vals[::-1]
-    excess = np.cumsum(top) - 1.0
-    k = max(np.count_nonzero(top * np.arange(1, len(top) + 1) > excess), 1)
+    k, run = 0, 0.0
+    for j, u in enumerate(top.tolist(), 1):
+        run += u
+        k += u * j > run - 1.0
+    k = max(k, 1)
     vals = np.maximum((vals - top[k - 1]) + (1.0 - (top[:k] - top[k - 1]).sum()) / k, 0.0)
     return (vecs * vals) @ vecs.conj().T
 
@@ -371,17 +379,16 @@ def _setting_rows(
 
 
 def _log_likelihood(
-    obs: np.ndarray, f_obs: np.ndarray, mult: np.ndarray, probs: np.ndarray,
+    p_obs: np.ndarray, f_obs: np.ndarray, mult: np.ndarray, probs: np.ndarray,
     shots: int, mode: str,
 ) -> float:
-    """Log-likelihood from the projectors ``obs`` that hold counts, their
-    counts ``f_obs``, and the multiplicity of every projector."""
+    """Log-likelihood from the probabilities ``p_obs`` of the projectors that
+    hold counts, their counts ``f_obs``, and the multiplicity and
+    probability of every projector."""
     if mode == "poisson":
         # cells enter independently: sum f log(mu) - mu with mu = shots * p
-        return float(
-            f_obs @ np.log(shots * probs[obs]) - shots * (mult @ probs)
-        )
-    return float(f_obs @ np.log(probs[obs]))
+        return float(f_obs @ np.log(shots * p_obs) - shots * (mult @ probs))
+    return float(f_obs @ np.log(p_obs))
 
 
 def _initial_state(init: np.ndarray | None, dim: int) -> np.ndarray:
@@ -501,7 +508,7 @@ def _fit(
         raise ValueError("counts table has no settings")
     cells = _setting_cells(counts.settings, n)
     m_head, m_tail = (_projector_block(k) for k in _halves(n))
-    mult = np.bincount(cells, minlength=6**n)
+    mult = np.bincount(cells, minlength=6**n).astype(float)  # no cast in the Poisson dot
     freq = np.bincount(cells, weights=counts.counts.reshape(-1), minlength=6**n)
     # The cells of setting s span the Pauli words with I or s_k on each qubit k;
     # words are orthogonal, so a word with no I needs s itself: all 3^n settings.
@@ -509,15 +516,18 @@ def _fit(
     total = freq.sum()
     if total <= 0:
         raise ValueError("counts table is empty")
-    obs = np.flatnonzero(freq > 0)
+    # the projectors that hold counts: all of them (a view, not a gather) or a list
+    obs = slice(None) if (freq > 0).all() else np.flatnonzero(freq > 0)
     f_obs = freq[obs]
+    operator = _projector_operator(n)
 
-    def evaluate(rho: np.ndarray) -> tuple[np.ndarray, float]:
+    def evaluate(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         p = np.maximum(_projector_probs(rho, m_head, m_tail), _P_FLOOR)
-        return p, _log_likelihood(obs, f_obs, mult, p, counts.shots, counts.mode)
+        p_obs = p[obs]
+        return p, p_obs, _log_likelihood(p_obs, f_obs, mult, p, counts.shots, counts.mode)
 
     def r_operator(p: np.ndarray) -> np.ndarray:
-        return _projector_operator(freq / (total * p), n)
+        return operator(freq / (total * p))
 
     def gap_bound(p: np.ndarray) -> float:
         return float(total * (np.linalg.eigvalsh(r_operator(p))[-1] - 1.0))
@@ -529,7 +539,7 @@ def _fit(
         last = None
         while True:
             new = _density_projection(y + step * R)
-            p_new, ll_new = evaluate(new)
+            p_new, _, ll_new = evaluate(new)
             d = new - y
             model = np.vdot(R, d).real - np.vdot(d, d).real / (2.0 * step)
             if ll_new >= ll_y + total * model:
@@ -539,8 +549,8 @@ def _fit(
             last, step = new, step / 2.0
 
     rho = _initial_state(init, 2**n)
-    p, ll = evaluate(rho)
-    if p[obs].min() <= _P_FLOOR:
+    p, p_obs, ll = evaluate(rho)
+    if p_obs.min() <= _P_FLOOR:
         raise ValueError("init gives an observed cell zero probability")
     prev, k, step = rho, 0, 1.0
     for iters in range(1, max_iters + 1):
@@ -548,8 +558,8 @@ def _fit(
         ll_new = -np.inf
         if k:
             y = rho + k / (k + 3) * (rho - prev)
-            p_y, ll_y = evaluate(y)
-            if p_y[obs].min() > _P_FLOOR:
+            p_y, p_obs, ll_y = evaluate(y)
+            if p_obs.min() > _P_FLOOR:
                 new, p_new, ll_new, step = ascent_step(y, p_y, ll_y, step)
         if ll_new < ll:
             k = 0

@@ -716,6 +716,8 @@ def deutsch_relabel(
     """
     if function not in _FUNCTIONS:
         raise ValueError(f"unknown function {function!r}; expected one of {_FUNCTIONS}")
+    if len(raw_bits) != 2:
+        raise ValueError(f"raw_bits must hold 2 bits (query, ancilla), got {raw_bits!r}")
     q, a, r1, r4 = (qm._bit(b, "bit") for b in (*raw_bits, r1, r4))
     if function == "constant":
         return q, a ^ r1

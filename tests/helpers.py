@@ -362,6 +362,20 @@ def dense_ml_fit(counts, *, max_iters, tol=1e-9, dilution=0.5):
     return rho / np.real(np.trace(rho)), iters
 
 
+def cumsum_density_projection(h) -> np.ndarray:
+    """Nearest density matrix to Hermitian h by the vectorized simplex rule
+    that ``noise_tomo._density_projection`` once used: k counts the j with
+    j u_j > cumsum(u)_j - 1 over the descending eigenvalues u, through
+    ``np.cumsum`` and ``np.count_nonzero``.  Same arithmetic otherwise, so
+    the two agree to the bit."""
+    vals, vecs = np.linalg.eigh(h)
+    top = vals[::-1]
+    excess = np.cumsum(top) - 1.0
+    k = max(np.count_nonzero(top * np.arange(1, len(top) + 1) > excess), 1)
+    vals = np.maximum((vals - top[k - 1]) + (1.0 - (top[:k] - top[k - 1]).sum()) / k, 0.0)
+    return (vecs * vals) @ vecs.conj().T
+
+
 def bisection_density_projection(h) -> np.ndarray:
     """Nearest density matrix to Hermitian h: eigenvalues v -> max(v - tau, 0),
     with tau found by bisection on sum max(v - tau, 0) = 1.  The bisection

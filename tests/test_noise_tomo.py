@@ -24,6 +24,7 @@ from corrspace.noise_tomo import (
 from corrspace.wires import build_psi4, build_psi6, lambda34
 from helpers import (
     bisection_density_projection,
+    cumsum_density_projection,
     dense_cell_kets,
     dense_log_likelihood,
     dense_ml_fit,
@@ -537,14 +538,14 @@ def test_projector_kernel_matches_dense_reference(n, mode):
 
         w = rng.uniform(0.0, 2.0, size=len(cells))
         proj_w = np.bincount(cells, weights=w, minlength=6**n)
-        r = noise_tomo._projector_operator(proj_w, n)
+        r = noise_tomo._projector_operator(n)(proj_w)
         assert np.max(np.abs(r - dense_r_operator(kets, w))) <= 1e-12
 
         freq = table.counts.reshape(-1).astype(float)
         proj_freq = np.bincount(cells, weights=freq, minlength=6**n)
         obs = np.flatnonzero(proj_freq > 0)
         ll = noise_tomo._log_likelihood(
-            obs, proj_freq[obs], mult, probs, table.shots, mode
+            probs[obs], proj_freq[obs], mult, probs, table.shots, mode
         )
         want = dense_log_likelihood(freq, dense_probs(kets, rho.mat), table.shots, mode)
         assert abs(ll - want) <= 1e-12 * abs(want)
@@ -610,6 +611,23 @@ UNCERTIFIED_FITS = (
       "0x1.5546959b81d62p+12", 19, "0x1.5a07276d1f800p-11")),
 )
 
+# Bootstraps of benchmark-sized tomography jobs, pinned bit for bit:
+# (fidelity, counts seed, bootstrap seed) -> (mean, sigma, then the SHA-256
+# of rho's bytes and the iterations of each warm fit).  Psi4 with 100,000
+# multinomial shots, two runs at max_iters=1000.  Unlike FROZEN_FITS, these
+# fits start from the point estimate itself, on Poisson-resampled tables.
+# At F = 0.9 every projector holds counts; the pure state leaves some empty.
+FROZEN_BOOTSTRAPS = (
+    ((0.9, 43, 44),
+     ("0x1.cd2290ca442dcp-1", "0x1.2bbde767cc7c9p-12",
+      (("95f23bad273471da19450bd90d7121590bb58b96e2ed8b633beede616bc9da74", 92),
+       ("39d297156682e49e69f14ae6531cee0bc21220caa383b33e98a2fa2c182b26c2", 80)))),
+    ((1.0, 45, 46),
+     ("0x1.ffb7e4ec1eee2p-1", "0x1.15d7b370c2d42p-14",
+      (("fca4f3a231c629f0585bfdecbc9921a51dbb6a9349f2ec5d7ece67dd84602dd2", 40),
+       ("d5e04bb54f1149e9c25e92fac5f83ae7aab9e0bccafa5f88b2be2ed8760f3b3f", 44)))),
+)
+
 
 def _frozen_fits(case):
     """The pinned summary of a seeded cold fit and of its warm-started fit."""
@@ -644,6 +662,27 @@ def test_seeded_fit_without_certificate_is_its_older_frozen_copy(case, cold, war
     assert _frozen_fits(case) == (cold, warm)
 
 
+@pytest.mark.parametrize("case, frozen", FROZEN_BOOTSTRAPS)
+def test_seeded_bootstrap_is_bit_identical_to_its_frozen_copy(case, frozen, monkeypatch):
+    fidelity, counts_seed, mc_seed = case
+    monkeypatch.setattr(noise_tomo, "_last_cold_fit", None)
+    fits = []
+    fit = noise_tomo._fit
+
+    def recording_fit(counts, max_iters, tol, init):
+        res = fit(counts, max_iters, tol, init)
+        if init is not None:
+            fits.append((hashlib.sha256(res.rho.mat.tobytes()).hexdigest(), res.iterations))
+        return res
+
+    monkeypatch.setattr(noise_tomo, "_fit", recording_fit)
+    psi4 = build_psi4()
+    rho = psi4 if fidelity == 1.0 else white_noise(psi4, fidelity)
+    table = simulate_counts(rho, shots=100_000, seed=counts_seed)
+    mean, sigma = monte_carlo_error(table, psi4, runs=2, seed=mc_seed, max_iters=1000)
+    assert (mean.hex(), sigma.hex(), tuple(fits)) == frozen
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_density_projection_matches_bisection_reference(seed):
     rng = np.random.default_rng(90 + seed)
@@ -671,6 +710,43 @@ def test_density_projection_of_huge_eigenvalue_matches_bisection_reference(diag)
     assert np.linalg.eigvalsh(rho)[0] >= -1e-12
     assert np.abs(rho - bisection_density_projection(h)).max() <= 1e-12
     assert np.array_equal(rho, np.diag([1.0, 0.0, 0.0, 0.0]))
+
+
+def _spectra(dim, rng):
+    """Eigenvalue lists of every kind the simplex rule must get right."""
+    scale = 10.0 ** rng.uniform(-3, 3)
+    distinct = rng.normal(size=max(dim // 4, 1))
+    yield rng.normal(size=dim) * scale  # generic
+    yield np.resize(distinct, dim)  # repeated eigenvalues
+    yield np.r_[rng.uniform(0.0, 3.0), np.zeros(dim - 1)]  # rank one
+    yield np.full(dim, (rng.normal(), 1.0 / dim)[int(rng.integers(2))])  # all equal
+    yield -np.abs(rng.normal(size=dim)) * scale  # all negative
+    yield np.r_[1e12, rng.normal(size=dim - 1)]  # a huge top eigenvalue
+    yield rng.dirichlet(np.ones(dim))  # a density matrix already
+    # u_1 - u_j = 1 for every j > 1, so the test j u_j > u_1 + ... + u_j - 1
+    # ties for each j > 1 and rounding decides it, not always the same way
+    tie = rng.uniform(-1.0, 1.0)
+    yield np.r_[1.0 + tie, np.full(dim - 1, tie)]
+
+
+# 2,000 matrices in all, eight spectra at a time; fewer of the slow 64 x 64 ones
+@pytest.mark.parametrize("dim, count", ((1, 496), (2, 496), (4, 424), (16, 472), (64, 112)))
+def test_density_projection_has_the_bits_of_the_cumsum_rule(dim, count):
+    rng = np.random.default_rng(300 + dim)
+    cases = 0
+    while cases < count:
+        for spectrum in _spectra(dim, rng):
+            # every other matrix is diagonal, so that eigh returns the
+            # spectrum's repeats exactly
+            if cases % 2:
+                u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+                h = (u * spectrum) @ u.conj().T
+                h = (h + h.conj().T) / 2
+            else:
+                h = np.diag(rng.permutation(spectrum)).astype(complex)
+            got = noise_tomo._density_projection(h)
+            assert got.tobytes() == cumsum_density_projection(h).tobytes(), (dim, cases)
+            cases += 1
 
 
 @pytest.mark.parametrize("seed, weight", ((21, 1.0), (22, 0.712)))

@@ -140,6 +140,15 @@ def test_outcomes_must_be_integers_0_or_1(bad):
             deutsch_relabel(*args, "balanced")
 
 
+@pytest.mark.parametrize("raw_bits", ((), (0,), (0, 1, 1), (1, 0, 0, 1)))
+def test_relabel_names_raw_bits_of_the_wrong_length(raw_bits):
+    # unpacking them with r1 and r4 would raise "not enough values to unpack"
+    message = rf"^raw_bits must hold 2 bits \(query, ancilla\), got {re.escape(repr(raw_bits))}$"
+    for function in ("constant", "balanced"):
+        with pytest.raises(ValueError, match=message):
+            deutsch_relabel(raw_bits, 0, 1, function)
+
+
 def test_relabel_refuses_fractional_bits_before_truncating_them():
     # int() would read (0.5, 1.9) and 0.7 as (0, 1) and 0, giving (1, 1)
     with pytest.raises(ValueError, match=r"^bit must be 0 or 1, got 0\.5$"):
