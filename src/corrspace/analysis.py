@@ -69,8 +69,8 @@ def _pauli_expectation(state: State, assignments: Mapping[str, str]) -> float:
     the bits of ``np.vdot(amps, P @ amps)`` and ``np.trace(P @ rho)`` with
     the dense operator P.
     """
-    pure = isinstance(state, qm.StateVector)
-    data = state.amps if pure else state.mat
+    data = qm._array(state)
+    pure = data.ndim == 1
     n = len(state.labels)
     t = data.reshape((2,) * n + (() if pure else (-1,)))
     for label, letter in assignments.items():

@@ -262,11 +262,8 @@ def measure(
     """
     if (outcome is None) == (rng is None):
         raise ValueError("provide exactly one of outcome= or rng=")
-    pure = isinstance(state, qm.StateVector)
-    record, labels, rest = _measured_step(
-        state.labels, state.amps if pure else state.mat, qubit, basis, outcome, rng
-    )
-    return record, (qm.StateVector if pure else qm.DensityMatrix)(labels, rest)
+    record, labels, rest = _measured_step(state.labels, qm._array(state), qubit, basis, outcome, rng)
+    return record, qm._state(labels, rest)
 
 
 def _measured_step(
@@ -293,8 +290,8 @@ def _measured_step(
     once with ``rng.random() < p0``, and collapses onto ``kets[1]`` as
     well only when outcome 1 is drawn.  The kept collapse is then divided
     once, by its norm sqrt(re . re + im . im) (pure) or by its real trace,
-    which is the probability (mixed); this gives the bits of ``project``
-    followed by ``normalized()``.
+    which is the probability (mixed); this gives the bits of the same state
+    collapsed in a stack by ``qmath.collapse``, the walker's step.
     """
     axis = qm._index_of(labels, qubit)
     n, pure, kets = len(labels), data.ndim == 1, basis.kets

@@ -263,14 +263,6 @@ def _projector_block(k: int) -> np.ndarray:
     return m
 
 
-@functools.lru_cache(maxsize=None)
-def _conj_projector_block(k: int) -> np.ndarray:
-    """Read-only conj(_projector_block(k)), for ``_projector_operator``."""
-    m = _projector_block(k).conj()
-    m.setflags(write=False)
-    return m
-
-
 def _halves(n: int) -> tuple[int, int]:
     """Qubits in the head and tail blocks of an n-qubit register."""
     return (n + 1) // 2, n // 2
@@ -304,7 +296,7 @@ def _projector_operator(n: int) -> Callable[[np.ndarray], np.ndarray]:
     """The map w -> R = sum_a w_a P_a over the 6^n product projectors,
     M_h^H W conj(M_t).  It reads its blocks and shapes once, when made."""
     h, t = _halves(n)
-    head, tail = _conj_projector_block(h).T, _conj_projector_block(t)
+    head, tail = _projector_block(h).conj().T, _projector_block(t).conj()
     grid, blocks, dim = (6**h, 6**t), (2**h, 2**h, 2**t, 2**t), (2**n, 2**n)
 
     def operator(w: np.ndarray) -> np.ndarray:

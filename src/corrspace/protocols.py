@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from math import atan2, cos, hypot, pi, prod, sin
+from math import atan2, cos, hypot, isfinite, pi, prod, sin
 from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -203,8 +203,7 @@ class Program:
         if (outcomes is None) == (rng is None):
             raise ValueError("provide exactly one of outcomes= or rng=")
         state, records, bits = self.state, [], ()
-        pure = isinstance(state, qm.StateVector)
-        labels, data = state.labels, state.amps if pure else state.mat
+        labels, data = state.labels, qm._array(state)
         while (step := self.next_step(bits)) is not None:
             if outcomes is not None and len(bits) == len(outcomes):
                 raise ValueError(f"branch {bits} needs more than the {len(outcomes)} outcomes given")
@@ -215,7 +214,7 @@ class Program:
         if outcomes is not None and len(bits) < len(outcomes):
             raise ValueError(f"branch {bits} ends before the {len(outcomes)} outcomes given")
         if records:
-            state = (qm.StateVector if pure else qm.DensityMatrix)(labels, data)
+            state = qm._state(labels, data)
         return self.finish(tuple(records), state)
 
     def branches(self) -> tuple[Any, ...]:
@@ -270,9 +269,7 @@ class Leaf(NamedTuple):
 
     def state(self, j: int) -> State:
         """Collapsed state of the ``j``-th active program."""
-        if self.states.ndim == 2:
-            return qm.StateVector(self.labels, self.states[j])
-        return qm.DensityMatrix(self.labels, self.states[j])
+        return qm._state(self.labels, self.states[j])
 
 
 def walk_branches(states: Sequence[State], schedule: Schedule) -> list[Leaf]:
@@ -300,7 +297,7 @@ def walk_branches(states: Sequence[State], schedule: Schedule) -> list[Leaf]:
     pure = _is_pure(first)
     if any(_is_pure(s) != pure or s.labels != first.labels for s in states):
         raise ValueError("programs must start from states of one kind on one register")
-    stack = np.stack([s.amps if pure else s.mat for s in states])
+    stack = np.stack([qm._array(s) for s in states])
     # every node is held as a Leaf record; one whose schedule returns None is kept
     level = [Leaf((), (), np.arange(len(states)), (), first.labels, stack)]
     leaves = []
@@ -339,7 +336,7 @@ def _children(
     states = np.concatenate([node.states for node, _ in members] * 2)
     kets = np.concatenate([kets[:, outcome] for outcome in (0, 1) for _, kets in members],
                           dtype=complex)
-    p_all, collapsed_all = qm.collapse(states, axis, kets, normalize=True)
+    p_all, collapsed_all = qm.collapse(states, axis, kets)
     children, stop = [], 0
     for outcome in (0, 1):
         for node, _ in members:
@@ -438,10 +435,19 @@ def _compensation_step(bits: tuple[int, ...], two_qubit: bool) -> tuple[str, flo
     return None
 
 
+# The largest |alpha| a compensated rotation takes: up to it every frame
+# residual stays at most 4.4e-16; far above it alpha - alpha' loses its digits.
+_MAX_ALPHA = 1e9
+
+
 def _compensation_zeta(alphas: Sequence[float], theta: float) -> Callable[[float, int], float]:
     """``zeta(setting, g)``: the basis-B angle of a B setting of
     ``_compensation_step`` for ``alphas[g]``.  alpha - alpha' is computed
-    once per angle, when a branch first needs it."""
+    once per angle, when a branch first needs it.  A finite |alpha| above
+    ``_MAX_ALPHA`` raises ``ValueError``; a non-finite one fails at its basis."""
+    for alpha in alphas:
+        if isfinite(alpha) and abs(alpha) > _MAX_ALPHA:
+            raise ValueError(f"alpha must satisfy |alpha| <= {_MAX_ALPHA:g}, got {alpha}")
     deltas = {}
 
     def zeta(setting, g):
@@ -530,19 +536,14 @@ def _check_frames(amps: np.ndarray, expected: np.ndarray) -> None:
     """Successful branch outputs (G, 2) must equal ``expected`` (G, 2) up to
     phase: | |<a|e>| / (|a| |e|) - 1 | < 1e-10 for every row.
 
-    One row, as a sampled or post-selected shot checks, is computed in
-    Python complex scalars; a stack of rows, as the curve checks, in NumPy.
+    Each row is computed in Python complex scalars and checked by its own
+    ``qmath.require``, so the first failing row raises.
     """
-    if len(amps) == 1:
-        (a0, a1), (e0, e1) = amps[0].tolist(), expected[0].tolist()
+    for (a0, a1), (e0, e1) in zip(amps.tolist(), expected.tolist()):
         overlap = abs(a0.conjugate() * e0 + a1.conjugate() * e1)
         residual = abs(overlap / (hypot(abs(a0), abs(a1)) * hypot(abs(e0), abs(e1))) - 1.0)
-    else:
-        overlap = np.abs((amps.conj() * expected).sum(axis=1))
-        norms = np.sqrt((np.abs(amps) ** 2).sum(axis=1) * (np.abs(expected) ** 2).sum(axis=1))
-        residual = np.abs(overlap / norms - 1.0)
-    qm.require("compensation frame", residual, _FRAME_BOUND,
-               "compensation branch output does not match its Pauli frame")
+        qm.require("compensation frame", residual, _FRAME_BOUND,
+                   "compensation branch output does not match its Pauli frame")
 
 
 def _check_branch_sum(total) -> None:

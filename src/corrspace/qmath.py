@@ -116,32 +116,27 @@ def _angle(value: float, what: str) -> None:
         raise ValueError(f"{what} must be finite, got {value}")
 
 
-def collapse(
-    states: np.ndarray, axis: int, kets: np.ndarray, *, normalize: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def collapse(states: np.ndarray, axis: int, kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Project qubit ``axis`` of a stack of G states onto G kets.
 
     ``states`` holds G amplitude vectors (G, 2^n) or G density matrices
     (G, 2^n, 2^n) on one register of n >= 1 qubits; ``kets`` is (G, 2) and
     ``axis`` lies in [0, n).  Any other shape or axis raises ``ValueError``.
     Returns the G Born probabilities and the G collapsed states with the
-    qubit removed: unnormalized, or with ``normalize`` divided by their
-    norm (pure) or trace (mixed).  A zero norm or trace is left undivided.
+    qubit removed, divided by their norm (pure) or trace (mixed).  A zero
+    norm or trace is left undivided.
 
     Each side of the state is contracted with one ``np.matmul`` of the
     (G, 1, 2) rows with the state regrouped as (G, 2, rest); per item it
     has the bits of ``np.tensordot``.  Pure probabilities and norms are
     stacked dots (``_row_dots``) with the bits of per-item ``np.vdot`` and
-    ``np.linalg.norm``.
+    ``np.linalg.norm``, so item g has the bits of ``_collapse_one`` followed
+    by the measured step's division.
 
-    The one Born step of the library: ``protocols.walk_branches`` calls it
-    normalized on a whole tree level (a stack of two or more: both outcomes
-    of every node) and the ``project`` methods on a stack of one.  The
-    measured step ``measurement._measured_step`` (each sampled or
-    post-selected step of ``Program.run``, and ``measure``) calls the
-    unstacked kernel ``_collapse_one`` unnormalized and directly, since its
-    arguments were checked where they entered; every check here stays for
-    the callers of ``collapse``.
+    The stacked Born step of the library: ``protocols.walk_branches`` calls
+    it on a whole tree level (both outcomes of every node).  The measured
+    step ``measurement._measured_step`` and the ``project`` methods call
+    the unstacked kernel ``_collapse_one`` instead.
     """
     g, n, pure = _check_collapse(states, axis, kets)
     t = states.reshape((g,) + (2,) * (n if pure else 2 * n))
@@ -149,16 +144,12 @@ def collapse(
     if pure:
         rest = t.reshape(g, -1)
         probs = _row_dots(rest.conj(), rest).real
-        if normalize:
-            scale = np.sqrt(_row_dots(rest.real, rest.real) + _row_dots(rest.imag, rest.imag))
+        scale = np.sqrt(_row_dots(rest.real, rest.real) + _row_dots(rest.imag, rest.imag))
     else:
         t = _contract_front(kets, t, n - 1 + axis)
         d = 2 ** (n - 1)
         rest = t.reshape(g, d, d)
-        probs = np.trace(rest, axis1=1, axis2=2).real
-        scale = probs
-    if not normalize:
-        return probs, rest
+        probs = scale = np.trace(rest, axis1=1, axis2=2).real
     scale = np.where(np.equal(scale, 0.0), 1.0, scale)
     return probs, rest / scale.reshape((g,) + (1,) * (rest.ndim - 1))
 
@@ -186,9 +177,10 @@ def _collapse_one(
     The per-item BLAS calls of ``collapse`` without its stack machinery:
     ``np.dot`` of the ket with the state regrouped as (2, rest), then
     ``np.vdot`` for a pure probability or a 2-D ``np.trace`` for a mixed
-    one, so it has the bits of the same item in a stack.  Its one caller is
-    the measured step ``measurement._measured_step``, which passes
-    arguments its own constructors and ``_index_of`` have checked.
+    one, so it has the bits of the same item in a stack.  Its callers are
+    the measured step ``measurement._measured_step`` and the two ``project``
+    methods, which pass arguments that the state's constructor, ``_index_of``
+    and their own ket checks have passed.
     """
     rest = np.dot(np.conj(ket), _front(state, axis))
     if pure:
@@ -244,10 +236,7 @@ class StateVector:
         """Product state from (label, ket) pairs; kets may be names."""
         labels = [a[0] for a in assignments]
         vecs = [ket(a[1]) if isinstance(a[1], str) else np.asarray(a[1], dtype=complex) for a in assignments]
-        amps = vecs[0]
-        for v in vecs[1:]:
-            amps = np.kron(amps, v)
-        return cls(tuple(labels), amps)
+        return cls(tuple(labels), kron(*vecs))
 
     # -- basic properties --------------------------------------------------
     @property
@@ -312,14 +301,14 @@ class StateVector:
         Returns (probability, unnormalized collapsed state with the qubit
         removed from the register).
 
-        Not on the shot path: the measured step of ``measurement.measure``
-        and ``Program.run`` calls ``collapse``'s kernel itself.  Kept as
-        public API and as the tests' oracle for ``measure`` until the
-        benchmark's tracer (``perfbench/spans.py``) stops naming it; then
-        both ``project`` methods go.
+        The measured step's kernel ``_collapse_one``, without its division.
+        Not on the shot path: kept as public API until the benchmark's
+        tracer (``perfbench/spans.py``) stops naming it; then both
+        ``project`` methods go.
         """
-        probs, rest = _project_one(self, qubit, onto)
-        return float(probs[0]), StateVector(_without(self.labels, qubit), rest[0])
+        vec = _onto(onto)
+        prob, rest = _collapse_one(self.amps, _index_of(self.labels, qubit), vec, self.n_qubits, True)
+        return float(prob), StateVector(_without(self.labels, qubit), rest)
 
     def to_density(self) -> "DensityMatrix":
         return DensityMatrix(self.labels, np.outer(self.amps, np.conj(self.amps)))
@@ -368,31 +357,36 @@ class DensityMatrix:
     def project(self, qubit: str, onto: np.ndarray | str) -> tuple[float, "DensityMatrix"]:
         """Collapse one qubit onto a ket: (probability, unnormalized rest).
 
-        Not on the shot path; kept for the reasons ``StateVector.project``
-        gives.
+        The measured step's kernel, as in ``StateVector.project``; not on
+        the shot path, and kept for the reasons given there.
         """
-        probs, rest = _project_one(self, qubit, onto)
-        return float(probs[0]), DensityMatrix(_without(self.labels, qubit), rest[0])
+        vec = _onto(onto)
+        prob, rest = _collapse_one(self.mat, _index_of(self.labels, qubit), vec, self.n_qubits, False)
+        return float(prob), DensityMatrix(_without(self.labels, qubit), rest)
 
 
 #: A pure or a mixed register state.
 State = Union[StateVector, DensityMatrix]
 
 
-def _project_one(
-    state: State, qubit: str, onto: np.ndarray | str
-) -> tuple[np.ndarray, np.ndarray]:
-    """``collapse`` of the stack of one, through the same stacked kernel as
-    a tree level of ``walk_branches``: the state's own ``project``.
-
-    ``onto`` is a ket name or a ket of shape (2,); any other shape raises
-    ``ValueError`` before it is made into the stack of one.
-    """
+def _onto(onto: np.ndarray | str) -> np.ndarray:
+    """The ket of a ``project`` call: a ket name or a ket of shape (2,);
+    any other shape raises ``ValueError``."""
     vec = ket(onto) if isinstance(onto, str) else np.asarray(onto, dtype=complex)
     if vec.shape != (2,):
         raise ValueError(f"onto must be a ket name or of shape (2,), got {vec.shape}")
-    data = state.amps if isinstance(state, StateVector) else state.mat
-    return collapse(data[np.newaxis], _index_of(state.labels, qubit), vec[np.newaxis])
+    return vec
+
+
+def _array(state: State) -> np.ndarray:
+    """A state's raw array: its amplitude vector (pure) or its matrix (mixed)."""
+    return state.amps if isinstance(state, StateVector) else state.mat
+
+
+def _state(labels: tuple[str, ...], data: np.ndarray) -> State:
+    """The state of a raw array on ``labels``: a ``StateVector`` of a 1-D
+    array, a ``DensityMatrix`` of a 2-D one."""
+    return StateVector(labels, data) if data.ndim == 1 else DensityMatrix(labels, data)
 
 
 def _without(labels: tuple[str, ...], qubit: str) -> tuple[str, ...]:

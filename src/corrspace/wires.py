@@ -208,16 +208,8 @@ def psi4_explicit(theta: float = pi / 6) -> tuple[StateVector, float]:
     _check_theta(theta)
     c, s = cos(theta), sin(theta)
     H, V, P, M = ket("H"), ket("V"), ket("P"), ket("M")
-
-    def prod(*vecs: np.ndarray) -> np.ndarray:
-        out = vecs[0]
-        for v in vecs[1:]:
-            out = np.kron(out, v)
-        return out
-
-    amps = c * prod(H, c * H + s * V, c * np.kron(H, P) + s * np.kron(V, M)) + s * prod(
-        V, c * H - s * V, c * np.kron(H, M) + s * np.kron(V, P)
-    )
+    amps = (c * qmath.kron(H, c * H + s * V, c * np.kron(H, P) + s * np.kron(V, M))
+            + s * qmath.kron(V, c * H - s * V, c * np.kron(H, M) + s * np.kron(V, P)))
     raw = float(np.linalg.norm(amps))
     return StateVector(("1", "2", "3", "4"), amps / raw), raw
 

@@ -140,6 +140,28 @@ def numpy_basis_B(zeta: float, theta: float = np.pi / 6) -> tuple[np.ndarray, np
     return k0, k1, f"B({zeta:.12g})"
 
 
+def measured_collapse(data: np.ndarray, axis: int, vec: np.ndarray) -> tuple[np.float64, np.ndarray]:
+    """One state's collapse as the measured step makes it: the unstacked
+    kernel ``qm._collapse_one``, then ``measurement._measured_step``'s
+    division by the norm sqrt(re . re + im . im) (pure) or by the
+    probability (mixed).  Returns the probability and the divided array."""
+    pure = data.ndim == 1
+    prob, rest = qm._collapse_one(data, axis, vec, len(data).bit_length() - 1, pure)
+    if pure:
+        re, im = rest.real, rest.imag
+        return prob, rest / sqrt(re.dot(re) + im.dot(im))
+    return prob, rest / float(prob)
+
+
+def numpy_frame_residuals(amps: np.ndarray, expected: np.ndarray) -> np.ndarray:
+    """| |<a|e>| / (|a| |e|) - 1 | of every row of two (G, 2) stacks, in
+    NumPy array arithmetic: the formula the frame check once used for a
+    stack of rows, kept as the reference for its scalar formula."""
+    overlap = np.abs((amps.conj() * expected).sum(axis=1))
+    norms = np.sqrt((np.abs(amps) ** 2).sum(axis=1) * (np.abs(expected) ** 2).sum(axis=1))
+    return np.abs(overlap / norms - 1.0)
+
+
 def density_expectation(rho: qm.DensityMatrix, op_full: np.ndarray) -> float:
     """Real part of Tr(op rho) for a full-register operator."""
     return float(np.real(np.trace(op_full @ rho.mat)))

@@ -707,6 +707,14 @@ def test_over_large_grid_maps_to_exit_1(capsys):
     assert err.startswith("error: Unable to allocate") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("enumerate_flag", [(), ("--enumerate",)])
+def test_alpha_above_the_compensation_bound_maps_to_exit_1(capsys, enumerate_flag):
+    code, out, err = run_cli(capsys, "protocol", "compensate", "--alpha", "1e13",
+                             *enumerate_flag, *(() if enumerate_flag else ("--seed", "3")))
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err == "error: alpha must satisfy |alpha| <= 1e+09, got 10000000000000.0\n"
+
+
 def test_out_rewrite_never_truncates_to_zero(capsys, tmp_path, monkeypatch):
     # O_TRUNC on a file that holds data makes ext4 flush it on close, so a
     # rewrite would wait for the disk on every call

@@ -31,8 +31,8 @@ from corrspace.protocols import (
 )
 from corrspace.wires import build_psi4, lambda34
 from helpers import (
-    assert_same_transcript, compensation_bound, frame_operator, overlap2, rand_state, rx, rz,
-    vec_equal_up_to_phase,
+    assert_same_transcript, compensation_bound, frame_operator, numpy_frame_residuals, overlap2,
+    rand_state, rx, rz, vec_equal_up_to_phase,
 )
 from reference_tables import (
     ANOMALOUS_GATE_ROW_VECTOR,
@@ -766,6 +766,40 @@ def test_compensate_resource_handling():
         compensate(0.5, "4-qubit")  # neither outcomes nor rng
 
 
+@pytest.mark.parametrize("alpha", [1e13, -1e13, float(np.nextafter(1e9, 2e9))])
+def test_compensation_refuses_an_alpha_above_its_bound(alpha):
+    message = rf"^alpha must satisfy \|alpha\| <= 1e\+09, got {re.escape(str(alpha))}$"
+    for run in (lambda: compensate(alpha, rng=np.random.default_rng(2)),
+                lambda: compensate(alpha, "2-qubit", outcomes=(0,)),
+                lambda: enumerate_compensation(alpha),
+                lambda: enumerate_compensation(alpha, "2-qubit"),
+                lambda: noisy_success_curve([0.5, alpha], "4-qubit", 0.9)):
+        with pytest.raises(ValueError, match=message):
+            run()
+
+
+def test_compensation_frames_hold_up_to_the_alpha_bound(monkeypatch):
+    # 120 log-spaced |alpha| in [1, 1e9], both signs: every successful branch
+    # output matches its frame far inside the check's own bound
+    residuals, real_require = [], qm.require
+
+    def recording(check, residual, bound, message):
+        if check == "compensation frame":
+            residuals.append(residual)
+        real_require(check, residual, bound, message)
+
+    monkeypatch.setattr(qm, "require", recording)
+    grid = np.logspace(0, 9, 120).tolist()
+    assert grid[-1] == 1e9
+    for theta in (pi / 8, pi / 6, pi / 5):
+        for resource in ("2-qubit", "4-qubit"):
+            for alpha in grid:
+                enumerate_compensation(alpha, resource, theta=theta)
+                enumerate_compensation(-alpha, resource, theta=theta)
+    assert len(residuals) == 3 * 240 * (1 + 6)  # one 2-qubit and six 4-qubit successes
+    assert max(residuals) <= 1e-12
+
+
 def test_compensate_sampled_statistics():
     rng = np.random.default_rng(11)
     psi4 = build_psi4()
@@ -1081,7 +1115,7 @@ def _frame_passes(amps, expected) -> bool:
 
 
 def test_one_row_frame_check_decides_as_the_array_path():
-    # one row takes the scalar branch; the same row twice takes the array path
+    # each row is checked in scalars; the NumPy array formula is the reference
     alphas = np.linspace(-pi, pi, 201)
     targets = protocols._frame_targets(alphas)
     verdicts = []
@@ -1095,6 +1129,8 @@ def test_one_row_frame_check_decides_as_the_array_path():
                     for z in (0, 1):
                         want = targets[g, x, z]
                         one = _frame_passes(amps[None], want[None])
+                        residual = numpy_frame_residuals(amps[None], want[None])[0]
+                        assert one == (residual <= protocols._FRAME_BOUND)
                         assert one == _frame_passes(np.stack([amps, amps]), np.stack([want, want]))
                         if (x, z) == (tr.frame.x[0], tr.frame.z[0]):
                             assert one

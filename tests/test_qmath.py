@@ -6,8 +6,8 @@ import pytest
 from corrspace import qmath as qm
 from corrspace.measurement import basis_B
 from helpers import (
-    canonical_phase, density_expectation, manual_embed, mat_proportional, rand_density, rand_state, rand_unitary,
-    rx, rz, states_equal, vec_equal_up_to_phase,
+    canonical_phase, density_expectation, manual_embed, mat_proportional, measured_collapse, rand_density,
+    rand_state, rand_unitary, rx, rz, states_equal, vec_equal_up_to_phase,
 )
 
 TOL = 1e-12
@@ -274,26 +274,19 @@ def test_density_project_has_tensordot_bits(rng):
                 assert rest.labels == labels[:ax] + labels[ax + 1:]
 
 
-def _data(state):
-    return state.amps if isinstance(state, qm.StateVector) else state.mat
-
-
 def test_collapse_of_a_stack_has_each_items_bits(rng):
     for n in (1, 2, 4):
         labels = tuple("abcd"[:n])
         kets = np.array([rand_unitary(rng)[:, 0] for _ in range(5)])
         for make in (rand_state, rand_density):
             states = [make(labels, rng) for _ in range(5)]
-            stack = np.stack([_data(s) for s in states])
+            stack = np.stack([qm._array(s) for s in states])
             for ax, q in enumerate(labels):
-                probs, rest = qm.collapse(stack, ax, kets)
-                probs_n, unit = qm.collapse(stack, ax, kets, normalize=True)
-                assert np.array_equal(probs, probs_n)
+                probs, unit = qm.collapse(stack, ax, kets)
                 for i, state in enumerate(states):
-                    prob, one = state.project(q, kets[i])
-                    assert probs[i] == prob
-                    assert np.array_equal(rest[i], _data(one))
-                    assert np.array_equal(unit[i], _data(one.normalized()[0]))
+                    prob, want = measured_collapse(qm._array(state), ax, kets[i])
+                    assert probs[i] == prob == state.project(q, kets[i])[0]
+                    assert np.array_equal(unit[i], want)
 
 
 def test_pure_collapse_has_the_bits_of_per_item_vdot_and_norm(rng):
@@ -304,32 +297,32 @@ def test_pure_collapse_has_the_bits_of_per_item_vdot_and_norm(rng):
             stack[0] = stack[0].real  # signed zeros in the imaginary parts
             kets = np.array([rand_unitary(rng)[:, 0] for _ in range(g)])
             for ax in range(n):
-                probs, rest = qm.collapse(stack, ax, kets)
-                _, unit = qm.collapse(stack, ax, kets, normalize=True)
-                for i, r in enumerate(rest):
+                probs, unit = qm.collapse(stack, ax, kets)
+                for i in range(g):
+                    _, r = qm._collapse_one(stack[i], ax, kets[i], n, True)
                     assert probs[i] == np.vdot(r, r).real
                     assert np.array_equal(unit[i], r / np.linalg.norm(r))
+                    assert unit[i].tobytes() == measured_collapse(stack[i], ax, kets[i])[1].tobytes()
 
 
 def test_collapse_of_one_has_the_bits_of_its_item_in_a_stack_of_three(rng):
-    # the stack of one takes np.dot, np.vdot and a 2-D trace, a larger stack
-    # np.matmul and _row_dots: both must give the same bytes
+    # the unstacked kernel takes np.dot, np.vdot and a 2-D trace, a stack
+    # np.matmul and _row_dots: both, with the division, must give the same bytes
     for n in range(1, 7):
         labels = tuple("abcdef"[:n])
         for make in (rand_state, rand_density):
             for rep in range(6):
-                stack = np.stack([_data(make(labels, rng)) for _ in range(3)])
+                stack = np.stack([qm._array(make(labels, rng)) for _ in range(3)])
                 if rep == 0:
                     stack[1] = stack[1].real  # signed zeros in the imaginary parts
                 kets = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
                 for ax in range(n):
-                    for normalize in (False, True):
-                        probs, rest = qm.collapse(stack, ax, kets, normalize=normalize)
-                        for i in range(3):
-                            one = qm.collapse(stack[i:i + 1], ax, kets[i:i + 1], normalize=normalize)
-                            for got, want in zip(one, (probs[i:i + 1], rest[i:i + 1])):
-                                assert got.shape == want.shape and got.dtype == want.dtype
-                                assert got.tobytes() == want.tobytes()
+                    probs, unit = qm.collapse(stack, ax, kets)
+                    for i in range(3):
+                        prob, want = measured_collapse(stack[i], ax, kets[i])
+                        assert np.float64(prob).tobytes() == probs[i].tobytes()
+                        assert unit[i].shape == want.shape and unit[i].dtype == want.dtype
+                        assert unit[i].tobytes() == want.tobytes()
 
 
 def test_norm_has_the_bits_of_np_linalg_norm(rng):
@@ -351,12 +344,16 @@ def test_norm_has_the_bits_of_np_linalg_norm(rng):
 
 def test_collapse_leaves_a_zero_state_undivided():
     stack = np.stack([qm.ket("0"), qm.ket("+")])
-    probs, unit = qm.collapse(stack, 0, np.stack([qm.ket("1"), qm.ket("1")]), normalize=True)
+    probs, unit = qm.collapse(stack, 0, np.stack([qm.ket("1"), qm.ket("1")]))
     assert probs[0] == 0.0 and np.array_equal(unit[0], [0])
     assert abs(probs[1] - 0.5) < TOL and np.allclose(unit[1], [1])
+    prob, want = measured_collapse(stack[1], 0, qm.ket("1"))
+    assert probs[1] == prob and unit[1].tobytes() == want.tobytes()
     for data in (qm.ket("0"), np.diag([1.0 + 0j, 0.0])):  # stacks of one
-        probs, unit = qm.collapse(data[np.newaxis], 0, qm.ket("1")[np.newaxis], normalize=True)
+        probs, unit = qm.collapse(data[np.newaxis], 0, qm.ket("1")[np.newaxis])
         assert probs.tolist() == [0.0] and not np.any(unit)
+        prob, rest = qm._collapse_one(data, 0, qm.ket("1"), 1, data.ndim == 1)
+        assert prob == 0.0 and unit[0].tobytes() == rest.tobytes()  # undivided
 
 
 @pytest.mark.parametrize("g", [1, 3])
