@@ -31,9 +31,8 @@ from . import qmath as qm
 from .qmath import State
 from .wires import _check_theta
 
-# Outcomes less likely than this are not followed: the measured step
-# ``_measured_step`` (under both ``measure`` and ``Program.run``) raises
-# ``ZeroProbabilityBranch`` and the branch walker skips the child.
+# Outcomes less likely than this are not followed: ``_measured_step`` raises
+# ``ZeroProbabilityBranch``, and ``Program.branches`` and the walker skip the child.
 ZERO_PROBABILITY = 1e-15
 
 #: (zeta, theta) pairs whose ``basis_B`` basis is kept (least recently used go).
@@ -254,11 +253,10 @@ def measure(
     ``ZeroProbabilityBranch``.
 
     The public one-step API: a state-in, state-out wrapper over
-    ``_measured_step``, the step that ``Program.run`` loops over, so one
-    call has the bits of one ``Program.run`` step and draws from ``rng``
-    as that step does.  Whole outcome trees are walked by
-    ``protocols.walk_branches``, which collapses a stack of states per tree
-    level and never calls either.
+    ``_measured_step``, the step that ``Program.run`` loops over and
+    ``Program.branches`` takes once per tree child, so one call has the
+    bits of one such step and draws from ``rng`` as ``run`` does.  Only
+    ``protocols.walk_branches`` collapses a stack of states per tree level.
     """
     if (outcome is None) == (rng is None):
         raise ValueError("provide exactly one of outcome= or rng=")

@@ -5,11 +5,11 @@ one compensation round, the probabilistic entangling gate and the
 two-program function-distinguishing algorithm are each a ``Program``:
 single-qubit measurements on a resource state whose bases depend on earlier
 outcomes.  One interpreter runs them all, post-selected or Born-sampled
-(``Program.run``); one walker enumerates the whole outcome tree of a stack
-of programs that measure the same qubits (``walk_branches``) one level at a
-time, asking one schedule per tree node for the kets of every program and
-taking one stacked Born step per tree level.  ``Program.branches`` is its
-stack of one; ``noisy_success_curve`` walks a whole alpha grid.
+(``Program.run``) or enumerated depth first (``Program.branches``), with
+one ``measurement._measured_step`` per step.  One walker enumerates the
+shared tree of a stack of programs that measure the same qubits
+(``walk_branches``), one stacked Born step per tree level, for the alpha
+grids of ``noisy_success_curve``.
 Analytic success probabilities and byproduct (Pauli-frame) bookkeeping sit
 beside them.  Everything is driven by literal Born-rule contraction of the
 resource states; closed-form results are used only as oracles in the tests.
@@ -27,8 +27,8 @@ import numpy as np
 from . import qmath as qm
 from .qmath import State
 from .measurement import (
-    ZERO_PROBABILITY, MeasurementBasis, OutcomeRecord, _measured_step, basis_B, basis_B_stack,
-    pauli_basis,
+    ZERO_PROBABILITY, MeasurementBasis, OutcomeRecord, ZeroProbabilityBranch, _measured_step,
+    basis_B, basis_B_stack, pauli_basis,
 )
 from .noise_tomo import white_noise
 from .wires import _check_theta, _read_only, build_psi4, build_psi6, lambda34
@@ -220,30 +220,28 @@ class Program:
     def branches(self) -> tuple[Any, ...]:
         """``finish`` of every branch, depth first with outcome 0 before 1.
 
-        The stack of one of ``walk_branches``: ``next_step`` is called once
-        per tree node, a shared prefix is collapsed once, each tree level
-        costs one ``qmath.collapse``, and only children below
-        ``ZERO_PROBABILITY`` are skipped.  The records and states equal
-        those of ``run`` post-selecting the same outcomes.  ``finish`` runs
-        after the whole tree is walked; a ``ProtocolAbort`` from
-        ``next_step`` propagates.
+        Each tree node calls ``next_step`` once, and each child is one
+        post-selected ``measurement._measured_step`` on the node's raw
+        arrays, so a shared prefix is collapsed once and every leaf has the
+        bits of ``run`` post-selecting it.  Children below ``ZERO_PROBABILITY``
+        are skipped.  ``finish`` runs after the whole walk (on the program's
+        own state at a leaf with no step); a ``ProtocolAbort`` propagates.
         """
-        steps = {}
+        leaves = []
 
-        def schedule(bits, active):
-            step = steps[bits] = self.next_step(bits)
-            if step is None:
-                return None
-            qubit, basis = step
-            return qubit, basis.kets[None]
+        def walk(bits, records, labels, data):
+            if (step := self.next_step(bits)) is None:
+                leaves.append((records, qm._state(labels, data) if records else self.state))
+                return
+            for outcome in (0, 1):
+                try:
+                    rec, rest_labels, rest = _measured_step(labels, data, *step, outcome, None)
+                except ZeroProbabilityBranch:
+                    continue
+                walk(bits + (outcome,), records + (rec,), rest_labels, rest)
 
-        return tuple(
-            self.finish(tuple(
-                OutcomeRecord(q, steps[leaf.bits[:k]][1], bit, float(p[0]))
-                for k, (q, bit, p) in enumerate(zip(leaf.qubits, leaf.bits, leaf.probs))
-            ), leaf.state(0))
-            for leaf in walk_branches((self.state,), schedule)
-        )
+        walk((), (), self.state.labels, qm._array(self.state))
+        return tuple(self.finish(records, state) for records, state in leaves)
 
 
 # A stacked measurement program: ``schedule(bits, active)`` names the qubit
@@ -274,7 +272,7 @@ class Leaf(NamedTuple):
 
 def walk_branches(states: Sequence[State], schedule: Schedule) -> list[Leaf]:
     """Every leaf of a stack of programs' shared outcome tree, depth first,
-    0 before 1.
+    0 before 1; its library caller is ``noisy_success_curve``.
 
     Program g starts from ``states[g]``; the states are of one kind on one
     register.  The tree is walked one level at a time.  ``schedule`` is

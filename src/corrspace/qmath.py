@@ -52,6 +52,8 @@ def ket(name: str) -> np.ndarray:
 
 def kron(*mats: np.ndarray) -> np.ndarray:
     """Kronecker product; the first argument is the most significant qubit."""
+    if not mats:
+        raise ValueError("kron needs at least one matrix; none was given")
     out = np.asarray(mats[0], dtype=complex)
     for m in mats[1:]:
         out = np.kron(out, np.asarray(m, dtype=complex))
@@ -133,10 +135,10 @@ def collapse(states: np.ndarray, axis: int, kets: np.ndarray) -> tuple[np.ndarra
     ``np.linalg.norm``, so item g has the bits of ``_collapse_one`` followed
     by the measured step's division.
 
-    The stacked Born step of the library: ``protocols.walk_branches`` calls
-    it on a whole tree level (both outcomes of every node).  The measured
-    step ``measurement._measured_step`` and the ``project`` methods call
-    the unstacked kernel ``_collapse_one`` instead.
+    The stacked Born step of ``protocols.walk_branches``, one call per tree
+    level.  The measured step ``measurement._measured_step`` (every step of
+    ``measure``, ``Program.run`` and ``Program.branches``) and the
+    ``project`` methods call the unstacked kernel ``_collapse_one`` instead.
     """
     g, n, pure = _check_collapse(states, axis, kets)
     t = states.reshape((g,) + (2,) * (n if pure else 2 * n))
@@ -234,6 +236,8 @@ class StateVector:
     @classmethod
     def from_kets(cls, assignments: Sequence[tuple[str, np.ndarray | str]]) -> "StateVector":
         """Product state from (label, ket) pairs; kets may be names."""
+        if len(assignments) == 0:
+            raise ValueError("from_kets needs at least one (label, ket) pair; assignments is empty")
         labels = [a[0] for a in assignments]
         vecs = [ket(a[1]) if isinstance(a[1], str) else np.asarray(a[1], dtype=complex) for a in assignments]
         return cls(tuple(labels), kron(*vecs))

@@ -27,7 +27,8 @@ def collapse_stacks(monkeypatch):
 @pytest.fixture
 def single_collapses(monkeypatch):
     """A 1 for every collapse of one state onto one ket (``qmath._collapse_one``):
-    each measured step of ``measure`` or ``Program.run``."""
+    each measured step of ``measure`` or ``Program.run``, and each tree child
+    of ``Program.branches``."""
     sizes = []
     real = qm._collapse_one
 

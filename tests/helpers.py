@@ -15,10 +15,10 @@ from math import sqrt
 import numpy as np
 
 from corrspace import qmath as qm
-from corrspace.measurement import MeasurementBasis, pauli_basis
+from corrspace.measurement import MeasurementBasis, OutcomeRecord, pauli_basis
 from corrspace import noise_tomo
 from corrspace.noise_tomo import setting_kets
-from corrspace.protocols import _FRAME_OPERATORS, PauliFrame, success_probability
+from corrspace.protocols import _FRAME_OPERATORS, PauliFrame, success_probability, walk_branches
 from corrspace.wires import LEFT, RIGHT, ResourceSpec, Wire, _check_theta, contract_resource
 
 #: Joint amplitude factors of the two-photon conditional-phase combination
@@ -151,6 +151,28 @@ def measured_collapse(data: np.ndarray, axis: int, vec: np.ndarray) -> tuple[np.
         re, im = rest.real, rest.imag
         return prob, rest / sqrt(re.dot(re) + im.dot(im))
     return prob, rest / float(prob)
+
+
+def walker_branches(program) -> tuple:
+    """``program.branches()`` as the stack of one of ``walk_branches``: the
+    same tree, each level expanded by the walker's stacked ``qmath.collapse``
+    of both outcomes, every leaf finished after the whole walk."""
+    steps = {}
+
+    def schedule(bits, active):
+        step = steps[bits] = program.next_step(bits)
+        if step is None:
+            return None
+        qubit, basis = step
+        return qubit, basis.kets[None]
+
+    return tuple(
+        program.finish(tuple(
+            OutcomeRecord(q, steps[leaf.bits[:k]][1], bit, float(p[0]))
+            for k, (q, bit, p) in enumerate(zip(leaf.qubits, leaf.bits, leaf.probs))
+        ), leaf.state(0))
+        for leaf in walk_branches((program.state,), schedule)
+    )
 
 
 def numpy_frame_residuals(amps: np.ndarray, expected: np.ndarray) -> np.ndarray:

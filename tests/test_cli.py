@@ -351,13 +351,14 @@ def test_protocol_deutsch_postselected(capsys):
 
 
 def test_failed_invariant_check_maps_to_exit_1(capsys, monkeypatch):
-    real_collapse = qm.collapse
+    # a leaky Born step in the kernel that enumeration's measured steps call
+    real_collapse = qm._collapse_one
 
-    def leaky(states, axis, kets, **kwargs):
-        probs, rest = real_collapse(states, axis, kets, **kwargs)
-        return probs * (1 + 1e-9), rest
+    def leaky(*args):
+        prob, rest = real_collapse(*args)
+        return prob * (1 + 1e-9), rest
 
-    monkeypatch.setattr(qm, "collapse", leaky)
+    monkeypatch.setattr(qm, "_collapse_one", leaky)
     code, out, err = run_cli(capsys, "protocol", "compensate", "--alpha", "pi/2", "--enumerate")
     assert (code, out, err) == (1, "", "error: branch probabilities do not sum to 1\n")
 

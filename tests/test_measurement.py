@@ -491,12 +491,12 @@ def test_measure_has_the_bits_of_a_one_row_collapse(project_calls):
     assert seen == {0, 1}
 
 
-def test_enumeration_projects_once_per_level(project_calls, collapse_stacks):
+def test_enumeration_projects_once_per_level(project_calls, collapse_stacks, single_collapses):
     rho = white_noise(build_psi4(), 0.9)
     _, branches = enumerate_compensation(0.8, "4-qubit", state=rho)
     assert len(branches) == 8
-    assert collapse_stacks == [2, 4, 8]  # both outcomes of every node of a level
-    collapse_stacks.clear()
+    # one measured step per child of every node: 2 + 4 + 8, none stacked
+    assert single_collapses == [1] * 14 and collapse_stacks == []
     noisy_success_curve(np.linspace(0, pi, 25), "4-qubit", 0.9)
     assert collapse_stacks == [50, 100, 200]
     assert project_calls == []  # the walker collapses stacks; it never projects

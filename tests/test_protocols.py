@@ -32,7 +32,7 @@ from corrspace.protocols import (
 from corrspace.wires import build_psi4, lambda34
 from helpers import (
     assert_same_transcript, compensation_bound, frame_operator, numpy_frame_residuals, overlap2,
-    rand_state, rx, rz, vec_equal_up_to_phase,
+    rand_state, rx, rz, vec_equal_up_to_phase, walker_branches,
 )
 from reference_tables import (
     ANOMALOUS_GATE_ROW_VECTOR,
@@ -302,6 +302,8 @@ def test_program_run_builds_one_state_per_branch(monkeypatch):
             built.clear()
             records, final = program.run(**kwargs)
             assert records == () and final is state and built == []
+        ((records, final),) = program.branches()
+        assert records == () and final is state and built == []
 
 
 def test_program_branches_skip_only_zero_probability_children():
@@ -320,16 +322,18 @@ def test_program_branches_propagate_aborts():
 
 
 def test_measured_steps_never_reach_the_stacked_collapse(monkeypatch):
-    # a sampled or post-selected step collapses a stack of one with np.dot
-    # and np.vdot; only stacks of two or more take the matmul machinery
+    # a sampled, post-selected or enumerated step collapses one state with
+    # np.dot and np.vdot; only the walker's stacks take the matmul machinery
     def stacked(*args):
         raise AssertionError("stacked collapse machinery reached")
 
     monkeypatch.setattr(qm, "_contract_front", stacked)
     monkeypatch.setattr(qm, "_row_dots", stacked)
     with pytest.raises(AssertionError, match="stacked collapse"):
-        enumerate_compensation(0.8, "4-qubit")
+        noisy_success_curve([0.8], "4-qubit", 0.9)
     noisy = white_noise(build_psi4(pi / 6), 0.9)
+    for resource, state in (("2-qubit", None), ("4-qubit", None), ("4-qubit", noisy)):
+        assert len(enumerate_compensation(0.8, resource, state=state)[1]) > 1
     runs = (
         (lambda **kw: compensate(0.8, "2-qubit", **kw), (0,)),
         (lambda **kw: compensate(0.8, **kw), (0, 0, 0)),
@@ -350,12 +354,12 @@ def test_measured_steps_never_reach_the_stacked_collapse(monkeypatch):
             assert run(outcomes=bits).outcome_bits == bits
 
 
-def test_enumeration_shares_prefixes(collapse_stacks, monkeypatch):
+def test_enumeration_shares_prefixes(collapse_stacks, single_collapses, monkeypatch):
     _, branches = enumerate_compensation(0.8, "4-qubit")
     assert len(branches) == 8
-    # one call per tree level, holding both outcomes of every node on it
-    assert collapse_stacks == [2, 4, 8]
-    collapse_stacks.clear()
+    # one measured step per tree child: 2 + 4 + 8, where running each of the
+    # 8 branches on its own would take 24, and no stacked collapse
+    assert single_collapses == [1] * 14 and collapse_stacks == []
     # a whole grid walks the same 14 children once, every angle of every node
     # of a level in one call, and asks one schedule for each node's kets of
     # all the angles
@@ -371,7 +375,7 @@ def test_enumeration_shares_prefixes(collapse_stacks, monkeypatch):
                         lambda zetas, theta: stacks.append(len(zetas)) or stack_of(zetas, theta))
     monkeypatch.setattr(protocols, "basis_B", lambda *args: scalar.append(args))
     noisy_success_curve(np.linspace(0, pi, 25), "4-qubit", 1.0)
-    assert collapse_stacks == [50, 100, 200]
+    assert collapse_stacks == [50, 100, 200] and len(single_collapses) == 14
     assert sorted(nodes) == sorted(set(nodes)) and len(nodes) == 1 + 2 + 4 + 8
     assert stacks == [25] * 3  # B(alpha) at the root, B(+-(alpha - alpha')) below r1 = 1
     assert scalar == []
@@ -502,14 +506,16 @@ def test_walker_walks_one_level_at_a_time(collapse_stacks, rng):
                     assert got.amps.tobytes() == state.amps.tobytes()
                 else:
                     assert got.mat.tobytes() == state.mat.tobytes()
-        # Program.branches is the stack of one: each program's leaves end at
-        # their own depths, and run replays every one of them above
+        # Program.branches walks each program's own tree: its leaves end at
+        # their own depths, and are the stack's leaves that the program reaches
         for g, program in enumerate(programs):
             assert [tuple(r.outcome for r in records) for records, _ in program.branches()] == [
                 leaf.bits for leaf in leaves if g in leaf.active]
 
 
 def test_grid_curve_has_the_bits_of_per_angle_enumeration():
+    # two kernels: the curve collapses a stack of angles per tree level
+    # (qmath.collapse), enumeration takes one measured step per tree child
     grids = (np.linspace(0, pi, 25), np.linspace(-pi, pi, 100))
     for theta in (pi / 8, pi / 6, pi / 5):
         for resource, pure in (("2-qubit", lambda34(theta)), ("4-qubit", build_psi4(theta))):
@@ -520,6 +526,47 @@ def test_grid_curve_has_the_bits_of_per_angle_enumeration():
                     for a, (alpha, p) in zip(grid, curve):
                         want, _ = enumerate_compensation(a, resource, theta=theta, state=state)
                         assert alpha == a and p == want  # exact floats
+
+
+def test_branches_have_the_bits_of_the_stacked_walker(monkeypatch):
+    # Program.branches expands every node with the measured step; the oracle
+    # expands it with the walker's stacked collapse of both outcomes
+    programs = []
+    for theta in (pi / 8, pi / 6, 0.3, pi / 4):
+        for resource, pure in (("2-qubit", lambda34(theta)), ("4-qubit", build_psi4(theta))):
+            for state in (pure, white_noise(pure, 0.8)):
+                programs += [protocols._compensation_program(alpha, resource, theta, state)
+                             for alpha in (-pi, -1.1, 0.0, 0.4, pi / 2, 2.3, pi)]
+    programs += [_captured_program(run, monkeypatch) for run in (
+        lambda: rotate_sequence(0.3, -1.2, 2.5),
+        lambda: cz_gate_protocol(0.7, outcomes=(0, 0, 0, 0)),
+        lambda: deutsch("constant", outcomes=(0, 0, 0, 0)),
+    )]
+    for program in programs + [_two_step_program()]:  # its a = 1 child has probability 0
+        got, want = _recording(program).branches(), walker_branches(_recording(program))
+        assert len(got) == len(want) >= 1
+        for a, b in zip(got, want):
+            _assert_same_bits((*a, None), (*b, None))
+    for program in programs:
+        for a, b in zip(program.branches(), walker_branches(program)):
+            assert_same_transcript(*(tr[2] if isinstance(tr, tuple) else tr for tr in (a, b)))
+
+
+def test_branches_abort_deep_in_the_tree_before_any_finish(monkeypatch):
+    # the balanced program aborts at (0, 0, 1), after the leaves below (0, 0, 0)
+    program = _captured_program(lambda: deutsch("balanced", outcomes=(0, 0, 0, 0)), monkeypatch)
+    nodes, finished = [], []
+
+    def next_step(bits):
+        nodes.append(bits)
+        return program.next_step(bits)
+
+    spied = Program(program.state, next_step, lambda records, state: finished.append(records))
+    with pytest.raises(ProtocolAbort, match="balanced program aborted"):
+        spied.branches()
+    assert nodes[-1] == (0, 0, 1) and (0, 0, 0, 1) in nodes and finished == []
+    with pytest.raises(ProtocolAbort, match="balanced program aborted"):
+        walker_branches(program)
 
 
 def test_grid_curve_checks_frames_and_branch_sums(monkeypatch):
@@ -1073,6 +1120,22 @@ def test_branch_total_off_by_1e_9_raises_invariant_violation(monkeypatch):
     with pytest.raises(qm.InvariantViolation) as err:
         protocols._check_branch_sum(1.0 + 1e-9)
     _assert_violation(err.value, "branch sum", 1e-11, SUM_MESSAGE)
+    real_one, leaked = qm._collapse_one, []
+
+    def leaky_root_children(state, axis, ket, n, pure):
+        prob, rest = real_one(state, axis, ket, n, pure)
+        if n == 4:  # only the root holds all four qubits: both its children leak
+            prob *= 1 + 1e-9  # every leaf below the root, so the total
+            leaked.append(axis)
+        return prob, rest
+
+    with monkeypatch.context() as patch:
+        patch.setattr(qm, "_collapse_one", leaky_root_children)
+        with pytest.raises(qm.InvariantViolation) as err:
+            enumerate_compensation(1.1)
+    assert leaked == [0, 0]
+    _assert_violation(err.value, "branch sum", 1e-11, SUM_MESSAGE)
+    assert abs(err.value.residual - 1e-9) < 1e-12
     real_collapse = qm.collapse
     calls = []
 
@@ -1084,13 +1147,10 @@ def test_branch_total_off_by_1e_9_raises_invariant_violation(monkeypatch):
         return probs, rest
 
     monkeypatch.setattr(qm, "collapse", leaky_root)
-    for run in (lambda: enumerate_compensation(1.1),
-                lambda: noisy_success_curve([0.4, 1.1], "4-qubit", 0.9)):
-        calls.clear()
-        with pytest.raises(qm.InvariantViolation) as err:
-            run()
-        _assert_violation(err.value, "branch sum", 1e-11, SUM_MESSAGE)
-        assert abs(err.value.residual - 1e-9) < 1e-12
+    with pytest.raises(qm.InvariantViolation) as err:
+        noisy_success_curve([0.4, 1.1], "4-qubit", 0.9)
+    _assert_violation(err.value, "branch sum", 1e-11, SUM_MESSAGE)
+    assert abs(err.value.residual - 1e-9) < 1e-12
 
 
 def test_frame_check_stays_strict(monkeypatch):

@@ -120,6 +120,14 @@ def test_from_kets_product_state():
     assert np.allclose(st2.amps, [0, 1j])
 
 
+def test_empty_products_name_their_empty_input():
+    with pytest.raises(ValueError, match="kron needs at least one matrix"):
+        qm.kron()
+    for empty in ([], ()):
+        with pytest.raises(ValueError, match="from_kets needs at least one .* empty"):
+            qm.StateVector.from_kets(empty)
+
+
 def test_normalized_and_zero_state():
     st = qm.StateVector(("a",), np.array([3.0, 4.0]))
     unit, raw = st.normalized()
