@@ -43,76 +43,119 @@ TABULATED_SETTINGS = (
 # Two-point correlations
 # ---------------------------------------------------------------------------
 
-def _letter_action(flip: tuple[int, int], phases: tuple[complex, complex]):
-    """Read-only (flip, phases) arrays: component k of P a is phases[k] * a[flip[k]]."""
-    action = (np.array(flip), np.array(phases, dtype=complex))
-    for a in action:
-        a.setflags(write=False)
-    return action
-
-
-# Each Pauli letter is a signed, phased permutation of its qubit's axis.
+# Each Pauli letter is a signed, phased permutation of its qubit's axis:
+# component k of P a is phases[k] * a[flip[k]], as (flip, phases).
 _LETTER_ACTIONS = {
-    "I": _letter_action((0, 1), (1, 1)),
-    "X": _letter_action((1, 0), (1, 1)),
-    "Y": _letter_action((1, 0), (-1j, 1j)),
-    "Z": _letter_action((0, 1), (1, -1)),
+    "X": ((1, 0), (1, 1)),
+    "Y": ((1, 0), (-1j, 1j)),
+    "Z": ((0, 1), (1, -1)),
 }
 
+#: The Pauli words of ``_pair_expectations``, as (letter on i, letter on j):
+#: X, Y, Z on i, then on j, then the nine pairs a_i b_j, a before b.
+_PAIR_WORDS = ([(a, None) for a in "XYZ"] + [(None, b) for b in "XYZ"]
+               + [(a, b) for a in "XYZ" for b in "XYZ"])
 
-def _pauli_expectation(state: State, assignments: Mapping[str, str]) -> float:
-    """Real part of <P> for the Pauli letters ``assignments`` (label -> letter).
+#: Qubit pairs whose gather tables are kept (least recently used go).
+_CACHED_PAIRS = 64
 
-    Each letter acts on its qubit's axis of the amplitude tensor, or on the
-    row axes of the density matrix, as a permutation times a phase pair; no
-    2^n x 2^n operator is built.  The products are exact, so the result has
-    the bits of ``np.vdot(amps, P @ amps)`` and ``np.trace(P @ rho)`` with
-    the dense operator P.
+
+@functools.lru_cache(maxsize=_CACHED_PAIRS)
+def _pair_tables(labels: tuple[str, ...], i: str, j: str) -> tuple[np.ndarray, ...]:
+    """Read-only gather tables of the 15 words of ``_PAIR_WORDS`` on qubits
+    ``i`` and ``j`` of ``labels``.
+
+    Row r of word (a, b) gives, for each basis index k, the flipped index
+    F(k) that P reads and the phase of each letter at k, so that
+    (P psi)[k] = (psi[F(k)] * first[r, k]) * second[r, k], letter by letter.
+    A single-qubit word has only ``first``; ``second`` holds the nine pair
+    rows.  Also returns ``columns``, the basis indices 0 .. 2^n - 1.
     """
+    axes = (qm._index_of(labels, i), qm._index_of(labels, j))
+    n = len(labels)
+    digits = np.indices((2,) * n).reshape(n, -1)  # digits[q, k]: bit of qubit q in index k
+    weights = (1 << np.arange(n - 1, -1, -1))[:, None]
+    index, first, second = [], [], []
+    for word in _PAIR_WORDS:
+        flipped, phases = digits.copy(), []
+        for axis, letter in zip(axes, word):
+            if letter is not None:
+                flip, phase = _LETTER_ACTIONS[letter]
+                flipped[axis] = np.array(flip)[digits[axis]]
+                phases.append(np.array(phase, dtype=complex)[digits[axis]])
+        index.append((flipped * weights).sum(axis=0))
+        first.append(phases[0])
+        if len(phases) == 2:
+            second.append(phases[1])
+    tables = tuple(np.array(t) for t in (index, first, second)) + (np.arange(2**n),)
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+def _pair_expectations(state: State, i: str, j: str) -> list[float]:
+    """Real parts of <P> for the 15 words of ``_PAIR_WORDS`` on qubits ``i``
+    and ``j``, as Python floats.
+
+    The rows P psi (pure) or the diagonals of P rho (mixed) of all 15 words
+    are gathered through ``_pair_tables`` and multiplied by each letter's
+    phase, i's before j's, as the letters act one after the other; no
+    2^n x 2^n operator is built.  The products are exact.  The values are
+    one stacked ``qmath._row_dots`` of conj(psi) with the rows, each item
+    the BLAS dot of ``np.vdot``, or one row-wise sum of the diagonals, each
+    the sum that ``np.trace`` takes, so every value has the bits of
+    ``np.vdot(amps, P @ amps)`` or ``np.trace(P @ rho)`` with the dense
+    operator P.
+    """
+    index, first, second, columns = _pair_tables(state.labels, i, j)
     data = qm._array(state)
-    pure = data.ndim == 1
-    n = len(state.labels)
-    t = data.reshape((2,) * n + (() if pure else (-1,)))
-    for label, letter in assignments.items():
-        axis = qm._index_of(state.labels, label)
-        flip, phases = _LETTER_ACTIONS[letter]
-        t = np.take(t, flip, axis=axis) * phases.reshape((2,) + (1,) * (t.ndim - axis - 1))
-    if pure:
-        return float(np.vdot(data, t.reshape(-1)).real)
-    return float(np.trace(t.reshape(data.shape)).real)
+    if data.ndim == 1:
+        rows = data[index] * first
+        rows[6:] *= second
+        values = qm._row_dots(np.broadcast_to(data.conj(), rows.shape), rows)
+    else:
+        rows = data[index, columns] * first
+        rows[6:] *= second
+        values = rows.sum(axis=1)
+    return values.real.tolist()
 
 
 def two_point_correlation(state: State, i: str, j: str, a: str, b: str) -> float:
-    """Connected correlator <a_i b_j> - <a_i><b_j> of two Pauli letters."""
+    """Connected correlator <a_i b_j> - <a_i><b_j> of two Pauli letters.
+
+    Reads the one stacked pass ``_pair_expectations`` of the pair.
+    """
     if i == j:
         raise ValueError("correlation requires two distinct qubits")
     for letter in (a, b):
         if letter not in ("X", "Y", "Z"):
             raise ValueError(f"unknown Pauli letter {letter!r}")
-    joint = _pauli_expectation(state, {i: a, j: b})
-    return joint - _pauli_expectation(state, {i: a}) * _pauli_expectation(state, {j: b})
+    values = _pair_expectations(state, i, j)
+    u, v = "XYZ".index(a), "XYZ".index(b)
+    return values[6 + 3 * u + v] - values[u] * values[3 + v]
 
 
 def q_max(state: State, i: str, j: str) -> float:
     """Largest |two_point_correlation| over the nine Pauli letter pairs.
 
-    The six single-qubit expectations are computed once and shared by the
-    nine pairs, so the value has the bits of the maximum of the nine
-    ``two_point_correlation`` calls.
+    All 15 expectations (six single-qubit, nine pair) come from one stacked
+    pass, ``_pair_expectations``, so the value has the bits of the maximum
+    of the nine ``two_point_correlation`` calls.
     """
     if i == j:
         raise ValueError("correlation requires two distinct qubits")
-    letters = ("X", "Y", "Z")
-    single = {(q, a): _pauli_expectation(state, {q: a}) for q in (i, j) for a in letters}
-    return max(
-        abs(_pauli_expectation(state, {i: a, j: b}) - single[i, a] * single[j, b])
-        for a in letters
-        for b in letters
-    )
+    values = _pair_expectations(state, i, j)
+    return max(abs(values[6 + 3 * u + v] - values[u] * values[3 + v])
+               for u in range(3) for v in range(3))
 
 
 def linear_entropies(state: State) -> dict[str, float]:
-    """Single-qubit linear entropy 2(1 - Tr rho_k^2) for every qubit."""
+    """Single-qubit linear entropy 2(1 - Tr rho_k^2) for every qubit.
+
+    A pure state is turned into its density matrix once, not once per qubit.
+    """
+    if isinstance(state, qm.StateVector):
+        state = state.to_density()
     return {
         label: qm.linear_entropy(qm.partial_trace(state, (label,)))
         for label in state.labels

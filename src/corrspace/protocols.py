@@ -279,23 +279,30 @@ def walk_branches(states: Sequence[State], schedule: Schedule) -> list[Leaf]:
     called once per tree node with the outcome bits and the indices of the
     programs still active; row j of its kets holds ket0 and ket1 of program
     ``active[j]``.  The nodes of a level that measure one qubit of one
-    register are one group: the states of every node in it, once for
-    outcome 0 and once for outcome 1, are one ``qmath.collapse``, so a tree
-    whose nodes at each depth measure one qubit makes one call per tree
-    level.  Within a level the schedule is called in the order of the bits.
-    A child whose probability is below ``ZERO_PROBABILITY`` is skipped for
-    that program only, so the schedule below it sees fewer rows.  The leaves
-    come back after the whole walk.  An empty stack of states or a ket stack
-    whose shape is not (len(active), 2, 2) raises ``ValueError``;
-    ``ProtocolAbort`` propagates.
+    register are one group: the states of every node in it, collapsed onto
+    both outcomes' kets, are one ``qmath.collapse``, so a tree whose nodes
+    at each depth measure one qubit makes one call per tree level.  When
+    every program starts from the same state object, the root reads that
+    state through a stride-0 ``np.broadcast_to`` view, not G copies; below
+    the root each child holds views of its level's collapsed stack, and a
+    group's states are concatenated once per level.  Within a level the
+    schedule is called in the order of the bits.  A child whose probability
+    is below ``ZERO_PROBABILITY`` is skipped for that program only, so the
+    schedule below it sees fewer rows.  The leaves come back after the whole
+    walk.  An empty stack of states or a ket stack whose shape is not
+    (len(active), 2, 2) raises ``ValueError``; ``ProtocolAbort`` propagates.
     """
     if len(states) == 0:
         raise ValueError("walk_branches needs at least one program; the stack of states is empty")
     first = states[0]
-    pure = _is_pure(first)
-    if any(_is_pure(s) != pure or s.labels != first.labels for s in states):
-        raise ValueError("programs must start from states of one kind on one register")
-    stack = np.stack([qm._array(s) for s in states])
+    data = qm._array(first)
+    if all(s is first for s in states):  # one shared start: a stride-0 view, not G copies
+        stack = np.broadcast_to(data, (len(states),) + data.shape)
+    else:
+        pure = _is_pure(first)
+        if any(_is_pure(s) != pure or s.labels != first.labels for s in states):
+            raise ValueError("programs must start from states of one kind on one register")
+        stack = np.stack([qm._array(s) for s in states])
     # every node is held as a Leaf record; one whose schedule returns None is kept
     level = [Leaf((), (), np.arange(len(states)), (), first.labels, stack)]
     leaves = []
@@ -324,29 +331,39 @@ def _children(
     labels: tuple[str, ...], qubit: str, members: list[tuple[Leaf, np.ndarray]],
 ) -> list[Leaf]:
     """Both children of every (node, kets) in ``members`` from one
-    ``qmath.collapse`` of their stacked states.
+    ``qmath.collapse`` of their states.
 
-    Outcomes are stacked along the program axis, never contracted together,
-    so each item is the (1, 2) by (2, rest) product of a per-child collapse.
+    The members' states are concatenated once (a lone member's are passed
+    as they are, a shared start's broadcast view included), and both
+    outcomes' kets go along a leading outcome axis, so no state is copied
+    per outcome and each item is the (1, 2) by (2, rest) product of a
+    per-child collapse.  The zero-probability mask is read once per call;
+    rows are picked out only when some child falls below it.
     """
     axis = qm._index_of(labels, qubit)
     rest_labels = labels[:axis] + labels[axis + 1:]
-    states = np.concatenate([node.states for node, _ in members] * 2)
-    kets = np.concatenate([kets[:, outcome] for outcome in (0, 1) for _, kets in members],
-                          dtype=complex)
+    if len(members) == 1:
+        states = members[0][0].states
+    else:
+        states = np.concatenate([node.states for node, _ in members])
+    kets = np.concatenate([kets.transpose(1, 0, 2) for _, kets in members], axis=1, dtype=complex)
     p_all, collapsed_all = qm.collapse(states, axis, kets)
-    children, stop = [], 0
+    keep = ~(p_all < ZERO_PROBABILITY)
+    some_low = not keep.all()
+    children = []
     for outcome in (0, 1):
+        stop = 0
         for node, _ in members:
             start, stop = stop, stop + len(node.active)
-            p, collapsed = p_all[start:stop], collapsed_all[start:stop]
+            p, collapsed = p_all[outcome, start:stop], collapsed_all[outcome, start:stop]
             active, probs = node.active, node.probs + (p,)
-            rows = np.flatnonzero(~(p < ZERO_PROBABILITY))
-            if len(rows) == 0:
-                continue
-            if len(rows) < len(p):  # skip this child for the programs that cannot reach it
-                active, collapsed = active[rows], collapsed[rows]
-                probs = tuple(q[rows] for q in probs)
+            if some_low:
+                rows = np.flatnonzero(keep[outcome, start:stop])
+                if len(rows) == 0:
+                    continue
+                if len(rows) < len(p):  # skip this child for the programs that cannot reach it
+                    active, collapsed = active[rows], collapsed[rows]
+                    probs = tuple(q[rows] for q in probs)
             children.append(Leaf(node.bits + (outcome,), node.qubits + (qubit,), active,
                                  probs, rest_labels, collapsed))
     return children
@@ -610,7 +627,8 @@ def noisy_success_curve(
     is walked ``_CURVE_CHUNK`` angles at a time: one ``walk_branches`` per
     chunk asks one ``_compensation_schedule`` for each tree node's kets of
     every angle and collapses every angle's state, for every node and
-    outcome of a tree level, in one ``qmath.collapse`` per tree level.  Each
+    outcome of a tree level, in one ``qmath.collapse`` per tree level; all
+    the angles share the one start state, read through a view.  Each
     angle's value has the bits of ``enumerate_compensation``: successful
     leaves are summed depth first, each the product of its step
     probabilities in step order.  Every angle's branches must sum to 1, and

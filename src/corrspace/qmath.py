@@ -119,21 +119,25 @@ def _angle(value: float, what: str) -> None:
 
 
 def collapse(states: np.ndarray, axis: int, kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Project qubit ``axis`` of a stack of G states onto G kets.
+    """Project qubit ``axis`` of a stack of N states onto both outcomes' kets.
 
-    ``states`` holds G amplitude vectors (G, 2^n) or G density matrices
-    (G, 2^n, 2^n) on one register of n >= 1 qubits; ``kets`` is (G, 2) and
-    ``axis`` lies in [0, n).  Any other shape or axis raises ``ValueError``.
-    Returns the G Born probabilities and the G collapsed states with the
-    qubit removed, divided by their norm (pure) or trace (mixed).  A zero
-    norm or trace is left undivided.
+    ``states`` holds N amplitude vectors (N, 2^n) or N density matrices
+    (N, 2^n, 2^n) on one register of n >= 1 qubits; it may be a read-only
+    broadcast view, one state shared by all N items with stride 0.
+    ``kets`` is (2, N, 2): ``kets[k, g]`` is the ket of outcome k for state
+    g.  ``axis`` lies in [0, n).  Any other shape or axis raises
+    ``ValueError``.  Returns the (2, N) Born probabilities and the (2, N,
+    ...) collapsed states with the qubit removed, divided by their norm
+    (pure) or trace (mixed), both indexed [outcome, state].  A zero norm or
+    trace is left undivided.
 
     Each side of the state is contracted with one ``np.matmul`` of the
-    (G, 1, 2) rows with the state regrouped as (G, 2, rest); per item it
-    has the bits of ``np.tensordot``.  Pure probabilities and norms are
-    stacked dots (``_row_dots``) with the bits of per-item ``np.vdot`` and
-    ``np.linalg.norm``, so item g has the bits of ``_collapse_one`` followed
-    by the measured step's division.
+    (1, 2) ket rows with the state regrouped as (N, 2, rest), broadcast
+    over the two outcomes, so the states are read once and never copied
+    per outcome; per item it has the bits of ``np.tensordot``.  Pure
+    probabilities and norms are stacked dots (``_row_dots``) with the bits
+    of per-item ``np.vdot`` and ``np.linalg.norm``, so item [k, g] has the
+    bits of ``_collapse_one`` followed by the measured step's division.
 
     The stacked Born step of ``protocols.walk_branches``, one call per tree
     level.  The measured step ``measurement._measured_step`` (every step of
@@ -142,29 +146,30 @@ def collapse(states: np.ndarray, axis: int, kets: np.ndarray) -> tuple[np.ndarra
     """
     g, n, pure = _check_collapse(states, axis, kets)
     t = states.reshape((g,) + (2,) * (n if pure else 2 * n))
-    t = _contract_front(np.conj(kets), t, axis)
+    t = _contract_front(np.conj(kets), t, axis).reshape((2 * g,) + t.shape[2:])
     if pure:
-        rest = t.reshape(g, -1)
+        rest = t.reshape(2 * g, -1)
         probs = _row_dots(rest.conj(), rest).real
         scale = np.sqrt(_row_dots(rest.real, rest.real) + _row_dots(rest.imag, rest.imag))
     else:
-        t = _contract_front(kets, t, n - 1 + axis)
+        t = _contract_front(kets.reshape(2 * g, 2), t, n - 1 + axis)
         d = 2 ** (n - 1)
-        rest = t.reshape(g, d, d)
+        rest = t.reshape(2 * g, d, d)
         probs = scale = np.trace(rest, axis1=1, axis2=2).real
     scale = np.where(np.equal(scale, 0.0), 1.0, scale)
-    return probs, rest / scale.reshape((g,) + (1,) * (rest.ndim - 1))
+    rest = rest / scale.reshape((2 * g,) + (1,) * (rest.ndim - 1))
+    return probs.reshape(2, g), rest.reshape((2, g) + rest.shape[1:])
 
 
 def _check_collapse(states: np.ndarray, axis: int, kets: np.ndarray) -> tuple[int, int, bool]:
-    """(G, n, pure) of valid ``collapse`` arguments; ``ValueError`` otherwise."""
+    """(N, n, pure) of valid ``collapse`` arguments; ``ValueError`` otherwise."""
     shape = states.shape
     n = shape[1].bit_length() - 1 if len(shape) in (2, 3) else 0
     if n < 1 or shape[1] != 1 << n or shape[2:] not in ((), shape[1:2]):
-        raise ValueError(f"states must be (G, 2^n) or (G, 2^n, 2^n) with n >= 1, got {shape}")
+        raise ValueError(f"states must be (N, 2^n) or (N, 2^n, 2^n) with n >= 1, got {shape}")
     g = shape[0]
-    if kets.shape != (g, 2):
-        raise ValueError(f"kets must be ({g}, 2) for {g} states, got {kets.shape}")
+    if kets.shape != (2, g, 2):
+        raise ValueError(f"kets must be (2, {g}, 2) for {g} states, got {kets.shape}")
     if not 0 <= axis < n:
         raise ValueError(f"axis must lie in [0, {n}) for {n}-qubit states, got {axis}")
     return g, n, len(shape) == 2
@@ -209,11 +214,13 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _contract_front(rows: np.ndarray, t: np.ndarray, axis: int) -> np.ndarray:
-    """Contract item axis ``axis`` of a (G, 2, 2, ...) stack with G 2-vectors."""
+    """Contract item axis ``axis`` of a (G, 2, 2, ...) stack with (..., G, 2)
+    rows of 2-vectors; the leading axes of ``rows`` broadcast over the stack,
+    so the result is (..., G) followed by the stack's other item axes."""
     g = t.shape[0]
     t = t.transpose(0, axis + 1, *(k for k in range(1, t.ndim) if k != axis + 1))
-    out = np.matmul(rows.reshape(g, 1, 2), t.reshape(g, 2, -1))
-    return out.reshape(t.shape[:1] + t.shape[2:])
+    out = np.matmul(rows.reshape(rows.shape[:-1] + (1, 2)), t.reshape(g, 2, -1))
+    return out.reshape(rows.shape[:-1] + t.shape[2:])
 
 
 @dataclass(frozen=True)

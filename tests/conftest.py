@@ -12,13 +12,14 @@ def rng():
 
 @pytest.fixture
 def collapse_stacks(monkeypatch):
-    """Stack size of every ``qmath.collapse`` call."""
+    """Items of every ``qmath.collapse`` call: one per (outcome, state) pair,
+    so a call on N states onto both outcomes' kets counts 2N."""
     sizes = []
     real = qm.collapse
 
-    def counting(states, *args, **kwargs):
-        sizes.append(len(states))
-        return real(states, *args, **kwargs)
+    def counting(states, axis, kets, **kwargs):
+        sizes.append(len(kets) * len(states))
+        return real(states, axis, kets, **kwargs)
 
     monkeypatch.setattr(qm, "collapse", counting)
     return sizes

@@ -19,7 +19,7 @@ from corrspace.measurement import MeasurementBasis, OutcomeRecord, pauli_basis
 from corrspace import noise_tomo
 from corrspace.noise_tomo import setting_kets
 from corrspace.protocols import _FRAME_OPERATORS, PauliFrame, success_probability, walk_branches
-from corrspace.wires import LEFT, RIGHT, ResourceSpec, Wire, _check_theta, contract_resource
+from corrspace.wires import LEFT, RIGHT, ResourceSpec, Wire, _check_theta, contract_resource, contract_wire
 
 #: Joint amplitude factors of the two-photon conditional-phase combination
 #: (overlapping filter cube plus a T_h = 1/3 filter on the second photon),
@@ -454,6 +454,40 @@ def induced_operator(basis_ket: np.ndarray, site: np.ndarray) -> np.ndarray:
     if phi.shape != (2,):
         raise ValueError("basis ket must be a 2-vector")
     return np.conj(phi[0]) * site[0] + np.conj(phi[1]) * site[1]
+
+
+def virtual_branches(wire: Wire, next_step) -> list[tuple[tuple[int, ...], float]]:
+    """(bits, weight) of every branch of a one-wire program, depth first with
+    outcome 0 before 1, computed in correlation space alone.
+
+    ``next_step`` is a ``Program``'s rule and must measure the wire's sites
+    in order.  Site k measured onto ket b leaves M_k = ``induced_operator``
+    (b, T_k) on the virtual vector, so a branch that stops after m sites
+    has out[s] = <RIGHT| T[s_n] ... T[s_m+1] M_m ... M_1 |LEFT> over the
+    outcomes s of the unmeasured sites, and weight ||out||^2 / raw^2 with
+    raw from ``contract_wire``.  No 2^n state and no collapse is involved.
+    """
+    _, raw = contract_wire(wire)
+    branches = []
+
+    def walk(bits, vec):
+        k = len(bits)
+        step = next_step(bits)
+        if step is None:
+            tail = [vec]
+            for site in wire.sites[k:]:
+                tail = [site[s] @ v for v in tail for s in (0, 1)]
+            out = np.array([np.vdot(RIGHT, v) for v in tail])
+            branches.append((bits, float(np.vdot(out, out).real) / raw**2))
+            return
+        qubit, basis = step
+        if qubit != wire.labels[k]:
+            raise ValueError(f"step {k} measures {qubit!r}, not the next site {wire.labels[k]!r}")
+        for outcome in (0, 1):
+            walk(bits + (outcome,), induced_operator(basis.kets[outcome], wire.sites[k]) @ vec)
+
+    walk((), LEFT)
+    return branches
 
 
 def su2_decompose(mat: np.ndarray, tol: float = 1e-10) -> tuple[complex, np.ndarray]:

@@ -90,16 +90,16 @@ def _same_bits(a: float, b: float) -> bool:
     return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
-def _expectation_cases(state):
-    """Every single letter (I too), then all nine letter pairs on every
-    ordered pair of qubits."""
-    for q in state.labels:
-        for a in "IXYZ":
-            yield {q: a}
+def _check_pair_expectations(state):
+    """Each of the 15 stacked values of every ordered qubit pair against the
+    dense operator: X, Y, Z on i, then on j, then the nine pairs a_i b_j."""
     for i, j in itertools.permutations(state.labels, 2):
-        for a in "XYZ":
-            for b in "XYZ":
-                yield {i: a, j: b}
+        words = ([{i: a} for a in "XYZ"] + [{j: b} for b in "XYZ"]
+                 + [{i: a, j: b} for a in "XYZ" for b in "XYZ"])
+        got = analysis._pair_expectations(state, i, j)
+        assert len(got) == 15 and all(type(value) is float for value in got)
+        for value, assignments in zip(got, words, strict=True):
+            assert _same_bits(value, dense_pauli_expectation(state, assignments))
 
 
 @pytest.mark.parametrize("theta", [pi / 8, pi / 6, 0.3, 1.2])
@@ -107,25 +107,35 @@ def test_pauli_expectations_have_the_dense_bits(theta):
     for build in (build_psi4, lambda34, build_psi6):
         pure = build(theta)
         for state in (pure, white_noise(pure, 0.9), white_noise(pure, 0.5)):
-            for assignments in _expectation_cases(state):
-                got = analysis._pauli_expectation(state, assignments)
-                assert _same_bits(got, dense_pauli_expectation(state, assignments))
+            _check_pair_expectations(state)
 
 
 def test_pauli_expectations_keep_the_dense_zero_signs(rng):
     # entries of +-0, exact values and mixed signs: a zero result must come
     # out with the sign the dense product gives it
     values = [0.0, -0.0, 0.5, -0.5, 0.25, -1.0]
-    for n in (1, 2, 3):
-        labels = tuple("abc"[:n])
+    for n in (2, 3, 4):
+        labels = tuple("abcd"[:n])
         d = 2**n
         for _ in range(20):
             amps = [complex(*rng.choice(values, 2)) for _ in range(d)]
             mat = [[complex(*rng.choice(values, 2)) for _ in range(d)] for _ in range(d)]
             for state in (qm.StateVector(labels, amps), qm.DensityMatrix(labels, mat)):
-                for assignments in _expectation_cases(state):
-                    got = analysis._pauli_expectation(state, assignments)
-                    assert _same_bits(got, dense_pauli_expectation(state, assignments))
+                _check_pair_expectations(state)
+
+
+def test_linear_entropies_build_a_pure_states_density_matrix_once(monkeypatch):
+    calls = []
+    real = qm.StateVector.to_density
+    monkeypatch.setattr(qm.StateVector, "to_density",
+                        lambda self: calls.append(self.labels) or real(self))
+    for build in (build_psi4, build_psi6):
+        pure = build()
+        calls.clear()
+        got = linear_entropies(pure)
+        assert calls == [pure.labels]
+        want = {q: qm.linear_entropy(qm.partial_trace(real(pure), (q,))) for q in pure.labels}
+        assert got == want  # the bits of a conversion per qubit
 
 
 def test_q_max_is_the_largest_correlation_bit_for_bit():

@@ -445,22 +445,15 @@ def test_sampled_measure_projects_again_only_for_outcome_1(rng, single_collapses
 
 
 def one_row_collapse(state, qubit, basis, outcome=None, rng=None):
-    """A measured step through the stacked ``qmath.collapse`` of one row:
-    collapse onto kets[0] to draw, onto kets[1] again when 1 is drawn."""
+    """A measured step through the stacked ``qmath.collapse`` of one row onto
+    both outcomes' kets: draw on outcome 0's probability, keep the drawn or
+    requested outcome's item."""
     data, axis = qm._array(state)[None], state.labels.index(qubit)
-
-    def collapse(k):
-        probs, unit = qm.collapse(data, axis, basis.kets[k][None])
-        return probs[0], unit[0]
-
+    probs, unit = qm.collapse(data, axis, basis.kets[:, None])
     if outcome is None:
-        prob, rest = collapse(0)
-        outcome = 0 if rng.random() < prob else 1
-        if outcome == 1:
-            prob, rest = collapse(1)
-    else:
-        prob, rest = collapse(outcome)
-    return outcome, prob, qm._state(tuple(q for q in state.labels if q != qubit), rest)
+        outcome = 0 if rng.random() < probs[0, 0] else 1
+    rest = unit[outcome, 0]
+    return outcome, probs[outcome, 0], qm._state(tuple(q for q in state.labels if q != qubit), rest)
 
 
 def test_measure_has_the_bits_of_a_one_row_collapse(project_calls):

@@ -29,10 +29,11 @@ from corrspace.protocols import (
     success_probability,
     wrong_angle,
 )
-from corrspace.wires import build_psi4, lambda34
+from corrspace.wires import Wire, a_site, b_site, build_psi4, lambda34, psi4_wire
 from helpers import (
     assert_same_transcript, compensation_bound, frame_operator, numpy_frame_residuals, overlap2,
-    rand_state, rx, rz, vec_equal_up_to_phase, walker_branches,
+    rand_density, rand_state, rand_unitary, rx, rz, vec_equal_up_to_phase, virtual_branches,
+    walker_branches,
 )
 from reference_tables import (
     ANOMALOUS_GATE_ROW_VECTOR,
@@ -587,7 +588,7 @@ def test_grid_curve_checks_frames_and_branch_sums(monkeypatch):
 
     def leaky(states, axis, kets, **kwargs):
         probs, rest = real_collapse(states, axis, kets, **kwargs)
-        probs[-1] *= 1 + 2e-11  # the last angle's branches no longer sum to 1
+        probs[1, -1] *= 1 + 2e-11  # the last angle's branches no longer sum to 1
         return probs, rest
 
     monkeypatch.setattr(qm, "collapse", leaky)
@@ -606,12 +607,72 @@ def test_branch_sum_check_fails_closed(monkeypatch):
 
     def nan_collapse(states, axis, kets, **kwargs):
         probs, rest = real_collapse(states, axis, kets, **kwargs)
-        probs[-1] = np.nan  # neither kept below ZERO_PROBABILITY nor summed to 1
+        probs[1, -1] = np.nan  # neither kept below ZERO_PROBABILITY nor summed to 1
         return probs, rest
 
     monkeypatch.setattr(qm, "collapse", nan_collapse)
     with pytest.raises(AssertionError, match="do not sum to 1"):
         noisy_success_curve(np.linspace(0, pi, 7), "4-qubit", 0.9)
+
+
+@pytest.mark.parametrize("theta", [pi / 8, pi / 6, pi / 4, 1.1])
+def test_branch_weights_are_products_of_correlation_space_operators(theta, rng):
+    # every leaf of the depth-first walk and every point of the stacked
+    # walker's curve against 2x2 operator products on the wire, no 2^n state
+    alphas = [0.0, pi, -pi, 2 * pi, *rng.uniform(-pi, pi, 8).tolist()]
+    wires = {"4-qubit": psi4_wire(theta), "2-qubit": Wire((a_site(theta), b_site()), ("3", "4"))}
+    for resource, wire in wires.items():
+        curve = noisy_success_curve(alphas, resource, 1.0, theta=theta)
+        for alpha, (point_alpha, point) in zip(alphas, curve, strict=True):
+            program = protocols._compensation_program(alpha, resource, theta, None)
+            virtual = dict(virtual_branches(wire, program.next_step))
+            assert abs(sum(virtual.values()) - 1.0) <= 1e-14
+            p_success, branches = enumerate_compensation(alpha, resource, theta=theta)
+            for b in branches:
+                assert abs(b.total_probability - virtual[b.outcome_bits]) <= 1e-14
+            skipped = set(virtual) - {b.outcome_bits for b in branches}
+            assert all(virtual[bits] < 1e-14 for bits in skipped)
+            # success: qubit 1 (or 3 on the 2-qubit wire) reads 0, or the compensation does
+            success = sum(w for bits, w in virtual.items()
+                          if bits[0] == 0 or (len(bits) == 3 and bits[2] == 0))
+            assert point_alpha == alpha
+            assert abs(point - success) <= 1e-14 and abs(p_success - success) <= 1e-14
+
+
+def test_walker_reads_one_shared_start_through_a_view(monkeypatch, rng):
+    # one start object for every program: the root collapse reads it through
+    # a stride-0 view, with the bits of a stack of separate copies
+    roots = []
+    real_collapse = qm.collapse
+
+    def recording(states, axis, kets):
+        roots.append(states.strides[0])
+        return real_collapse(states, axis, kets)
+
+    monkeypatch.setattr(qm, "collapse", recording)
+    for n in range(1, 6):
+        labels = tuple("abcde"[:n])
+        for make in (rand_state, rand_density):
+            start = make(labels, rng)
+            copies = [qm._state(labels, qm._array(start).copy()) for _ in range(3)]
+            kets = np.array([[rand_unitary(rng).T for _ in range(3)] for _ in range(n)])
+            order = rng.permutation(n)
+
+            def schedule(bits, active):
+                k = len(bits)
+                return None if k == n else (labels[order[k]], kets[k][active])
+
+            roots.clear()
+            shared = protocols.walk_branches([start] * 3, schedule)
+            assert roots[0] == 0  # the root stack is a view, not three copies
+            assert all(stride != 0 for stride in roots[1:])
+            copied = protocols.walk_branches(copies, schedule)
+            assert len(shared) == len(copied) == 2**n
+            for a, b in zip(shared, copied, strict=True):
+                assert a.bits == b.bits and a.qubits == b.qubits and a.labels == b.labels
+                assert np.array_equal(a.active, b.active)
+                assert [p.tobytes() for p in a.probs] == [p.tobytes() for p in b.probs]
+                assert a.states.tobytes() == b.states.tobytes()
 
 
 def test_enumerated_branches_equal_postselected_runs():

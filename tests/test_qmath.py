@@ -282,19 +282,26 @@ def test_density_project_has_tensordot_bits(rng):
                 assert rest.labels == labels[:ax] + labels[ax + 1:]
 
 
+def _basis_kets(rng, g):
+    """(2, g, 2) kets: row k of item g is column k of a random unitary."""
+    return np.array([rand_unitary(rng).T for _ in range(g)]).transpose(1, 0, 2).copy()
+
+
 def test_collapse_of_a_stack_has_each_items_bits(rng):
     for n in (1, 2, 4):
         labels = tuple("abcd"[:n])
-        kets = np.array([rand_unitary(rng)[:, 0] for _ in range(5)])
+        kets = _basis_kets(rng, 5)
         for make in (rand_state, rand_density):
             states = [make(labels, rng) for _ in range(5)]
             stack = np.stack([qm._array(s) for s in states])
             for ax, q in enumerate(labels):
                 probs, unit = qm.collapse(stack, ax, kets)
-                for i, state in enumerate(states):
-                    prob, want = measured_collapse(qm._array(state), ax, kets[i])
-                    assert probs[i] == prob == state.project(q, kets[i])[0]
-                    assert np.array_equal(unit[i], want)
+                assert probs.shape == (2, 5) and unit.shape[:2] == (2, 5)
+                for k in (0, 1):
+                    for i, state in enumerate(states):
+                        prob, want = measured_collapse(qm._array(state), ax, kets[k, i])
+                        assert probs[k, i] == prob == state.project(q, kets[k, i])[0]
+                        assert np.array_equal(unit[k, i], want)
 
 
 def test_pure_collapse_has_the_bits_of_per_item_vdot_and_norm(rng):
@@ -303,14 +310,15 @@ def test_pure_collapse_has_the_bits_of_per_item_vdot_and_norm(rng):
         for g in (1, 3, 25, 70):
             stack = np.stack([rand_state(labels, rng).amps for _ in range(g)])
             stack[0] = stack[0].real  # signed zeros in the imaginary parts
-            kets = np.array([rand_unitary(rng)[:, 0] for _ in range(g)])
+            kets = _basis_kets(rng, g)
             for ax in range(n):
                 probs, unit = qm.collapse(stack, ax, kets)
-                for i in range(g):
-                    _, r = qm._collapse_one(stack[i], ax, kets[i], n, True)
-                    assert probs[i] == np.vdot(r, r).real
-                    assert np.array_equal(unit[i], r / np.linalg.norm(r))
-                    assert unit[i].tobytes() == measured_collapse(stack[i], ax, kets[i])[1].tobytes()
+                for k in (0, 1):
+                    for i in range(g):
+                        _, r = qm._collapse_one(stack[i], ax, kets[k, i], n, True)
+                        assert probs[k, i] == np.vdot(r, r).real
+                        assert np.array_equal(unit[k, i], r / np.linalg.norm(r))
+                        assert unit[k, i].tobytes() == measured_collapse(stack[i], ax, kets[k, i])[1].tobytes()
 
 
 def test_collapse_of_one_has_the_bits_of_its_item_in_a_stack_of_three(rng):
@@ -323,14 +331,39 @@ def test_collapse_of_one_has_the_bits_of_its_item_in_a_stack_of_three(rng):
                 stack = np.stack([qm._array(make(labels, rng)) for _ in range(3)])
                 if rep == 0:
                     stack[1] = stack[1].real  # signed zeros in the imaginary parts
-                kets = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+                kets = rng.normal(size=(2, 3, 2)) + 1j * rng.normal(size=(2, 3, 2))
                 for ax in range(n):
                     probs, unit = qm.collapse(stack, ax, kets)
-                    for i in range(3):
-                        prob, want = measured_collapse(stack[i], ax, kets[i])
-                        assert np.float64(prob).tobytes() == probs[i].tobytes()
-                        assert unit[i].shape == want.shape and unit[i].dtype == want.dtype
-                        assert unit[i].tobytes() == want.tobytes()
+                    for k in (0, 1):
+                        for i in range(3):
+                            prob, want = measured_collapse(stack[i], ax, kets[k, i])
+                            assert np.float64(prob).tobytes() == probs[k, i].tobytes()
+                            assert unit[k, i].shape == want.shape and unit[k, i].dtype == want.dtype
+                            assert unit[k, i].tobytes() == want.tobytes()
+
+
+def test_collapse_of_a_shared_start_has_the_bits_of_a_copied_stack(rng):
+    # the walker's root: one state read through a stride-0 view, both
+    # outcomes' kets along the leading axis, against G copies of it stacked
+    # and concatenated once per outcome, each item onto its own ket
+    for _ in range(40):
+        n, g = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+        labels = tuple("abcde"[:n])
+        for make in (rand_state, rand_density):
+            data = qm._array(make(labels, rng))
+            if rng.random() < 0.3:
+                data = data.real + 0j  # signed zeros in the imaginary parts
+            shared = np.broadcast_to(data, (g,) + data.shape)
+            assert shared.strides[0] == 0
+            copied = np.concatenate([np.stack([data] * g)] * 2)
+            kets = rng.normal(size=(2, g, 2)) + 1j * rng.normal(size=(2, g, 2))
+            flat = kets.reshape(2 * g, 2)
+            for ax in range(n):
+                probs, unit = qm.collapse(shared, ax, kets)
+                want_probs, want_unit = qm.collapse(copied, ax, np.stack([flat, flat]))
+                assert probs.tobytes() == want_probs[0].tobytes()
+                assert unit.shape == (2, g) + want_unit.shape[2:]
+                assert unit.tobytes() == want_unit[0].tobytes()
 
 
 def test_norm_has_the_bits_of_np_linalg_norm(rng):
@@ -352,29 +385,32 @@ def test_norm_has_the_bits_of_np_linalg_norm(rng):
 
 def test_collapse_leaves_a_zero_state_undivided():
     stack = np.stack([qm.ket("0"), qm.ket("+")])
-    probs, unit = qm.collapse(stack, 0, np.stack([qm.ket("1"), qm.ket("1")]))
-    assert probs[0] == 0.0 and np.array_equal(unit[0], [0])
-    assert abs(probs[1] - 0.5) < TOL and np.allclose(unit[1], [1])
+    one, zero = np.stack([qm.ket("1")] * 2), np.stack([qm.ket("0")] * 2)
+    probs, unit = qm.collapse(stack, 0, np.stack([one, zero]))
+    assert probs[0, 0] == 0.0 and np.array_equal(unit[0, 0], [0])
+    assert abs(probs[0, 1] - 0.5) < TOL and np.allclose(unit[0, 1], [1])
+    assert probs[1, 0] == 1.0 and np.array_equal(unit[1, 0], [1])
     prob, want = measured_collapse(stack[1], 0, qm.ket("1"))
-    assert probs[1] == prob and unit[1].tobytes() == want.tobytes()
+    assert probs[0, 1] == prob and unit[0, 1].tobytes() == want.tobytes()
     for data in (qm.ket("0"), np.diag([1.0 + 0j, 0.0])):  # stacks of one
-        probs, unit = qm.collapse(data[np.newaxis], 0, qm.ket("1")[np.newaxis])
-        assert probs.tolist() == [0.0] and not np.any(unit)
+        probs, unit = qm.collapse(data[np.newaxis], 0, np.stack([one[:1], zero[:1]]))
+        assert probs[0].tolist() == [0.0] and not np.any(unit[0])
         prob, rest = qm._collapse_one(data, 0, qm.ket("1"), 1, data.ndim == 1)
-        assert prob == 0.0 and unit[0].tobytes() == rest.tobytes()  # undivided
+        assert prob == 0.0 and unit[0, 0].tobytes() == rest.tobytes()  # undivided
 
 
 @pytest.mark.parametrize("g", [1, 3])
 def test_collapse_rejects_kets_that_are_not_one_per_state(g):
     states = np.ones((g, 4), dtype=complex)
-    for kets in (np.ones(2), np.ones((g + 1, 2)), np.ones((g, 3)), np.ones((g, 2, 1))):
-        with pytest.raises(ValueError, match=rf"^kets must be \({g}, 2\) for {g} states, got"):
+    for kets in (np.ones(2), np.ones((g, 2)), np.ones((1, g, 2)), np.ones((2, g + 1, 2)),
+                 np.ones((2, g, 3)), np.ones((2, g, 2, 1))):
+        with pytest.raises(ValueError, match=rf"^kets must be \(2, {g}, 2\) for {g} states, got"):
             qm.collapse(states, 0, kets.astype(complex))
 
 
 @pytest.mark.parametrize("g", [1, 3])
 def test_collapse_rejects_an_axis_outside_the_register(g):
-    kets = np.ones((g, 2), dtype=complex)
+    kets = np.ones((2, g, 2), dtype=complex)
     for states in (np.ones((g, 8), dtype=complex), np.ones((g, 8, 8), dtype=complex)):
         for axis in (-1, 3, 7):
             with pytest.raises(ValueError, match=rf"^axis must lie in \[0, 3\) for 3-qubit states, got {axis}$"):
@@ -383,9 +419,9 @@ def test_collapse_rejects_an_axis_outside_the_register(g):
 
 @pytest.mark.parametrize("g", [1, 3])
 def test_collapse_rejects_states_that_are_not_qubit_registers(g):
-    kets = np.ones((g, 2), dtype=complex)
+    kets = np.ones((2, g, 2), dtype=complex)
     for shape in ((g,), (g, 1), (g, 3), (g, 6), (g, 4, 2), (g, 4, 8), (g, 2, 2, 2)):
-        with pytest.raises(ValueError, match=r"^states must be \(G, 2\^n\) or \(G, 2\^n, 2\^n\) with n >= 1"):
+        with pytest.raises(ValueError, match=r"^states must be \(N, 2\^n\) or \(N, 2\^n, 2\^n\) with n >= 1"):
             qm.collapse(np.ones(shape, dtype=complex), 0, kets)
 
 
